@@ -23,9 +23,10 @@ import (
 	"wcdsnet"
 )
 
-// fleetShardWidth is the shard size the bench phases use: small enough
-// that a 3-worker fleet gets meaningful scheduling granularity on the
-// 132-scenario suite, large enough that per-request overhead stays small.
+// fleetShardWidth is the shard size the bench phases ask for. The
+// coordinator rounds it up to whole network cells — 11 scenarios on the
+// 132-scenario suite — so each of the 12 cells is one shard, each scene's
+// shared work is computed once, and a 3-worker fleet gets 4 shards apiece.
 const fleetShardWidth = 4
 
 // fleetSpeedupFloor is the minimum fleetN-over-fleet1 speedup on a runner

@@ -12,7 +12,8 @@
 //	-spawn 3          spawn N in-process loopback workers
 //	-workers ""       comma-separated external worker base URLs
 //	                  (e.g. "http://h1:8080,http://h2:8080"; overrides -spawn)
-//	-width 8          scenarios per shard (results identical for any width)
+//	-width 8          scenarios per shard, rounded up to whole network cells
+//	                  (results identical for any width)
 //	-parallel 0       in-worker shard parallelism (0 = worker GOMAXPROCS)
 //	-measure 0        per-scenario dilation measurement workers
 //	-sizes 100,200    sweep sizes
@@ -53,7 +54,7 @@ func run() error {
 	var (
 		spawnN   = flag.Int("spawn", 3, "spawn N in-process loopback workers")
 		workers  = flag.String("workers", "", "comma-separated external worker base URLs (overrides -spawn)")
-		width    = flag.Int("width", 8, "scenarios per shard")
+		width    = flag.Int("width", 8, "scenarios per shard, rounded up to whole network cells")
 		parallel = flag.Int("parallel", 0, "in-worker shard parallelism (0 = worker GOMAXPROCS)")
 		measure  = flag.Int("measure", 0, "per-scenario dilation measurement workers")
 		sizes    = flag.String("sizes", "100,200", "sweep sizes")
@@ -83,8 +84,6 @@ func run() error {
 	}
 	defer cleanup()
 
-	fmt.Printf("fleet: %d scenarios over %d workers, shard width %d\n",
-		spec.NumScenarios(), len(addrs), *width)
 	rep, err := wcdsnet.RunBatchFleet(ctx, spec, wcdsnet.FleetOptions{
 		Workers:        addrs,
 		ShardWidth:     *width,
@@ -94,6 +93,8 @@ func run() error {
 	if err != nil {
 		return err
 	}
+	fmt.Printf("fleet: %d scenarios over %d workers, shard width %d\n",
+		spec.NumScenarios(), len(addrs), rep.ShardWidth)
 	printReport(rep)
 
 	if *check {

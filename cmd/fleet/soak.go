@@ -24,13 +24,12 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"sync"
 	"time"
 
 	"wcdsnet"
 	"wcdsnet/internal/fleet"
-	"wcdsnet/internal/service/api"
+	"wcdsnet/internal/stats"
 )
 
 // soakSchema versions the soak report format.
@@ -101,8 +100,6 @@ func runSoak(ctx context.Context, workers, width int, sloMS float64, out string)
 		workers = 3
 	}
 	spec := soakSpec()
-	fmt.Printf("soak: %d scenarios over %d workers, shard width %d, traffic SLO p99 <= %.0fms\n",
-		spec.NumScenarios(), workers, width, sloMS)
 
 	// The reference digest comes from a fully local serial run of the same
 	// spec — the strictest possible comparison for the merged fleet report.
@@ -124,16 +121,23 @@ func runSoak(ctx context.Context, workers, width int, sloMS float64, out string)
 		}
 	}()
 	addrs := wcdsnet.FleetWorkerAddrs(spawned)
+	opts := wcdsnet.FleetOptions{Workers: addrs, ShardWidth: width}
 
 	// The victim is the worker owning the most shards, so killing it on the
 	// very first merged row is guaranteed to orphan work. The placement is
-	// mirrored from the coordinator: same ring, same shard cache keys.
-	victim, owned, err := pickVictim(spec, addrs, width)
+	// the coordinator's own (fleet.Plan on the options the run gets).
+	plan, err := fleet.Plan(spec, opts)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("soak: victim %s owns %d of the shards; kill fires on the first merged row\n",
-		addrs[victim], owned)
+	victim, owned, err := pickVictim(plan, addrs)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("soak: %d scenarios over %d workers, shard width %d, traffic SLO p99 <= %.0fms\n",
+		spec.NumScenarios(), workers, plan.Width, sloMS)
+	fmt.Printf("soak: victim %s owns %d of %d shards; kill fires on the first merged row\n",
+		addrs[victim], owned, len(plan.Shards))
 
 	// Sustained mixed /v1/backbone traffic against the survivors for the
 	// whole sweep, sampling per-request latency.
@@ -143,18 +147,15 @@ func runSoak(ctx context.Context, workers, width int, sloMS float64, out string)
 	var once sync.Once
 	killed := make(chan struct{})
 	start := time.Now()
-	rep, runErr := wcdsnet.RunBatchFleet(ctx, spec, wcdsnet.FleetOptions{
-		Workers:    addrs,
-		ShardWidth: width,
-		OnRow: func(wcdsnet.BatchResult) {
-			once.Do(func() {
-				go func() {
-					spawned[victim].Kill()
-					close(killed)
-				}()
-			})
-		},
-	})
+	opts.OnRow = func(wcdsnet.BatchResult) {
+		once.Do(func() {
+			go func() {
+				spawned[victim].Kill()
+				close(killed)
+			}()
+		})
+	}
+	rep, runErr := wcdsnet.RunBatchFleet(ctx, spec, opts)
 	wall := time.Since(start)
 	if runErr == nil {
 		<-killed
@@ -173,7 +174,7 @@ func runSoak(ctx context.Context, workers, width int, sloMS float64, out string)
 		Schema:       soakSchema,
 		Scenarios:    rep.Scenarios,
 		Workers:      workers,
-		ShardWidth:   width,
+		ShardWidth:   rep.ShardWidth,
 		Killed:       addrs[victim],
 		Digest:       rep.Digest,
 		LocalDigest:  local.Digest(),
@@ -233,24 +234,10 @@ func runSoak(ctx context.Context, workers, width int, sloMS float64, out string)
 	return nil
 }
 
-// pickVictim mirrors the coordinator's consistent-hash placement (same
-// default ring replicas, same shard cache keys) and returns the index of
-// the worker owning the most shards.
-func pickVictim(spec *wcdsnet.BatchSpec, addrs []string, width int) (int, int, error) {
-	if err := spec.Validate(); err != nil {
-		return 0, 0, err
-	}
-	ring := fleet.NewRing(addrs, 0)
-	counts := map[string]int{}
-	n := spec.NumScenarios()
-	for lo := 0; lo < n; lo += width {
-		hi := lo + width
-		if hi > n {
-			hi = n
-		}
-		req := api.ShardRequest{BatchSpec: *spec, Lo: lo, Hi: hi}
-		counts[ring.Lookup(req.CacheKey())]++
-	}
+// pickVictim returns the index of the worker the plan gives the most
+// shards, and that count.
+func pickVictim(plan *fleet.ShardPlan, addrs []string) (int, int, error) {
+	counts := plan.Owned()
 	victim := 0
 	for i, a := range addrs {
 		if counts[a] > counts[addrs[victim]] {
@@ -372,12 +359,11 @@ func (t *trafficLoad) report(sloMS float64) trafficReport {
 		rep.WithinSLO = false
 		return rep
 	}
-	sort.Slice(t.latencies, func(i, j int) bool { return t.latencies[i] < t.latencies[j] })
-	pct := func(p float64) float64 {
-		i := int(p * float64(len(t.latencies)-1))
-		return float64(t.latencies[i]) / 1e6
+	ms := make([]float64, len(t.latencies))
+	for i, d := range t.latencies {
+		ms[i] = float64(d) / 1e6
 	}
-	rep.P50MS, rep.P99MS = pct(0.50), pct(0.99)
+	rep.P50MS, rep.P99MS = stats.NearestRank(ms, 0.50), stats.NearestRank(ms, 0.99)
 	rep.WithinSLO = rep.P99MS <= sloMS
 	return rep
 }

@@ -4,10 +4,11 @@
 // into a report whose Digest is byte-identical to a local batch.Run — at
 // any fleet size and any shard width.
 //
-// The sweep is sliced into contiguous [lo, hi) index ranges. Each shard's
-// content address (api.ShardRequest.CacheKey) is looked up on a
-// consistent-hash ring over the worker addresses, so repeated sweeps land
-// each shard on the worker whose result cache already holds it. Rows
+// The sweep is sliced into contiguous, cell-aligned [lo, hi) index ranges
+// and each shard's content address (api.ShardRequest.CacheKey) is placed on
+// a consistent-hash ring over the worker addresses with bounded loads (see
+// Plan), so the work splits evenly and repeated sweeps land each shard on
+// the worker whose result cache already holds it. Rows
 // stream back over the NDJSON plumbing and merge first-write-wins into a
 // results array addressed by global scenario index — at-most-once
 // accounting, so a shard replayed after a worker loss never double-counts
@@ -30,22 +31,23 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"sync"
 	"time"
 
 	"wcdsnet/internal/batch"
 	"wcdsnet/internal/service/api"
+	"wcdsnet/internal/stats"
 )
 
 // Options configures a fleet run. Workers is the only required field.
 type Options struct {
 	// Workers lists the worker base URLs (e.g. "http://127.0.0.1:8080").
 	Workers []string
-	// ShardWidth is the number of scenarios per shard (default 8). The
-	// merged report is byte-identical for every value; width trades
-	// scheduling granularity (small shards rebalance better after a worker
-	// loss) against per-request overhead and cache-hit coarseness.
+	// ShardWidth is the number of scenarios per shard (default 8), rounded
+	// up to whole network cells (see Plan); Report.ShardWidth is the width
+	// used. The merged report is byte-identical for every value; width
+	// trades scheduling granularity (small shards rebalance better after a
+	// worker loss) against per-request overhead and cache-hit coarseness.
 	ShardWidth int
 	// Replicas is the ring's virtual-node count per worker (default 64).
 	Replicas int
@@ -99,7 +101,8 @@ type WorkerStats struct {
 	// never idled).
 	BusyNS      int64   `json:"busyNS"`
 	Utilization float64 `json:"utilization"`
-	// P50MS and P99MS are per-shard latency percentiles (tail latency).
+	// P50MS and P99MS are nearest-rank per-shard latency percentiles (tail
+	// latency; with two shards the P99 is the slower one).
 	P50MS float64 `json:"p50MS,omitempty"`
 	P99MS float64 `json:"p99MS,omitempty"`
 
@@ -114,7 +117,8 @@ type Report struct {
 	// Digest is the merged report's SHA-256 digest (== Report.Digest(),
 	// precomputed for JSON consumers).
 	Digest string `json:"digest"`
-	// Shards and ShardWidth describe the slicing; Redispatched counts
+	// Shards and ShardWidth describe the slicing (ShardWidth is the
+	// effective, cell-aligned width); Redispatched counts
 	// shard executions re-placed after a worker loss, Duplicates the rows
 	// dropped by at-most-once accounting when a re-dispatched shard
 	// replayed work its first execution already delivered.
@@ -167,13 +171,11 @@ type coordinator struct {
 // The spec is validated (and its workloads normalized) in place first, so
 // the coordinator's shard cache keys match the ones the workers compute.
 func Run(ctx context.Context, spec *batch.Spec, opts Options) (*Report, error) {
-	opts = opts.withDefaults()
-	if len(opts.Workers) == 0 {
-		return nil, fmt.Errorf("fleet: no workers given")
-	}
-	if err := spec.Validate(); err != nil {
+	plan, err := Plan(spec, opts)
+	if err != nil {
 		return nil, err
 	}
+	opts = opts.withDefaults()
 	n := spec.NumScenarios()
 
 	c := &coordinator{
@@ -189,23 +191,14 @@ func Run(ctx context.Context, spec *batch.Spec, opts Options) (*Report, error) {
 	}
 	c.wake = sync.NewCond(&c.mu)
 
-	// Slice the sweep and place each shard on the ring by its content
-	// address — the same key the worker will cache the shard report under.
-	var shards []*shardState
-	for lo := 0; lo < n; lo += opts.ShardWidth {
-		hi := min(lo+opts.ShardWidth, n)
-		req := api.ShardRequest{BatchSpec: *spec, Lo: lo, Hi: hi}
-		shards = append(shards, &shardState{lo: lo, hi: hi, key: req.CacheKey()})
-	}
 	for _, addr := range opts.Workers {
 		c.live[addr] = true
 		c.stats[addr] = &WorkerStats{Addr: addr}
 	}
-	for _, sh := range shards {
-		addr := c.ring.Lookup(sh.key)
-		c.queues[addr] = append(c.queues[addr], sh)
+	for _, ps := range plan.Shards {
+		c.queues[ps.Worker] = append(c.queues[ps.Worker], &shardState{lo: ps.Lo, hi: ps.Hi, key: ps.Key})
 	}
-	c.outstanding = len(shards)
+	c.outstanding = len(plan.Shards)
 
 	// Wake every worker loop when the caller's context dies.
 	stop := context.AfterFunc(ctx, func() {
@@ -252,8 +245,8 @@ func Run(ctx context.Context, spec *batch.Spec, opts Options) (*Report, error) {
 			WallNS:    wall.Nanoseconds(),
 			Results:   c.merged,
 		},
-		Shards:       len(shards),
-		ShardWidth:   opts.ShardWidth,
+		Shards:       len(plan.Shards),
+		ShardWidth:   plan.Width,
 		Redispatched: c.redispatched,
 		Duplicates:   c.duplicates,
 	}
@@ -276,12 +269,11 @@ func (ws *WorkerStats) finalize(wall time.Duration) {
 	if len(ws.latencies) == 0 {
 		return
 	}
-	sort.Slice(ws.latencies, func(i, j int) bool { return ws.latencies[i] < ws.latencies[j] })
-	pct := func(p float64) float64 {
-		i := int(p * float64(len(ws.latencies)-1))
-		return float64(ws.latencies[i]) / 1e6
+	ms := make([]float64, len(ws.latencies))
+	for i, d := range ws.latencies {
+		ms[i] = float64(d) / 1e6
 	}
-	ws.P50MS, ws.P99MS = pct(0.50), pct(0.99)
+	ws.P50MS, ws.P99MS = stats.NearestRank(ms, 0.50), stats.NearestRank(ms, 0.99)
 }
 
 // workerLoop drains addr's shard queue until the run completes, the worker

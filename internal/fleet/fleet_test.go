@@ -9,7 +9,6 @@ import (
 
 	"wcdsnet/internal/batch"
 	"wcdsnet/internal/service"
-	"wcdsnet/internal/service/api"
 )
 
 // fleetSpec is the sweep the fleet contract tests run: 8 network cells ×
@@ -73,6 +72,14 @@ func TestFleetDigestMatchesLocal(t *testing.T) {
 		if rep.Digest != rep.Report.Digest() {
 			t.Errorf("%s: precomputed digest out of sync", tc.name)
 		}
+		plan, err := Plan(fleetSpec(), Options{Workers: tc.addrs, ShardWidth: tc.width})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.ShardWidth != plan.Width || rep.Shards != len(plan.Shards) {
+			t.Errorf("%s: report says %d shards of width %d, plan %d of width %d",
+				tc.name, rep.Shards, rep.ShardWidth, len(plan.Shards), plan.Width)
+		}
 		if rep.Scenarios != 16 || len(rep.Results) != 16 || rep.Failed != 0 {
 			t.Errorf("%s: scenarios=%d rows=%d failed=%d", tc.name, rep.Scenarios, len(rep.Results), rep.Failed)
 		}
@@ -123,23 +130,6 @@ func TestFleetCacheAffinity(t *testing.T) {
 	}
 }
 
-// ownerCounts mirrors the coordinator's shard placement so tests can pick
-// a victim that is guaranteed to own work.
-func ownerCounts(t *testing.T, spec *batch.Spec, addrs []string, width int) map[string]int {
-	t.Helper()
-	if err := spec.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	ring := NewRing(addrs, 0)
-	counts := map[string]int{}
-	n := spec.NumScenarios()
-	for lo := 0; lo < n; lo += width {
-		req := api.ShardRequest{BatchSpec: *spec, Lo: lo, Hi: min(lo+width, n)}
-		counts[ring.Lookup(req.CacheKey())]++
-	}
-	return counts
-}
-
 // TestFleetWorkerKillMidSweepConverges is the loss-recovery acceptance
 // test: a worker killed mid-sweep (listener closed, in-flight streams
 // cancelled) must cost nothing but re-dispatch — the merged digest stays
@@ -156,7 +146,11 @@ func TestFleetWorkerKillMidSweepConverges(t *testing.T) {
 	// The victim is the worker owning the most shards: when the kill fires
 	// on the very first merged row, it cannot have completed more than one
 	// of them, so orphans are guaranteed.
-	counts := ownerCounts(t, fleetSpec(), addrs, 1)
+	plan, err := Plan(fleetSpec(), Options{Workers: addrs, ShardWidth: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts := plan.Owned()
 	victim := 0
 	for i, a := range addrs {
 		if counts[a] > counts[addrs[victim]] {
@@ -234,5 +228,21 @@ func TestFleetErrorSurface(t *testing.T) {
 	time.Sleep(2 * time.Millisecond)
 	if _, err := Run(ctx, fleetSpec(), Options{Workers: Addrs(workers)}); err == nil {
 		t.Error("expired context accepted")
+	}
+}
+
+// TestWorkerStatsNearestRank: per-worker percentiles are nearest rank, so
+// the P99 of a handful of shards is the slowest one, never a faster one.
+func TestWorkerStatsNearestRank(t *testing.T) {
+	ws := WorkerStats{BusyNS: int64(21 * time.Millisecond)}
+	for ms := 6; ms >= 1; ms-- {
+		ws.latencies = append(ws.latencies, time.Duration(ms)*time.Millisecond)
+	}
+	ws.finalize(42 * time.Millisecond)
+	if ws.P99MS != 6 || ws.P50MS != 3 {
+		t.Errorf("p50 = %v ms, p99 = %v ms; want 3 and 6", ws.P50MS, ws.P99MS)
+	}
+	if ws.Utilization != 0.5 {
+		t.Errorf("utilization = %v, want 0.5", ws.Utilization)
 	}
 }

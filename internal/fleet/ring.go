@@ -8,7 +8,9 @@ import (
 )
 
 // Ring is a consistent-hash ring over worker addresses. The coordinator
-// places each shard on the worker owning the shard's cache key, so a
+// places each shard on the worker owning the shard's cache key (walking on
+// to a successor when that worker already holds its share, see
+// lookupBounded), so a
 // repeated sweep lands every shard on the worker whose result cache
 // already holds it — the fleet-wide analogue of the service's
 // content-addressed cache. Virtual nodes (Replicas points per worker)
@@ -76,15 +78,25 @@ func (r *Ring) Len() int {
 // Lookup returns the address owning key: the first ring point at or after
 // the key's hash, wrapping around. Empty string on an empty ring.
 func (r *Ring) Lookup(key string) string {
-	if len(r.points) == 0 {
-		return ""
-	}
+	return r.lookupBounded(key, func(string) bool { return true })
+}
+
+// lookupBounded walks the ring clockwise from the key's hash and returns
+// the first address fits accepts — the placement rule of consistent
+// hashing with bounded loads (Mirrokni, Thorup & Zadimoghaddam, SODA
+// 2018): a key whose owner is full moves on to the owner's ring
+// successors, so loads stay within a cap while every placement remains a
+// pure function of the keys and the ring. Empty string when no address
+// fits or the ring is empty.
+func (r *Ring) lookupBounded(key string, fits func(addr string) bool) string {
 	h := ringHash(key)
-	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	if i == len(r.points) {
-		i = 0
+	start := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
+	for k := range r.points {
+		if p := r.points[(start+k)%len(r.points)]; fits(p.addr) {
+			return p.addr
+		}
 	}
-	return r.points[i].addr
+	return ""
 }
 
 // ringHash maps a string onto the ring's 64-bit keyspace (the first eight

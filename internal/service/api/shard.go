@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"wcdsnet/internal/batch"
+	"wcdsnet/internal/stats"
 )
 
 // ShardRequest asks the service to execute one contiguous index range
@@ -73,6 +74,9 @@ func (req *ShardRequest) CacheKey() string {
 // ShardResponse is the shard's report: Results carry global scenario
 // indices and the embedded report's Digest covers only this shard's rows
 // (the coordinator recomputes the full-sweep digest after the merge).
+// Aggregates are the shard's partial per-workload summaries; a streamed
+// shard (?stream=ndjson) omits them from its summary line, see
+// ShardSummary.
 type ShardResponse struct {
 	batch.Report
 	// Digest is the SHA-256 of this shard's canonical rows, so a coordinator
@@ -80,4 +84,16 @@ type ShardResponse struct {
 	Digest string `json:"digest"`
 	Cached bool   `json:"cached"`
 	Schema int    `json:"schema"`
+}
+
+// ShardSummary is the closing line of a streamed shard: the ShardResponse
+// without its rows, which already streamed, and without the partial
+// per-shard aggregates — most of the summary's bytes, and never read: the
+// coordinator re-derives the sweep's aggregates from the merged rows.
+type ShardSummary struct {
+	ShardResponse
+	// Results and Aggregates shadow the embedded report's fields; they stay
+	// nil, so the line carries neither key.
+	Results    []batch.Result           `json:"results,omitempty"`
+	Aggregates map[string]stats.Summary `json:"aggregates,omitempty"`
 }

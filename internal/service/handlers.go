@@ -1,12 +1,14 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
 	"net/http"
+	"sort"
 	"time"
 
 	"wcdsnet/internal/algo"
@@ -502,7 +504,7 @@ func (s *Service) handleShard(w http.ResponseWriter, r *http.Request) {
 	}
 	s.serve(w, r, endpointShard, start, req.CacheKey(),
 		func(ctx context.Context) (any, error) { return computeShard(ctx, &req) },
-		func(v any) any { resp := *(v.(*ShardResponse)); return &resp })
+		func(v any) any { return v.(*shardEntry).response() })
 }
 
 func computeShard(ctx context.Context, req *ShardRequest) (*ShardResponse, error) {
@@ -515,35 +517,92 @@ func computeShard(ctx context.Context, req *ShardRequest) (*ShardResponse, error
 	return &ShardResponse{Report: *rep, Digest: rep.Digest(), Schema: api.SchemaVersion}, nil
 }
 
+// shardEntry is the cached form of an executed shard, shared by the
+// streamed and the plain /v1/shard paths: the rows as the NDJSON lines the
+// stream writes, plus the report's scalars. A streamed hit is then one
+// write instead of a re-encode, and an entry holds a few KB of bytes
+// instead of decoded rows and the partial aggregate maps.
+type shardEntry struct {
+	rows    []byte        // one encoded batch.Result per line
+	summary ShardResponse // Results and Aggregates nil
+}
+
+// newShardEntry keeps a copy of rows (trimmed to size) and rep's scalars.
+func newShardEntry(rows []byte, rep *batch.Report) *shardEntry {
+	e := &shardEntry{rows: bytes.Clone(rows), summary: ShardResponse{Report: *rep, Digest: rep.Digest(), Schema: api.SchemaVersion}}
+	e.summary.Results, e.summary.Aggregates = nil, nil
+	return e
+}
+
+// summaryLine renders the streamed shard's closing NDJSON line.
+func (e *shardEntry) summaryLine(cached bool) []byte {
+	sum := api.ShardSummary{ShardResponse: e.summary}
+	sum.Cached = cached
+	line, _ := json.Marshal(&sum) // scalars only; cannot fail
+	return append(line, '\n')
+}
+
+// response rebuilds the plain /v1/shard body: the rows decoded back into
+// index order and the aggregates re-derived by Finalize, so the JSON is the
+// one a fresh execution answers with. Cached is left for the caller.
+func (e *shardEntry) response() *ShardResponse {
+	resp := e.summary
+	resp.Results = make([]batch.Result, 0, resp.Scenarios)
+	dec := json.NewDecoder(bytes.NewReader(e.rows))
+	for dec.More() {
+		var res batch.Result
+		if err := dec.Decode(&res); err != nil {
+			// The bytes were encoded from batch.Result by this process.
+			panic(fmt.Sprintf("service: cached shard row does not decode: %v", err))
+		}
+		resp.Results = append(resp.Results, res)
+	}
+	sort.Slice(resp.Results, func(i, j int) bool { return resp.Results[i].Index < resp.Results[j].Index })
+	resp.Finalize()
+	return &resp
+}
+
+// cacheForm returns the value the result cache stores for a response:
+// shards compactly as a shardEntry, everything else as is.
+func cacheForm(v any) any {
+	resp, ok := v.(*ShardResponse)
+	if !ok {
+		return v
+	}
+	var rows bytes.Buffer
+	enc := json.NewEncoder(&rows)
+	for i := range resp.Results {
+		_ = enc.Encode(&resp.Results[i]) // writes to a bytes.Buffer
+	}
+	return newShardEntry(rows.Bytes(), &resp.Report)
+}
+
 // streamShard is streamBatch's shard twin with one deliberate difference:
 // streamed shards DO read and fill the result cache. The coordinator
 // places shards on workers by consistent hash precisely so a repeated
 // sweep lands each shard on the worker that already holds it; a cache hit
-// replays the stored rows and answers a summary with Cached set.
+// replays the stored row lines in one write and answers a summary with
+// Cached set. Summary lines are ShardSummary: no partial aggregates.
 func (s *Service) streamShard(w http.ResponseWriter, r *http.Request, req *ShardRequest, start time.Time) {
 	rc := http.NewResponseController(w)
-	enc := json.NewEncoder(w)
 	streamed := false
-	writeLine := func(v any) {
+	write := func(lines ...[]byte) {
 		if !streamed {
 			streamed = true
 			w.Header().Set("Content-Type", "application/x-ndjson")
 			w.WriteHeader(http.StatusOK)
 		}
-		_ = enc.Encode(v)
+		for _, l := range lines {
+			_, _ = w.Write(l)
+		}
 		_ = rc.Flush()
 	}
 
 	key := req.CacheKey()
 	if v, ok := s.cache.Get(key); ok {
 		s.cacheHit.Inc()
-		resp := *(v.(*ShardResponse))
-		for i := range resp.Results {
-			writeLine(&resp.Results[i])
-		}
-		resp.Results = nil
-		resp.Cached = true
-		writeLine(&resp)
+		e := v.(*shardEntry)
+		write(e.rows, e.summaryLine(true))
 		s.observe(endpointShard, start)
 		return
 	}
@@ -576,27 +635,30 @@ func (s *Service) streamShard(w http.ResponseWriter, r *http.Request, req *Shard
 		done <- outcome{v, err}
 	}()
 
+	// Each row is encoded once: the line goes out on the wire and stays in
+	// the buffer the cache entry keeps.
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
 	for {
 		select {
 		case res := <-rows:
-			writeLine(&res)
+			n := buf.Len()
+			_ = enc.Encode(&res) // writes to a bytes.Buffer
+			write(buf.Bytes()[n:])
 		case oc := <-done:
 			if oc.err != nil {
 				if !streamed {
 					s.replySubmitError(w, endpointShard, start, oc.err)
 					return
 				}
-				_ = enc.Encode(api.SessionStreamError{Error: oc.err.Error(), Fatal: true})
+				_ = json.NewEncoder(w).Encode(api.SessionStreamError{Error: oc.err.Error(), Fatal: true})
 				_ = rc.Flush()
 				s.observe(endpointShard, start)
 				return
 			}
-			rep := oc.v.(*batch.Report)
-			resp := &ShardResponse{Report: *rep, Digest: rep.Digest(), Schema: api.SchemaVersion}
-			s.cache.Put(key, resp)
-			summary := *resp
-			summary.Results = nil
-			writeLine(&summary)
+			e := newShardEntry(buf.Bytes(), oc.v.(*batch.Report))
+			s.cache.Put(key, e)
+			write(e.summaryLine(false))
 			s.observe(endpointShard, start)
 			return
 		}
@@ -651,7 +713,7 @@ func (s *Service) serve(w http.ResponseWriter, r *http.Request, endpoint string,
 		s.replySubmitError(w, endpoint, start, err)
 		return
 	}
-	s.cache.Put(key, v)
+	s.cache.Put(key, cacheForm(v))
 	s.observe(endpoint, start)
 	writeJSON(w, http.StatusOK, v)
 }

@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"reflect"
+	"strings"
 	"testing"
 
 	"wcdsnet/internal/service/api"
@@ -155,4 +157,129 @@ func TestShardStreamNDJSON(t *testing.T) {
 	if summary["digest"] != digest {
 		t.Fatalf("cached digest %v != %v", summary["digest"], digest)
 	}
+}
+
+// TestShardCacheAcrossPaths: the streamed and the plain /v1/shard paths
+// share one compact cache entry. A streamed miss, a streamed hit and a
+// plain hit of the same shard carry the same rows; the plain hit's body
+// equals a fresh plain body (another worker's execution) apart from
+// timing, aggregates included; streamed summaries carry no aggregates.
+func TestShardCacheAcrossPaths(t *testing.T) {
+	_, ts := newTestService(t, Options{})
+	_, fresh := newTestService(t, Options{})
+	req := shardSpec()
+	req["lo"], req["hi"] = 0, 6
+	buf, _ := json.Marshal(req)
+
+	post := func(url string) []byte {
+		t.Helper()
+		resp, err := http.Post(url, "application/json", bytes.NewReader(buf))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d, err %v: %s", url, resp.StatusCode, err, raw)
+		}
+		return raw
+	}
+	// byIndex keys encoded rows by scenario index.
+	byIndex := func(rows []json.RawMessage) map[float64]string {
+		t.Helper()
+		out := map[float64]string{}
+		for _, r := range rows {
+			var probe struct{ Index float64 }
+			if err := json.Unmarshal(r, &probe); err != nil {
+				t.Fatal(err)
+			}
+			out[probe.Index] = string(r)
+		}
+		return out
+	}
+	stream := func(wantCached bool) (map[float64]string, map[string]any) {
+		t.Helper()
+		lines := bytes.Split(bytes.TrimSpace(post(ts.URL+"/v1/shard?stream=ndjson")), []byte("\n"))
+		var summary map[string]any
+		if err := json.Unmarshal(lines[len(lines)-1], &summary); err != nil {
+			t.Fatal(err)
+		}
+		if summary["cached"] != wantCached || summary["digest"] == nil {
+			t.Fatalf("streamed summary (want cached=%v): %v", wantCached, summary)
+		}
+		for _, k := range []string{"aggregates", "results"} {
+			if _, ok := summary[k]; ok {
+				t.Errorf("streamed summary carries %q", k)
+			}
+		}
+		var rows []json.RawMessage
+		for _, l := range lines[:len(lines)-1] {
+			rows = append(rows, l)
+		}
+		return byIndex(rows), summary
+	}
+
+	missRows, missSum := stream(false)
+	hitRows, hitSum := stream(true)
+	plain := post(ts.URL + "/v1/shard")
+	var body struct {
+		Results []json.RawMessage `json:"results"`
+		Digest  string            `json:"digest"`
+		Cached  bool              `json:"cached"`
+	}
+	if err := json.Unmarshal(plain, &body); err != nil {
+		t.Fatal(err)
+	}
+	if !body.Cached {
+		t.Fatal("plain request after a streamed miss was not a cache hit")
+	}
+	plainRows := byIndex(body.Results)
+	if len(missRows) != 6 || !reflect.DeepEqual(missRows, hitRows) || !reflect.DeepEqual(missRows, plainRows) {
+		t.Fatalf("rows differ across paths:\nmiss  %v\nhit   %v\nplain %v", missRows, hitRows, plainRows)
+	}
+	if hitSum["digest"] != missSum["digest"] || body.Digest != missSum["digest"] {
+		t.Fatalf("digests differ: miss %v, hit %v, plain %v", missSum["digest"], hitSum["digest"], body.Digest)
+	}
+
+	got, want := untimed(t, plain), untimed(t, post(fresh.URL+"/v1/shard"))
+	if !reflect.DeepEqual(got, want) {
+		g, _ := json.Marshal(got)
+		w, _ := json.Marshal(want)
+		t.Fatalf("plain cache hit differs from a fresh body:\n%s\nvs\n%s", g, w)
+	}
+	if aggs, _ := got["aggregates"].(map[string]any); len(aggs) == 0 {
+		t.Fatal("plain cache hit carries no aggregates")
+	}
+}
+
+// untimed decodes a shard body and drops what differs between two
+// executions of the same shard: the cached flag, wall times, allocation
+// counters and the wall-time aggregates.
+func untimed(t *testing.T, raw []byte) map[string]any {
+	t.Helper()
+	var m map[string]any
+	if err := json.Unmarshal(raw, &m); err != nil {
+		t.Fatal(err)
+	}
+	var strip func(v any)
+	strip = func(v any) {
+		switch v := v.(type) {
+		case map[string]any:
+			for k, x := range v {
+				switch {
+				case k == "cached", k == "wallNS", k == "wallNs", k == "allocBytes", k == "mallocs",
+					strings.HasSuffix(k, "/wallMS"):
+					delete(v, k)
+				default:
+					strip(x)
+				}
+			}
+		case []any:
+			for _, x := range v {
+				strip(x)
+			}
+		}
+	}
+	strip(m)
+	return m
 }

@@ -76,6 +76,23 @@ func Quantile(xs []float64, q float64) float64 {
 	return quantile(sorted, q)
 }
 
+// NearestRank returns the nearest-rank q-quantile of xs (any order; xs is
+// not modified): the sample at sorted index ⌈q·n⌉−1, so a tail percentile
+// is always an observed value at or above the requested share — with two
+// samples the P99 is the slower one. An empty sample yields 0; q is
+// clamped to [0, 1].
+func NearestRank(xs []float64, q float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	sorted := append([]float64(nil), xs...)
+	sort.Float64s(sorted)
+	// The epsilon keeps q·n that is integral in exact arithmetic (0.5·6)
+	// from rounding up a rank on float error.
+	i := int(math.Ceil(q*float64(len(sorted))-1e-9)) - 1
+	return sorted[max(0, min(i, len(sorted)-1))]
+}
+
 // quantile interpolates the q-quantile of a sorted sample.
 func quantile(sorted []float64, q float64) float64 {
 	if len(sorted) == 0 {

@@ -155,3 +155,24 @@ func TestQuantile(t *testing.T) {
 		t.Errorf("Quantile mutated its input: %v", xs)
 	}
 }
+
+func TestNearestRank(t *testing.T) {
+	xs := []float64{6, 1, 5, 2, 4, 3} // unsorted on purpose
+	for _, tc := range []struct{ q, want float64 }{
+		{0, 1}, {0.5, 3}, {0.51, 4}, {0.99, 6}, {1, 6}, {2, 6}, {-1, 1},
+	} {
+		if got := NearestRank(xs, tc.q); got != tc.want {
+			t.Errorf("NearestRank(q=%v) = %v, want %v", tc.q, got, tc.want)
+		}
+	}
+	// Two samples: the tail is the slower one, never the faster.
+	if got := NearestRank([]float64{18.7, 25.1}, 0.99); got != 25.1 {
+		t.Errorf("two-sample p99 = %v, want 25.1", got)
+	}
+	if got := NearestRank(nil, 0.5); got != 0 {
+		t.Errorf("empty = %v, want 0", got)
+	}
+	if xs[0] != 6 || xs[5] != 3 {
+		t.Errorf("NearestRank mutated its input: %v", xs)
+	}
+}

@@ -475,8 +475,9 @@ type (
 )
 
 // RunBatchFleet executes the sweep in cluster mode: the spec is sliced into
-// shard ranges, placed on a consistent-hash ring over the workers' result
-// caches, streamed back row by row and merged with at-most-once accounting.
+// shard ranges aligned to whole network cells, placed with bounded loads on
+// a consistent-hash ring over the workers' result caches, streamed back row
+// by row and merged with at-most-once accounting.
 // A worker lost mid-sweep is health-checked, removed and its orphaned
 // shards re-dispatched onto the survivors; the merged Digest stays
 // byte-identical to a local run throughout. See cmd/fleet for the CLI.

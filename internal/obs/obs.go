@@ -46,8 +46,11 @@ type Span struct {
 	Messages int `json:"messages,omitempty"`
 	// Deliveries counts per-link receptions attributed to the phase.
 	Deliveries int `json:"deliveries,omitempty"`
-	// Rounds is the phase's synchronous-round extent: last round with an
-	// event minus first, plus one. Zero under the asynchronous engine.
+	// Rounds is the phase's round extent: last round with an event minus
+	// first, plus one. Under RunSync the rounds are synchronous rounds;
+	// the asynchronous engines report Lamport stamps instead, so there the
+	// value is a logical-time extent (deterministic under RunEvent, whose
+	// digests include it, e.g. "mis:...,r=4").
 	Rounds int `json:"rounds,omitempty"`
 	// Retransmits counts reliable-layer retransmissions of this phase's
 	// frames.
@@ -115,8 +118,10 @@ type Spans struct {
 	order  []string
 	byName map[string]*span
 
-	// Wall attribution: elapsed time since lastStamp belongs to lastPhase.
-	lastPhase string
+	// Wall attribution: elapsed time since lastStamp belongs to active.
+	// Caching the active span also lets a run of same-phase events skip
+	// the map lookup and the clock read.
+	active    *span
 	lastStamp time.Time
 }
 
@@ -135,25 +140,25 @@ func (c *Spans) phase(name string) *span {
 	return sp
 }
 
-// stampLocked attributes the time since the previous stamp to the phase
-// that was active, then makes name the active phase.
-func (c *Spans) stampLocked(name string) {
-	if c.lastPhase == name {
-		return
-	}
+// flushLocked attributes the time since the previous stamp to the active
+// phase and returns the current time.
+func (c *Spans) flushLocked() time.Time {
 	now := time.Now()
-	if c.lastPhase != "" {
-		c.phase(c.lastPhase).WallNS += now.Sub(c.lastStamp).Nanoseconds()
+	if c.active != nil {
+		c.active.WallNS += now.Sub(c.lastStamp).Nanoseconds()
 	}
-	c.lastPhase, c.lastStamp = name, now
+	return now
 }
 
 // Event implements Recorder.
 func (c *Spans) Event(phase string, kind Kind, round int) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.stampLocked(phase)
-	sp := c.phase(phase)
+	sp := c.active
+	if sp == nil || sp.Name != phase {
+		c.lastStamp = c.flushLocked()
+		sp = c.phase(phase)
+		c.active = sp
+	}
 	switch kind {
 	case Send:
 		sp.Messages++
@@ -171,6 +176,7 @@ func (c *Spans) Event(phase string, kind Kind, round int) {
 		}
 		sp.hasRound = true
 	}
+	c.mu.Unlock()
 }
 
 // Add implements Recorder: counters sum, round extents widen, wall times
@@ -191,9 +197,9 @@ func (c *Spans) Add(in Span) {
 func (c *Spans) Snapshot() []Span {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.lastPhase != "" {
-		c.stampLocked("\x00none") // flush the open phase's wall time
-		c.lastPhase = ""
+	if c.active != nil {
+		c.flushLocked() // close the open phase's wall time
+		c.active = nil
 	}
 	out := make([]Span, 0, len(c.order))
 	for _, name := range c.order {

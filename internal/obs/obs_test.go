@@ -150,3 +150,23 @@ func TestTotal(t *testing.T) {
 		t.Fatalf("Total = %d, want 5", got)
 	}
 }
+
+// BenchmarkSpansEvent measures the per-event cost of the standard
+// collector: a run of events in one phase (the common case for
+// wave-structured protocols) and events alternating between two phases
+// (every event is a phase change).
+func BenchmarkSpansEvent(b *testing.B) {
+	b.Run("same-phase", func(b *testing.B) {
+		c := NewSpans()
+		for i := 0; i < b.N; i++ {
+			c.Event("mis", Deliver, 3)
+		}
+	})
+	b.Run("alternating", func(b *testing.B) {
+		c := NewSpans()
+		phases := [2]string{"mis", "recruit"}
+		for i := 0; i < b.N; i++ {
+			c.Event(phases[i&1], Deliver, 3)
+		}
+	})
+}

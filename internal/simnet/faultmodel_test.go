@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -124,6 +125,41 @@ func TestDelayStretchesRounds(t *testing.T) {
 	}
 	if stats.Deliveries != baseStats.Deliveries {
 		t.Errorf("delay changed delivery count: %d vs %d", stats.Deliveries, baseStats.Deliveries)
+	}
+}
+
+// TestHugeDelayDoesNotOverflow feeds delay windows near math.MaxInt, which
+// clients can send, to every engine. The synchronous engine must not
+// overflow its ring size or a copy's due round: with the default budget
+// every copy lands past it (ErrMaxRounds); with an unbounded budget the run
+// either finishes or runs out of representable rounds. The other engines
+// only scatter delayed copies and must flood the line.
+func TestHugeDelayDoesNotOverflow(t *testing.T) {
+	const n = 6
+	g := lineGraph(t, n)
+	plans := []FaultPlan{
+		{Seed: 1, DelayMax: math.MaxInt - 1},
+		{Seed: 2, DelayMin: 1, DelayMax: math.MaxInt},
+		{Seed: 3, DelayMax: math.MaxInt},
+		{Seed: 4, DelayMin: math.MaxInt, DelayMax: math.MaxInt, DupRate: 1, ReorderRate: 1},
+	}
+	for i, plan := range plans {
+		if _, err := RunSync(g, floodProcs(n, 0), WithFaults(plan)); !errors.Is(err, ErrMaxRounds) {
+			t.Errorf("plan %d: RunSync err = %v, want ErrMaxRounds", i, err)
+		}
+		_, err := RunSync(g, floodProcs(n, 0), WithFaults(plan), WithMaxRounds(math.MaxInt))
+		if err != nil && !errors.Is(err, ErrMaxRounds) {
+			t.Errorf("plan %d: unbounded RunSync err = %v", i, err)
+		}
+		for _, run := range []func(*graph.Graph, []Proc, ...Option) (Stats, error){RunEvent, RunAsync} {
+			procs := floodProcs(n, 0)
+			if _, err := run(g, procs, WithFaults(plan)); err != nil {
+				t.Errorf("plan %d: %v", i, err)
+			}
+			if countReached(procs) != n {
+				t.Errorf("plan %d: delay lost coverage", i)
+			}
+		}
 	}
 }
 

@@ -368,7 +368,12 @@ func (f *faultState) delaySample(from int) int {
 	if f.plan.DelayMax <= 0 {
 		return 0
 	}
-	return f.plan.DelayMin + f.senderRNG[from].Intn(f.plan.DelayMax-f.plan.DelayMin+1)
+	span := f.plan.DelayMax - f.plan.DelayMin + 1
+	if span <= 0 {
+		// [0, MaxInt]: the window's width overflows int.
+		return int(uint(f.senderRNG[from].Uint64()) >> 1)
+	}
+	return f.plan.DelayMin + f.senderRNG[from].Intn(span)
 }
 
 func (f *faultState) reorderSample(from int) bool {

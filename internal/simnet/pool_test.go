@@ -1,7 +1,9 @@
 package simnet
 
 import (
+	"math/bits"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -142,4 +144,93 @@ func TestAsyncPoolingDelivers(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+}
+
+// tokenRelay broadcasts at Init and relays the first token it hears: on a
+// ring every round carries 2n copies, so the receiver ordering and the
+// round buckets work at full batch size.
+type tokenRelay struct{ relayed bool }
+
+func (p *tokenRelay) Init(ctx *Context) { ctx.Broadcast(tokenMsg{}) }
+
+func (p *tokenRelay) Recv(ctx *Context, from int, payload any) {
+	if !p.relayed {
+		p.relayed = true
+		ctx.Broadcast(tokenMsg{})
+	}
+}
+
+// TestSyncEngineSteadyStateAllocs pins the synchronous engine's allocation
+// profile, as TestEventEngineSteadyStateAllocs does for RunEvent: once the
+// engine pool is warm, a full RunSync costs a small constant number of
+// allocations (config, contexts) that does not grow with the node count,
+// the number of rounds (a flood along a line) or the batch size (a relay
+// wave around a ring). The token payload is zero-sized, so boxing is free.
+func TestSyncEngineSteadyStateAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc accounting is noisy under -short stacking")
+	}
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop items at random")
+	}
+	measure := func(n int) float64 {
+		line, ring := lineGraph(t, n), ringGraph(n)
+		flood := floodProcs(n, 0)
+		relays := make([]Proc, n)
+		for i := range relays {
+			relays[i] = &tokenRelay{}
+		}
+		run := func() {
+			for i, p := range flood {
+				*p.(*floodProc) = floodProc{origin: i == 0}
+			}
+			for _, p := range relays {
+				*p.(*tokenRelay) = tokenRelay{}
+			}
+			if _, err := RunSync(line, flood); err != nil {
+				t.Error(err)
+			}
+			if _, err := RunSync(ring, relays); err != nil {
+				t.Error(err)
+			}
+		}
+		run() // warm the engine pool
+		return testing.AllocsPerRun(20, run)
+	}
+	small := measure(64)
+	large := measure(1024)
+	t.Logf("allocs per measurement: n=64 %.1f, n=1024 %.1f", small, large)
+	// Two runs per measurement, each a handful of setup allocations.
+	const maxPerRun = 8
+	if small > maxPerRun || large > maxPerRun {
+		t.Errorf("allocs per run: n=64 %.1f, n=1024 %.1f, want <= %d", small, large, maxPerRun)
+	}
+	// 16x the nodes, rounds and batch size must not add allocations.
+	// Allow slack for pool misses under GC.
+	if large > small+4 {
+		t.Errorf("allocs scale with size: n=64 %.1f vs n=1024 %.1f", small, large)
+	}
+}
+
+// TestOrderByReceiverIsStableSort checks the sync engine's radix ordering
+// against a stable comparison sort on random batches, across graph sizes
+// that need one pass, several passes and the digit-width cap, and batch
+// sizes from empty to larger than the graph.
+func TestOrderByReceiverIsStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, n := range []int{1, 2, 3, 100, 5000, 1 << 20} {
+		e := &syncEngine{toBits: bits.Len(uint(n - 1))}
+		for _, m := range []int{0, 1, 2, 7, 300, 5000} {
+			batch := make([]syncCopy, m)
+			for i := range batch {
+				// tx records the append position, so stability is visible.
+				batch[i] = syncCopy{to: int32(rng.Intn(n)), tx: int32(i)}
+			}
+			want := slices.Clone(batch)
+			slices.SortStableFunc(want, func(a, b syncCopy) int { return int(a.to - b.to) })
+			if got := e.orderByReceiver(batch); !slices.Equal(got, want) {
+				t.Fatalf("n=%d m=%d: radix order differs from a stable sort by receiver", n, m)
+			}
+		}
+	}
 }

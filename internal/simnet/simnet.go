@@ -6,9 +6,12 @@
 // of three engines (see also the Engine enum):
 //
 //   - RunSync: a deterministic synchronous-round engine. All messages sent
-//     in round r are delivered in round r+1 (plus any injected delay), in a
-//     fixed order. The round count is the protocol's time complexity
-//     measure.
+//     in round r are delivered in round r+1 (plus any injected delay), in
+//     (receiver, send sequence) order. The round count is the protocol's
+//     time complexity measure. Sends append per-link copies to a ring of
+//     per-round buckets in sequence order, so a stable radix ordering by
+//     receiver gives exactly that order: a round costs O(its deliveries),
+//     with no comparison sort, no map and no steady-state allocation.
 //   - RunAsync: one goroutine per node with an unbounded inbox, matching
 //     the fully asynchronous event-driven model the paper describes.
 //     Termination is detected with an activity counter (messages in flight
@@ -39,6 +42,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"sync"
@@ -337,9 +342,19 @@ func validate(g *graph.Graph, procs []Proc) error {
 	return nil
 }
 
-// tickerNodes lists the proc indices implementing Ticker.
+// tickerNodes lists the proc indices implementing Ticker, in one
+// allocation (reliable runs wrap every proc in a Ticker).
 func tickerNodes(procs []Proc) []int {
-	var ts []int
+	n := 0
+	for _, p := range procs {
+		if _, ok := p.(Ticker); ok {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	ts := make([]int, 0, n)
 	for i, p := range procs {
 		if _, ok := p.(Ticker); ok {
 			ts = append(ts, i)
@@ -348,7 +363,8 @@ func tickerNodes(procs []Proc) []int {
 	return ts
 }
 
-// envelope is a queued message.
+// envelope is a queued message of the asynchronous and event engines (the
+// synchronous engine queues the compact syncCopy instead).
 type envelope struct {
 	from    int
 	to      int
@@ -360,11 +376,11 @@ type envelope struct {
 	sampled bool // event engine: fault fate already drawn, deliver as-is
 }
 
-// envBatchPool recycles the per-round delivery batches of the synchronous
-// engine (and the async inbox backing arrays): a batch sweep running
-// thousands of simulations would otherwise re-allocate the same queue
-// slices for every round of every run. Batches are zeroed before they are
-// returned so pooled memory never pins protocol payloads.
+// envBatchPool recycles the event engine's queue and the async inbox
+// backing arrays: a batch sweep running thousands of simulations would
+// otherwise re-allocate the same queue slices for every run. Batches are
+// zeroed before they are returned so pooled memory never pins protocol
+// payloads.
 var envBatchPool = sync.Pool{
 	New: func() any {
 		b := make([]envelope, 0, 64)
@@ -388,6 +404,25 @@ func putEnvBatch(b []envelope) {
 // returns the run cost. It terminates when the network quiesces (no message
 // pending and, for protocols with Tickers, a tick pass reporting no
 // activity), or fails with ErrMaxRounds/ErrMaxDeliveries.
+//
+// Each round is delivered in (receiver, send sequence) order. Every send
+// takes the next sequence number and schedules all of its per-link copies,
+// delayed and duplicated ones included, at send time, so each round's batch
+// is appended in non-decreasing sequence order. A stable bucketing of the
+// batch by receiver therefore yields exactly the (receiver, sequence)
+// order; the only equal pairs are a copy and its fault duplicate, which are
+// identical. WithScramble shuffles that same starting order.
+//
+// Cost model: a send stores its payload once and appends one 12-byte
+// (receiver, transmission) entry per per-link copy to a ring of per-round
+// buckets spanning the farthest round the fault plan can schedule a copy to
+// (1 + DelayMax + reorder + duplicate trail). Delivering a round costs
+// O(deliveries): the receiver ordering is an LSD radix sort whose digit
+// width tracks the batch size, so a round carrying a few deliveries on a
+// large graph does not pay O(n). There is no comparison sort and no map.
+// Buckets and radix scratch are recycled across rounds and runs, so after
+// warm-up a run allocates a constant amount independent of n (pinned by
+// TestSyncEngineSteadyStateAllocs).
 func RunSync(g *graph.Graph, procs []Proc, opts ...Option) (Stats, error) {
 	if err := validate(g, procs); err != nil {
 		return Stats{}, err
@@ -400,11 +435,9 @@ func RunSync(g *graph.Graph, procs []Proc, opts ...Option) (Stats, error) {
 		return Stats{}, err
 	}
 
-	eng := &syncEngine{cfg: cfg, g: g, pending: make(map[int][]envelope)}
-	ctxs := make([]Context, g.N())
-	for i := range ctxs {
-		ctxs[i] = Context{node: i, g: g, bk: eng}
-	}
+	eng := getSyncEngine(cfg, g)
+	defer eng.release()
+	ctxs := eng.ctxs
 	tickers := tickerNodes(procs)
 
 	// Round 0: Init in index order; sends queue for round 1 onward.
@@ -431,29 +464,22 @@ func RunSync(g *graph.Graph, procs []Proc, opts ...Option) (Stats, error) {
 			}
 			continue
 		}
-		if next > cfg.maxRounds {
+		if next > eng.maxRound {
 			return eng.stats(), ErrMaxRounds
 		}
-		eng.round = next
-		batch := eng.pending[next]
-		delete(eng.pending, next)
-		// Deterministic delivery order: by (receiver, send sequence).
-		// (to, seq) is a total order, so the unstable sort is
-		// deterministic; SortFunc avoids sort.Slice's interface boxing
-		// and reflect-based swaps on this per-round hot path.
-		slices.SortFunc(batch, func(a, b envelope) int {
-			if a.to != b.to {
-				return a.to - b.to
-			}
-			return a.seq - b.seq
-		})
+		batch := eng.take(next)
 		if cfg.scramble != nil {
 			cfg.scramble.Shuffle(len(batch), func(i, j int) {
 				batch[i], batch[j] = batch[j], batch[i]
 			})
 		}
-		for _, env := range batch {
-			if cfg.faults != nil && cfg.faults.blocked(env.from, env.to, env.sentAt, eng.round) {
+		for _, c := range batch {
+			// Read the transmission by value: handlers append to the
+			// current round's slot, which a far copy admitted this round
+			// refers to.
+			tx := eng.ring[c.slot].txs[c.tx]
+			to := int(c.to)
+			if cfg.faults != nil && cfg.faults.blocked(tx.from, to, tx.sentAt, eng.round) {
 				eng.dropped++
 				continue
 			}
@@ -462,23 +488,86 @@ func RunSync(g *graph.Graph, procs []Proc, opts ...Option) (Stats, error) {
 				return eng.stats(), ErrMaxDeliveries
 			}
 			if cfg.trace != nil {
-				cfg.trace(Event{Kind: EventDeliver, From: env.from, To: env.to, Round: eng.round, Payload: env.payload})
+				cfg.trace(Event{Kind: EventDeliver, From: tx.from, To: to, Round: eng.round, Payload: tx.payload})
 			}
 			if cfg.rec != nil {
-				cfg.rec.Event(cfg.classify(env.payload), obs.Deliver, eng.round)
+				cfg.rec.Event(cfg.classify(tx.payload), obs.Deliver, eng.round)
 			}
-			procs[env.to].Recv(&ctxs[env.to], env.from, env.payload)
+			procs[to].Recv(&ctxs[to], tx.from, tx.payload)
 		}
-		putEnvBatch(batch)
+		eng.finishRound()
 	}
 }
 
+// syncTx is one transmission of the synchronous engine. Its payload is
+// stored once, however many per-link copies it has.
+type syncTx struct {
+	payload any
+	from    int
+	sentAt  int // send round, for scheduled-fault checks
+}
+
+// syncCopy is one scheduled per-link delivery: the receiver and the
+// transmission it carries, ring[slot].txs[tx]. It holds no pointer, so the
+// buckets and the radix scatter cost the garbage collector nothing. It
+// carries no sequence number either: append order within a round's bucket
+// is send order (see RunSync).
+type syncCopy struct {
+	to, slot, tx int32
+}
+
+// farCopy is a copy scheduled past the ring's horizon (only fault plans
+// with a very large DelayMax produce them). It keeps its own transmission
+// because the send round's slot is recycled before it is due.
+type farCopy struct {
+	at int
+	to int32
+	tx syncTx
+}
+
+const (
+	// maxRingRounds caps the ring of round buckets; copies scheduled
+	// farther ahead wait in the far list instead, so a huge DelayMax costs
+	// memory per copy in flight rather than per round of delay. Rounds past
+	// math.MaxInt-maxRingRounds count as over budget, so round arithmetic
+	// never overflows.
+	maxRingRounds = 64
+	// maxDigitBits bounds the radix digit, and with it the per-pass
+	// counting table, to 2048 entries.
+	maxDigitBits = 11
+)
+
+// syncSlot is one round's entry in the engine's ring: the copies due in
+// that round, in send order, and the transmissions sent in it.
+type syncSlot struct {
+	due []syncCopy
+	txs []syncTx
+}
+
+// syncEngine is the synchronous engine's run state. Engines are pooled:
+// the node contexts, ring slots, radix scratch and far list keep their
+// capacity from one run to the next, which is what makes a warmed-up
+// run's allocation count independent of the graph size.
 type syncEngine struct {
-	cfg        *config
-	g          *graph.Graph
-	pending    map[int][]envelope // absolute round -> batch
-	round      int                // round currently being delivered
-	seq        int
+	cfg  *config
+	g    *graph.Graph
+	ctxs []Context // one per node
+
+	// ring[r % len(ring)] is round r's slot, for the current round (slot)
+	// and every pending one. A ring copy is due at most len(ring)-1 rounds
+	// after its send (far copies carry their own transmission), so a slot's
+	// transmissions are dead by the time the slot comes round again.
+	ring   []syncSlot
+	slot   int
+	queued int       // copies held in ring
+	far    []farCopy // copies beyond the ring, in send order
+
+	sorted []syncCopy // radix scatter buffer
+	counts []int32    // radix digit counts, up to 1<<maxDigitBits
+	toBits int        // bit length of the largest node index
+
+	round      int // round currently being delivered
+	maxRound   int // last round the budget allows
 	messages   int
 	deliveries int
 	dropped    int
@@ -486,18 +575,165 @@ type syncEngine struct {
 	ticks      int
 }
 
-// nextRound returns the earliest round with pending deliveries.
-func (e *syncEngine) nextRound() (int, bool) {
-	if len(e.pending) == 0 {
-		return 0, false
+var syncEnginePool = sync.Pool{New: func() any { return new(syncEngine) }}
+
+func getSyncEngine(cfg *config, g *graph.Graph) *syncEngine {
+	e := syncEnginePool.Get().(*syncEngine)
+	e.cfg, e.g = cfg, g
+	e.toBits = bits.Len(uint(g.N() - 1))
+	e.maxRound = min(cfg.maxRounds, math.MaxInt-maxRingRounds)
+	// The farthest a copy can land is 1 round of latency, plus DelayMax,
+	// plus one reorder round or the duplicate's one-round trail.
+	horizon := 1
+	if cfg.faults != nil {
+		horizon = 2 + min(cfg.faults.plan.DelayMax, maxRingRounds)
 	}
-	min, first := 0, true
-	for r := range e.pending {
-		if first || r < min {
-			min, first = r, false
+	k := min(horizon+1, maxRingRounds)
+	if cap(e.ring) < k {
+		e.ring = append(e.ring[:cap(e.ring)], make([]syncSlot, k-cap(e.ring))...)
+	}
+	e.ring = e.ring[:k]
+	if cap(e.ctxs) < g.N() {
+		e.ctxs = make([]Context, g.N())
+	}
+	e.ctxs = e.ctxs[:g.N()]
+	for i := range e.ctxs {
+		e.ctxs[i] = Context{node: i, g: g, bk: e}
+	}
+	return e
+}
+
+// release drops every payload, graph and hook reference the engine still
+// holds and returns it to the pool; copies an aborted run left queued are
+// discarded. Contexts handed to handlers are only valid inside handler
+// invocations, so recycling them is safe.
+func (e *syncEngine) release() {
+	ring := e.ring[:cap(e.ring)]
+	for i := range ring {
+		clear(ring[i].txs)
+		ring[i] = syncSlot{due: ring[i].due[:0], txs: ring[i].txs[:0]}
+	}
+	clear(e.far)
+	clear(e.ctxs)
+	*e = syncEngine{ctxs: e.ctxs[:0], ring: ring, far: e.far[:0], sorted: e.sorted, counts: e.counts}
+	syncEnginePool.Put(e)
+}
+
+// nextRound returns the earliest round with pending deliveries. Ring rounds
+// always precede far ones: take admits every far copy due within
+// len(ring) rounds of the round it starts, and a send lands in the far list
+// only when it is due at least len(ring) rounds ahead.
+func (e *syncEngine) nextRound() (int, bool) {
+	if e.queued > 0 {
+		for d := 1; ; d++ {
+			if len(e.ring[e.bucket(d)].due) > 0 {
+				return e.round + d, true
+			}
 		}
 	}
-	return min, true
+	if len(e.far) == 0 {
+		return 0, false
+	}
+	next := e.far[0].at
+	for _, c := range e.far[1:] {
+		next = min(next, c.at)
+	}
+	return next, true
+}
+
+// setRound makes r the current round and recycles its transmission slot.
+func (e *syncEngine) setRound(r int) {
+	e.round = r
+	e.slot = r % len(e.ring)
+	cur := &e.ring[e.slot]
+	clear(cur.txs)
+	cur.txs = cur.txs[:0]
+}
+
+// take advances to round r and returns its batch ordered by receiver. The
+// batch stays valid until finishRound: sends made while it is delivered
+// land in other buckets.
+func (e *syncEngine) take(r int) []syncCopy {
+	e.setRound(r)
+	if len(e.far) > 0 {
+		e.admitFar()
+	}
+	batch := e.ring[e.slot].due
+	e.queued -= len(batch)
+	return e.orderByReceiver(batch)
+}
+
+// finishRound recycles the delivered round's bucket.
+func (e *syncEngine) finishRound() {
+	e.ring[e.slot].due = e.ring[e.slot].due[:0]
+}
+
+// admitFar moves far copies that now fall inside the ring into their
+// buckets, re-sending their transmissions from the current round's slot,
+// and keeps the rest in order. A far copy for round t was sent at least
+// len(ring) rounds before t, so it precedes every copy the ring receives
+// for t, and no copy for t has reached the ring yet: appending keeps each
+// bucket in send order.
+func (e *syncEngine) admitFar() {
+	kept := e.far[:0]
+	for _, c := range e.far {
+		d := c.at - e.round
+		if d >= len(e.ring) {
+			kept = append(kept, c)
+			continue
+		}
+		s := &e.ring[(e.slot+d)%len(e.ring)]
+		s.due = append(s.due, syncCopy{to: c.to, slot: int32(e.slot), tx: e.newTx(c.tx)})
+		e.queued++
+	}
+	clear(e.far[len(kept):])
+	e.far = kept
+}
+
+// orderByReceiver stably orders batch by receiver with an LSD radix sort.
+// The digit width follows the batch size (up to maxDigitBits), so a pass
+// costs O(len(batch)) and a sparse round on a large graph pays a few cheap
+// passes instead of an O(n) counting table. A pass in which every copy
+// shares the digit is skipped. The result aliases either batch or the
+// engine's scatter buffer.
+func (e *syncEngine) orderByReceiver(batch []syncCopy) []syncCopy {
+	m := len(batch)
+	if m < 2 || e.toBits == 0 {
+		return batch
+	}
+	w := min(bits.Len(uint(m)), maxDigitBits)
+	passes := (e.toBits + w - 1) / w
+	w = (e.toBits + passes - 1) / passes
+	if cap(e.sorted) < m {
+		e.sorted = slices.Grow(e.sorted[:0], m)
+	}
+	if len(e.counts) < 1<<w {
+		e.counts = make([]int32, 1<<w)
+	}
+	mask := int32(1)<<w - 1
+	src, dst := batch, e.sorted[:m]
+	for shift := 0; shift < e.toBits; shift += w {
+		counts := e.counts[:1<<w]
+		clear(counts)
+		for _, c := range src {
+			counts[(c.to>>shift)&mask]++
+		}
+		if counts[(src[0].to>>shift)&mask] == int32(m) {
+			continue
+		}
+		var sum int32
+		for d, c := range counts {
+			counts[d] = sum
+			sum += c
+		}
+		for _, c := range src {
+			d := (c.to >> shift) & mask
+			dst[counts[d]] = c
+			counts[d]++
+		}
+		src, dst = dst, src
+	}
+	return src
 }
 
 // tickPass runs one quiescence tick over all Ticker nodes. It reports
@@ -508,8 +744,8 @@ func (e *syncEngine) tickPass(procs []Proc, ctxs []Context, tickers []int) (bool
 		return false, nil
 	}
 	e.ticks++
-	e.round++
-	if e.round > e.cfg.maxRounds {
+	e.setRound(e.round + 1)
+	if e.round > e.maxRound {
 		return false, ErrMaxRounds
 	}
 	msgsBefore := e.messages
@@ -527,7 +763,7 @@ func (e *syncEngine) tickPass(procs []Proc, ctxs []Context, tickers []int) (bool
 			active = true
 		}
 	}
-	return e.messages != msgsBefore || active || len(e.pending) > 0, nil
+	return e.messages != msgsBefore || active || e.queued > 0 || len(e.far) > 0, nil
 }
 
 func (e *syncEngine) stats() Stats {
@@ -542,65 +778,93 @@ func (e *syncEngine) stats() Stats {
 	}
 }
 
+// newTx stores a transmission in the current round's slot and returns its
+// index there.
+func (e *syncEngine) newTx(tx syncTx) int32 {
+	cur := &e.ring[e.slot]
+	cur.txs = append(cur.txs, tx)
+	return int32(len(cur.txs) - 1)
+}
+
 func (e *syncEngine) unicast(from, to int, payload any) {
 	e.messages++
-	e.seq++
 	if e.cfg.trace != nil {
 		e.cfg.trace(Event{Kind: EventSend, From: from, To: to, Round: -1, Payload: payload})
 	}
 	if e.cfg.rec != nil {
 		e.cfg.rec.Event(e.cfg.classify(payload), obs.Send, e.round)
 	}
-	e.enqueueCopy(from, to, payload, e.seq)
+	tx := e.newTx(syncTx{payload: payload, from: from, sentAt: e.round})
+	e.enqueueCopy(syncCopy{to: int32(to), slot: int32(e.slot), tx: tx})
 }
 
 func (e *syncEngine) broadcast(from int, payload any) {
 	e.messages++
-	e.seq++
 	if e.cfg.trace != nil {
 		e.cfg.trace(Event{Kind: EventSend, From: from, To: -1, Round: -1, Payload: payload})
 	}
 	if e.cfg.rec != nil {
 		e.cfg.rec.Event(e.cfg.classify(payload), obs.Send, e.round)
 	}
-	// All copies of one broadcast share a sequence number so receivers at
-	// equal index see a stable order.
+	c := syncCopy{slot: int32(e.slot), tx: e.newTx(syncTx{payload: payload, from: from, sentAt: e.round})}
 	for _, to := range e.g.Neighbors(from) {
-		e.enqueueCopy(from, to, payload, e.seq)
+		c.to = int32(to)
+		e.enqueueCopy(c)
 	}
 }
 
 // enqueueCopy schedules one per-link delivery, applying the sender-side
 // probabilistic faults: loss, extra delay, reordering (one extra round in
 // the round model) and duplication.
-func (e *syncEngine) enqueueCopy(from, to int, payload any, seq int) {
+func (e *syncEngine) enqueueCopy(c syncCopy) {
 	f := e.cfg.faults
-	if f != nil && f.dropSample(from) {
+	if f == nil {
+		e.enqueueAt(1, c)
+		return
+	}
+	from := e.ring[c.slot].txs[c.tx].from
+	if f.dropSample(from) {
 		e.dropped++
 		return
 	}
-	deliverAt := e.round + 1
-	if f != nil {
-		deliverAt += f.delaySample(from)
-		if f.reorderSample(from) {
-			deliverAt++
-		}
+	// DelayMax comes from clients and may be near math.MaxInt, so the
+	// additions saturate.
+	delay := addSat(f.delaySample(from), 1)
+	if f.reorderSample(from) {
+		delay = addSat(delay, 1)
 	}
-	env := envelope{from: from, to: to, payload: payload, seq: seq, sentAt: e.round}
-	e.enqueueAt(deliverAt, env)
-	if f != nil && f.dupSample(from) {
+	e.enqueueAt(delay, c)
+	if f.dupSample(from) {
 		e.duplicated++
-		dupAt := e.round + 1 + f.delaySample(from) + 1 // the copy always trails
-		e.enqueueAt(dupAt, env)
+		e.enqueueAt(addSat(f.delaySample(from), 2), c) // the copy always trails
 	}
 }
 
-// enqueueAt appends env to the given round's batch, drawing a recycled
-// batch from the pool when the round has none yet.
-func (e *syncEngine) enqueueAt(round int, env envelope) {
-	b, ok := e.pending[round]
-	if !ok {
-		b = getEnvBatch()
+// bucket returns the ring index of the round d rounds ahead (0 < d <
+// len(ring)).
+func (e *syncEngine) bucket(d int) int {
+	s := e.slot + d
+	if s >= len(e.ring) {
+		s -= len(e.ring)
 	}
-	e.pending[round] = append(b, env)
+	return s
+}
+
+// enqueueAt schedules c for the round d >= 1 rounds ahead.
+func (e *syncEngine) enqueueAt(d int, c syncCopy) {
+	if d >= len(e.ring) {
+		e.far = append(e.far, farCopy{at: addSat(e.round, d), to: c.to, tx: e.ring[c.slot].txs[c.tx]})
+		return
+	}
+	s := &e.ring[e.bucket(d)]
+	s.due = append(s.due, c)
+	e.queued++
+}
+
+// addSat returns a+b for b >= 0, saturating at math.MaxInt.
+func addSat(a, b int) int {
+	if a > math.MaxInt-b {
+		return math.MaxInt
+	}
+	return a + b
 }

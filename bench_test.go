@@ -245,7 +245,7 @@ func BenchmarkDiscoveryTwoHop(b *testing.B) {
 	nw := benchNet(b, 500, 12)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := discovery.Run(nw.G, nw.ID, 2, false); err != nil {
+		if _, _, err := discovery.Run(nw.G, nw.ID, 2, simnet.EngineSync); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -11,9 +11,9 @@
 //
 // All three must produce byte-identical per-scenario results (compared by
 // report digest); bench exits non-zero otherwise. The pinned suite contains
-// only centralized and synchronous workloads, whose measurements are
-// schedule-independent — async message counts vary with goroutine timing
-// and would make the digest check meaningless.
+// only centralized and deterministic-engine workloads, whose measurements
+// are schedule-independent; async runs would replay from their seed, but
+// their costs measure one random schedule rather than the protocol.
 //
 // Two further executions isolate the dilation measurement core
 // (measure.go): measureSerial runs the pre-pool allocating implementation,
@@ -394,10 +394,10 @@ func prune(dir string, keep int) ([]string, error) {
 
 // suite is the pinned benchmark sweep. Full: 2 sizes × 2 degrees × 3 seeds
 // × 11 workloads = 132 scenarios over 12 networks. Quick: 1 × 1 × 3 × 11 =
-// 33 scenarios over 3 networks. Only deterministic workloads — no async
-// (async message counts are schedule-dependent and would break the digest
-// check; the event engine is deterministic and IS swept, both lossless and
-// lossy-reliable). The workloads per network cell mirror how the sweep is
+// 33 scenarios over 3 networks. Only native-schedule workloads — no async
+// (async message counts depend on the schedule seed, so they would measure
+// one random schedule; the event engine's FIFO order is swept, both
+// lossless and lossy-reliable). The workloads per network cell mirror how the sweep is
 // used in practice — one backbone per algorithm, distributed runs on both
 // deterministic engines, sampled dilation, and broadcast from several
 // sources over the same backbone — and exercise the engine's shared

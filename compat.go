@@ -6,13 +6,13 @@ package wcdsnet
 // each shim to its documented replacement. New code should not import
 // anything from this file.
 
-// Async runs the protocol on the goroutine-per-node asynchronous engine
-// with a seeded schedule scramble. Implies Distributed.
+// Async runs the protocol on the asynchronous engine (the event engine
+// under a per-link seeded scramble) with the given schedule seed. Implies
+// Distributed.
 //
 // Deprecated: use WithEngine(EngineAsync) together with
-// WithScheduleSeed(seed). Note this shim always scrambles the schedule; a
-// plain WithEngine(EngineAsync) run without WithScheduleSeed keeps the
-// engine's native order.
+// WithScheduleSeed(seed); a plain WithEngine(EngineAsync) run scrambles
+// with seed 0.
 func Async(scheduleSeed int64) Option {
 	return func(o *runOptions) {
 		o.distributed = true
@@ -91,7 +91,8 @@ func engineOpt(async bool, seed int64) Option {
 // Deprecated: pass Options to Run instead (WithEngine, WithScheduleSeed,
 // WithFaults, WithReliable, WithMaxRounds).
 type RunConfig struct {
-	// Async selects the goroutine-per-node asynchronous engine.
+	// Async selects the asynchronous engine (the event engine under a
+	// per-link seeded scramble).
 	Async bool
 	// ScheduleSeed scrambles the async delivery schedule (Async only).
 	ScheduleSeed int64

@@ -8,8 +8,9 @@ import (
 // The tentpole acceptance property: the event-driven single-scheduler
 // engine is EXACT. Across seeds × selection modes × drop rates × reliable
 // on/off, a Deferred-mode Algorithm II run on the event engine produces the
-// identical WCDS fixpoint as the synchronous reference engine and the
-// goroutine-per-node async engine — Deferred selection is
+// identical WCDS fixpoint as the synchronous reference engine and the async
+// engine (the event engine under a per-link seeded scramble) — Deferred
+// selection is
 // schedule-independent, so equality (not just validity) is the invariant.
 // Eager mode is schedule-dependent by design; those cells assert validity.
 // Runs under -race in CI.

@@ -149,8 +149,8 @@ type Options struct {
 // full report. Workers pull scenario indices from a shared atomic counter
 // and write into a results array addressed by scenario index, so the
 // output is deterministic in layout for any worker count; scenario content
-// is deterministic whenever the underlying measurement is (async-mode
-// message counts are schedule-dependent by nature, in serial runs too).
+// is deterministic too, since every engine, async included, replays from
+// the scenario's seeds.
 //
 // On context cancellation Run stops dispatching, returns the completed
 // results (compacted, still index-ordered) and reports ctx.Err().
@@ -537,13 +537,7 @@ func fillBackbone(r *Result, nw *udg.Network, res wcds.Result, c *algo.Construct
 func runnerFor(ctx context.Context, w *Workload, rec *obs.Spans) wcds.Runner {
 	opts := []simnet.Option{simnet.WithContext(ctx)}
 	eng, _ := simnet.ParseEngine(w.Engine)
-	// The async engine has always scrambled with the workload's seed (0 by
-	// default), so existing sweep digests are preserved; the event engine's
-	// native schedule is already deterministic and only scrambles when a
-	// seed is given explicitly.
-	if eng == simnet.EngineAsync || (eng == simnet.EngineEvent && w.ScheduleSeed != 0) {
-		opts = append(opts, simnet.WithScramble(rand.New(rand.NewSource(w.ScheduleSeed))))
-	}
+	opts = append(opts, simnet.ScheduleScramble(eng, w.ScheduleSeed))
 	if w.Faults != nil {
 		opts = append(opts, simnet.WithFaults(*w.Faults))
 	}

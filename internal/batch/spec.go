@@ -77,9 +77,11 @@ type Workload struct {
 	// Selection is "deferred" (default) or "eager" (distributed Algorithm
 	// II only).
 	Selection string `json:"selection,omitempty"`
-	// ScheduleSeed scrambles the delivery schedule (engines "async" and
-	// "event"; the event engine scrambles only for a non-zero seed — its
-	// native schedule is already deterministic).
+	// ScheduleSeed seeds the per-link scramble of the delivery schedule.
+	// Engine "async" always runs under it (seed 0 by default), so each
+	// seed replays exactly; engine "event" scrambles only for a non-zero
+	// seed (its native FIFO schedule is already deterministic); engine
+	// "sync" ignores it.
 	ScheduleSeed int64 `json:"scheduleSeed,omitempty"`
 	// Faults injects a fault plan into distributed backbone runs.
 	Faults *simnet.FaultPlan `json:"faults,omitempty"`

@@ -301,14 +301,12 @@ func reliableDistributed(nw *udg.Network, plan simnet.FaultPlan, cfg Config) (wc
 		simnet.WithMaxRounds(maxRounds),
 		wcds.ObserveOption(rec),
 	}
-	if cfg.Async {
-		opts = append(opts, simnet.WithScramble(rand.New(rand.NewSource(plan.Seed))))
-	}
-	ropt := reliable.Options{MaxRetries: cfg.MaxRetries, Observer: rec, Phase: wcds.PhaseOf}
 	eng := simnet.EngineSync
 	if cfg.Async {
 		eng = simnet.EngineAsync
 	}
+	opts = append(opts, simnet.ScheduleScramble(eng, plan.Seed))
+	ropt := reliable.Options{MaxRetries: cfg.MaxRetries, Observer: rec, Phase: wcds.PhaseOf}
 	runner := wcds.ReliableRunner(eng, ropt, opts...)
 	c, ok := algo.Lookup(cfg.Algorithm)
 	if !ok {

@@ -104,11 +104,10 @@ func (p *proc) table() Table {
 }
 
 // Run executes neighbour discovery with knowledge radius k (1 or 2) and
-// returns each node's Table (indexed by node). async selects the
-// goroutine-per-node engine. Extra simnet options (scrambling, loss
-// injection) may be supplied.
-func Run(g *graph.Graph, ids []int, k int, async bool, opts ...simnet.Option) ([]Table, simnet.Stats, error) {
-	return run(g, ids, k, async, nil, opts...)
+// returns each node's Table (indexed by node) after running it on eng.
+// Extra simnet options (scrambling, loss injection) may be supplied.
+func Run(g *graph.Graph, ids []int, k int, eng simnet.Engine, opts ...simnet.Option) ([]Table, simnet.Stats, error) {
+	return run(g, ids, k, eng, nil, opts...)
 }
 
 // RunReliable is Run with the ack/retransmit reliability layer wrapped
@@ -118,11 +117,11 @@ func Run(g *graph.Graph, ids []int, k int, async bool, opts ...simnet.Option) ([
 // HELLO is in, so a single lost HELLO silently truncates two-hop tables
 // across the whole vicinity. The layer's own counters (retransmits, acks,
 // suppressed duplicates) are merged into the returned Stats.
-func RunReliable(g *graph.Graph, ids []int, k int, async bool, ropt reliable.Options, opts ...simnet.Option) ([]Table, simnet.Stats, error) {
-	return run(g, ids, k, async, &ropt, opts...)
+func RunReliable(g *graph.Graph, ids []int, k int, eng simnet.Engine, ropt reliable.Options, opts ...simnet.Option) ([]Table, simnet.Stats, error) {
+	return run(g, ids, k, eng, &ropt, opts...)
 }
 
-func run(g *graph.Graph, ids []int, k int, async bool, ropt *reliable.Options, opts ...simnet.Option) ([]Table, simnet.Stats, error) {
+func run(g *graph.Graph, ids []int, k int, eng simnet.Engine, ropt *reliable.Options, opts ...simnet.Option) ([]Table, simnet.Stats, error) {
 	if k != 1 && k != 2 {
 		return nil, simnet.Stats{}, fmt.Errorf("discovery: unsupported radius k=%d", k)
 	}
@@ -139,15 +138,7 @@ func run(g *graph.Graph, ids []int, k int, async bool, ropt *reliable.Options, o
 	if ropt != nil {
 		procs, col = reliable.Wrap(procs, *ropt)
 	}
-	var (
-		stats simnet.Stats
-		err   error
-	)
-	if async {
-		stats, err = simnet.RunAsync(g, procs, opts...)
-	} else {
-		stats, err = simnet.RunSync(g, procs, opts...)
-	}
+	stats, err := eng.Run(g, procs, opts...)
 	if col != nil {
 		col.MergeInto(&stats)
 	}

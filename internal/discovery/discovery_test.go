@@ -16,7 +16,7 @@ func TestOneHopDiscoverySync(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tables, stats, err := Run(nw.G, nw.ID, 1, false)
+		tables, stats, err := Run(nw.G, nw.ID, 1, simnet.EngineSync)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -37,17 +37,17 @@ func TestTwoHopDiscoverySyncAndAsync(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, async := range []bool{false, true} {
+		for _, eng := range []simnet.Engine{simnet.EngineSync, simnet.EngineAsync} {
 			var opts []simnet.Option
-			if async {
+			if eng == simnet.EngineAsync {
 				opts = append(opts, simnet.WithScramble(rand.New(rand.NewSource(int64(trial)))))
 			}
-			tables, stats, err := Run(nw.G, nw.ID, 2, async, opts...)
+			tables, stats, err := Run(nw.G, nw.ID, 2, eng, opts...)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if err := Verify(nw.G, nw.ID, tables, 2); err != nil {
-				t.Fatalf("trial %d async=%v: %v", trial, async, err)
+				t.Fatalf("trial %d %v: %v", trial, eng, err)
 			}
 			// Two broadcasts per node.
 			if stats.Messages != 2*nw.N() {
@@ -59,7 +59,7 @@ func TestTwoHopDiscoverySyncAndAsync(t *testing.T) {
 
 func TestDiscoveryIsolatedNode(t *testing.T) {
 	g := graph.New(1)
-	tables, _, err := Run(g, []int{5}, 2, false)
+	tables, _, err := Run(g, []int{5}, 2, simnet.EngineSync)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,10 +74,10 @@ func TestDiscoveryIsolatedNode(t *testing.T) {
 func TestDiscoveryValidation(t *testing.T) {
 	g := graph.New(2)
 	_ = g.AddEdge(0, 1)
-	if _, _, err := Run(g, []int{0, 1}, 3, false); err == nil {
+	if _, _, err := Run(g, []int{0, 1}, 3, simnet.EngineSync); err == nil {
 		t.Error("expected error for unsupported radius")
 	}
-	if _, _, err := Run(g, []int{0}, 1, false); err == nil {
+	if _, _, err := Run(g, []int{0}, 1, simnet.EngineSync); err == nil {
 		t.Error("expected error for id count mismatch")
 	}
 	if err := Verify(g, []int{0, 1}, nil, 1); err == nil {
@@ -93,7 +93,7 @@ func TestDiscoveryUnderLossDetectable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tables, _, err := Run(nw.G, nw.ID, 1, false,
+	tables, _, err := Run(nw.G, nw.ID, 1, simnet.EngineSync,
 		simnet.WithDropRate(rand.New(rand.NewSource(4)), 0.5))
 	if err != nil {
 		// Acceptable: a k=2 run can stall; k=1 never errors though.
@@ -112,7 +112,7 @@ func TestTwoHopExcludesSelfAndOneHop(t *testing.T) {
 	_ = g.AddEdge(0, 2)
 	_ = g.AddEdge(0, 3)
 	ids := []int{10, 11, 12, 13}
-	tables, _, err := Run(g, ids, 2, false)
+	tables, _, err := Run(g, ids, 2, simnet.EngineSync)
 	if err != nil {
 		t.Fatal(err)
 	}

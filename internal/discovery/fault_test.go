@@ -26,22 +26,22 @@ func TestTwoHopDiscoveryReliableUnderDropDup(t *testing.T) {
 			t.Fatal(err)
 		}
 		for pi, plan := range plans {
-			for _, async := range []bool{false, true} {
-				tables, stats, err := RunReliable(nw.G, nw.ID, 2, async,
+			for _, eng := range []simnet.Engine{simnet.EngineSync, simnet.EngineAsync} {
+				tables, stats, err := RunReliable(nw.G, nw.ID, 2, eng,
 					reliable.Options{}, simnet.WithFaults(plan))
 				if err != nil {
-					t.Fatalf("trial %d plan %d async=%v: %v", trial, pi, async, err)
+					t.Fatalf("trial %d plan %d %v: %v", trial, pi, eng, err)
 				}
 				if err := Verify(nw.G, nw.ID, tables, 2); err != nil {
-					t.Fatalf("trial %d plan %d async=%v: %v", trial, pi, async, err)
+					t.Fatalf("trial %d plan %d %v: %v", trial, pi, eng, err)
 				}
 				if plan.DropRate > 0 && stats.Retransmits == 0 {
-					t.Errorf("trial %d plan %d async=%v: lossy run performed no retransmissions",
-						trial, pi, async)
+					t.Errorf("trial %d plan %d %v: lossy run performed no retransmissions",
+						trial, pi, eng)
 				}
 				if stats.Abandoned != 0 {
-					t.Errorf("trial %d plan %d async=%v: %d frames abandoned",
-						trial, pi, async, stats.Abandoned)
+					t.Errorf("trial %d plan %d %v: %d frames abandoned",
+						trial, pi, eng, stats.Abandoned)
 				}
 			}
 		}
@@ -58,7 +58,7 @@ func TestTwoHopDiscoveryLossyWithoutReliableFails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tables, _, err := Run(nw.G, nw.ID, 2, false,
+	tables, _, err := Run(nw.G, nw.ID, 2, simnet.EngineSync,
 		simnet.WithFaults(simnet.FaultPlan{Seed: 201, DropRate: 0.4}))
 	if err != nil {
 		t.Fatal(err)
@@ -76,7 +76,7 @@ func TestReliableLosslessNoOverhead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tables, stats, err := RunReliable(nw.G, nw.ID, 2, false, reliable.Options{})
+	tables, stats, err := RunReliable(nw.G, nw.ID, 2, simnet.EngineSync, reliable.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,7 @@ func runProcs(t *testing.T, g *graph.Graph, ids []int, async bool, seed int64) [
 	}
 	var err error
 	if async {
-		_, err = simnet.RunAsync(g, procs, simnet.WithScramble(rand.New(rand.NewSource(seed))))
+		_, err = simnet.EngineAsync.Run(g, procs, simnet.WithScramble(rand.New(rand.NewSource(seed))))
 	} else {
 		_, err = simnet.RunSync(g, procs)
 	}

@@ -14,7 +14,7 @@
 // deliveries, rounds, retransmits) plus wall time. A Recorder receives
 // engine events and completed spans; Nop is the zero-allocation default so
 // uninstrumented runs pay nothing. Spans is the standard collector:
-// goroutine-safe, so the same value works under the asynchronous engine.
+// goroutine-safe, so one value can be shared by concurrent runs.
 //
 // Producers:
 //
@@ -49,8 +49,8 @@ type Span struct {
 	// Rounds is the phase's round extent: last round with an event minus
 	// first, plus one. Under RunSync the rounds are synchronous rounds;
 	// the asynchronous engines report Lamport stamps instead, so there the
-	// value is a logical-time extent (deterministic under RunEvent, whose
-	// digests include it, e.g. "mis:...,r=4").
+	// value is a logical-time extent (deterministic for a given schedule:
+	// event digests include it, e.g. "mis:...,r=4").
 	Rounds int `json:"rounds,omitempty"`
 	// Retransmits counts reliable-layer retransmissions of this phase's
 	// frames.
@@ -81,8 +81,8 @@ const (
 )
 
 // Recorder is the collection point instrumented code reports to. Both
-// methods must be safe for concurrent use — the asynchronous engine calls
-// Event from every node goroutine.
+// methods must be safe for concurrent use: one recorder may be shared by
+// concurrent runs and by the stages around them.
 type Recorder interface {
 	// Event attributes one engine event to a phase. round is the
 	// synchronous round the event happened in (-1 when there is none).

@@ -14,7 +14,7 @@ func syncRun(g *graph.Graph, procs []simnet.Proc) (simnet.Stats, error) {
 
 func asyncRun(seed int64) func(*graph.Graph, []simnet.Proc) (simnet.Stats, error) {
 	return func(g *graph.Graph, procs []simnet.Proc) (simnet.Stats, error) {
-		return simnet.RunAsync(g, procs, simnet.WithScramble(rand.New(rand.NewSource(seed))))
+		return simnet.EngineAsync.Run(g, procs, simnet.WithScramble(rand.New(rand.NewSource(seed))))
 	}
 }
 

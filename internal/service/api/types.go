@@ -177,8 +177,10 @@ type BackboneRequest struct {
 	// Selection is Algorithm II's connector-selection mode: "deferred"
 	// (default, schedule-independent) or "eager".
 	Selection string `json:"selection,omitempty"`
-	// ScheduleSeed scrambles the delivery schedule (engines "async" and
-	// "event"; the event engine scrambles only for a non-zero seed).
+	// ScheduleSeed seeds the per-link scramble of the delivery schedule.
+	// Engine "async" always runs under it (seed 0 by default), so each
+	// seed replays exactly; engine "event" scrambles only for a non-zero
+	// seed; engine "sync" ignores it.
 	ScheduleSeed int64 `json:"scheduleSeed,omitempty"`
 
 	// Faults injects the given fault plan into the distributed run

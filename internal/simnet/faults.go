@@ -12,18 +12,18 @@ import (
 // Faults fall into two classes, applied at two different points:
 //
 //   - Probabilistic link faults (drop, duplicate, delay, reorder) are
-//     sampled at SEND time from a per-sender RNG derived deterministically
-//     from the plan seed. Because every node's sends happen inside its own
-//     handler (Init/Recv/Tick), each RNG is touched by exactly one
-//     goroutine — no locks, no cross-schedule contamination: the fate of
-//     node v's k-th transmission depends only on (seed, v, k).
+//     sampled per per-link copy from a per-sender RNG derived
+//     deterministically from the plan seed: at send time under RunSync,
+//     when the copy is delivered under the event and async engines. The
+//     fate of node v's k-th copy depends only on (seed, v, k), so a run
+//     replays exactly from its plan (and, for async, its schedule) seed.
 //   - Scheduled faults (crash windows, partitions, link downtimes) are
 //     evaluated against LOGICAL TIME when a delivery is attempted. Under
-//     RunSync logical time is the round number. RunAsync has no rounds, so
-//     logical time is the count of deliveries so far plus the count of
-//     quiescence tick passes (see Ticker); it is monotone and advances even
-//     while the network is silent, which is what lets a crashed node's
-//     restart ever be reached.
+//     RunSync logical time is the round number. The event and async
+//     engines have no rounds, so logical time is the count of deliveries
+//     so far plus the count of quiescence tick passes (see Ticker); it is
+//     monotone and advances even while the network is silent, which is
+//     what lets a crashed node's restart ever be reached.
 //
 // A delivery from u to v sent at time s and arriving at time t is lost when
 // u was crashed at s, or v is crashed at t, or a partition or link window
@@ -115,17 +115,17 @@ type FaultPlan struct {
 	// probability (the copy is delivered later and may be reordered).
 	DupRate float64 `json:"dupRate,omitempty"`
 	// DelayMin/DelayMax add a uniform extra delay in rounds to each
-	// delivery under RunSync (base latency is 1 round). Under RunAsync,
-	// where there is no round clock, a delayed message is instead inserted
-	// at a random position of the receiver's queue — the asynchronous
-	// model already permits unbounded delay, so delay manifests there as
-	// reordering.
+	// delivery under RunSync (base latency is 1 round). Under the event
+	// and async engines, where there is no round clock, a delayed copy is
+	// instead requeued at a random position of the pending queue — the
+	// asynchronous model already permits unbounded delay, so delay
+	// manifests there as reordering.
 	DelayMin int `json:"delayMin,omitempty"`
 	DelayMax int `json:"delayMax,omitempty"`
-	// ReorderRate perturbs delivery order: under RunAsync an affected
-	// message is inserted at a random queue position; under RunSync it is
-	// delayed by one extra round (the only reordering a round model
-	// admits).
+	// ReorderRate perturbs delivery order: under the event and async
+	// engines an affected copy is requeued at a random queue position;
+	// under RunSync it is delayed by one extra round (the only reordering
+	// a round model admits).
 	ReorderRate float64 `json:"reorderRate,omitempty"`
 	// Crashes, Partitions and LinkDowns are scheduled outages in logical
 	// time (see the package comment above for the time base).
@@ -257,7 +257,8 @@ func WithDuplication(p float64) Option {
 }
 
 // WithDelay adds a uniform extra latency of [min, max] rounds per delivery
-// under RunSync; under RunAsync it manifests as reordering (see FaultPlan).
+// under RunSync; under the event and async engines it manifests as
+// reordering (see FaultPlan).
 func WithDelay(min, max int) Option {
 	return func(c *config) {
 		c.editPlan(func(pl *FaultPlan) {

@@ -69,7 +69,7 @@ func TestDropRatePartialLossSync(t *testing.T) {
 func TestDropRatePartialLossAsync(t *testing.T) {
 	g := lineGraph(t, 50)
 	procs := floodProcs(50, 0)
-	_, err := RunAsync(g, procs, WithDropRate(rand.New(rand.NewSource(7)), 0.5))
+	_, err := EngineAsync.Run(g, procs, WithDropRate(rand.New(rand.NewSource(7)), 0.5))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,7 @@ import (
 func TestAsyncLamportRoundEstimateFloodLine(t *testing.T) {
 	const n = 12
 	g := lineGraph(t, n)
-	stats, err := RunAsync(g, floodProcs(n, 0))
+	stats, err := EngineAsync.Run(g, floodProcs(n, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestAsyncLamportEstimateUnderScramble(t *testing.T) {
 	const n = 15
 	g := lineGraph(t, n)
 	for seed := int64(0); seed < 5; seed++ {
-		stats, err := RunAsync(g, floodProcs(n, 0), WithScramble(rand.New(rand.NewSource(seed))))
+		stats, err := EngineAsync.Run(g, floodProcs(n, 0), WithScramble(rand.New(rand.NewSource(seed))))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,7 +65,7 @@ func TestAsyncBudgetErrorCarriesEstimate(t *testing.T) {
 		&pingPong{peer: 1, starter: true, bounces: -1},
 		&pingPong{peer: 0, bounces: -1},
 	}
-	_, err := RunAsync(g, procs, WithMaxDeliveries(100))
+	_, err := EngineAsync.Run(g, procs, WithMaxDeliveries(100))
 	if !errors.Is(err, ErrMaxDeliveries) {
 		t.Fatalf("err = %v, want ErrMaxDeliveries", err)
 	}

@@ -101,7 +101,7 @@ func (p *relayOnce) Recv(ctx *Context, from int, payload any) {
 }
 
 // TestAsyncPoolingDelivers runs the async engine repeatedly (serially and
-// concurrently) so inbox backing arrays cycle through the pool; every run
+// concurrently) so queue backing arrays cycle through the pool; every run
 // must deliver the same message count for this schedule-independent
 // protocol.
 func TestAsyncPoolingDelivers(t *testing.T) {
@@ -115,9 +115,9 @@ func TestAsyncPoolingDelivers(t *testing.T) {
 		if seed != 0 {
 			opts = append(opts, WithScramble(rand.New(rand.NewSource(seed))))
 		}
-		st, err := RunAsync(g, procs, opts...)
+		st, err := EngineAsync.Run(g, procs, opts...)
 		if err != nil {
-			t.Errorf("RunAsync: %v", err)
+			t.Errorf("EngineAsync: %v", err)
 		}
 		return st
 	}

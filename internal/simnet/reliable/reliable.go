@@ -60,7 +60,9 @@ type Options struct {
 	// Observer, when set, receives one obs.Retransmit event per
 	// retransmission, attributed to Phase(payload) of the frame being
 	// retried — so per-phase breakdowns show which protocol phase is
-	// paying the reliability cost. Must be goroutine-safe under RunAsync.
+	// paying the reliability cost. It is called from the goroutine running
+	// the protocol; one shared across concurrent runs must be
+	// goroutine-safe (obs.Spans is).
 	Observer obs.Recorder
 	// Phase classifies a retried frame's protocol payload for Observer.
 	// Nil attributes every retransmission to "reliable".

@@ -81,7 +81,7 @@ func lineGraph(t *testing.T, n int) *graph.Graph {
 func run(t *testing.T, async bool, g *graph.Graph, procs []simnet.Proc, opts ...simnet.Option) (simnet.Stats, error) {
 	t.Helper()
 	if async {
-		return simnet.RunAsync(g, procs, opts...)
+		return simnet.EngineAsync.Run(g, procs, opts...)
 	}
 	return simnet.RunSync(g, procs, opts...)
 }
@@ -290,7 +290,7 @@ func TestWrapRandomizedSchedules(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		inner := floodProcs(n, 0)
 		wrapped, col := Wrap(inner, Options{})
-		_, err := simnet.RunAsync(g, wrapped,
+		_, err := simnet.EngineAsync.Run(g, wrapped,
 			simnet.WithScramble(rand.New(rand.NewSource(seed))),
 			simnet.WithFaults(simnet.FaultPlan{Seed: seed, DropRate: 0.2, DupRate: 0.2, ReorderRate: 0.2}))
 		if err != nil {

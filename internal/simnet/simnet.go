@@ -12,14 +12,15 @@
 //     per-round buckets in sequence order, so a stable radix ordering by
 //     receiver gives exactly that order: a round costs O(its deliveries),
 //     with no comparison sort, no map and no steady-state allocation.
-//   - RunAsync: one goroutine per node with an unbounded inbox, matching
-//     the fully asynchronous event-driven model the paper describes.
-//     Termination is detected with an activity counter (messages in flight
-//     plus handlers still running).
-//   - RunEvent: the same asynchronous model on a single-scheduler
-//     event-driven core — one goroutine draining a pooled transmission
-//     queue, struct-of-arrays node state, near-zero steady-state
-//     allocations. It is the engine that makes million-node runs feasible.
+//   - RunEvent: the fully asynchronous event-driven model the paper
+//     describes, on a single-scheduler core — one goroutine draining a
+//     pooled transmission queue, struct-of-arrays node state, near-zero
+//     steady-state allocations. It is the engine that makes million-node
+//     runs feasible. Its native order is deterministic FIFO.
+//   - EngineAsync: the event engine under a per-link seeded scramble. Every
+//     per-link copy lands at its own seeded-random queue position, so the
+//     links of one broadcast interleave independently, and each seed
+//     replays exactly.
 //
 // All engines run the identical Proc code, so every protocol in this
 // repository can be checked for schedule independence by running it under
@@ -89,16 +90,18 @@ type Stats struct {
 	// Deliveries counts per-link receptions (a Broadcast to k neighbours
 	// adds k).
 	Deliveries int
-	// Rounds is the number of synchronous rounds used (0 for RunAsync).
+	// Rounds is the number of synchronous rounds used (0 for the
+	// asynchronous engines).
 	Rounds int
 	// RoundEstimate is a logical-time extent for the run: under RunSync it
-	// equals Rounds; under RunAsync it is a Lamport-style estimate — the
-	// length of the longest causal message chain any node observed. It lets
-	// async budget errors and phase spans report "how deep" a run got even
-	// though the asynchronous model has no synchronous round clock. The
-	// estimate is schedule-dependent under RunAsync and is therefore
-	// excluded from canonical digests (batch reports keep Rounds, which
-	// stays 0 for async runs).
+	// equals Rounds; under the event and async engines it is a
+	// Lamport-style estimate — the length of the longest causal message
+	// chain any node observed. It lets async budget errors and phase spans
+	// report "how deep" a run got even though the asynchronous model has
+	// no synchronous round clock. The estimate depends on the schedule
+	// (each async seed gives its own) and is therefore excluded from
+	// canonical digests (batch reports keep Rounds, which stays 0 for
+	// asynchronous runs).
 	RoundEstimate int
 	// Ticks counts quiescence tick passes (retry-timer epochs); 0 for
 	// protocols without Tickers.
@@ -133,7 +136,7 @@ var (
 
 // cancelErr wraps a context expiry so callers can dispatch on the cause
 // with errors.Is(err, context.Canceled/DeadlineExceeded). round is -1 when
-// the engine has no round clock (RunAsync).
+// the engine has no round clock (RunEvent).
 func cancelErr(round int, err error) error {
 	if round < 0 {
 		return fmt.Errorf("simnet: run cancelled: %w", err)
@@ -155,7 +158,7 @@ type Event struct {
 	Kind    EventKind
 	From    int
 	To      int // -1 for a broadcast send event
-	Round   int // sync engine only; -1 under RunAsync
+	Round   int // sync engine only; -1 under the event and async engines
 	Payload any
 }
 
@@ -175,7 +178,7 @@ type config struct {
 }
 
 // WithMaxRounds sets the quiescence budget: the maximum number of
-// synchronous rounds (RunSync) or quiescence tick passes (RunAsync) before
+// synchronous rounds (RunSync) or quiescence tick passes (RunEvent) before
 // the engine aborts with ErrMaxRounds. The default is 20·n + 1000. Faulty
 // runs with retransmission legitimately need more rounds than the paper's
 // lossless complexity bounds suggest; raise the budget for heavy fault
@@ -190,24 +193,24 @@ func WithMaxDeliveries(d int) Option {
 	return func(c *config) { c.maxDeliveries = d }
 }
 
-// WithTrace installs a hook invoked for every send and delivery. Under
-// RunAsync the hook is called from multiple goroutines and must be
-// goroutine-safe.
+// WithTrace installs a hook invoked for every send and delivery. Every
+// engine calls it from the goroutine that runs the protocol.
 func WithTrace(fn func(Event)) Option {
 	return func(c *config) { c.trace = fn }
 }
 
 // WithScramble randomizes delivery order using rng: the synchronous engine
-// shuffles each round's delivery order, and the asynchronous engine inserts
-// arriving messages at random queue positions. Use it to probe protocols
-// for schedule dependence.
+// shuffles each round's delivery order, and the event engine places every
+// per-link copy at its own random queue position (the schedule EngineAsync
+// always runs under). Use it to probe protocols for schedule dependence;
+// the same seed replays the same schedule.
 func WithScramble(rng *rand.Rand) Option {
 	return func(c *config) { c.scramble = rng }
 }
 
 // WithContext makes the run cancellable: the synchronous engine checks ctx
-// before every round and every quiescence tick pass, and the asynchronous
-// engine aborts on ctx expiry within one handler. A cancelled run returns
+// before every round and every quiescence tick pass, and the event engine
+// every few thousand deliveries and at every quiescence. A cancelled run returns
 // the stats accumulated so far and an error wrapping ctx.Err()
 // (context.Canceled or context.DeadlineExceeded), so callers can
 // errors.Is-dispatch on the cause.
@@ -217,9 +220,8 @@ func WithContext(ctx context.Context) Option {
 
 // WithObserver installs a phase-scoped recorder: every send and delivery is
 // attributed to classify(payload) and reported to rec. classify must be
-// pure; under RunAsync both classify and rec are called from every node
-// goroutine, so rec must be goroutine-safe (obs.Spans is). A nil classify
-// attributes everything to "all".
+// pure; both are called from the goroutine that runs the protocol. A nil
+// classify attributes everything to "all".
 func WithObserver(rec obs.Recorder, classify func(payload any) string) Option {
 	return func(c *config) {
 		c.rec = rec
@@ -363,22 +365,20 @@ func tickerNodes(procs []Proc) []int {
 	return ts
 }
 
-// envelope is a queued message of the asynchronous and event engines (the
-// synchronous engine queues the compact syncCopy instead).
+// envelope is a queued message of the event engine (the synchronous engine
+// queues the compact syncCopy instead).
 type envelope struct {
 	from    int
-	to      int
+	to      int // receiver, or ToAll for an unscrambled broadcast
 	payload any
-	seq     int  // global send sequence, for deterministic ordering
 	sentAt  int  // logical send time, for scheduled-fault checks
-	lam     int  // async/event engines: Lamport stamp (sender clock + 1)
-	tick    bool // async engine: a tick-pass token, not a message
-	sampled bool // event engine: fault fate already drawn, deliver as-is
+	lam     int  // Lamport stamp (sender clock + 1)
+	sampled bool // fault fate already drawn, deliver as-is
 }
 
-// envBatchPool recycles the event engine's queue and the async inbox
-// backing arrays: a batch sweep running thousands of simulations would
-// otherwise re-allocate the same queue slices for every run. Batches are
+// envBatchPool recycles the event engine's queue backing arrays: a batch
+// sweep running thousands of simulations would otherwise re-allocate the
+// same queue slices for every run. Batches are
 // zeroed before they are returned so pooled memory never pins protocol
 // payloads.
 var envBatchPool = sync.Pool{

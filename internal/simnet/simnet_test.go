@@ -3,7 +3,6 @@ package simnet
 import (
 	"errors"
 	"math/rand"
-	"sync"
 	"testing"
 
 	"wcdsnet/internal/graph"
@@ -113,11 +112,11 @@ func TestRunSyncFloodLine(t *testing.T) {
 	}
 }
 
-func TestRunAsyncFloodLine(t *testing.T) {
+func TestAsyncFloodLine(t *testing.T) {
 	const n = 10
 	g := lineGraph(t, n)
 	procs := floodProcs(n, 3)
-	stats, err := RunAsync(g, procs)
+	stats, err := EngineAsync.Run(g, procs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,10 +164,10 @@ func TestRunSyncScrambledFloodStillCovers(t *testing.T) {
 	}
 }
 
-func TestRunAsyncScrambled(t *testing.T) {
+func TestAsyncScrambled(t *testing.T) {
 	g := lineGraph(t, 15)
 	procs := floodProcs(15, 14)
-	_, err := RunAsync(g, procs, WithScramble(rand.New(rand.NewSource(9))))
+	_, err := EngineAsync.Run(g, procs, WithScramble(rand.New(rand.NewSource(9))))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +210,7 @@ func TestValidationErrors(t *testing.T) {
 	if _, err := RunSync(g, make([]Proc, 3)); err == nil {
 		t.Error("nil procs accepted")
 	}
-	if _, err := RunAsync(g, make([]Proc, 2)); err == nil {
+	if _, err := EngineAsync.Run(g, make([]Proc, 2)); err == nil {
 		t.Error("async proc count mismatch accepted")
 	}
 }
@@ -246,7 +245,7 @@ func TestMaxDeliveriesExceededAsync(t *testing.T) {
 		&pingPong{peer: 1, starter: true, bounces: -1},
 		&pingPong{peer: 0, bounces: -1},
 	}
-	_, err := RunAsync(g, procs, WithMaxDeliveries(30))
+	_, err := EngineAsync.Run(g, procs, WithMaxDeliveries(30))
 	if !errors.Is(err, ErrMaxDeliveries) {
 		t.Errorf("err = %v, want ErrMaxDeliveries", err)
 	}
@@ -275,15 +274,6 @@ func TestSendToNonNeighbourPanicsSync(t *testing.T) {
 	_, _ = RunSync(g, procs)
 }
 
-func TestSendToNonNeighbourErrorsAsync(t *testing.T) {
-	g := lineGraph(t, 3)
-	procs := []Proc{badSender{}, idleProc{}, idleProc{}}
-	_, err := RunAsync(g, procs)
-	if err == nil {
-		t.Error("expected error from panicking node under async engine")
-	}
-}
-
 func TestIdleProtocolTerminates(t *testing.T) {
 	g := lineGraph(t, 5)
 	procs := make([]Proc, 5)
@@ -294,7 +284,7 @@ func TestIdleProtocolTerminates(t *testing.T) {
 	if err != nil || stats.Messages != 0 || stats.Rounds != 0 {
 		t.Errorf("sync idle: stats=%+v err=%v", stats, err)
 	}
-	stats, err = RunAsync(g, procs)
+	stats, err = EngineAsync.Run(g, procs)
 	if err != nil || stats.Messages != 0 {
 		t.Errorf("async idle: stats=%+v err=%v", stats, err)
 	}
@@ -319,31 +309,6 @@ func TestTraceEventsSync(t *testing.T) {
 	}
 	if delivers != 2*g.M() {
 		t.Errorf("traced deliveries = %d, want %d", delivers, 2*g.M())
-	}
-}
-
-func TestTraceEventsAsyncThreadSafe(t *testing.T) {
-	g := lineGraph(t, 30)
-	var mu sync.Mutex
-	var sends, delivers int
-	stats, err := RunAsync(g, floodProcs(30, 0), WithTrace(func(ev Event) {
-		mu.Lock()
-		defer mu.Unlock()
-		switch ev.Kind {
-		case EventSend:
-			sends++
-		case EventDeliver:
-			delivers++
-		}
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sends != stats.Messages {
-		t.Errorf("traced sends %d != stats messages %d", sends, stats.Messages)
-	}
-	if delivers != stats.Deliveries {
-		t.Errorf("traced deliveries %d != stats deliveries %d", delivers, stats.Deliveries)
 	}
 }
 
@@ -393,7 +358,7 @@ func TestAsyncEquivalentCoverageOnRandomGraphs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		asyncStats, err := RunAsync(g, asyncProcs)
+		asyncStats, err := EngineAsync.Run(g, asyncProcs)
 		if err != nil {
 			t.Fatal(err)
 		}

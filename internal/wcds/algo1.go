@@ -160,13 +160,6 @@ func SyncRunner(opts ...simnet.Option) Runner {
 	}
 }
 
-// AsyncRunner runs protocols on the goroutine-per-node asynchronous engine.
-func AsyncRunner(opts ...simnet.Option) Runner {
-	return func(g *graph.Graph, procs []simnet.Proc) (simnet.Stats, error) {
-		return simnet.RunAsync(g, procs, opts...)
-	}
-}
-
 // EventRunner runs protocols on the event-driven single-scheduler engine —
 // the asynchronous model at million-node scale.
 func EventRunner(opts ...simnet.Option) Runner {
@@ -176,8 +169,8 @@ func EventRunner(opts ...simnet.Option) Runner {
 }
 
 // EngineRunner runs protocols on the named engine; it is the generic form
-// of SyncRunner/AsyncRunner/EventRunner for callers holding a
-// simnet.Engine value.
+// of SyncRunner/EventRunner for callers holding a simnet.Engine value, and
+// the runner for simnet.EngineAsync.
 func EngineRunner(eng simnet.Engine, opts ...simnet.Option) Runner {
 	return func(g *graph.Graph, procs []simnet.Proc) (simnet.Stats, error) {
 		return eng.Run(g, procs, opts...)

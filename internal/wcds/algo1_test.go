@@ -92,7 +92,7 @@ func TestAlgo1DistributedAsyncProperties(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		runner := AsyncRunner(simnet.WithScramble(rand.New(rand.NewSource(int64(trial)))))
+		runner := EngineRunner(simnet.EngineAsync, simnet.WithScramble(rand.New(rand.NewSource(int64(trial)))))
 		res, levels, _, err := Algo1DistributedDetailed(nw.G, nw.ID, runner)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)

@@ -84,7 +84,7 @@ func TestAlgo2DistributedAsyncScheduleIndependent(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := Algo2Centralized(nw.G, nw.ID)
-		runner := AsyncRunner(simnet.WithScramble(rand.New(rand.NewSource(int64(trial * 31)))))
+		runner := EngineRunner(simnet.EngineAsync, simnet.WithScramble(rand.New(rand.NewSource(int64(trial*31)))))
 		got, _, err := Algo2Distributed(nw.G, nw.ID, Deferred, runner)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)

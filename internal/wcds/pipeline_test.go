@@ -47,7 +47,7 @@ func TestZeroKnowledgeAsyncScrambled(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := Algo2Centralized(nw.G, nw.ID)
-		runner := AsyncRunner(simnet.WithScramble(rand.New(rand.NewSource(int64(trial * 13)))))
+		runner := EngineRunner(simnet.EngineAsync, simnet.WithScramble(rand.New(rand.NewSource(int64(trial*13)))))
 		got, _, err := Algo2ZeroKnowledge(nw.G, nw.ID, Deferred, runner)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
@@ -104,7 +104,7 @@ func TestAlgo1ZeroKnowledgeAsyncValid(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		runner := AsyncRunner(simnet.WithScramble(rand.New(rand.NewSource(int64(trial * 11)))))
+		runner := EngineRunner(simnet.EngineAsync, simnet.WithScramble(rand.New(rand.NewSource(int64(trial*11)))))
 		res, _, err := Algo1ZeroKnowledge(nw.G, nw.ID, runner)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)

@@ -141,7 +141,7 @@ func TestAlgo2MISScheduleIndependenceSweep(t *testing.T) {
 	}
 	want := mis.Greedy(nw.G, mis.ByID(nw.ID))
 	for seed := int64(0); seed < 30; seed++ {
-		runner := AsyncRunner(simnet.WithScramble(rand.New(rand.NewSource(seed))))
+		runner := EngineRunner(simnet.EngineAsync, simnet.WithScramble(rand.New(rand.NewSource(seed))))
 		res, _, err := Algo2Distributed(nw.G, nw.ID, Deferred, runner)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)

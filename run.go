@@ -137,7 +137,8 @@ type Engine = simnet.Engine
 const (
 	// EngineSync is the deterministic synchronous-round engine.
 	EngineSync = simnet.EngineSync
-	// EngineAsync is the goroutine-per-node asynchronous engine.
+	// EngineAsync is the asynchronous engine: the event engine under a
+	// per-link seeded scramble, so each seed replays exactly.
 	EngineAsync = simnet.EngineAsync
 	// EngineEvent is the event-driven single-scheduler engine: the
 	// asynchronous model without a goroutine or channel per node, built for
@@ -179,23 +180,25 @@ func Distributed() Option {
 // WithEngine runs the protocol on the named simulation engine — the one
 // engine selector of the API. Implies Distributed.
 //
-// EngineSync is the deterministic synchronous-round reference; EngineAsync
-// is the goroutine-per-node asynchronous engine; EngineEvent implements
-// the same asynchronous model on a single-scheduler event-driven core and
-// is the choice for very large networks (see the README's million-node
-// walkthrough). All three construct the same WCDS in Deferred mode.
+// EngineSync is the deterministic synchronous-round reference; EngineEvent
+// implements the asynchronous model on a single-scheduler event-driven
+// core in deterministic FIFO order and is the choice for very large
+// networks (see the README's million-node walkthrough); EngineAsync is the
+// event engine under a per-link seeded scramble, where every link's copy
+// of a broadcast lands at its own random point of the schedule (seed 0
+// unless WithScheduleSeed gives one). All three construct the same WCDS in
+// Deferred mode.
 func WithEngine(eng Engine) Option {
 	return func(o *runOptions) { o.distributed, o.engine = true, eng }
 }
 
 // WithScheduleSeed scrambles the delivery schedule with a seeded RNG, for
-// exploring schedule-dependence: the async engine interleaves node
-// goroutines through a scrambled inbox, the event engine inserts
-// transmissions at seeded-random queue positions. The synchronous engine
-// ignores it (its round schedule is fixed), as do plain
-// WithEngine(EngineAsync)/WithEngine(EngineEvent) runs without this
-// option, which use the engine's native deterministic order. Implies
-// Distributed.
+// exploring schedule-dependence: the async and event engines both place
+// every per-link copy at its own seeded-random queue position, so the same
+// seed replays the same schedule. The synchronous engine ignores it (its
+// round schedule is fixed). Without this option an EngineEvent run keeps
+// its deterministic FIFO order and an EngineAsync run scrambles with seed
+// 0. Implies Distributed.
 func WithScheduleSeed(seed int64) Option {
 	return func(o *runOptions) { o.distributed, o.scrambled, o.scheduleSeed = true, true, seed }
 }

@@ -333,7 +333,12 @@ func ClusterBy(nw *Network, res Result) (Partition, error) {
 
 // DiscoverNeighbors runs the HELLO-beacon discovery protocol with knowledge
 // radius k (1 or 2) and returns each node's discovered neighbourhood table.
+// async runs it on EngineAsync (seed 0), otherwise on EngineSync.
 func DiscoverNeighbors(nw *Network, k int, async bool) ([]NeighborTable, RunStats, error) {
-	tabs, st, err := discovery.Run(nw.G, nw.ID, k, async)
+	eng := EngineSync
+	if async {
+		eng = EngineAsync
+	}
+	tabs, st, err := discovery.Run(nw.G, nw.ID, k, eng)
 	return tabs, RunStats{Stats: st}, err
 }

@@ -123,7 +123,7 @@ func BenchmarkAlgo1DistributedSync(b *testing.B) {
 	nw := benchNet(b, 500, 12)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := wcds.Algo1Distributed(nw.G, nw.ID, wcds.SyncRunner()); err != nil {
+		if _, _, err := wcds.Algo1Distributed(nw.G, nw.ID, wcds.EngineRunner(simnet.EngineSync)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -133,7 +133,7 @@ func BenchmarkAlgo2DistributedSync(b *testing.B) {
 	nw := benchNet(b, 500, 12)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := wcds.Algo2Distributed(nw.G, nw.ID, wcds.Deferred, wcds.SyncRunner()); err != nil {
+		if _, _, err := wcds.Algo2Distributed(nw.G, nw.ID, wcds.Deferred, wcds.EngineRunner(simnet.EngineSync)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -143,7 +143,7 @@ func BenchmarkAlgo2DistributedAsync(b *testing.B) {
 	nw := benchNet(b, 500, 12)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, _, err := AlgorithmIIDistributed(nw, Deferred, true, int64(i))
+		_, _, err := Run(nw, AlgoII, WithEngine(EngineAsync), WithScheduleSeed(int64(i)))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -156,7 +156,7 @@ func BenchmarkAblationSelectionDeferred(b *testing.B) {
 	nw := benchNet(b, 500, 12)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := wcds.Algo2Distributed(nw.G, nw.ID, wcds.Deferred, wcds.SyncRunner()); err != nil {
+		if _, _, err := wcds.Algo2Distributed(nw.G, nw.ID, wcds.Deferred, wcds.EngineRunner(simnet.EngineSync)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -166,7 +166,7 @@ func BenchmarkAblationSelectionEager(b *testing.B) {
 	nw := benchNet(b, 500, 12)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := wcds.Algo2Distributed(nw.G, nw.ID, wcds.Eager, wcds.SyncRunner()); err != nil {
+		if _, _, err := wcds.Algo2Distributed(nw.G, nw.ID, wcds.Eager, wcds.EngineRunner(simnet.EngineSync)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -211,7 +211,7 @@ func BenchmarkDilationSampled(b *testing.B) {
 
 func BenchmarkRouterConstruct(b *testing.B) {
 	nw := benchNet(b, 500, 12)
-	res, tables, _, err := wcds.Algo2DistributedDetailed(nw.G, nw.ID, wcds.Deferred, wcds.SyncRunner())
+	res, tables, _, err := wcds.Algo2DistributedDetailed(nw.G, nw.ID, wcds.Deferred, wcds.EngineRunner(simnet.EngineSync))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func BenchmarkRouterConstruct(b *testing.B) {
 
 func BenchmarkRouterRoute(b *testing.B) {
 	nw := benchNet(b, 500, 12)
-	res, tables, _, err := wcds.Algo2DistributedDetailed(nw.G, nw.ID, wcds.Deferred, wcds.SyncRunner())
+	res, tables, _, err := wcds.Algo2DistributedDetailed(nw.G, nw.ID, wcds.Deferred, wcds.EngineRunner(simnet.EngineSync))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func BenchmarkZeroKnowledgePipeline(b *testing.B) {
 	nw := benchNet(b, 500, 12)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := wcds.Algo2ZeroKnowledge(nw.G, nw.ID, wcds.Deferred, wcds.SyncRunner()); err != nil {
+		if _, _, err := wcds.Algo2ZeroKnowledge(nw.G, nw.ID, wcds.Deferred, wcds.EngineRunner(simnet.EngineSync)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -286,7 +286,7 @@ func BenchmarkRepairDistributed(b *testing.B) {
 
 func BenchmarkDVTableConstruction(b *testing.B) {
 	nw := benchNet(b, 500, 12)
-	res, tables, _, err := wcds.Algo2DistributedDetailed(nw.G, nw.ID, wcds.Deferred, wcds.SyncRunner())
+	res, tables, _, err := wcds.Algo2DistributedDetailed(nw.G, nw.ID, wcds.Deferred, wcds.EngineRunner(simnet.EngineSync))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -312,7 +312,7 @@ func BenchmarkGeometricSpanners(b *testing.B) {
 
 func BenchmarkBackboneBroadcast(b *testing.B) {
 	nw := benchNet(b, 500, 12)
-	res, tables, _, err := wcds.Algo2DistributedDetailed(nw.G, nw.ID, wcds.Deferred, wcds.SyncRunner())
+	res, tables, _, err := wcds.Algo2DistributedDetailed(nw.G, nw.ID, wcds.Deferred, wcds.EngineRunner(simnet.EngineSync))
 	if err != nil {
 		b.Fatal(err)
 	}

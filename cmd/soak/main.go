@@ -24,9 +24,9 @@ import (
 	"wcdsnet/internal/mis"
 	"wcdsnet/internal/route"
 	"wcdsnet/internal/simnet"
-	"wcdsnet/internal/simnet/reliable"
 	"wcdsnet/internal/spanner"
 	"wcdsnet/internal/udg"
+	"wcdsnet/internal/wcds"
 )
 
 func main() {
@@ -128,14 +128,14 @@ func verifyInstance(rng *rand.Rand, nw *udg.Network) error {
 	if !equal(dSync.Dominators, res2.Dominators) {
 		return fmt.Errorf("sync distributed Algorithm II diverged")
 	}
-	dAsync, _, err := wcdsnet.Run(nw, wcdsnet.AlgoII, wcdsnet.Async(rng.Int63()))
+	dAsync, _, err := wcdsnet.Run(nw, wcdsnet.AlgoII, wcdsnet.WithEngine(wcdsnet.EngineAsync), wcdsnet.WithScheduleSeed(rng.Int63()))
 	if err != nil {
 		return err
 	}
 	if !equal(dAsync.Dominators, res2.Dominators) {
 		return fmt.Errorf("async distributed Algorithm II diverged")
 	}
-	zk, _, err := wcdsnet.Run(nw, wcdsnet.AlgoII, wcdsnet.Async(rng.Int63()), wcdsnet.ZeroKnowledge())
+	zk, _, err := wcdsnet.Run(nw, wcdsnet.AlgoII, wcdsnet.WithEngine(wcdsnet.EngineAsync), wcdsnet.WithScheduleSeed(rng.Int63()), wcdsnet.ZeroKnowledge())
 	if err != nil {
 		return err
 	}
@@ -198,13 +198,10 @@ func verifyInstance(rng *rand.Rand, nw *udg.Network) error {
 	// The same repair round over a lossy simnet (seeded 10% drop) with the
 	// reliable ack/retransmit layer: loss must not cost correctness.
 	plan := simnet.FaultPlan{Seed: rng.Int63(), DropRate: 0.1}
+	lossy := wcds.RunSpec{Faults: &plan, MaxRounds: 200*nw.N() + 4000, Reliable: true}.Runner()
 	lossySet, _, _, err := maintain.RepairMISDistributed(nw.G, nw.ID, mask,
 		func(g *wcdsnet.Graph, procs []simnet.Proc) (simnet.Stats, error) {
-			wrapped, col := reliable.Wrap(procs, reliable.Options{})
-			st, err := simnet.RunSync(g, wrapped,
-				simnet.WithFaults(plan),
-				simnet.WithMaxRounds(200*g.N()+4000))
-			col.MergeInto(&st)
+			st, err := lossy(g, procs)
 			if err == nil && st.Abandoned > 0 {
 				err = fmt.Errorf("reliable layer abandoned %d frames", st.Abandoned)
 			}

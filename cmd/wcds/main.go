@@ -255,7 +255,7 @@ func runWithTimeline(nw *wcdsnet.Network, algoName string, phases bool) (wcdsnet
 		rec = obs.NewSpans()
 		opts = append(opts, wcds.ObserveOption(rec))
 	}
-	runner := wcds.SyncRunner(opts...)
+	runner := wcds.EngineRunner(simnet.EngineSync, opts...)
 	var (
 		res   wcdsnet.Result
 		stats simnet.Stats
@@ -280,7 +280,7 @@ func runAlgo(nw *wcdsnet.Network, which wcdsnet.Algorithm, engine string, seed, 
 	case "sync":
 		opts = append(opts, wcdsnet.Distributed())
 	case "async":
-		opts = append(opts, wcdsnet.Async(seed))
+		opts = append(opts, wcdsnet.WithEngine(wcdsnet.EngineAsync), wcdsnet.WithScheduleSeed(seed))
 	case "event":
 		opts = append(opts, wcdsnet.WithEngine(wcdsnet.EngineEvent))
 	default:

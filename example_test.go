@@ -24,9 +24,12 @@ func chainNetwork() *wcdsnet.Network {
 	return nw
 }
 
-func ExampleAlgorithmII() {
+func ExampleRun() {
 	nw := chainNetwork()
-	res := wcdsnet.AlgorithmII(nw)
+	res, _, err := wcdsnet.Run(nw, wcdsnet.AlgoII)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println("MIS dominators:", res.MISDominators)
 	fmt.Println("additional dominators:", res.AdditionalDominators)
 	fmt.Println("is WCDS:", wcdsnet.IsWCDS(nw, res.Dominators))
@@ -38,9 +41,12 @@ func ExampleAlgorithmII() {
 	// spanner edges: 6
 }
 
-func ExampleAlgorithmI() {
+func ExampleRun_algorithmI() {
 	nw := chainNetwork()
-	res := wcdsnet.AlgorithmI(nw)
+	res, _, err := wcdsnet.Run(nw, wcdsnet.AlgoI)
+	if err != nil {
+		log.Fatal(err)
+	}
 	// The level-ranked MIS is itself a WCDS (Theorem 5): no connectors.
 	fmt.Println("dominators:", res.Dominators)
 	fmt.Println("additional:", len(res.AdditionalDominators))
@@ -51,11 +57,11 @@ func ExampleAlgorithmI() {
 	// is WCDS: true
 }
 
-func ExampleAlgorithmIIDistributed() {
+func ExampleRun_distributed() {
 	nw := chainNetwork()
 	// The synchronous engine is deterministic and, in Deferred mode,
 	// reproduces the centralized result exactly.
-	res, stats, err := wcdsnet.AlgorithmIIDistributed(nw, wcdsnet.Deferred, false, 0)
+	res, stats, err := wcdsnet.Run(nw, wcdsnet.AlgoII, wcdsnet.WithEngine(wcdsnet.EngineSync))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,14 +1,17 @@
 package wcdsnet
 
-import "testing"
+import (
+	"errors"
+	"testing"
+)
 
 func TestZeroKnowledgeFacade(t *testing.T) {
 	nw, err := GenerateNetwork(21, 70, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := AlgorithmII(nw)
-	got, stats, err := AlgorithmIIZeroKnowledge(nw, Deferred, false, 0)
+	want, _ := mustRun(t, nw, AlgoII)
+	got, stats, err := Run(nw, AlgoII, ZeroKnowledge())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +27,7 @@ func TestZeroKnowledgeFacade(t *testing.T) {
 		t.Errorf("messages = %d, expected more than one HELLO per node", stats.Messages)
 	}
 	// Async variant too.
-	gotAsync, _, err := AlgorithmIIZeroKnowledge(nw, Deferred, true, 5)
+	gotAsync, _, err := Run(nw, AlgoII, ZeroKnowledge(), WithEngine(EngineAsync), WithScheduleSeed(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +43,7 @@ func TestClusterByFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := AlgorithmII(nw)
+	res, _ := mustRun(t, nw, AlgoII)
 	p, err := ClusterBy(nw, res)
 	if err != nil {
 		t.Fatal(err)
@@ -65,18 +68,25 @@ func TestDiscoverNeighborsFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tables, stats, err := DiscoverNeighbors(nw, 2, false)
-	if err != nil {
-		t.Fatal(err)
+	for _, eng := range []Engine{EngineSync, EngineAsync, EngineEvent} {
+		tables, stats, err := DiscoverNeighbors(nw, 2, eng)
+		if err != nil {
+			t.Fatalf("%v: %v", eng, err)
+		}
+		if len(tables) != nw.N() {
+			t.Fatalf("%v: tables = %d", eng, len(tables))
+		}
+		if stats.Messages != 2*nw.N() {
+			t.Errorf("%v: messages = %d, want %d", eng, stats.Messages, 2*nw.N())
+		}
+		// Every node's one-hop table matches the graph exactly.
+		for v := range tables {
+			if len(tables[v].OneHop) != nw.G.Degree(v) {
+				t.Fatalf("%v: node %d discovered %d neighbours of %d", eng, v, len(tables[v].OneHop), nw.G.Degree(v))
+			}
+		}
 	}
-	if len(tables) != nw.N() {
-		t.Fatalf("tables = %d", len(tables))
-	}
-	if stats.Messages != 2*nw.N() {
-		t.Errorf("messages = %d, want %d", stats.Messages, 2*nw.N())
-	}
-	// The first node's one-hop table must match the graph exactly.
-	if len(tables[0].OneHop) != nw.G.Degree(0) {
-		t.Errorf("node 0 discovered %d neighbours of %d", len(tables[0].OneHop), nw.G.Degree(0))
+	if _, _, err := DiscoverNeighbors(nw, 2, Engine(9)); !errors.Is(err, ErrInvalidInput) {
+		t.Errorf("unknown engine: err %v, want ErrInvalidInput", err)
 	}
 }

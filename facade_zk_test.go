@@ -9,8 +9,8 @@ func TestAlgorithmIZeroKnowledgeFacade(t *testing.T) {
 	}
 	// Sync zero-knowledge Algorithm I equals the centralized reference
 	// (lockstep HELLO phase preserves the BFS election tree).
-	want := AlgorithmI(nw)
-	got, stats, err := AlgorithmIZeroKnowledge(nw, false, 0)
+	want, _ := mustRun(t, nw, AlgoI)
+	got, stats, err := Run(nw, AlgoI, ZeroKnowledge())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +26,7 @@ func TestAlgorithmIZeroKnowledgeFacade(t *testing.T) {
 		t.Error("no messages recorded")
 	}
 	// Async variant must still be a valid WCDS.
-	res, _, err := AlgorithmIZeroKnowledge(nw, true, 3)
+	res, _, err := Run(nw, AlgoI, ZeroKnowledge(), WithEngine(EngineAsync), WithScheduleSeed(3))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,7 @@ func TestFullStack(t *testing.T) {
 	}
 
 	// Stage 1: neighbour discovery matches ground truth.
-	tables1, _, err := DiscoverNeighbors(nw, 1, false)
+	tables1, _, err := DiscoverNeighbors(nw, 1, EngineSync)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,8 +29,8 @@ func TestFullStack(t *testing.T) {
 	}
 
 	// Stage 2: zero-knowledge backbone equals the centralized reference.
-	want := AlgorithmII(nw)
-	res, _, err := AlgorithmIIZeroKnowledge(nw, Deferred, false, 0)
+	want, _ := mustRun(t, nw, AlgoII)
+	res, _, err := Run(nw, AlgoII, ZeroKnowledge())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"wcdsnet/internal/simnet"
 	"wcdsnet/internal/udg"
 	"wcdsnet/internal/wcds"
 )
@@ -106,7 +107,7 @@ func TestDistributedRun(t *testing.T) {
 	// The distributed protocols must reproduce their centralized references.
 	for _, name := range DistributedNames() {
 		c, _ := Lookup(name)
-		res, st, err := DistributedRun(c, nw.G, nw.ID, wcds.Deferred, false, wcds.SyncRunner())
+		res, st, err := DistributedRun(c, nw.G, nw.ID, wcds.Deferred, false, wcds.EngineRunner(simnet.EngineSync))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -124,12 +125,12 @@ func TestDistributedRun(t *testing.T) {
 
 	// Centralized-only constructions are rejected with the distributed list.
 	c, _ := Lookup("greedy-cds")
-	if _, _, err := DistributedRun(c, nw.G, nw.ID, wcds.Deferred, false, wcds.SyncRunner()); err == nil {
+	if _, _, err := DistributedRun(c, nw.G, nw.ID, wcds.Deferred, false, wcds.EngineRunner(simnet.EngineSync)); err == nil {
 		t.Fatal("DistributedRun accepted a centralized-only construction")
 	} else if !strings.Contains(err.Error(), "I, II") {
 		t.Errorf("error %q does not enumerate the distributed protocols", err)
 	}
-	if _, _, err := DistributedRun(nil, nw.G, nw.ID, wcds.Deferred, false, wcds.SyncRunner()); err == nil {
+	if _, _, err := DistributedRun(nil, nw.G, nw.ID, wcds.Deferred, false, wcds.EngineRunner(simnet.EngineSync)); err == nil {
 		t.Fatal("DistributedRun accepted a nil construction")
 	}
 }

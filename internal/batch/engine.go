@@ -117,7 +117,7 @@ func (m *netMemo) detailed(ctx context.Context) (*udg.Network, wcds.Result, []bo
 		// first caller's context is sound: a cancellation that interrupts
 		// this construction would have interrupted every other consumer too.
 		res, tables, _, err := wcds.Algo2DistributedDetailed(nw.G, nw.ID, wcds.Deferred,
-			wcds.SyncRunner(simnet.WithContext(ctx)))
+			wcds.EngineRunner(simnet.EngineSync, simnet.WithContext(ctx)))
 		if err != nil {
 			m.detErr = fmt.Errorf("batch: backbone construction failed: %w", err)
 			return
@@ -481,8 +481,18 @@ func execScenario(ctx context.Context, sc Scenario, w *Workload, memo *netMemo, 
 			res wcds.Result
 			st  simnet.Stats
 		)
+		eng, _ := simnet.ParseEngine(w.Engine)
 		rec := obs.NewSpans()
-		runner := runnerFor(ctx, w, rec)
+		runner := wcds.RunSpec{
+			Engine:          eng,
+			ScheduleSeed:    w.ScheduleSeed,
+			Faults:          w.Faults,
+			MaxRounds:       w.MaxRounds,
+			Ctx:             ctx,
+			Reliable:        w.Reliable,
+			ReliableOptions: reliable.Options{MaxRetries: w.MaxRetries},
+			Phases:          rec,
+		}.Runner()
 		mode := wcds.Deferred
 		if w.Selection == "eager" {
 			mode = wcds.Eager
@@ -529,30 +539,4 @@ func fillBackbone(r *Result, nw *udg.Network, res wcds.Result, c *algo.Construct
 	if nw.N() > 0 {
 		r.Ratio = float64(r.Backbone) / float64(nw.N())
 	}
-}
-
-// runnerFor compiles a distributed workload into a protocol runner,
-// mirroring the service's option mapping. ctx makes the run interruptible
-// mid-flight; rec (when non-nil) collects the per-phase breakdown.
-func runnerFor(ctx context.Context, w *Workload, rec *obs.Spans) wcds.Runner {
-	opts := []simnet.Option{simnet.WithContext(ctx)}
-	eng, _ := simnet.ParseEngine(w.Engine)
-	opts = append(opts, simnet.ScheduleScramble(eng, w.ScheduleSeed))
-	if w.Faults != nil {
-		opts = append(opts, simnet.WithFaults(*w.Faults))
-	}
-	if w.MaxRounds > 0 {
-		opts = append(opts, simnet.WithMaxRounds(w.MaxRounds))
-	}
-	if rec != nil {
-		opts = append(opts, wcds.ObserveOption(rec))
-	}
-	if w.Reliable {
-		ropt := reliable.Options{MaxRetries: w.MaxRetries}
-		if rec != nil {
-			ropt.Observer, ropt.Phase = rec, wcds.PhaseOf
-		}
-		return wcds.ReliableRunner(eng, ropt, opts...)
-	}
-	return wcds.EngineRunner(eng, opts...)
 }

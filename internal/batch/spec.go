@@ -125,35 +125,9 @@ func (w *Workload) normalize(i int) error {
 	if w.Kind == Dilation && construction.Kind == algo.KindDS {
 		return fmt.Errorf("batch: workload %d: dilation is undefined for %q: a plain dominating set's weakly-induced spanner need not be connected", i, w.Algorithm)
 	}
-	mode := strings.ToLower(w.Mode)
-	switch mode {
-	case "", "centralized", "sync", "async", "event":
-	default:
-		return fmt.Errorf("batch: workload %d: unknown mode %q (want centralized, sync, async or event)", i, w.Mode)
-	}
-	engine := strings.ToLower(w.Engine)
-	switch engine {
-	case "", "sync", "async", "event":
-	default:
-		return fmt.Errorf("batch: workload %d: unknown engine %q (want sync, async or event)", i, w.Engine)
-	}
-	// Mode and Engine are one knob wearing two names (Mode predates the
-	// event engine and carries the extra "centralized" value): fill each
-	// from the other and reject contradictions.
-	switch {
-	case engine == "":
-		if mode == "" {
-			mode = "centralized"
-		}
-		if mode != "centralized" {
-			engine = mode
-		}
-	case mode == "":
-		mode = engine
-	case mode == "centralized":
-		return fmt.Errorf("batch: workload %d: engine %q contradicts centralized mode", i, w.Engine)
-	case mode != engine:
-		return fmt.Errorf("batch: workload %d: mode %q and engine %q disagree", i, w.Mode, w.Engine)
+	mode, engine, err := simnet.NormalizeEngine(w.Mode, w.Engine)
+	if err != nil {
+		return fmt.Errorf("batch: workload %d: %w", i, err)
 	}
 	w.Mode, w.Engine = mode, engine
 	if w.Mode != "centralized" && !construction.Caps.Distributed {
@@ -173,7 +147,7 @@ func (w *Workload) normalize(i int) error {
 	}
 	faulty := w.Faults != nil || w.Reliable || w.MaxRetries != 0 || w.MaxRounds != 0
 	if w.Kind == Backbone && faulty && w.Mode == "centralized" {
-		return fmt.Errorf("batch: workload %d: faults/reliable/maxRetries/maxRounds require mode sync or async", i)
+		return fmt.Errorf("batch: workload %d: faults/reliable/maxRetries/maxRounds require a distributed mode (sync, async or event)", i)
 	}
 	if w.Kind != Backbone && faulty {
 		return fmt.Errorf("batch: workload %d: faults/reliable budgets apply to backbone workloads only", i)

@@ -295,19 +295,20 @@ func reliableDistributed(nw *udg.Network, plan simnet.FaultPlan, cfg Config) (wc
 		// retransmission epochs beyond the paper's lossless bounds.
 		maxRounds = 200*nw.N() + 5000
 	}
-	rec := obs.NewSpans()
-	opts := []simnet.Option{
-		simnet.WithFaults(plan),
-		simnet.WithMaxRounds(maxRounds),
-		wcds.ObserveOption(rec),
-	}
 	eng := simnet.EngineSync
 	if cfg.Async {
 		eng = simnet.EngineAsync
 	}
-	opts = append(opts, simnet.ScheduleScramble(eng, plan.Seed))
-	ropt := reliable.Options{MaxRetries: cfg.MaxRetries, Observer: rec, Phase: wcds.PhaseOf}
-	runner := wcds.ReliableRunner(eng, ropt, opts...)
+	rec := obs.NewSpans()
+	runner := wcds.RunSpec{
+		Engine:          eng,
+		ScheduleSeed:    plan.Seed,
+		Faults:          &plan,
+		MaxRounds:       maxRounds,
+		Reliable:        true,
+		ReliableOptions: reliable.Options{MaxRetries: cfg.MaxRetries},
+		Phases:          rec,
+	}.Runner()
 	c, ok := algo.Lookup(cfg.Algorithm)
 	if !ok {
 		return wcds.Result{}, simnet.Stats{}, nil, fmt.Errorf("chaos: unknown algorithm %q", cfg.Algorithm)

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 
 	"wcdsnet/internal/mis"
+	"wcdsnet/internal/simnet"
 	"wcdsnet/internal/stats"
 	"wcdsnet/internal/wcds"
 )
@@ -30,11 +31,11 @@ func RunA1(cfg Config) (Result, error) {
 				if err != nil {
 					return Result{}, err
 				}
-				dRes, dStats, err := wcds.Algo2Distributed(nw.G, nw.ID, wcds.Deferred, wcds.SyncRunner())
+				dRes, dStats, err := wcds.Algo2Distributed(nw.G, nw.ID, wcds.Deferred, wcds.EngineRunner(simnet.EngineSync))
 				if err != nil {
 					return Result{}, err
 				}
-				eRes, eStats, err := wcds.Algo2Distributed(nw.G, nw.ID, wcds.Eager, wcds.SyncRunner())
+				eRes, eStats, err := wcds.Algo2Distributed(nw.G, nw.ID, wcds.Eager, wcds.EngineRunner(simnet.EngineSync))
 				if err != nil {
 					return Result{}, err
 				}

@@ -10,6 +10,7 @@ import (
 	"wcdsnet/internal/maintain"
 	"wcdsnet/internal/mis"
 	"wcdsnet/internal/route"
+	"wcdsnet/internal/simnet"
 	"wcdsnet/internal/spanner"
 	"wcdsnet/internal/stats"
 	"wcdsnet/internal/udg"
@@ -88,11 +89,11 @@ func RunE7(cfg Config) (Result, error) {
 			if err != nil {
 				return Result{}, err
 			}
-			_, s1, err := wcds.Algo1Distributed(nw.G, nw.ID, wcds.SyncRunner())
+			_, s1, err := wcds.Algo1Distributed(nw.G, nw.ID, wcds.EngineRunner(simnet.EngineSync))
 			if err != nil {
 				return Result{}, err
 			}
-			_, s2, err := wcds.Algo2Distributed(nw.G, nw.ID, wcds.Deferred, wcds.SyncRunner())
+			_, s2, err := wcds.Algo2Distributed(nw.G, nw.ID, wcds.Deferred, wcds.EngineRunner(simnet.EngineSync))
 			if err != nil {
 				return Result{}, err
 			}
@@ -235,7 +236,7 @@ func RunE9(cfg Config) (Result, error) {
 				if err != nil {
 					return Result{}, err
 				}
-				res, tables, _, err := wcds.Algo2DistributedDetailed(nw.G, nw.ID, wcds.Deferred, wcds.SyncRunner())
+				res, tables, _, err := wcds.Algo2DistributedDetailed(nw.G, nw.ID, wcds.Deferred, wcds.EngineRunner(simnet.EngineSync))
 				if err != nil {
 					return Result{}, err
 				}

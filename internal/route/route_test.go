@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"wcdsnet/internal/graph"
+	"wcdsnet/internal/simnet"
 	"wcdsnet/internal/udg"
 	"wcdsnet/internal/wcds"
 )
@@ -17,7 +18,7 @@ func buildBackbone(t *testing.T, rng *rand.Rand, n int, deg float64) (*udg.Netwo
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, tables, _, err := wcds.Algo2DistributedDetailed(nw.G, nw.ID, wcds.Deferred, wcds.SyncRunner())
+	res, tables, _, err := wcds.Algo2DistributedDetailed(nw.G, nw.ID, wcds.Deferred, wcds.EngineRunner(simnet.EngineSync))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,8 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+
+	"wcdsnet/internal/batch"
 )
 
 func TestHTTPStatusMapping(t *testing.T) {
@@ -117,23 +119,36 @@ func TestNormalizeEngine(t *testing.T) {
 		{"turbo", "", "", "", true},
 		{"", "turbo", "", "", true},
 	}
+	// The same table runs through both wire surfaces that carry the pair:
+	// one parser (simnet.NormalizeEngine) must give one decision, one
+	// canonical pair and each surface's own error wrapping.
 	for _, c := range cases {
-		mode, engine, err := NormalizeEngine(c.mode, c.engine)
+		req := BackboneRequest{Mode: c.mode, Engine: c.engine}
+		reqErr := req.Normalize()
+		spec := batch.Spec{Sizes: []int{10}, Degrees: []float64{4}, Seeds: []int64{1},
+			Workloads: []batch.Workload{{Mode: c.mode, Engine: c.engine}}}
+		specErr := spec.Validate()
 		if c.wantErr {
-			if err == nil {
-				t.Errorf("NormalizeEngine(%q, %q) accepted, want error", c.mode, c.engine)
-			} else if !errors.Is(err, ErrInvalidInput) {
-				t.Errorf("NormalizeEngine(%q, %q) error does not wrap ErrInvalidInput: %v", c.mode, c.engine, err)
+			if reqErr == nil || specErr == nil {
+				t.Errorf("(%q, %q) accepted (backbone err %v, batch err %v), want error", c.mode, c.engine, reqErr, specErr)
+				continue
+			}
+			if !errors.Is(reqErr, ErrInvalidInput) {
+				t.Errorf("(%q, %q) backbone error does not wrap ErrInvalidInput: %v", c.mode, c.engine, reqErr)
+			}
+			if !strings.HasPrefix(specErr.Error(), "batch: workload 0: ") {
+				t.Errorf("(%q, %q) batch error lost its workload prefix: %v", c.mode, c.engine, specErr)
 			}
 			continue
 		}
-		if err != nil {
-			t.Errorf("NormalizeEngine(%q, %q): %v", c.mode, c.engine, err)
+		if reqErr != nil || specErr != nil {
+			t.Errorf("(%q, %q): backbone err %v, batch err %v", c.mode, c.engine, reqErr, specErr)
 			continue
 		}
-		if mode != c.wantMode || engine != c.wantEngine {
-			t.Errorf("NormalizeEngine(%q, %q) = (%q, %q), want (%q, %q)",
-				c.mode, c.engine, mode, engine, c.wantMode, c.wantEngine)
+		w := spec.Workloads[0]
+		if req.Mode != c.wantMode || req.Engine != c.wantEngine || w.Mode != c.wantMode || w.Engine != c.wantEngine {
+			t.Errorf("(%q, %q) = backbone (%q, %q), batch (%q, %q), want (%q, %q)",
+				c.mode, c.engine, req.Mode, req.Engine, w.Mode, w.Engine, c.wantMode, c.wantEngine)
 		}
 	}
 }

@@ -183,8 +183,9 @@ type BackboneRequest struct {
 	// seed; engine "sync" ignores it.
 	ScheduleSeed int64 `json:"scheduleSeed,omitempty"`
 
-	// Faults injects the given fault plan into the distributed run
-	// (modes "sync"/"async" only). See simnet.FaultPlan for the schema.
+	// Faults injects the given fault plan into the distributed run (any
+	// distributed mode: "sync", "async" or "event"). See simnet.FaultPlan
+	// for the schema.
 	Faults *simnet.FaultPlan `json:"faults,omitempty"`
 	// Reliable wraps the protocol in the ack/retransmit layer so it
 	// converges under loss; implied counters appear in the response.
@@ -247,44 +248,6 @@ type BackboneResponse struct {
 	Abandoned      int `json:"abandoned,omitempty"`
 }
 
-// NormalizeEngine canonicalises the paired mode/engine enums shared by the
-// backbone, batch and session surfaces (schema v5). Mode predates the
-// event engine and carries the extra "centralized" value; Engine names the
-// simulation engine of a distributed run. Either may be given — each is
-// filled from the other, contradictions are rejected, and the normalized
-// pair satisfies mode == engine for every distributed mode (engine is ""
-// exactly when mode is "centralized").
-func NormalizeEngine(mode, engine string) (string, string, error) {
-	mode = strings.ToLower(mode)
-	switch mode {
-	case "", "centralized", "sync", "async", "event":
-	default:
-		return "", "", Errorf("unknown mode %q (want centralized, sync, async or event)", mode)
-	}
-	engine = strings.ToLower(engine)
-	switch engine {
-	case "", "sync", "async", "event":
-	default:
-		return "", "", Errorf("unknown engine %q (want sync, async or event)", engine)
-	}
-	switch {
-	case engine == "":
-		if mode == "" {
-			mode = "centralized"
-		}
-		if mode != "centralized" {
-			engine = mode
-		}
-	case mode == "":
-		mode = engine
-	case mode == "centralized":
-		return "", "", Errorf("engine %q contradicts centralized mode", engine)
-	case mode != engine:
-		return "", "", Errorf("mode %q and engine %q disagree", mode, engine)
-	}
-	return mode, engine, nil
-}
-
 // Normalize canonicalises the request in place (default and case-fold the
 // enum fields) and validates the field combination.
 func (req *BackboneRequest) Normalize() error {
@@ -299,9 +262,9 @@ func (req *BackboneRequest) Normalize() error {
 	if req.WeightSeed != 0 && !construction.Caps.Weighted {
 		return Errorf("weightSeed applies to weighted algorithms only (got %q)", req.Algorithm)
 	}
-	mode, engine, err := NormalizeEngine(req.Mode, req.Engine)
+	mode, engine, err := simnet.NormalizeEngine(req.Mode, req.Engine)
 	if err != nil {
-		return err
+		return Errorf("%v", err)
 	}
 	req.Mode, req.Engine = mode, engine
 	if req.Mode != "centralized" && !construction.Caps.Distributed {

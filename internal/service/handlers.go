@@ -185,29 +185,25 @@ func (s *Service) computeBackbone(ctx context.Context, req *BackboneRequest) (*B
 }
 
 // runnerFor maps a request to a protocol runner; nil means centralized.
-// Fault plans compile into engine options here; the reliable layer wraps
-// the procs when requested. Distributed runners carry the request context
-// (so the per-request deadline interrupts the run mid-flight) and a phase
-// recorder (so the response reports the per-phase breakdown).
+// Distributed runners carry the request context (so the per-request
+// deadline interrupts the run mid-flight) and a phase recorder (so the
+// response reports the per-phase breakdown).
 func runnerFor(ctx context.Context, req *BackboneRequest) (wcds.Runner, *obs.Spans) {
 	if req.Mode == "centralized" {
 		return nil, nil
 	}
-	rec := obs.NewSpans()
-	opts := []simnet.Option{simnet.WithContext(ctx), wcds.ObserveOption(rec)}
 	eng, _ := simnet.ParseEngine(req.Engine)
-	opts = append(opts, simnet.ScheduleScramble(eng, req.ScheduleSeed))
-	if req.Faults != nil {
-		opts = append(opts, simnet.WithFaults(*req.Faults))
-	}
-	if req.MaxRounds > 0 {
-		opts = append(opts, simnet.WithMaxRounds(req.MaxRounds))
-	}
-	if req.Reliable {
-		ropt := reliable.Options{MaxRetries: req.MaxRetries, Observer: rec, Phase: wcds.PhaseOf}
-		return wcds.ReliableRunner(eng, ropt, opts...), rec
-	}
-	return wcds.EngineRunner(eng, opts...), rec
+	rec := obs.NewSpans()
+	return wcds.RunSpec{
+		Engine:          eng,
+		ScheduleSeed:    req.ScheduleSeed,
+		Faults:          req.Faults,
+		MaxRounds:       req.MaxRounds,
+		Ctx:             ctx,
+		Reliable:        req.Reliable,
+		ReliableOptions: reliable.Options{MaxRetries: req.MaxRetries},
+		Phases:          rec,
+	}.Runner(), rec
 }
 
 func selectionFor(sel string) wcds.SelectionMode {
@@ -321,7 +317,7 @@ func computeBroadcast(ctx context.Context, req *BroadcastRequest) (*BroadcastRes
 		return nil, api.Errorf("source %d out of range for %d nodes", req.Source, nw.N())
 	}
 	res, tables, _, err := wcds.Algo2DistributedDetailed(nw.G, nw.ID, wcds.Deferred,
-		wcds.SyncRunner(simnet.WithContext(ctx)))
+		wcds.EngineRunner(simnet.EngineSync, simnet.WithContext(ctx)))
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		return nil, err
 	}

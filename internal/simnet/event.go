@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 
 	"wcdsnet/internal/graph"
 	"wcdsnet/internal/obs"
@@ -63,6 +64,36 @@ func ParseEngine(s string) (eng Engine, ok bool) {
 	return EngineSync, false
 }
 
+// NormalizeEngine canonicalises the paired mode/engine wire enums of the
+// backbone and batch surfaces. Mode predates the event engine and carries
+// the extra "centralized" value; engine names the simulation engine of a
+// distributed run. Either may be given, in any case: each is filled from
+// the other and contradictions are rejected. The normalized pair has
+// mode == engine for every distributed mode, and engine == "" exactly when
+// mode is "centralized" (the default).
+func NormalizeEngine(mode, engine string) (string, string, error) {
+	mode, engine = strings.ToLower(mode), strings.ToLower(engine)
+	if _, ok := ParseEngine(mode); !ok && mode != "" && mode != "centralized" {
+		return "", "", fmt.Errorf("unknown mode %q (want centralized, sync, async or event)", mode)
+	}
+	if _, ok := ParseEngine(engine); !ok && engine != "" {
+		return "", "", fmt.Errorf("unknown engine %q (want sync, async or event)", engine)
+	}
+	switch {
+	case engine == "" && (mode == "" || mode == "centralized"):
+		return "centralized", "", nil
+	case engine == "":
+		return mode, mode, nil
+	case mode == "":
+		return engine, engine, nil
+	case mode == "centralized":
+		return "", "", fmt.Errorf("engine %q contradicts centralized mode", engine)
+	case mode != engine:
+		return "", "", fmt.Errorf("mode %q and engine %q disagree", mode, engine)
+	}
+	return mode, engine, nil
+}
+
 // Run dispatches to the engine's entry point, so callers holding an Engine
 // value need no switch of their own.
 func (e Engine) Run(g *graph.Graph, procs []Proc, opts ...Option) (Stats, error) {
@@ -77,8 +108,8 @@ func (e Engine) Run(g *graph.Graph, procs []Proc, opts ...Option) (Stats, error)
 }
 
 // ScheduleScramble returns the schedule option for a run on eng with the
-// given schedule seed. It is the one rule the service, the batch engine and
-// the chaos harness share: async runs always scramble, with seed (0 when
+// given schedule seed. It is the one scramble rule, applied for every
+// surface by wcds.RunSpec: async runs always scramble, with seed (0 when
 // the caller gave none); event runs scramble only for a non-zero seed and
 // otherwise keep their deterministic FIFO order; sync runs keep their fixed
 // round order.

@@ -149,34 +149,6 @@ func Algo1Distributed(g *graph.Graph, ids []int, run Runner) (Result, simnet.Sta
 	return res, stats, err
 }
 
-// Runner abstracts the simulation engine choice for the distributed
-// constructions.
-type Runner func(g *graph.Graph, procs []simnet.Proc) (simnet.Stats, error)
-
-// SyncRunner runs protocols on the deterministic synchronous-round engine.
-func SyncRunner(opts ...simnet.Option) Runner {
-	return func(g *graph.Graph, procs []simnet.Proc) (simnet.Stats, error) {
-		return simnet.RunSync(g, procs, opts...)
-	}
-}
-
-// EventRunner runs protocols on the event-driven single-scheduler engine —
-// the asynchronous model at million-node scale.
-func EventRunner(opts ...simnet.Option) Runner {
-	return func(g *graph.Graph, procs []simnet.Proc) (simnet.Stats, error) {
-		return simnet.RunEvent(g, procs, opts...)
-	}
-}
-
-// EngineRunner runs protocols on the named engine; it is the generic form
-// of SyncRunner/EventRunner for callers holding a simnet.Engine value, and
-// the runner for simnet.EngineAsync.
-func EngineRunner(eng simnet.Engine, opts ...simnet.Option) Runner {
-	return func(g *graph.Graph, procs []simnet.Proc) (simnet.Stats, error) {
-		return eng.Run(g, procs, opts...)
-	}
-}
-
 // Levels extracts the spanning-tree level of every node after a distributed
 // Algorithm I run — exposed for tests that compare the distributed marking
 // with the centralized greedy over the same ranking.

@@ -71,7 +71,7 @@ func TestAlgo1DistributedSyncMatchesCentralized(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := Algo1Centralized(nw.G, nw.ID)
-		got, stats, err := Algo1Distributed(nw.G, nw.ID, SyncRunner())
+		got, stats, err := Algo1Distributed(nw.G, nw.ID, EngineRunner(simnet.EngineSync))
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -118,7 +118,7 @@ func TestAlgo1DistributedAsyncProperties(t *testing.T) {
 
 func TestAlgo1DistributedSingleNode(t *testing.T) {
 	g := pathGraph(t, 1)
-	res, _, err := Algo1Distributed(g, []int{7}, SyncRunner())
+	res, _, err := Algo1Distributed(g, []int{7}, EngineRunner(simnet.EngineSync))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestAlgo1MessageComplexity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, stats, err := Algo1Distributed(nw.G, nw.ID, SyncRunner())
+	_, stats, err := Algo1Distributed(nw.G, nw.ID, EngineRunner(simnet.EngineSync))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,7 +59,7 @@ func TestAlgo2DistributedSyncMatchesCentralized(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := Algo2Centralized(nw.G, nw.ID)
-		got, _, err := Algo2Distributed(nw.G, nw.ID, Deferred, SyncRunner())
+		got, _, err := Algo2Distributed(nw.G, nw.ID, Deferred, EngineRunner(simnet.EngineSync))
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -106,7 +106,7 @@ func TestAlgo2EagerStillValid(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, _, err := Algo2Distributed(nw.G, nw.ID, Eager, SyncRunner())
+		res, _, err := Algo2Distributed(nw.G, nw.ID, Eager, EngineRunner(simnet.EngineSync))
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -164,7 +164,7 @@ func TestAlgo2ThreeHopTablesComplete(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, tables, _, err := Algo2DistributedDetailed(nw.G, nw.ID, Deferred, SyncRunner())
+		res, tables, _, err := Algo2DistributedDetailed(nw.G, nw.ID, Deferred, EngineRunner(simnet.EngineSync))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -224,7 +224,7 @@ func TestAlgo2MessageComplexityLinear(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, stats, err := Algo2Distributed(nw.G, nw.ID, Deferred, SyncRunner())
+		_, stats, err := Algo2Distributed(nw.G, nw.ID, Deferred, EngineRunner(simnet.EngineSync))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -237,7 +237,7 @@ func TestAlgo2MessageComplexityLinear(t *testing.T) {
 }
 
 func TestAlgo2SingleNodeAndPair(t *testing.T) {
-	res, _, err := Algo2Distributed(pathGraph(t, 1), []int{3}, Deferred, SyncRunner())
+	res, _, err := Algo2Distributed(pathGraph(t, 1), []int{3}, Deferred, EngineRunner(simnet.EngineSync))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestAlgo2SingleNodeAndPair(t *testing.T) {
 		t.Errorf("single node: %v", res.Dominators)
 	}
 	g := pathGraph(t, 2)
-	res, _, err = Algo2Distributed(g, []int{5, 1}, Deferred, SyncRunner())
+	res, _, err = Algo2Distributed(g, []int{5, 1}, Deferred, EngineRunner(simnet.EngineSync))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +272,7 @@ func TestAlgo2StarGraph(t *testing.T) {
 	if len(res.AdditionalDominators) != 0 {
 		t.Errorf("additional = %v", res.AdditionalDominators)
 	}
-	got, _, err := Algo2Distributed(g, ids, Deferred, SyncRunner())
+	got, _, err := Algo2Distributed(g, ids, Deferred, EngineRunner(simnet.EngineSync))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,7 +71,7 @@ func (b *Breakdown) traceOption(extra func(payload any) bool) simnet.Option {
 // engine and returns the per-type transmission counts alongside the result.
 func Algo2MessageBreakdown(g *graph.Graph, ids []int, mode SelectionMode) (Result, Breakdown, error) {
 	var b Breakdown
-	res, _, err := Algo2Distributed(g, ids, mode, SyncRunner(b.traceOption(nil)))
+	res, _, err := Algo2Distributed(g, ids, mode, EngineRunner(simnet.EngineSync, b.traceOption(nil)))
 	return res, b, err
 }
 
@@ -79,7 +79,7 @@ func Algo2MessageBreakdown(g *graph.Graph, ids []int, mode SelectionMode) (Resul
 // variant (adds the Hello row).
 func Algo2ZeroKnowledgeBreakdown(g *graph.Graph, ids []int, mode SelectionMode) (Result, Breakdown, error) {
 	var b Breakdown
-	res, _, err := Algo2ZeroKnowledge(g, ids, mode, SyncRunner(b.traceOption(nil)))
+	res, _, err := Algo2ZeroKnowledge(g, ids, mode, EngineRunner(simnet.EngineSync, b.traceOption(nil)))
 	return res, b, err
 }
 
@@ -100,6 +100,6 @@ func Algo1MessageBreakdown(g *graph.Graph, ids []int) (Result, Breakdown, error)
 		}
 		return false
 	}
-	res, _, err := Algo1Distributed(g, ids, SyncRunner(b.traceOption(extra)))
+	res, _, err := Algo1Distributed(g, ids, EngineRunner(simnet.EngineSync, b.traceOption(extra)))
 	return res, b, err
 }

@@ -23,7 +23,7 @@ func TestAlgo2UnderMessageLossFailsDetectably(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		runner := SyncRunner(simnet.WithDropRate(rand.New(rand.NewSource(int64(trial))), 0.3))
+		runner := EngineRunner(simnet.EngineSync, simnet.WithDropRate(rand.New(rand.NewSource(int64(trial))), 0.3))
 		res, _, err := Algo2Distributed(nw.G, nw.ID, Deferred, runner)
 		if err != nil {
 			detected++
@@ -51,7 +51,7 @@ func TestAlgo1UnderMessageLossFailsDetectably(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		runner := SyncRunner(simnet.WithDropRate(rand.New(rand.NewSource(int64(trial))), 0.3))
+		runner := EngineRunner(simnet.EngineSync, simnet.WithDropRate(rand.New(rand.NewSource(int64(trial))), 0.3))
 		res, _, err := Algo1Distributed(nw.G, nw.ID, runner)
 		if err != nil {
 			detected++
@@ -77,7 +77,7 @@ func TestAlgo2LowLossOftenStillCorrect(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		runner := SyncRunner(simnet.WithDropRate(rand.New(rand.NewSource(int64(trial))), 0.005))
+		runner := EngineRunner(simnet.EngineSync, simnet.WithDropRate(rand.New(rand.NewSource(int64(trial))), 0.005))
 		res, _, err := Algo2Distributed(nw.G, nw.ID, Deferred, runner)
 		if err != nil {
 			continue

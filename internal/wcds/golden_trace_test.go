@@ -44,14 +44,14 @@ func TestSyncEngineGoldenTrace(t *testing.T) {
 		want [2]string // without, with WithScramble
 	}{
 		{"algo1", func(opts ...simnet.Option) (simnet.Stats, error) {
-			_, st, err := Algo1Distributed(nw.G, nw.ID, SyncRunner(opts...))
+			_, st, err := Algo1Distributed(nw.G, nw.ID, EngineRunner(simnet.EngineSync, opts...))
 			return st, err
 		}, [2]string{
 			"686306ad5bcc0860b821ba15e77165d9ad017080dad86675f650097a55698d55",
 			"32d0989a6556d1a55783f2f378d0cfab738afbc7d4d16a703a3460586d3dfdf7",
 		}},
 		{"algo2-deferred", func(opts ...simnet.Option) (simnet.Stats, error) {
-			_, st, err := Algo2Distributed(nw.G, nw.ID, Deferred, SyncRunner(opts...))
+			_, st, err := Algo2Distributed(nw.G, nw.ID, Deferred, EngineRunner(simnet.EngineSync, opts...))
 			return st, err
 		}, [2]string{
 			"0546ea4f97122cac4ff0f5751ff6780d4b4d922786b1ac0b8bfd6642e5b2ecbf",
@@ -77,7 +77,7 @@ func TestSyncEngineGoldenTrace(t *testing.T) {
 			"e3b6f29cca40aeb6808dee9f3625071842ee2e28a3a451ec5e53690629bdf923",
 		}},
 		{"algo1-line", func(opts ...simnet.Option) (simnet.Stats, error) {
-			_, st, err := Algo1Distributed(line, lineIDs, SyncRunner(opts...))
+			_, st, err := Algo1Distributed(line, lineIDs, EngineRunner(simnet.EngineSync, opts...))
 			return st, err
 		}, [2]string{
 			"14767c89eb04abcff1d44a663f606fd37857f0f178b42b732ff01a2b0c7a4f84",

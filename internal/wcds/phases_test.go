@@ -7,6 +7,7 @@ import (
 	"wcdsnet/internal/discovery"
 	"wcdsnet/internal/election"
 	"wcdsnet/internal/obs"
+	"wcdsnet/internal/simnet"
 	"wcdsnet/internal/simnet/reliable"
 	"wcdsnet/internal/udg"
 )
@@ -49,7 +50,7 @@ func TestObserveOptionReconcilesWithStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := obs.NewSpans()
-	_, st, err := Algo2Distributed(nw.G, nw.ID, Deferred, SyncRunner(ObserveOption(rec)))
+	_, st, err := Algo2Distributed(nw.G, nw.ID, Deferred, EngineRunner(simnet.EngineSync, ObserveOption(rec)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,7 @@ func TestZeroKnowledgeMatchesCentralizedSync(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := Algo2Centralized(nw.G, nw.ID)
-		got, stats, err := Algo2ZeroKnowledge(nw.G, nw.ID, Deferred, SyncRunner())
+		got, stats, err := Algo2ZeroKnowledge(nw.G, nw.ID, Deferred, EngineRunner(simnet.EngineSync))
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -25,7 +25,7 @@ func TestZeroKnowledgeMatchesCentralizedSync(t *testing.T) {
 				trial, got.Dominators, want.Dominators)
 		}
 		// Exactly one extra HELLO per node over the pre-wired protocol.
-		_, preStats, err := Algo2Distributed(nw.G, nw.ID, Deferred, SyncRunner())
+		_, preStats, err := Algo2Distributed(nw.G, nw.ID, Deferred, EngineRunner(simnet.EngineSync))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,7 +63,7 @@ func TestZeroKnowledgeAsyncScrambled(t *testing.T) {
 
 func TestZeroKnowledgeSingleNode(t *testing.T) {
 	g := pathGraph(t, 1)
-	res, _, err := Algo2ZeroKnowledge(g, []int{9}, Deferred, SyncRunner())
+	res, _, err := Algo2ZeroKnowledge(g, []int{9}, Deferred, EngineRunner(simnet.EngineSync))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestAlgo1ZeroKnowledgeSyncMatchesCentralized(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := Algo1Centralized(nw.G, nw.ID)
-		got, stats, err := Algo1ZeroKnowledge(nw.G, nw.ID, SyncRunner())
+		got, stats, err := Algo1ZeroKnowledge(nw.G, nw.ID, EngineRunner(simnet.EngineSync))
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -123,7 +123,7 @@ func TestZeroKnowledgeUnderLossDetectable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runner := SyncRunner(simnet.WithDropRate(rand.New(rand.NewSource(4)), 0.4))
+	runner := EngineRunner(simnet.EngineSync, simnet.WithDropRate(rand.New(rand.NewSource(4)), 0.4))
 	_, _, err = Algo2ZeroKnowledge(nw.G, nw.ID, Deferred, runner)
 	if err == nil {
 		t.Error("expected a detectable failure under 40% loss")

@@ -40,7 +40,7 @@ func TestArbitraryIDSpaces(t *testing.T) {
 		ids := arbitraryIDs(rng, nw.N())
 
 		want := Algo2Centralized(nw.G, ids)
-		got, _, err := Algo2Distributed(nw.G, ids, Deferred, SyncRunner())
+		got, _, err := Algo2Distributed(nw.G, ids, Deferred, EngineRunner(simnet.EngineSync))
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -51,7 +51,7 @@ func TestArbitraryIDSpaces(t *testing.T) {
 			t.Fatalf("trial %d: invalid WCDS with sparse IDs", trial)
 		}
 
-		res1, _, err := Algo1Distributed(nw.G, ids, SyncRunner())
+		res1, _, err := Algo1Distributed(nw.G, ids, EngineRunner(simnet.EngineSync))
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -176,14 +176,14 @@ func TestAlgorithmsOnNonGeometricGraphs(t *testing.T) {
 		if !IsWCDS(g, res2.Dominators) {
 			t.Fatalf("trial %d: Algorithm II invalid on non-geometric graph", trial)
 		}
-		got, _, err := Algo2Distributed(g, ids, Deferred, SyncRunner())
+		got, _, err := Algo2Distributed(g, ids, Deferred, EngineRunner(simnet.EngineSync))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !equalInts(got.Dominators, res2.Dominators) {
 			t.Fatalf("trial %d: distributed diverged on non-geometric graph", trial)
 		}
-		res1, _, err := Algo1Distributed(g, ids, SyncRunner())
+		res1, _, err := Algo1Distributed(g, ids, EngineRunner(simnet.EngineSync))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"strings"
 
 	"wcdsnet/internal/algo"
@@ -151,7 +150,6 @@ const (
 type runOptions struct {
 	distributed   bool
 	engine        Engine
-	scrambled     bool
 	scheduleSeed  int64
 	selection     SelectionMode
 	faults        *FaultPlan
@@ -185,22 +183,23 @@ func Distributed() Option {
 // core in deterministic FIFO order and is the choice for very large
 // networks (see the README's million-node walkthrough); EngineAsync is the
 // event engine under a per-link seeded scramble, where every link's copy
-// of a broadcast lands at its own random point of the schedule (seed 0
-// unless WithScheduleSeed gives one). All three construct the same WCDS in
-// Deferred mode.
+// of a broadcast lands at its own random point of the schedule. Which runs
+// scramble is set by WithScheduleSeed. All three construct the same WCDS
+// in Deferred mode.
 func WithEngine(eng Engine) Option {
 	return func(o *runOptions) { o.distributed, o.engine = true, eng }
 }
 
-// WithScheduleSeed scrambles the delivery schedule with a seeded RNG, for
-// exploring schedule-dependence: the async and event engines both place
-// every per-link copy at its own seeded-random queue position, so the same
-// seed replays the same schedule. The synchronous engine ignores it (its
-// round schedule is fixed). Without this option an EngineEvent run keeps
-// its deterministic FIFO order and an EngineAsync run scrambles with seed
-// 0. Implies Distributed.
+// WithScheduleSeed seeds the delivery scramble, for exploring
+// schedule-dependence: a scrambled run places every per-link copy at its
+// own seeded-random queue position, so the same seed replays the same
+// schedule. The rule is the one the service and batch wire fields follow:
+// EngineAsync always scrambles, with seed 0 unless this option gives
+// another; EngineEvent scrambles only for a non-zero seed and otherwise
+// keeps its FIFO order; EngineSync ignores the seed (its round schedule is
+// fixed). Implies Distributed.
 func WithScheduleSeed(seed int64) Option {
-	return func(o *runOptions) { o.distributed, o.scrambled, o.scheduleSeed = true, true, seed }
+	return func(o *runOptions) { o.distributed, o.scheduleSeed = true, seed }
 }
 
 // WithSelection picks Algorithm II's connector-selection mode (Deferred by
@@ -350,17 +349,27 @@ func Run(nw *Network, a Algorithm, opts ...Option) (Result, RunStats, error) {
 		return Result{}, RunStats{}, fmt.Errorf("wcdsnet: algorithm %s has no distributed protocol (distributed: %s): %w",
 			name, strings.Join(algo.DistributedNames(), ", "), ErrInvalidInput)
 	}
+	spec := wcds.RunSpec{
+		Engine:          o.engine,
+		ScheduleSeed:    o.scheduleSeed,
+		Faults:          o.faults,
+		MaxRounds:       o.maxRounds,
+		MaxDeliveries:   o.maxDeliveries,
+		Ctx:             o.ctx,
+		Reliable:        o.reliable,
+		ReliableOptions: o.relOpts,
+	}
 	var rec *obs.Spans
 	if o.phases {
 		rec = obs.NewSpans()
+		spec.Phases = rec
 	}
-	run := o.compileRunner(rec)
 	var (
 		res Result
 		st  RunStats
 		err error
 	)
-	res, st.Stats, err = algo.DistributedRun(construction, nw.G, nw.ID, o.selection, o.zeroKnowledge, run)
+	res, st.Stats, err = algo.DistributedRun(construction, nw.G, nw.ID, o.selection, o.zeroKnowledge, spec.Runner())
 	if rec != nil {
 		st.Phases = rec.Snapshot()
 	}
@@ -375,36 +384,6 @@ func Run(nw *Network, a Algorithm, opts ...Option) (Result, RunStats, error) {
 		}
 	}
 	return res, st, err
-}
-
-func (o *runOptions) compileRunner(rec *obs.Spans) wcds.Runner {
-	var opts []simnet.Option
-	if o.scrambled && o.engine != EngineSync {
-		opts = append(opts, simnet.WithScramble(rand.New(rand.NewSource(o.scheduleSeed))))
-	}
-	if o.faults != nil {
-		opts = append(opts, simnet.WithFaults(*o.faults))
-	}
-	if o.maxRounds > 0 {
-		opts = append(opts, simnet.WithMaxRounds(o.maxRounds))
-	}
-	if o.maxDeliveries > 0 {
-		opts = append(opts, simnet.WithMaxDeliveries(o.maxDeliveries))
-	}
-	if o.ctx != nil {
-		opts = append(opts, simnet.WithContext(o.ctx))
-	}
-	if rec != nil {
-		opts = append(opts, wcds.ObserveOption(rec))
-	}
-	if o.reliable {
-		ropt := o.relOpts
-		if rec != nil {
-			ropt.Observer, ropt.Phase = rec, wcds.PhaseOf
-		}
-		return wcds.ReliableRunner(o.engine, ropt, opts...)
-	}
-	return wcds.EngineRunner(o.engine, opts...)
 }
 
 // --- batch engine ------------------------------------------------------------

@@ -23,7 +23,7 @@ func TestRunErrorTaxonomyUniform(t *testing.T) {
 		{"sync", []Option{Distributed()}, WithMaxRounds(1)},
 		// Plain async runs have no round clock; the delivery budget is the
 		// one that catches them.
-		{"async", []Option{Async(7)}, WithMaxDeliveries(5)},
+		{"async", []Option{WithEngine(EngineAsync), WithScheduleSeed(7)}, WithMaxDeliveries(5)},
 		// The reliable layer rides the sync engine here; its retransmission
 		// epochs consume the same round budget.
 		{"reliable", []Option{WithReliable(ReliableOptions{})}, WithMaxRounds(1)},

@@ -15,64 +15,14 @@ func runTestNetwork(t *testing.T, n int, seed int64) *Network {
 	return nw
 }
 
-// The unified Run entry point must agree exactly with every legacy entry
-// point it replaces.
-func TestRunMatchesLegacyEntryPoints(t *testing.T) {
-	nw := runTestNetwork(t, 60, 11)
-
-	r1, st1, err := Run(nw, AlgoI)
-	if err != nil || st1.Messages != 0 || st1.Rounds != 0 || st1.Phases != nil {
-		t.Fatalf("centralized AlgoI: stats %+v err %v", st1, err)
-	}
-	if want := AlgorithmI(nw); len(r1.Dominators) != len(want.Dominators) {
-		t.Fatalf("Run(AlgoI) = %d dominators, AlgorithmI = %d", len(r1.Dominators), len(want.Dominators))
-	}
-
-	r2, _, err := Run(nw, AlgoII)
+// mustRun is Run for tests that expect success.
+func mustRun(t *testing.T, nw *Network, a Algorithm, opts ...Option) (Result, RunStats) {
+	t.Helper()
+	res, st, err := Run(nw, a, opts...)
 	if err != nil {
-		t.Fatalf("centralized AlgoII: %v", err)
+		t.Fatalf("Run(%v): %v", a, err)
 	}
-	if want := AlgorithmII(nw); len(r2.Dominators) != len(want.Dominators) {
-		t.Fatalf("Run(AlgoII) = %d dominators, AlgorithmII = %d", len(r2.Dominators), len(want.Dominators))
-	}
-
-	// Distributed sync AlgoII (Deferred) equals the centralized reference.
-	rd, st, err := Run(nw, AlgoII, Distributed())
-	if err != nil {
-		t.Fatalf("distributed AlgoII: %v", err)
-	}
-	if st.Messages == 0 {
-		t.Fatal("distributed run reported zero messages")
-	}
-	if len(rd.Dominators) != len(r2.Dominators) {
-		t.Fatalf("deferred distributed = %d dominators, centralized = %d", len(rd.Dominators), len(r2.Dominators))
-	}
-
-	// Async with a pinned seed matches the legacy spelling exactly.
-	ra, sta, err := Run(nw, AlgoII, Async(7))
-	if err != nil {
-		t.Fatalf("async AlgoII: %v", err)
-	}
-	wantRes, wantStats, err := AlgorithmIIDistributed(nw, Deferred, true, 7)
-	if err != nil {
-		t.Fatalf("legacy async AlgoII: %v", err)
-	}
-	if len(ra.Dominators) != len(wantRes.Dominators) || sta.Messages != wantStats.Messages {
-		t.Fatalf("Run(Async(7)) diverged from AlgorithmIIDistributed: %d/%d msgs vs %d/%d",
-			len(ra.Dominators), sta.Messages, len(wantRes.Dominators), wantStats.Messages)
-	}
-
-	// Zero-knowledge discovery composes.
-	rz, stz, err := Run(nw, AlgoI, ZeroKnowledge())
-	if err != nil {
-		t.Fatalf("zero-knowledge AlgoI: %v", err)
-	}
-	if len(rz.Dominators) != len(r1.Dominators) {
-		t.Fatalf("zero-knowledge AlgoI = %d dominators, centralized = %d", len(rz.Dominators), len(r1.Dominators))
-	}
-	if stz.Messages == 0 {
-		t.Fatal("zero-knowledge run reported zero messages")
-	}
+	return res, st
 }
 
 func TestRunValidation(t *testing.T) {
@@ -113,27 +63,6 @@ func TestRunBudgetExceededSentinel(t *testing.T) {
 	}
 	if errors.Is(err, ErrInvalidInput) {
 		t.Fatalf("budget blow-out mislabelled as invalid input: %v", err)
-	}
-}
-
-func TestRunConfigShimMatchesOptions(t *testing.T) {
-	nw := runTestNetwork(t, 50, 21)
-	plan := FaultPlan{DropRate: 0.05, Seed: 9}
-	cfg := RunConfig{Faults: &plan, Reliable: true, MaxRounds: 4000}
-
-	legacyRes, legacySt, legacyErr := AlgorithmIIWithConfig(nw, Deferred, cfg)
-	newRes, newSt, newErr := Run(nw, AlgoII,
-		WithFaults(plan), WithReliable(ReliableOptions{}), WithMaxRounds(4000))
-	if (legacyErr == nil) != (newErr == nil) {
-		t.Fatalf("shim and Run disagree on error: %v vs %v", legacyErr, newErr)
-	}
-	if legacyErr == nil {
-		if len(legacyRes.Dominators) != len(newRes.Dominators) {
-			t.Fatalf("shim = %d dominators, Run = %d", len(legacyRes.Dominators), len(newRes.Dominators))
-		}
-		if legacySt.Messages != newSt.Messages {
-			t.Fatalf("shim = %d messages, Run = %d", legacySt.Messages, newSt.Messages)
-		}
 	}
 }
 

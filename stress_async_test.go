@@ -8,7 +8,7 @@ import (
 
 // TestAsyncDistributedConcurrentDeterminism stresses the asynchronous
 // simulation engine under load: many goroutines run
-// AlgorithmIIDistributed(async) over the same shared network with distinct
+// Algorithm II on EngineAsync over the same shared network with distinct
 // schedule-scrambling seeds, and every result must equal the centralized
 // reference — the paper-level claim that Deferred-mode selection is
 // schedule-independent, now asserted while the engines race each other.
@@ -22,7 +22,7 @@ func TestAsyncDistributedConcurrentDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := AlgorithmII(nw)
+	want, _ := mustRun(t, nw, AlgoII)
 
 	const runs = 12
 	var wg sync.WaitGroup
@@ -32,7 +32,7 @@ func TestAsyncDistributedConcurrentDeterminism(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res, _, err := AlgorithmIIDistributed(nw, Deferred, true, int64(1000+i))
+			res, _, err := Run(nw, AlgoII, WithEngine(EngineAsync), WithScheduleSeed(int64(1000+i)))
 			if err != nil {
 				errs <- err
 				return
@@ -64,7 +64,7 @@ func TestAsyncDistributedConcurrentDeterminism(t *testing.T) {
 		wgI.Add(1)
 		go func(i int) {
 			defer wgI.Done()
-			res, _, err := AlgorithmIDistributed(nw, true, int64(2000+i))
+			res, _, err := Run(nw, AlgoI, WithEngine(EngineAsync), WithScheduleSeed(int64(2000+i)))
 			if err != nil {
 				errsI <- err
 				return

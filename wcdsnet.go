@@ -239,7 +239,7 @@ func ServeHandler(opts ServiceOptions) (http.Handler, *Service) {
 // It stays a separate entry point: tables are a protocol byproduct the
 // unified Run API deliberately does not expose.
 func AlgorithmIIWithTables(nw *Network) (Result, []Tables, RunStats, error) {
-	res, tabs, st, err := wcds.Algo2DistributedDetailed(nw.G, nw.ID, wcds.Deferred, wcds.SyncRunner())
+	res, tabs, st, err := wcds.Algo2DistributedDetailed(nw.G, nw.ID, wcds.Deferred, wcds.EngineRunner(simnet.EngineSync))
 	return res, tabs, RunStats{Stats: st}, err
 }
 
@@ -332,12 +332,11 @@ func ClusterBy(nw *Network, res Result) (Partition, error) {
 }
 
 // DiscoverNeighbors runs the HELLO-beacon discovery protocol with knowledge
-// radius k (1 or 2) and returns each node's discovered neighbourhood table.
-// async runs it on EngineAsync (seed 0), otherwise on EngineSync.
-func DiscoverNeighbors(nw *Network, k int, async bool) ([]NeighborTable, RunStats, error) {
-	eng := EngineSync
-	if async {
-		eng = EngineAsync
+// radius k (1 or 2) on the given engine and returns each node's discovered
+// neighbourhood table. EngineAsync scrambles with seed 0.
+func DiscoverNeighbors(nw *Network, k int, eng Engine) ([]NeighborTable, RunStats, error) {
+	if !eng.Valid() {
+		return nil, RunStats{}, fmt.Errorf("wcdsnet: unknown engine %v: %w", eng, ErrInvalidInput)
 	}
 	tabs, st, err := discovery.Run(nw.G, nw.ID, k, eng)
 	return tabs, RunStats{Stats: st}, err

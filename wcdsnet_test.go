@@ -10,13 +10,13 @@ func TestQuickstartFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := AlgorithmII(nw)
+	res, _ := mustRun(t, nw, AlgoII)
 	if !IsWCDS(nw, res.Dominators) {
-		t.Fatal("AlgorithmII result is not a WCDS")
+		t.Fatal("Algorithm II result is not a WCDS")
 	}
-	res1 := AlgorithmI(nw)
+	res1, _ := mustRun(t, nw, AlgoI)
 	if !IsWCDS(nw, res1.Dominators) {
-		t.Fatal("AlgorithmI result is not a WCDS")
+		t.Fatal("Algorithm I result is not a WCDS")
 	}
 	rep, err := MeasureDilation(nw, res, 200, 1)
 	if err != nil {
@@ -45,9 +45,9 @@ func TestDistributedFacades(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := AlgorithmII(nw)
+	want, _ := mustRun(t, nw, AlgoII)
 
-	resSync, stats, err := AlgorithmIIDistributed(nw, Deferred, false, 0)
+	resSync, stats, err := Run(nw, AlgoII, Distributed())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestDistributedFacades(t *testing.T) {
 		t.Errorf("sync distributed differs from centralized")
 	}
 
-	resAsync, _, err := AlgorithmIIDistributed(nw, Deferred, true, 99)
+	resAsync, _, err := Run(nw, AlgoII, WithEngine(EngineAsync), WithScheduleSeed(99))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestDistributedFacades(t *testing.T) {
 		}
 	}
 
-	res1, _, err := AlgorithmIDistributed(nw, false, 0)
+	res1, _, err := Run(nw, AlgoI, Distributed())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,7 @@ package main
 // from the fleet fanning out, not from in-worker parallelism; worker result
 // caches are disabled so every repetition times compute, not replay.
 //
-// Both merged digests must be byte-identical to the serial run. When the
+// Both merged digests must be byte-identical to engine1's. When the
 // runner has at least as many cores as the fleet has workers, the N-worker
 // fleet must clear fleetSpeedupFloor over the single worker — on fewer
 // cores the workers share cores and the comparison is only noted, since
@@ -53,7 +53,7 @@ func fleetPhase(ctx context.Context, label string, spec *wcdsnet.BatchSpec, dige
 			return Phase{}, fmt.Errorf("%s: %w", label, err)
 		}
 		if rep.Digest != digest {
-			return Phase{}, fmt.Errorf("determinism violation: %s digest %s != serial %s", label, rep.Digest[:12], digest[:12])
+			return Phase{}, fmt.Errorf("determinism violation: %s digest %s != engine1 %s", label, rep.Digest[:12], digest[:12])
 		}
 		if best == nil || rep.WallNS < best.WallNS {
 			best = rep

@@ -1,24 +1,21 @@
-// Command bench measures the sharded batch engine against the serial
-// baseline on a pinned, fully deterministic sweep and emits a
-// schema-versioned BENCH_<stamp>.json report.
+// Command bench measures the sharded batch engine on a pinned, fully
+// deterministic sweep and emits a schema-versioned BENCH_<stamp>.json
+// report.
 //
-// Three executions of the same spec are timed:
+// Two executions of the same spec are timed:
 //
-//	serial   — wcdsnet.RunBatchSerial: one scenario at a time, nothing
-//	           shared, nothing pooled (the pre-engine baseline)
-//	engine1  — the sharded engine pinned to one worker
-//	engineN  — the sharded engine at the requested worker count
+//	engine1  — the batch engine pinned to one worker; its digest is the
+//	           reference every other execution is checked against
+//	engineN  — the batch engine at the requested worker count
 //
-// All three must produce byte-identical per-scenario results (compared by
+// Both must produce byte-identical per-scenario results (compared by
 // report digest); bench exits non-zero otherwise. The pinned suite contains
 // only centralized and deterministic-engine workloads, whose measurements
 // are schedule-independent; async runs would replay from their seed, but
 // their costs measure one random schedule rather than the protocol.
 //
-// Two further executions isolate the dilation measurement core
-// (measure.go): measureSerial runs the pre-pool allocating implementation,
-// measure runs the pooled parallel one, and their reports must match
-// exactly.
+// A measure phase (measure.go) isolates the dilation measurement core:
+// spanner.DilationN over a pinned set of networks, outside the engine.
 //
 // A further millionNode phase (million.go) times the event-driven engine
 // on one large uniform scene — Algorithm II end to end, generate to
@@ -36,7 +33,7 @@
 // the same suite through the full wire path — HTTP, JSON, NDJSON — against
 // in-process loopback workers: fleet1 drives one worker, fleetN a 3-worker
 // fleet, both with single-threaded workers so the measured scaling comes
-// from fleet size alone. Both merged digests must match serial. On a
+// from fleet size alone. Both merged digests must match engine1. On a
 // multi-core runner (GOMAXPROCS >= fleet size) the N-worker fleet must
 // clear a 1.8x speedup over the single worker; below that core count the
 // two runs share cores and the phase only warns, because their timings are
@@ -68,7 +65,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"reflect"
 	"runtime"
 	"sort"
 	"time"
@@ -81,18 +77,26 @@ import (
 // Schema identifies the report layout; bump on breaking changes. v2 added
 // protocol_phases (the merged per-phase cost breakdown of the suite's
 // distributed workloads) and retention pruning via -keep. v3 added the
-// measurement-core phases (measure/measureSerial, see measure.go) and
-// extended the gate to per-phase protocol message/delivery counts. v4
-// added event-engine workloads to the pinned sweep plus the millionNode
-// phase (million.go): one large uniform scene through Algorithm II on the
-// event engine, sized by -nodes and recorded in million_node_size so the
-// gate only compares like against like. v5 added the competitors phase
-// (competitors.go): every registered algorithm crossed with every
-// registered topology kind, digest-checked across worker counts, with the
-// per-cell table recorded in competitors/competitor_digest. v6 added the
-// cluster-mode fleet phases (fleet1/fleetN through the wire against
-// in-process workers, fleetphase.go), speedup_fleet/fleet_workers,
-// per-phase effective parallelism, and median-of-N baseline gating.
+// measurement-core phases (measure plus an allocating-reference
+// comparator, see measure.go) and extended the gate to per-phase protocol
+// message/delivery counts. v4 added event-engine workloads to the pinned
+// sweep plus the millionNode phase (million.go): one large uniform scene
+// through Algorithm II on the event engine, sized by -nodes and recorded
+// in million_node_size so the gate only compares like against like. v5
+// added the competitors phase (competitors.go): every registered algorithm
+// crossed with every registered topology kind, digest-checked across
+// worker counts, with the per-cell table recorded in
+// competitors/competitor_digest. v6 added the cluster-mode fleet phases
+// (fleet1/fleetN through the wire against in-process workers,
+// fleetphase.go), speedup_fleet/fleet_workers, per-phase effective
+// parallelism, and median-of-N baseline gating.
+//
+// The two comparator phases (the serial sweep and the allocating dilation
+// reference) and the speedup_1w / speedup_nw fields were later dropped
+// without a bump: the gate never read them. It reads engineN, measure,
+// millionNode, fleetN and the protocol phase counters, all unchanged, and
+// the reader ignores the retired fields, so v6 baselines written before
+// the removal still gate.
 const Schema = "wcdsnet-bench/v6"
 
 // regressionTolerance is the fractional slack before the gate trips.
@@ -143,8 +147,6 @@ type Report struct {
 	Networks   int              `json:"networks"`
 	Digest     string           `json:"digest"`
 	Phases     map[string]Phase `json:"phases"`
-	Speedup1W  float64          `json:"speedup_1w"`
-	SpeedupNW  float64          `json:"speedup_nw"`
 	Baseline   string           `json:"baseline,omitempty"`
 
 	// SpeedupFleet is fleet1 wall over fleetN wall (cluster-mode scaling)
@@ -209,12 +211,6 @@ func run(quick bool, outDir string, workers, reps int, noGate bool, keep, nodes,
 	fmt.Printf("suite: %d scenarios over %d networks (quick=%v, reps=%d, GOMAXPROCS=%d)\n",
 		spec.NumScenarios(), spec.NumNetworks(), quick, reps, runtime.GOMAXPROCS(0))
 
-	serialRep, err := timed("serial ", reps, func() (*wcdsnet.BatchReport, error) {
-		return wcdsnet.RunBatchSerial(ctx, spec)
-	})
-	if err != nil {
-		return err
-	}
 	engine1Rep, err := timed("engine1", reps, func() (*wcdsnet.BatchReport, error) {
 		return wcdsnet.RunBatch(ctx, spec, wcdsnet.BatchOptions{Workers: 1})
 	})
@@ -228,31 +224,21 @@ func run(quick bool, outDir string, workers, reps int, noGate bool, keep, nodes,
 		return err
 	}
 
-	digest := serialRep.Digest()
-	if d := engine1Rep.Digest(); d != digest {
-		return fmt.Errorf("determinism violation: engine(1 worker) digest %s != serial %s", d[:12], digest[:12])
-	}
+	digest := engine1Rep.Digest()
 	if d := engineNRep.Digest(); d != digest {
-		return fmt.Errorf("determinism violation: engine(%d workers) digest %s != serial %s", workers, d[:12], digest[:12])
+		return fmt.Errorf("determinism violation: engine(%d workers) digest %s != engine(1 worker) %s", workers, d[:12], digest[:12])
 	}
-	if serialRep.Failed != 0 {
-		return fmt.Errorf("%d scenarios failed", serialRep.Failed)
+	if engine1Rep.Failed != 0 {
+		return fmt.Errorf("%d scenarios failed", engine1Rep.Failed)
 	}
 
 	cases, err := measureCases(quick)
 	if err != nil {
 		return err
 	}
-	measureSerialPh, serialReports, err := measurePhase("measureSerial", cases, reps, 1, true)
+	measurePh, err := measurePhase("measure", cases, reps, workers)
 	if err != nil {
 		return err
-	}
-	measurePh, pooledReports, err := measurePhase("measure      ", cases, reps, workers, false)
-	if err != nil {
-		return err
-	}
-	if !reflect.DeepEqual(serialReports, pooledReports) {
-		return fmt.Errorf("determinism violation: pooled dilation reports differ from the allocating baseline")
 	}
 
 	millionPh, err := millionNode(nodes, reps)
@@ -281,20 +267,16 @@ func run(quick bool, outDir string, workers, reps int, noGate bool, keep, nodes,
 		GoVersion:  runtime.Version(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Quick:      quick,
-		Scenarios:  serialRep.Scenarios,
-		Networks:   serialRep.Networks,
+		Scenarios:  engine1Rep.Scenarios,
+		Networks:   engine1Rep.Networks,
 		Digest:     digest,
 		Phases: map[string]Phase{
-			"serial":        phase(serialRep),
-			"engine1":       phase(engine1Rep),
-			"engineN":       phase(engineNRep),
-			"measureSerial": measureSerialPh,
-			"measure":       measurePh,
-			"millionNode":   millionPh,
-			"competitors":   compPh,
+			"engine1":     phase(engine1Rep),
+			"engineN":     phase(engineNRep),
+			"measure":     measurePh,
+			"millionNode": millionPh,
+			"competitors": compPh,
 		},
-		Speedup1W:        float64(serialRep.WallNS) / float64(engine1Rep.WallNS),
-		SpeedupNW:        float64(serialRep.WallNS) / float64(engineNRep.WallNS),
 		SpeedupFleet:     speedupFleet,
 		FleetWorkers:     fleetWorkers,
 		ProtocolPhases:   phaseTotals(engineNRep),
@@ -306,8 +288,8 @@ func run(quick bool, outDir string, workers, reps int, noGate bool, keep, nodes,
 		rep.Phases["fleet1"] = fleet1Ph
 		rep.Phases["fleetN"] = fleetNPh
 	}
-	fmt.Printf("digest : %s (identical across serial, 1 worker, %d workers)\n", digest[:16], workers)
-	fmt.Printf("speedup: %.2fx (1 worker)  %.2fx (%d workers)\n", rep.Speedup1W, rep.SpeedupNW, workers)
+	fmt.Printf("digest : %s (identical across 1 worker and %d workers)\n", digest[:16], workers)
+	fmt.Printf("speedup: %.2fx (%d workers vs 1)\n", float64(engine1Rep.WallNS)/float64(engineNRep.WallNS), workers)
 	if fleetWorkers > 0 {
 		fmt.Printf("fleet  : %.2fx (%d workers vs 1, effective parallelism %d)\n",
 			speedupFleet, fleetWorkers, fleetNPh.Parallel)
@@ -317,11 +299,6 @@ func run(quick bool, outDir string, workers, reps int, noGate bool, keep, nodes,
 	}
 	warnParallel("engineN", rep.Phases["engineN"])
 	warnParallel("fleetN", fleetNPh)
-	if measurePh.MallocPerOp > 0 {
-		fmt.Printf("measure: %.0f → %.0f mallocs/op (%.1fx fewer than the allocating baseline)\n",
-			measureSerialPh.MallocPerOp, measurePh.MallocPerOp,
-			measureSerialPh.MallocPerOp/measurePh.MallocPerOp)
-	}
 	printCompetitors(compRows)
 
 	var gateErr error

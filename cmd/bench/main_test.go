@@ -210,7 +210,7 @@ func TestEffectiveParallel(t *testing.T) {
 }
 
 // TestFleetPhaseSmoke runs the cluster-mode phase itself at toy scale:
-// 2 in-process workers over the wire, digest-checked against serial.
+// 2 in-process workers over the wire, digest-checked against a local run.
 func TestFleetPhaseSmoke(t *testing.T) {
 	spec := &wcdsnet.BatchSpec{
 		Sizes:   []int{30},
@@ -221,7 +221,7 @@ func TestFleetPhaseSmoke(t *testing.T) {
 			{Kind: "broadcast", Source: 0},
 		},
 	}
-	local, err := wcdsnet.RunBatchSerial(context.Background(), spec)
+	local, err := wcdsnet.RunBatch(context.Background(), spec, wcdsnet.BatchOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,15 +15,9 @@ import (
 
 // The measurement-core suite isolates spanner.Dilation from the batch
 // engine: a pinned set of networks with their Algorithm II spanners and
-// pair samples, measured directly. Two phases run over it —
-//
-//	measureSerial — spanner.DilationBaseline: fresh allocations per
-//	                source, no parallelism (the pre-pool reference)
-//	measure       — spanner.DilationN with pooled scratch and the
-//	                requested worker count
-//
-// — so the BENCH report pins the measurement core's allocs/op against the
-// allocating reference in the same file, and the gate can watch both.
+// pair samples, measured directly. The measure phase runs spanner.DilationN
+// over it at the requested worker count, so the gate watches the
+// measurement core's throughput and allocs/op on their own.
 
 // measureCase is one network of the measurement-core suite.
 type measureCase struct {
@@ -68,7 +62,7 @@ type measureRun struct {
 	reports []spanner.Report
 }
 
-func measureOnce(cases []measureCase, workers int, baseline bool) (*measureRun, error) {
+func measureOnce(cases []measureCase, workers int) (*measureRun, error) {
 	r := &measureRun{
 		callMS:  make([]float64, 0, len(cases)),
 		reports: make([]spanner.Report, 0, len(cases)),
@@ -78,13 +72,7 @@ func measureOnce(cases []measureCase, workers int, baseline bool) (*measureRun, 
 	start := time.Now()
 	for _, c := range cases {
 		t0 := time.Now()
-		var rep spanner.Report
-		var err error
-		if baseline {
-			rep, err = spanner.DilationBaseline(c.nw.G, c.res.Spanner, c.nw.Weight(), c.pairs)
-		} else {
-			rep, err = spanner.DilationN(c.nw.G, c.res.Spanner, c.nw.Weight(), c.pairs, workers)
-		}
+		rep, err := spanner.DilationN(c.nw.G, c.res.Spanner, c.nw.Weight(), c.pairs, workers)
 		if err != nil {
 			return nil, err
 		}
@@ -99,18 +87,17 @@ func measureOnce(cases []measureCase, workers int, baseline bool) (*measureRun, 
 }
 
 // measurePhase runs the measurement suite reps times (fastest wins, like
-// timed) and returns the phase plus the per-case dilation reports, which
-// the caller cross-checks between the baseline and pooled executions.
-// Every repetition must reproduce the first one's reports exactly.
-func measurePhase(label string, cases []measureCase, reps, workers int, baseline bool) (Phase, []spanner.Report, error) {
+// timed) and returns the phase. Every repetition must reproduce the first
+// one's per-case dilation reports exactly.
+func measurePhase(label string, cases []measureCase, reps, workers int) (Phase, error) {
 	var best *measureRun
 	for i := 0; i < reps; i++ {
-		run, err := measureOnce(cases, workers, baseline)
+		run, err := measureOnce(cases, workers)
 		if err != nil {
-			return Phase{}, nil, fmt.Errorf("%s: %w", label, err)
+			return Phase{}, fmt.Errorf("%s: %w", label, err)
 		}
 		if best != nil && !reflect.DeepEqual(run.reports, best.reports) {
-			return Phase{}, nil, fmt.Errorf("%s: repetition %d produced different reports", label, i+1)
+			return Phase{}, fmt.Errorf("%s: repetition %d produced different reports", label, i+1)
 		}
 		if best == nil || run.wallNS < best.wallNS {
 			if best != nil {
@@ -132,5 +119,5 @@ func measurePhase(label string, cases []measureCase, reps, workers int, baseline
 	}
 	fmt.Printf("%s: %8.1f dilations/s  wall %7.1fms  p50 %6.2fms  p95 %6.2fms  %7.0f B/op  %5.0f allocs/op\n",
 		label, p.OpsPerSec, float64(best.wallNS)/1e6, p.P50MS, p.P95MS, p.AllocPerOp, p.MallocPerOp)
-	return p, best.reports, nil
+	return p, nil
 }

@@ -13,7 +13,7 @@ import (
 
 // The million-node phase: one large uniform scene, Algorithm II end to end
 // on the event-driven engine. Unlike the sweep phases this is a single
-// scenario — its point is absolute scale, not engine-vs-serial speedup.
+// scenario — its point is absolute scale, not multi-worker speedup.
 //
 // The scene is GenUniform, not GenConnectedAvgDegree: rejection-sampling a
 // connected instance is hopeless at 10^6 nodes, and the protocol does not

@@ -51,6 +51,7 @@ import (
 	"wcdsnet/internal/algo"
 	"wcdsnet/internal/chaos"
 	"wcdsnet/internal/service"
+	"wcdsnet/internal/simnet"
 )
 
 func main() {
@@ -81,29 +82,22 @@ func run() error {
 	)
 	flag.Parse()
 
+	engs, err := parseEngines(*engines)
+	if err != nil {
+		return err
+	}
 	if *churn {
-		return runChurn(*seeds, *seed, *n, *deg, *churnEpochs, *drops, *engines, *reliableRep, *retries, *rounds, *verbose)
+		return runChurn(*seeds, *seed, *n, *deg, *churnEpochs, *drops, engs, *reliableRep, *retries, *rounds, *verbose)
 	}
 
 	levels, err := parseIntensities(*intensities)
 	if err != nil {
 		return err
 	}
-	var asyncs []bool
-	switch *engines {
-	case "sync":
-		asyncs = []bool{false}
-	case "async":
-		asyncs = []bool{true}
-	case "both":
-		asyncs = []bool{false, true}
-	default:
-		return fmt.Errorf("unknown -engines %q (want sync, async or both)", *engines)
-	}
 
 	violations := 0
 	for _, intensity := range levels {
-		for _, async := range asyncs {
+		for _, eng := range engs {
 			cfg := chaos.Config{
 				Seeds:      *seeds,
 				BaseSeed:   *seed,
@@ -111,7 +105,7 @@ func run() error {
 				AvgDegree:  *deg,
 				Intensity:  intensity,
 				Algorithm:  *algoName,
-				Async:      async,
+				Engine:     eng,
 				MaxRetries: *retries,
 				MaxRounds:  *rounds,
 			}
@@ -119,7 +113,7 @@ func run() error {
 			if err != nil {
 				return err
 			}
-			report(rep, fmt.Sprintf("algo=%s intensity=%.2f async=%v", *algoName, intensity, async), *verbose)
+			report(rep, fmt.Sprintf("algo=%s intensity=%.2f async=%v", *algoName, intensity, eng == simnet.EngineAsync), *verbose)
 			violations += rep.Violations
 		}
 	}
@@ -156,25 +150,14 @@ func run() error {
 
 // runChurn executes the churn-under-faults sweep across (engine × drop
 // rate × seed) cells and exits nonzero on any audited violation.
-func runChurn(seeds int, seed int64, n int, deg float64, epochs int, drops, engines string, reliable bool, retries, rounds int, verbose bool) error {
+func runChurn(seeds int, seed int64, n int, deg float64, epochs int, drops string, engs []simnet.Engine, reliable bool, retries, rounds int, verbose bool) error {
 	rates, err := parseIntensities(drops)
 	if err != nil {
 		return err
 	}
-	var asyncs []bool
-	switch engines {
-	case "sync":
-		asyncs = []bool{false}
-	case "async":
-		asyncs = []bool{true}
-	case "both":
-		asyncs = []bool{false, true}
-	default:
-		return fmt.Errorf("unknown -engines %q (want sync, async or both)", engines)
-	}
 
 	violations := 0
-	for _, async := range asyncs {
+	for _, eng := range engs {
 		cfg := chaos.ChurnConfig{
 			Seeds:      seeds,
 			BaseSeed:   seed,
@@ -185,13 +168,13 @@ func runChurn(seeds int, seed int64, n int, deg float64, epochs int, drops, engi
 			Reliable:   reliable,
 			MaxRetries: retries,
 			MaxRounds:  rounds,
-			Async:      async,
+			Engine:     eng,
 		}
 		rep, err := chaos.RunChurn(cfg)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%-28s %s\n", fmt.Sprintf("churn async=%v:", async), rep.Summary())
+		fmt.Printf("%-28s %s\n", fmt.Sprintf("churn async=%v:", eng == simnet.EngineAsync), rep.Summary())
 		for _, c := range rep.Cells {
 			switch {
 			case c.Violated > 0:
@@ -234,6 +217,20 @@ func report(rep *chaos.Report, label string, verbose bool) {
 				s.Seed, s.Stats.Messages, s.Stats.Retransmits, s.Stats.Dropped, s.Stats.Ticks)
 		}
 	}
+}
+
+// parseEngines maps the -engines value onto the engines to sweep, in
+// sweep order.
+func parseEngines(s string) ([]simnet.Engine, error) {
+	switch s {
+	case "sync":
+		return []simnet.Engine{simnet.EngineSync}, nil
+	case "async":
+		return []simnet.Engine{simnet.EngineAsync}, nil
+	case "both":
+		return []simnet.Engine{simnet.EngineSync, simnet.EngineAsync}, nil
+	}
+	return nil, fmt.Errorf("unknown -engines %q (want sync, async or both)", s)
 }
 
 func parseIntensities(s string) ([]float64, error) {

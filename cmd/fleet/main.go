@@ -98,14 +98,14 @@ func run() error {
 	printReport(rep)
 
 	if *check {
-		local, err := wcdsnet.RunBatchSerial(ctx, spec)
+		local, err := wcdsnet.RunBatch(ctx, spec, wcdsnet.BatchOptions{})
 		if err != nil {
 			return err
 		}
 		if rep.Digest != local.Digest() {
 			return fmt.Errorf("digest drift: fleet %s != local %s", rep.Digest, local.Digest())
 		}
-		fmt.Printf("digest check: fleet == local serial run (%s)\n", rep.Digest[:16])
+		fmt.Printf("digest check: fleet == local run (%s)\n", rep.Digest[:16])
 	}
 	if *out != "" {
 		if err := writeJSON(*out, rep); err != nil {

@@ -166,32 +166,22 @@ func TestRunEventWorkloadMatchesSync(t *testing.T) {
 	}
 }
 
-// TestRunMatchesSerial is the engine's core contract: serial baseline,
-// 1-worker engine and N-worker engine must produce byte-identical
-// per-scenario results (canonical form, wall time excluded).
-func TestRunMatchesSerial(t *testing.T) {
-	spec := testSpec()
+// TestRunWorkerCountsIdentical is the engine's core contract: the
+// 1-worker and N-worker runs produce byte-identical per-scenario results
+// (canonical form, wall time excluded) in index order.
+func TestRunWorkerCountsIdentical(t *testing.T) {
 	ctx := context.Background()
-
-	serial, err := RunSerial(ctx, testSpec())
-	if err != nil {
-		t.Fatalf("RunSerial: %v", err)
-	}
 	one, err := Run(ctx, testSpec(), Options{Workers: 1})
 	if err != nil {
 		t.Fatalf("Run(1): %v", err)
 	}
-	many, err := Run(ctx, spec, Options{Workers: 8})
+	many, err := Run(ctx, testSpec(), Options{Workers: 8})
 	if err != nil {
 		t.Fatalf("Run(8): %v", err)
 	}
 
-	if serial.Failed != 0 || one.Failed != 0 || many.Failed != 0 {
-		t.Fatalf("failures: serial=%d one=%d many=%d", serial.Failed, one.Failed, many.Failed)
-	}
-	if s, o := serial.Digest(), one.Digest(); s != o {
-		t.Errorf("serial and 1-worker digests differ:\n%s\nvs\n%s",
-			firstDiff(serial.Canonical(), one.Canonical()), "")
+	if one.Failed != 0 || many.Failed != 0 {
+		t.Fatalf("failures: one=%d many=%d", one.Failed, many.Failed)
 	}
 	if o, m := one.Digest(), many.Digest(); o != m {
 		t.Errorf("1-worker and 8-worker digests differ:\n%s",
@@ -199,6 +189,10 @@ func TestRunMatchesSerial(t *testing.T) {
 	}
 	if many.Workers != 8 {
 		t.Errorf("report claims %d workers, want 8", many.Workers)
+	}
+	if spec := testSpec(); many.Scenarios != spec.NumScenarios() || many.Networks != spec.NumNetworks() {
+		t.Errorf("report covers %d scenarios over %d networks, want %d over %d",
+			many.Scenarios, many.Networks, spec.NumScenarios(), spec.NumNetworks())
 	}
 	for i, res := range many.Results {
 		if res.Index != i {
@@ -385,6 +379,15 @@ func TestRunCancellation(t *testing.T) {
 			t.Fatalf("compacted results out of index order at %d", i)
 		}
 	}
+
+	// A context that expired before dispatch runs nothing.
+	expired, cancelExpired := context.WithTimeout(context.Background(), time.Nanosecond)
+	defer cancelExpired()
+	<-expired.Done()
+	rep, err = Run(expired, spec, Options{Workers: 2})
+	if err == nil || len(rep.Results) != 0 {
+		t.Fatalf("expired context: err=%v, ran %d scenarios", err, len(rep.Results))
+	}
 }
 
 func TestRunFaultyWorkloadRecordsFailureNotError(t *testing.T) {
@@ -409,19 +412,6 @@ func TestRunFaultyWorkloadRecordsFailureNotError(t *testing.T) {
 	}
 	if rep.Failed != 0 {
 		t.Fatalf("detectable non-convergence counted as failure: %+v", res)
-	}
-}
-
-func TestRunSerialCancellation(t *testing.T) {
-	spec := &Spec{Sizes: []int{40}, Degrees: []float64{6}, Seeds: []int64{1, 2, 3, 4, 5}}
-	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
-	defer cancel()
-	rep, err := RunSerial(ctx, spec)
-	if err == nil {
-		t.Fatal("expected deadline error")
-	}
-	if len(rep.Results) != 0 {
-		t.Fatalf("expired context still ran %d scenarios", len(rep.Results))
 	}
 }
 
@@ -459,22 +449,6 @@ func TestRunCancelsMidScenario(t *testing.T) {
 	// The interrupted row is dropped: not a result, not a failure.
 	if len(rep.Results) != 0 || rep.Failed != 0 {
 		t.Fatalf("cancelled scenario surfaced as data: results=%d failed=%d", len(rep.Results), rep.Failed)
-	}
-}
-
-func TestRunSerialCancelsMidScenario(t *testing.T) {
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	rep, err := RunSerial(ctx, nonConvergingSpec())
-	if err == nil {
-		t.Fatal("non-converging scenario completed without error")
-	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("cancellation took %v", elapsed)
-	}
-	if len(rep.Results) != 0 {
-		t.Fatalf("cancelled scenario surfaced as a result row")
 	}
 }
 

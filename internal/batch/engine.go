@@ -25,10 +25,9 @@ import (
 const genMaxTries = 2000
 
 // netMemo holds the shared subcomputations of one (size, degree, seed,
-// topology) network cell. Each is computed at most once per Run, no matter
-// how many scenarios of the cell execute or which workers pick them up;
-// RunSerial gives every scenario a fresh memo instead, which is exactly the
-// recompute-per-scenario cost the engine exists to remove.
+// topology) network cell. Each is computed at most once per Run (or
+// RunRange), no matter how many scenarios of the cell execute or which
+// workers pick them up.
 type netMemo struct {
 	size   int
 	degree float64
@@ -128,7 +127,7 @@ func (m *netMemo) detailed(ctx context.Context) (*udg.Network, wcds.Result, []bo
 	return nw, m.detRes, m.detRelay, m.detErr
 }
 
-// Options configures Run.
+// Options configures Run and RunRange.
 type Options struct {
 	// Workers is the shard count (<= 0 means GOMAXPROCS). The result set is
 	// identical for every value; only wall time changes.
@@ -145,12 +144,9 @@ type Options struct {
 	MeasureWorkers int
 }
 
-// Run executes the sweep across opts.Workers goroutines and returns the
-// full report. Workers pull scenario indices from a shared atomic counter
-// and write into a results array addressed by scenario index, so the
-// output is deterministic in layout for any worker count; scenario content
-// is deterministic too, since every engine, async included, replays from
-// the scenario's seeds.
+// Run executes the whole sweep: the range executor over every scenario.
+// Results are deterministic in layout and content for any worker count;
+// see execute.
 //
 // On context cancellation Run stops dispatching, returns the completed
 // results (compacted, still index-ordered) and reports ctx.Err().
@@ -159,6 +155,38 @@ func Run(ctx context.Context, spec *Spec, opts Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
+	return execute(ctx, spec, scens, opts)
+}
+
+// RunRange executes only the scenarios whose global index lies in [lo, hi)
+// and returns a report whose Results carry their global indices. Rows are
+// byte-identical (per-row Canonical) to the corresponding rows of a full
+// Run of the same spec, so a coordinator can execute disjoint ranges on
+// different processes and merge them back into a digest-identical report
+// (see internal/fleet). Network memos are shared within the range exactly
+// as Run shares them across the whole sweep.
+func RunRange(ctx context.Context, spec *Spec, lo, hi int, opts Options) (*Report, error) {
+	scens, err := spec.Expand()
+	if err != nil {
+		return nil, err
+	}
+	if lo < 0 || hi > len(scens) || lo >= hi {
+		return nil, fmt.Errorf("batch: shard range [%d, %d) out of bounds for %d scenarios", lo, hi, len(scens))
+	}
+	return execute(ctx, spec, scens[lo:hi], opts)
+}
+
+// execute is the one sweep executor behind Run and RunRange. It runs scens
+// across opts.Workers goroutines that pull positions from a shared atomic
+// counter and write into a results array addressed by position, so the
+// output is deterministic in layout for any worker count; scenario content
+// is deterministic too, since every engine, async included, replays from
+// the scenario's seeds. Report.Networks counts the network cells scens
+// touch.
+//
+// On context cancellation it stops dispatching, returns the completed
+// results (compacted, still in order) and reports ctx.Err().
+func execute(ctx context.Context, spec *Spec, scens []Scenario, opts Options) (*Report, error) {
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -170,11 +198,13 @@ func Run(ctx context.Context, spec *Spec, opts Options) (*Report, error) {
 	}
 
 	memos := make([]*netMemo, spec.NumNetworks())
+	networks := 0
 	for _, sc := range scens {
 		if memos[sc.Net] == nil {
 			topo, label := spec.topologyAt(sc.Topology)
 			memos[sc.Net] = &netMemo{size: sc.Size, degree: sc.Degree, seed: sc.Seed,
 				topo: topo, topoLabel: label}
+			networks++
 		}
 	}
 
@@ -220,7 +250,7 @@ func Run(ctx context.Context, spec *Spec, opts Options) (*Report, error) {
 	runtime.ReadMemStats(&ms1)
 	rep := &Report{
 		Scenarios: len(scens),
-		Networks:  spec.NumNetworks(),
+		Networks:  networks,
 		Workers:   workers,
 		WallNS:    time.Since(start).Nanoseconds(),
 		// TotalAlloc and Mallocs are monotone, so the deltas are exact for
@@ -240,144 +270,6 @@ func Run(ctx context.Context, spec *Spec, opts Options) (*Report, error) {
 	rep.Results = results
 	rep.finish()
 	return rep, nil
-}
-
-// RunRange executes only the scenarios whose global index lies in [lo, hi)
-// and returns a report whose Results carry their global indices. Rows are
-// byte-identical (per-row Canonical) to the corresponding rows of a full
-// Run of the same spec, so a coordinator can execute disjoint ranges on
-// different processes and merge them back into a digest-identical report
-// (see internal/fleet). Network memos are shared within the range exactly
-// as Run shares them across the whole sweep.
-func RunRange(ctx context.Context, spec *Spec, lo, hi int, opts Options) (*Report, error) {
-	scens, err := spec.Expand()
-	if err != nil {
-		return nil, err
-	}
-	if lo < 0 || hi > len(scens) || lo >= hi {
-		return nil, fmt.Errorf("batch: shard range [%d, %d) out of bounds for %d scenarios", lo, hi, len(scens))
-	}
-	shard := scens[lo:hi]
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	workers = min(workers, len(shard))
-	measureWorkers := opts.MeasureWorkers
-	if measureWorkers <= 0 {
-		measureWorkers = 1
-	}
-
-	memos := make([]*netMemo, spec.NumNetworks())
-	networks := 0
-	for _, sc := range shard {
-		if memos[sc.Net] == nil {
-			topo, label := spec.topologyAt(sc.Topology)
-			memos[sc.Net] = &netMemo{size: sc.Size, degree: sc.Degree, seed: sc.Seed,
-				topo: topo, topoLabel: label}
-			networks++
-		}
-	}
-
-	results := make([]Result, len(shard))
-	done := make([]bool, len(shard))
-	var ms0, ms1 runtime.MemStats
-	runtime.ReadMemStats(&ms0)
-	start := time.Now()
-
-	var (
-		next atomic.Int64
-		cbMu sync.Mutex
-		wg   sync.WaitGroup
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(shard) || ctx.Err() != nil {
-					return
-				}
-				sc := shard[i]
-				res := runScenario(ctx, sc, &spec.Workloads[sc.Workload], memos[sc.Net], measureWorkers)
-				if res.cancelled {
-					return
-				}
-				results[i] = res
-				done[i] = true
-				if opts.OnResult != nil {
-					cbMu.Lock()
-					opts.OnResult(res)
-					cbMu.Unlock()
-				}
-			}
-		}()
-	}
-	wg.Wait()
-
-	runtime.ReadMemStats(&ms1)
-	rep := &Report{
-		Scenarios:  len(shard),
-		Networks:   networks,
-		Workers:    workers,
-		WallNS:     time.Since(start).Nanoseconds(),
-		AllocBytes: ms1.TotalAlloc - ms0.TotalAlloc,
-		Mallocs:    ms1.Mallocs - ms0.Mallocs,
-	}
-	if err := ctx.Err(); err != nil {
-		for i, ok := range done {
-			if ok {
-				rep.Results = append(rep.Results, results[i])
-			}
-		}
-		rep.finish()
-		return rep, err
-	}
-	rep.Results = results
-	rep.finish()
-	return rep, nil
-}
-
-// RunSerial is the pre-engine baseline: the same scenarios, one at a time,
-// each regenerating its network and recomputing every construction from
-// scratch (a fresh memo per scenario, so nothing is shared). cmd/bench
-// reports the engine's speedup against this.
-func RunSerial(ctx context.Context, spec *Spec) (*Report, error) {
-	scens, err := spec.Expand()
-	if err != nil {
-		return nil, err
-	}
-	results := make([]Result, 0, len(scens))
-	var ms0, ms1 runtime.MemStats
-	runtime.ReadMemStats(&ms0)
-	start := time.Now()
-	for _, sc := range scens {
-		if err := ctx.Err(); err != nil {
-			break
-		}
-		topo, label := spec.topologyAt(sc.Topology)
-		memo := &netMemo{size: sc.Size, degree: sc.Degree, seed: sc.Seed,
-			topo: topo, topoLabel: label}
-		res := runScenario(ctx, sc, &spec.Workloads[sc.Workload], memo, 1)
-		if res.cancelled {
-			break
-		}
-		results = append(results, res)
-	}
-	runtime.ReadMemStats(&ms1)
-	rep := &Report{
-		Scenarios:  len(scens),
-		Networks:   spec.NumNetworks(),
-		Workers:    1,
-		Serial:     true,
-		WallNS:     time.Since(start).Nanoseconds(),
-		AllocBytes: ms1.TotalAlloc - ms0.TotalAlloc,
-		Mallocs:    ms1.Mallocs - ms0.Mallocs,
-		Results:    results,
-	}
-	rep.finish()
-	return rep, ctx.Err()
 }
 
 // runScenario executes one scenario, converting panics in measurement code

@@ -95,13 +95,12 @@ func (r *Result) Canonical() string {
 	return b.String()
 }
 
-// Report is the outcome of a Run or RunSerial.
+// Report is the outcome of a Run or RunRange.
 type Report struct {
-	Scenarios int  `json:"scenarios"`
-	Networks  int  `json:"networks"`
-	Workers   int  `json:"workers"`
-	Serial    bool `json:"serial,omitempty"`
-	Failed    int  `json:"failed"`
+	Scenarios int `json:"scenarios"`
+	Networks  int `json:"networks"`
+	Workers   int `json:"workers"`
+	Failed    int `json:"failed"`
 
 	WallNS     int64  `json:"wallNS"`
 	AllocBytes uint64 `json:"allocBytes"`

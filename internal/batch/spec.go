@@ -22,9 +22,8 @@
 //     queues are recycled through sync.Pools, cutting steady-state
 //     allocations of the generate/construct loop.
 //
-// RunSerial preserves the pre-engine behaviour — fully independent
-// scenario executions in a plain loop — and is the baseline cmd/bench
-// measures speedup against.
+// Run and RunRange (one index range, for the fleet) share one executor, so
+// a sweep row is scheduled the same way whichever entry point runs it.
 package batch
 
 import (

@@ -37,33 +37,33 @@ func competitorTestSpec(t *testing.T) *Spec {
 
 // TestTopologyAxisDigestWorkerInvariance is the acceptance criterion: a
 // spec sweeping the topology axis produces byte-identical digests at any
-// worker count, including against the serial baseline.
+// worker count.
 func TestTopologyAxisDigestWorkerInvariance(t *testing.T) {
 	spec := competitorTestSpec(t)
 	ctx := context.Background()
 
-	serial, err := RunSerial(ctx, spec)
+	one, err := Run(ctx, spec, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	digest := serial.Digest()
-	for _, workers := range []int{1, 2, 5} {
+	digest := one.Digest()
+	for _, workers := range []int{2, 5} {
 		rep, err := Run(ctx, spec, Options{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if d := rep.Digest(); d != digest {
-			t.Fatalf("digest at %d workers %s != serial %s", workers, d[:12], digest[:12])
+			t.Fatalf("digest at %d workers %s != 1 worker %s", workers, d[:12], digest[:12])
 		}
 	}
-	if serial.Failed != 0 {
-		t.Fatalf("%d scenarios failed", serial.Failed)
+	if one.Failed != 0 {
+		t.Fatalf("%d scenarios failed", one.Failed)
 	}
 
 	// Every row carries its topology label, every backbone is valid, and
 	// the aggregates are keyed per (topology, workload).
-	for i := range serial.Results {
-		r := &serial.Results[i]
+	for i := range one.Results {
+		r := &one.Results[i]
 		if r.Topology == "" {
 			t.Fatalf("scenario %d has no topology label", r.Index)
 		}
@@ -75,14 +75,14 @@ func TestTopologyAxisDigestWorkerInvariance(t *testing.T) {
 		}
 	}
 	found := false
-	for k := range serial.Aggregates {
+	for k := range one.Aggregates {
 		if strings.HasPrefix(k, "clusters:k=3,sigma=0.75/") {
 			found = true
 			break
 		}
 	}
 	if !found {
-		t.Fatalf("no aggregate keyed by topology; keys: %v", len(serial.Aggregates))
+		t.Fatalf("no aggregate keyed by topology; keys: %v", len(one.Aggregates))
 	}
 }
 
@@ -99,7 +99,7 @@ func TestLegacySpecRowsUnchanged(t *testing.T) {
 			{Kind: Backbone, Algorithm: "greedy-wcds"},
 		},
 	}
-	rep, err := RunSerial(context.Background(), spec)
+	rep, err := Run(context.Background(), spec, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -112,8 +112,10 @@ type Config struct {
 	// exact-equality invariant applies to Algorithm II's Deferred mode,
 	// Algorithm I runs are held to the structural invariants.
 	Algorithm string
-	// Async selects the asynchronous engine (the sync engine otherwise).
-	Async bool
+	// Engine is the simulation engine the protocol runs on (the zero
+	// value is EngineSync). The fault plan's seed doubles as the schedule
+	// seed, so scrambling engines replay per scenario.
+	Engine simnet.Engine
 	// MaxRetries overrides the reliable layer's retry budget (0 = default).
 	MaxRetries int
 	// MaxRounds overrides the engine quiescence budget (0 = a generous
@@ -295,13 +297,9 @@ func reliableDistributed(nw *udg.Network, plan simnet.FaultPlan, cfg Config) (wc
 		// retransmission epochs beyond the paper's lossless bounds.
 		maxRounds = 200*nw.N() + 5000
 	}
-	eng := simnet.EngineSync
-	if cfg.Async {
-		eng = simnet.EngineAsync
-	}
 	rec := obs.NewSpans()
 	runner := wcds.RunSpec{
-		Engine:          eng,
+		Engine:          cfg.Engine,
 		ScheduleSeed:    plan.Seed,
 		Faults:          &plan,
 		MaxRounds:       maxRounds,

@@ -49,28 +49,28 @@ func TestSweepFindsNoViolations(t *testing.T) {
 	if testing.Short() {
 		seeds = 4
 	}
-	for _, async := range []bool{false, true} {
+	for _, eng := range []simnet.Engine{simnet.EngineSync, simnet.EngineAsync} {
 		rep, err := Run(Config{
 			Seeds:     seeds,
 			BaseSeed:  100,
 			N:         30,
 			AvgDegree: 6,
 			Intensity: 0.6,
-			Async:     async,
+			Engine:    eng,
 		})
 		if err != nil {
-			t.Fatalf("async=%v: %v", async, err)
+			t.Fatalf("engine=%v: %v", eng, err)
 		}
 		if rep.Failed() {
 			for _, s := range rep.Scenarios {
 				if s.Outcome == Violated {
-					t.Errorf("async=%v seed %d: VIOLATION: %s", async, s.Seed, s.Detail)
+					t.Errorf("engine=%v seed %d: VIOLATION: %s", eng, s.Seed, s.Detail)
 				}
 			}
 		}
 		if rep.Converged == 0 {
-			t.Errorf("async=%v: no scenario converged at intensity 0.6; harness too harsh: %s",
-				async, rep.Summary())
+			t.Errorf("engine=%v: no scenario converged at intensity 0.6; harness too harsh: %s",
+				eng, rep.Summary())
 		}
 		// Phase accounting must reconcile with the engine's own counters:
 		// every sent message belongs to exactly one phase.
@@ -80,9 +80,9 @@ func TestSweepFindsNoViolations(t *testing.T) {
 		}
 		gotMsgs := obs.Total(rep.PhaseTotals, func(sp obs.Span) int { return sp.Messages })
 		if gotMsgs != wantMsgs {
-			t.Errorf("async=%v: phase totals carry %d messages, stats %d", async, gotMsgs, wantMsgs)
+			t.Errorf("engine=%v: phase totals carry %d messages, stats %d", eng, gotMsgs, wantMsgs)
 		}
-		t.Logf("async=%v: %s", async, rep.Summary())
+		t.Logf("engine=%v: %s", eng, rep.Summary())
 	}
 }
 

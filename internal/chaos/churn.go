@@ -48,8 +48,9 @@ type ChurnConfig struct {
 	// engine budget (0 = defaults).
 	MaxRetries int
 	MaxRounds  int
-	// Async runs the repair protocol on the asynchronous engine.
-	Async bool
+	// Engine is the simulation engine the repair protocol runs on (the
+	// zero value is EngineSync).
+	Engine simnet.Engine
 }
 
 func (cfg ChurnConfig) withDefaults() ChurnConfig {
@@ -150,7 +151,7 @@ func runChurnCell(seed int64, rate float64, cfg ChurnConfig) (ChurnCell, error) 
 			Reliable:    cfg.Reliable,
 			MaxRetries:  cfg.MaxRetries,
 			MaxRounds:   cfg.MaxRounds,
-			Async:       cfg.Async,
+			Engine:      cfg.Engine,
 		},
 	})
 	if err != nil {

@@ -3,6 +3,8 @@ package chaos
 import (
 	"strings"
 	"testing"
+
+	"wcdsnet/internal/simnet"
 )
 
 // A small reliable churn sweep must be entirely clean: no violated epochs,
@@ -47,7 +49,7 @@ func TestChurnSweepAsyncReliable(t *testing.T) {
 		Epochs:    6,
 		DropRates: []float64{0.2},
 		Reliable:  true,
-		Async:     true,
+		Engine:    simnet.EngineAsync,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -37,11 +37,9 @@ func HTTPRunner(baseURL string, client *http.Client) Runner {
 			Faults:    &plan,
 			Reliable:  true,
 		}
-		if cfg.Async {
-			req.Mode = "async"
+		req.Mode = cfg.Engine.String()
+		if cfg.Engine != simnet.EngineSync {
 			req.ScheduleSeed = plan.Seed
-		} else {
-			req.Mode = "sync"
 		}
 		req.MaxRetries = cfg.MaxRetries
 		if cfg.MaxRounds > 0 {

@@ -42,10 +42,10 @@ func spawn(t *testing.T, n int, opts service.Options) []*LocalWorker {
 
 // TestFleetDigestMatchesLocal is the tentpole contract: the merged report
 // of a 1-worker and a 3-worker fleet is byte-identical (digest) to a local
-// serial run, for more than one shard width.
+// one-worker run, for more than one shard width.
 func TestFleetDigestMatchesLocal(t *testing.T) {
 	ctx := context.Background()
-	local, err := batch.RunSerial(ctx, fleetSpec())
+	local, err := batch.Run(ctx, fleetSpec(), batch.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestFleetCacheAffinity(t *testing.T) {
 // byte-identical to the local run and no row is double-counted.
 func TestFleetWorkerKillMidSweepConverges(t *testing.T) {
 	ctx := context.Background()
-	local, err := batch.RunSerial(ctx, fleetSpec())
+	local, err := batch.Run(ctx, fleetSpec(), batch.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,23 +57,8 @@ type RepairPolicy struct {
 	MaxAttempts int
 	// Engine selects the simulation engine the protocol runs on
 	// (EngineSync, EngineAsync or EngineEvent; the zero value is
-	// EngineSync unless the deprecated Async flag is set).
+	// EngineSync).
 	Engine simnet.Engine
-	// Async runs the protocol on the asynchronous engine instead of the
-	// synchronous-round engine.
-	//
-	// Deprecated: set Engine to simnet.EngineAsync. Async is honoured only
-	// while Engine is the zero value.
-	Async bool
-}
-
-// engine resolves the Engine/Async pair: Engine wins when set, the legacy
-// Async flag lifts a zero Engine to EngineAsync.
-func (p *RepairPolicy) engine() simnet.Engine {
-	if p.Engine == simnet.EngineSync && p.Async {
-		return simnet.EngineAsync
-	}
-	return p.Engine
 }
 
 // DefaultRepairAttempts is the rung-1 protocol retry budget when
@@ -296,7 +281,7 @@ func (m *Maintainer) runRepairProtocol(ctx context.Context, g *graph.Graph, pre 
 					Phase:      func(any) string { return "repair" },
 				})
 			}
-			st, rerr := m.policy.engine().Run(g, procs, opts...)
+			st, rerr := m.policy.Engine.Run(g, procs, opts...)
 			if col != nil {
 				col.MergeInto(&st)
 			}

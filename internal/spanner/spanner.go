@@ -107,6 +107,27 @@ func Dilation(g, sp *graph.Graph, w graph.WeightFunc, pairs [][2]int) (Report, e
 	return DilationN(g, sp, w, pairs, 0)
 }
 
+// groupBySource drops pairs with identical or adjacent endpoints (the
+// paper's dilation is defined for non-adjacent pairs only) and groups the
+// rest by source, targets in input order, so each source's shortest-path
+// trees are computed once. srcs lists the sources in ascending order.
+func groupBySource(g *graph.Graph, pairs [][2]int) (srcs []int, bySrc map[int][]int) {
+	bySrc = make(map[int][]int)
+	for _, pr := range pairs {
+		u, v := pr[0], pr[1]
+		if u == v || g.HasEdge(u, v) {
+			continue
+		}
+		bySrc[u] = append(bySrc[u], v)
+	}
+	srcs = make([]int, 0, len(bySrc))
+	for u := range bySrc {
+		srcs = append(srcs, u)
+	}
+	sort.Ints(srcs)
+	return srcs, bySrc
+}
+
 // srcPartial is one source's contribution to a dilation Report. Partials
 // are computed independently (possibly on different workers) and merged in
 // source order, which is what makes the parallel result deterministic: the
@@ -163,10 +184,10 @@ func measureSource(g, sp *graph.Graph, w graph.WeightFunc, u int, targets []int,
 }
 
 // DilationN is Dilation with an explicit measurement worker count.
-// workers <= 0 selects GOMAXPROCS. Sources are grouped as in Dilation,
-// then fanned over a bounded pool of workers pulling source indices from a
-// shared atomic counter; each worker owns one pooled scratch set, so the
-// steady state allocates nothing per traversal.
+// workers <= 0 selects GOMAXPROCS. Pairs are grouped by source, then the
+// sources are fanned over a bounded pool of workers pulling source indices
+// from a shared atomic counter; each worker owns one pooled scratch set, so
+// the steady state allocates nothing per traversal.
 //
 // Determinism: every partial is stored at its source's index and the merge
 // walks partials in ascending source order, accumulating sums, worst pairs
@@ -176,27 +197,12 @@ func measureSource(g, sp *graph.Graph, w graph.WeightFunc, u int, targets []int,
 // associate identically for every worker count, and the Report — and any
 // digest derived from it — is byte-identical whether workers is 1 or 100.
 // Errors follow the same rule: the reported error is the first one in
-// source order, matching the sequential implementation.
+// source order. workers = 1 is the plain sequential fold.
 func DilationN(g, sp *graph.Graph, w graph.WeightFunc, pairs [][2]int, workers int) (Report, error) {
 	if g.N() != sp.N() {
 		return Report{}, fmt.Errorf("spanner: node count mismatch %d vs %d", g.N(), sp.N())
 	}
-	// Group by source so each source's shortest-path trees are computed
-	// once.
-	bySrc := make(map[int][]int)
-	for _, pr := range pairs {
-		u, v := pr[0], pr[1]
-		if u == v || g.HasEdge(u, v) {
-			continue
-		}
-		bySrc[u] = append(bySrc[u], v)
-	}
-	srcs := make([]int, 0, len(bySrc))
-	for u := range bySrc {
-		srcs = append(srcs, u)
-	}
-	sort.Ints(srcs)
-
+	srcs, bySrc := groupBySource(g, pairs)
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -257,78 +263,6 @@ func DilationN(g, sp *graph.Graph, w graph.WeightFunc, pairs [][2]int, workers i
 	}
 	rep.TopoBoundHolds = rep.TopoViolations == 0
 	rep.GeoBoundHolds = rep.GeoViolations == 0
-	if rep.Pairs > 0 {
-		rep.AvgTopoRatio = sumTopo / float64(rep.Pairs)
-		rep.AvgGeoRatio = sumGeo / float64(rep.Pairs)
-	}
-	return rep, nil
-}
-
-// DilationBaseline is the pre-pool sequential implementation: one fresh
-// allocation set per source, no scratch reuse, no parallelism. It is kept
-// as the reference the property tests and cmd/bench's measureSerial phase
-// compare against (the same role batch.RunSerial plays for the engine).
-func DilationBaseline(g, sp *graph.Graph, w graph.WeightFunc, pairs [][2]int) (Report, error) {
-	if g.N() != sp.N() {
-		return Report{}, fmt.Errorf("spanner: node count mismatch %d vs %d", g.N(), sp.N())
-	}
-	bySrc := make(map[int][]int)
-	for _, pr := range pairs {
-		u, v := pr[0], pr[1]
-		if u == v || g.HasEdge(u, v) {
-			continue
-		}
-		bySrc[u] = append(bySrc[u], v)
-	}
-	srcs := make([]int, 0, len(bySrc))
-	for u := range bySrc {
-		srcs = append(srcs, u)
-	}
-	sort.Ints(srcs)
-
-	rep := Report{TopoBoundHolds: true, GeoBoundHolds: true}
-	// Sum per source, then fold the per-source sums, so the float
-	// association matches DilationN's merge exactly and both entry points
-	// stay byte-identical.
-	var sumTopo, sumGeo float64
-	for _, u := range srcs {
-		hopsG, _ := g.BFS(u)
-		lenG, _ := g.Dijkstra(u, w)
-		hopsSp, lenSp := sp.MaxHopMinHopPath(u, w)
-		var srcTopo, srcGeo float64
-		for _, v := range bySrc[u] {
-			if hopsG[v] == graph.Unreachable {
-				return Report{}, fmt.Errorf("spanner: pair (%d,%d) disconnected in G", u, v)
-			}
-			if hopsSp[v] == graph.Unreachable {
-				return Report{}, fmt.Errorf("spanner: pair (%d,%d) disconnected in spanner", u, v)
-			}
-			ps := PairStat{
-				U: u, V: v,
-				HopsG: hopsG[v], HopsSpanner: hopsSp[v],
-				LenG: lenG[v], LenSpanner: lenSp[v],
-			}
-			rep.Pairs++
-			srcTopo += ps.TopoRatio()
-			srcGeo += ps.GeoRatio()
-			if ps.TopoRatio() > rep.WorstTopo.TopoRatio() {
-				rep.WorstTopo = ps
-			}
-			if ps.GeoRatio() > rep.WorstGeo.GeoRatio() {
-				rep.WorstGeo = ps
-			}
-			if ps.HopsSpanner > 3*ps.HopsG+2 {
-				rep.TopoBoundHolds = false
-				rep.TopoViolations++
-			}
-			if ps.LenSpanner > 6*ps.LenG+5+1e-9 {
-				rep.GeoBoundHolds = false
-				rep.GeoViolations++
-			}
-		}
-		sumTopo += srcTopo
-		sumGeo += srcGeo
-	}
 	if rep.Pairs > 0 {
 		rep.AvgTopoRatio = sumTopo / float64(rep.Pairs)
 		rep.AvgGeoRatio = sumGeo / float64(rep.Pairs)
@@ -416,19 +350,7 @@ func CheckLemma6(stats []PairStat, alpha, beta float64) error {
 // CollectPairStats returns per-pair statistics (rather than an aggregated
 // Report) for the given pairs; used by Lemma 6 checks and histograms.
 func CollectPairStats(g, sp *graph.Graph, w graph.WeightFunc, pairs [][2]int) ([]PairStat, error) {
-	bySrc := make(map[int][]int)
-	for _, pr := range pairs {
-		u, v := pr[0], pr[1]
-		if u == v || g.HasEdge(u, v) {
-			continue
-		}
-		bySrc[u] = append(bySrc[u], v)
-	}
-	srcs := make([]int, 0, len(bySrc))
-	for u := range bySrc {
-		srcs = append(srcs, u)
-	}
-	sort.Ints(srcs)
+	srcs, bySrc := groupBySource(g, pairs)
 	var out []PairStat
 	sg, sd, ss := graph.GetScratch(), graph.GetScratch(), graph.GetScratch()
 	defer sg.Release()

@@ -426,17 +426,6 @@ func RunBatch(ctx context.Context, spec *BatchSpec, opts BatchOptions) (*BatchRe
 	return rep, err
 }
 
-// RunBatchSerial executes the sweep one scenario at a time with nothing
-// shared or pooled — the pre-engine baseline cmd/bench measures speedup
-// against.
-func RunBatchSerial(ctx context.Context, spec *BatchSpec) (*BatchReport, error) {
-	rep, err := batch.RunSerial(ctx, spec)
-	if err != nil && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
-		err = fmt.Errorf("wcdsnet: %w: %w", ErrInvalidInput, err)
-	}
-	return rep, err
-}
-
 // Fleet (cluster mode) types, re-exported from internal/fleet. A fleet fans
 // one BatchSpec out across N cmd/serve workers over POST /v1/shard and
 // merges the index-addressed rows into a report whose Digest is

@@ -82,12 +82,12 @@ func TestRunBatchFacade(t *testing.T) {
 	if rep.Scenarios != 2 || rep.Failed != 0 {
 		t.Fatalf("report: %d scenarios, %d failed", rep.Scenarios, rep.Failed)
 	}
-	serial, err := RunBatchSerial(context.Background(), spec)
+	one, err := RunBatch(context.Background(), spec, BatchOptions{Workers: 1})
 	if err != nil {
-		t.Fatalf("RunBatchSerial: %v", err)
+		t.Fatalf("RunBatch(1): %v", err)
 	}
-	if rep.Digest() != serial.Digest() {
-		t.Fatal("engine and serial digests differ")
+	if rep.Digest() != one.Digest() {
+		t.Fatal("1-worker and 2-worker digests differ")
 	}
 
 	if _, err := RunBatch(context.Background(), &BatchSpec{}, BatchOptions{}); !errors.Is(err, ErrInvalidInput) {

@@ -1,7 +1,9 @@
 package wcds
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"wcdsnet/internal/graph"
@@ -57,9 +59,40 @@ type (
 // and the minimum intermediate (via) ID that reaches it. The lists are tiny
 // — Lemma 1 bounds adjacent dominators at five, and a constant-size disk
 // packing bounds the 2-hop set — so they live in small linear-scanned slices
-// instead of maps; at million-node scale the per-delivery map overhead used
-// to dominate the protocol's CPU profile.
+// carved from run-wide arenas instead of maps; at million-node scale the
+// per-delivery map overhead used to dominate the protocol's CPU profile.
 type domVia struct{ dom, via int }
+
+// domPath is one per-target record of an MIS dominator: a dominator ID dom
+// and the intermediate IDs of a self–v–x–dom connector path, nearest
+// first. It serves both the Deferred candidates, folded to the
+// lexicographically smallest (v, x) as reports arrive, and the 3-hop
+// records. Lemma 2 bounds either list at 47 entries, so both are
+// linear-scanned slices.
+type domPath struct{ dom, v, x int }
+
+// pathListCap is the capacity a per-target list gets on first use. Lemma
+// 2 allows 47 entries, but on uniform scenes a dominator keeps a handful,
+// so one allocation covers the list instead of a chain of regrowths.
+const pathListCap = 8
+
+// appendPath appends e to list, allocating pathListCap on first use.
+func appendPath(list []domPath, e domPath) []domPath {
+	if list == nil {
+		list = make([]domPath, 0, pathListCap)
+	}
+	return append(list, e)
+}
+
+// pathIndex returns the index of dom's entry in list, or -1.
+func pathIndex(list []domPath, dom int) int {
+	for i := range list {
+		if list[i].dom == dom {
+			return i
+		}
+	}
+	return -1
+}
 
 // algo2Shared is the run-wide read-only ID knowledge every fast-path proc
 // points at: one slice header set for the whole run instead of per-node
@@ -77,9 +110,13 @@ type algo2Shared struct {
 //
 //   - Fast path (Algo2DistributedDetailed): shared points at the caller's
 //     ID table, so neighbour-ID lookups are array indexing and the proc
-//     allocates no per-node maps up front.
+//     holds no maps at all.
 //   - Zero-knowledge path (Algo2ZeroKnowledge): shared is nil and nbrIDs is
 //     filled incrementally by HELLO beacons before wire runs.
+//
+// Both paths carve the procs and their 1-hop and 2-hop lists from run-wide
+// arenas (newAlgo2Procs). The per-target lists only MIS dominators keep,
+// threeHop and candidates, are small slices allocated on first use.
 //
 // Field order is deliberate: the per-delivery counters and colour state
 // lead so the hot handlers stay within the first cache line.
@@ -102,25 +139,50 @@ type algo2Proc struct {
 	sentTwoHop bool
 	selected   bool
 
-	oneHopDoms []int    // adjacent dominator IDs (deduped, unordered)
-	twoHopDoms []domVia // dominator ID -> minimum via-ID (deduped, unordered)
+	oneHopDoms []int    // adjacent dominator IDs (deduped, unordered); arena chunk
+	twoHopDoms []domVia // dominator ID -> minimum via-ID (deduped, unordered); arena chunk
 
-	threeHop   map[int][2]int   // dominator ID -> (first, second) intermediate IDs; lazy
-	candidates map[int][][2]int // deferred mode: target W -> candidate (v, x) pairs; lazy
-	nbrIDs     map[int]int      // neighbour node index -> protocol ID (discovery path)
-	idToNbr    map[int]int      // neighbour protocol ID -> node index (discovery path)
+	threeHop   []domPath   // dominator ID -> (first, second) intermediate IDs (deduped, unordered)
+	candidates []domPath   // deferred mode: target W -> minimum (v, x) pair (deduped, unordered)
+	nbrIDs     map[int]int // neighbour node index -> protocol ID (discovery path)
+	idToNbr    map[int]int // neighbour protocol ID -> node index (discovery path)
 }
 
-// newAlgo2Proc builds a proc for the zero-knowledge pipeline, which fills
-// nbrIDs via setNeighborID. The fast path constructs the struct directly
-// with shared set and no maps at all (threeHop and candidates are allocated
-// lazily — only ~the dominator fraction of nodes ever writes them).
-func newAlgo2Proc(ownID int, mode SelectionMode) *algo2Proc {
-	return &algo2Proc{
-		ownID:  ownID,
-		mode:   mode,
-		nbrIDs: make(map[int]int),
+// Per-node arena chunk sizes for the 1-hop and 2-hop lists. A node that
+// outgrows its chunk spills to the heap with identical append semantics,
+// so these are tuned to the common case, not to the packing bounds.
+const (
+	// domArenaCap covers Lemma 1's five adjacent MIS dominators plus
+	// slack for additional dominators that join later.
+	domArenaCap = 8
+	// twoHopArenaCap covers nearly every 2HopDomList on uniform scenes
+	// (mean length about 4 at degree 10 and 5.5 at degree 20). A chunk
+	// sized by Lemma 2's bound of 23 would cost more memory than the
+	// overflows it saves.
+	twoHopArenaCap = 8
+)
+
+// newAlgo2Procs carves one run's procs and their 1-hop and 2-hop list
+// chunks from three run-wide allocations: almost every node ends up
+// dominated and hears some 1-HOP report, so per-node lazy lists were
+// guaranteed mallocs per node per run. Full slice expressions cap each
+// chunk so a node's appends never run into its neighbour's.
+func newAlgo2Procs(ids []int, mode SelectionMode, shared *algo2Shared) []algo2Proc {
+	n := len(ids)
+	a2 := make([]algo2Proc, n)
+	oneHop := make([]int, domArenaCap*n)
+	twoHop := make([]domVia, twoHopArenaCap*n)
+	for i := range a2 {
+		o, t := i*domArenaCap, i*twoHopArenaCap
+		a2[i] = algo2Proc{
+			ownID:      ids[i],
+			mode:       mode,
+			shared:     shared,
+			oneHopDoms: oneHop[o : o : o+domArenaCap],
+			twoHopDoms: twoHop[t : t : t+twoHopArenaCap],
+		}
 	}
+	return a2
 }
 
 // idOf maps a neighbour's node index to its protocol ID. The kernel only
@@ -175,22 +237,11 @@ func (p *algo2Proc) hasOneHopDom(id int) bool {
 	return false
 }
 
-// domArenaCap is the per-node oneHopDoms capacity carved from the run
-// arena: Lemma 1's five-dominator packing bound plus slack for additional
-// dominators that join later, so the common case never regrows.
-const domArenaCap = 8
-
-// addOneHopDom records an adjacent dominator, deduplicating. Procs built
-// by algo2Run share an arena-backed slice sized domArenaCap; the lazy
-// branch covers procs constructed without one.
+// addOneHopDom records an adjacent dominator, deduplicating.
 func (p *algo2Proc) addOneHopDom(id int) {
-	if p.hasOneHopDom(id) {
-		return
+	if !p.hasOneHopDom(id) {
+		p.oneHopDoms = append(p.oneHopDoms, id)
 	}
-	if p.oneHopDoms == nil {
-		p.oneHopDoms = make([]int, 0, domArenaCap)
-	}
-	p.oneHopDoms = append(p.oneHopDoms, id)
 }
 
 // foldTwoHop records that dominator dom is reachable through via, keeping
@@ -203,9 +254,6 @@ func (p *algo2Proc) foldTwoHop(dom, via int) {
 			}
 			return
 		}
-	}
-	if p.twoHopDoms == nil {
-		p.twoHopDoms = make([]domVia, 0, 16)
 	}
 	p.twoHopDoms = append(p.twoHopDoms, domVia{dom: dom, via: via})
 }
@@ -220,13 +268,26 @@ func (p *algo2Proc) hasTwoHop(dom int) bool {
 	return false
 }
 
-// setThreeHop records a three-hop connector path, allocating the map on
-// first use.
-func (p *algo2Proc) setThreeHop(dom int, pair [2]int) {
-	if p.threeHop == nil {
-		p.threeHop = make(map[int][2]int)
+// setThreeHop records the three-hop connector path to dom through first
+// intermediate v and second intermediate x, replacing any earlier record.
+func (p *algo2Proc) setThreeHop(dom, v, x int) {
+	if i := pathIndex(p.threeHop, dom); i >= 0 {
+		p.threeHop[i] = domPath{dom: dom, v: v, x: x}
+		return
 	}
-	p.threeHop[dom] = pair
+	p.threeHop = appendPath(p.threeHop, domPath{dom: dom, v: v, x: x})
+}
+
+// foldCandidate keeps the lexicographically smallest (v, x) connector pair
+// per Deferred target, so selection needs no per-target candidate lists.
+func (p *algo2Proc) foldCandidate(dom, v, x int) {
+	if i := pathIndex(p.candidates, dom); i >= 0 {
+		if c := &p.candidates[i]; v < c.v || (v == c.v && x < c.x) {
+			c.v, c.x = v, x
+		}
+		return
+	}
+	p.candidates = appendPath(p.candidates, domPath{dom: dom, v: v, x: x})
 }
 
 // wire finalises the 1-hop knowledge (nbrIDs must be complete on the
@@ -327,7 +388,9 @@ func (p *algo2Proc) recordOneHopReport(ctx *simnet.Context, from int, m OneHopDo
 		// Paper's removal rule: a dominator that learns a target is
 		// actually two hops away drops the three-hop record.
 		for _, dom := range m.Doms {
-			delete(p.threeHop, dom)
+			if i := pathIndex(p.threeHop, dom); i >= 0 {
+				p.threeHop = slices.Delete(p.threeHop, i, i+1)
+			}
 		}
 	}
 }
@@ -343,18 +406,12 @@ func (p *algo2Proc) recordTwoHopReport(ctx *simnet.Context, from int, m TwoHopDo
 		}
 		switch p.mode {
 		case Deferred:
-			if p.candidates == nil {
-				p.candidates = make(map[int][][2]int)
-			}
-			p.candidates[e.Dom] = append(p.candidates[e.Dom], [2]int{v, e.Via})
+			p.foldCandidate(e.Dom, v, e.Via)
 		case Eager:
-			if p.hasTwoHop(e.Dom) {
+			if p.hasTwoHop(e.Dom) || pathIndex(p.threeHop, e.Dom) >= 0 {
 				continue
 			}
-			if _, done := p.threeHop[e.Dom]; done {
-				continue
-			}
-			p.setThreeHop(e.Dom, [2]int{v, e.Via})
+			p.setThreeHop(e.Dom, v, e.Via)
 			ctx.Send(from, SelectionMsg{U: me, W: e.Dom, X: e.Via})
 		}
 	}
@@ -379,7 +436,7 @@ func (p *algo2Proc) handleAdditionalDom(ctx *simnet.Context, from int, m Additio
 	case m.X:
 		if m.W == me {
 			// Forwarded copy: record the reverse path to dominator U.
-			p.setThreeHop(m.U, [2]int{m.X, m.V})
+			p.setThreeHop(m.U, m.X, m.V)
 		}
 	}
 }
@@ -398,16 +455,18 @@ func (p *algo2Proc) runChecks(ctx *simnet.Context) {
 }
 
 // maybeSendOneHop: a gray node that has heard a colour announcement from
-// every neighbour broadcasts its 1HopDomList.
+// every neighbour broadcasts its 1HopDomList. The list is sorted in place
+// and sent without a copy: oneHopDoms only ever grows by append, and the
+// payload's capacity is capped at its length, so later additional
+// dominators land past the payload and never change what was sent.
 func (p *algo2Proc) maybeSendOneHop(ctx *simnet.Context) {
 	if p.color != gray || p.sentOneHop || p.colorsRecv != p.deg {
 		return
 	}
 	p.sentOneHop = true
-	doms := make([]int, len(p.oneHopDoms))
-	copy(doms, p.oneHopDoms)
-	sort.Ints(doms)
-	ctx.Broadcast(OneHopDomsMsg{Doms: doms})
+	sort.Ints(p.oneHopDoms)
+	n := len(p.oneHopDoms)
+	ctx.Broadcast(OneHopDomsMsg{Doms: p.oneHopDoms[:n:n]})
 }
 
 // maybeSendTwoHop: a gray node that has a 1-HOP report from every gray
@@ -425,13 +484,14 @@ func (p *algo2Proc) maybeSendTwoHop(ctx *simnet.Context) {
 		}
 		entries = append(entries, TwoHopEntry{Dom: e.dom, Via: e.via})
 	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].Dom < entries[j].Dom })
+	slices.SortFunc(entries, func(a, b TwoHopEntry) int { return cmp.Compare(a.Dom, b.Dom) })
 	ctx.Broadcast(TwoHopDomsMsg{Entries: entries})
 }
 
 // maybeSelect: in Deferred mode, an MIS dominator with complete reports
 // from all (necessarily gray) neighbours selects one additional dominator
-// per three-hop target, picking the smallest (v, x) pair.
+// per three-hop target, picking the smallest (v, x) pair, which
+// foldCandidate kept. Selections go out in ascending target order.
 func (p *algo2Proc) maybeSelect(ctx *simnet.Context) {
 	if p.mode != Deferred || p.color != black || p.selected {
 		return
@@ -440,30 +500,20 @@ func (p *algo2Proc) maybeSelect(ctx *simnet.Context) {
 		return
 	}
 	p.selected = true
-	targets := make([]int, 0, len(p.candidates))
-	for w := range p.candidates {
-		targets = append(targets, w)
-	}
-	sort.Ints(targets)
+	slices.SortFunc(p.candidates, func(a, b domPath) int { return cmp.Compare(a.dom, b.dom) })
 	me := p.ownID
-	for _, w := range targets {
-		if p.hasTwoHop(w) {
+	for _, c := range p.candidates {
+		if p.hasTwoHop(c.dom) {
 			continue // actually reachable in two hops; no connector needed
 		}
-		best := p.candidates[w][0]
-		for _, c := range p.candidates[w][1:] {
-			if c[0] < best[0] || (c[0] == best[0] && c[1] < best[1]) {
-				best = c
-			}
-		}
-		p.setThreeHop(w, best)
-		p.candidates[w] = nil
-		v, ok := p.nbrOf(ctx, best[0])
+		p.setThreeHop(c.dom, c.v, c.x)
+		v, ok := p.nbrOf(ctx, c.v)
 		if !ok {
-			panic(fmt.Sprintf("wcds: node %d selected non-neighbour ID %d", ctx.Node(), best[0]))
+			panic(fmt.Sprintf("wcds: node %d selected non-neighbour ID %d", ctx.Node(), c.v))
 		}
-		ctx.Send(v, SelectionMsg{U: me, W: w, X: best[1]})
+		ctx.Send(v, SelectionMsg{U: me, W: c.dom, X: c.x})
 	}
+	p.candidates = nil
 }
 
 // Tables is the neighbourhood knowledge one node accumulated during an
@@ -525,28 +575,32 @@ func algo2Run(g *graph.Graph, ids []int, mode SelectionMode, run Runner, wantTab
 			nodeOf[id] = int32(v)
 		}
 	}
-	shared := &algo2Shared{ids: ids, nodeOf: nodeOf}
-	a2 := make([]algo2Proc, g.N())
-	// One arena backs every node's oneHopDoms: almost every node ends up
-	// dominated, so per-node lazy slices were one guaranteed malloc per
-	// node per run. Full slice expressions cap each chunk at the Lemma 1
-	// packing bound; a node that outgrows its chunk spills to the heap
-	// with identical append semantics.
-	arena := make([]int, domArenaCap*g.N())
+	a2 := newAlgo2Procs(ids, mode, &algo2Shared{ids: ids, nodeOf: nodeOf})
 	for i := range procs {
-		a2[i] = algo2Proc{ownID: ids[i], mode: mode, shared: shared}
-		a2[i].oneHopDoms = arena[i*domArenaCap : i*domArenaCap : (i+1)*domArenaCap]
 		procs[i] = &a2[i]
 	}
 	stats, err := run(g, procs)
 	if err != nil {
 		return Result{}, nil, stats, err
 	}
-	var misDoms, additional []int
+	res, err := algo2Result(g, a2)
+	if err != nil {
+		return Result{}, nil, stats, err
+	}
 	var tables []Tables
 	if wantTables {
 		tables = make([]Tables, g.N())
+		for v := range a2 {
+			tables[v] = a2[v].snapshotTables()
+		}
 	}
+	return res, tables, stats, nil
+}
+
+// algo2Result classifies every node of a quiesced Algorithm II run: MIS
+// dominators, additional dominators, and an error for any node left white.
+func algo2Result(g *graph.Graph, a2 []algo2Proc) (Result, error) {
+	var misDoms, additional []int
 	for v := range a2 {
 		p := &a2[v]
 		switch {
@@ -555,19 +609,16 @@ func algo2Run(g *graph.Graph, ids []int, mode SelectionMode, run Runner, wantTab
 		case p.additional:
 			additional = append(additional, v)
 		case p.color == white:
-			return Result{}, nil, stats, fmt.Errorf("wcds: node %d still white after Algorithm II quiesced", v)
-		}
-		if wantTables {
-			tables[v] = p.snapshotTables(ids[v])
+			return Result{}, fmt.Errorf("wcds: node %d still white after Algorithm II quiesced", v)
 		}
 	}
-	return newResult(g, misDoms, additional), tables, stats, nil
+	return newResult(g, misDoms, additional), nil
 }
 
 // snapshotTables copies the node's lists into an exported Tables value.
-func (p *algo2Proc) snapshotTables(ownID int) Tables {
+func (p *algo2Proc) snapshotTables() Tables {
 	t := Tables{
-		ID:             ownID,
+		ID:             p.ownID,
 		IsMISDominator: p.color == black,
 		IsAdditional:   p.additional,
 		TwoHopDoms:     make(map[int]int, len(p.twoHopDoms)),
@@ -583,8 +634,8 @@ func (p *algo2Proc) snapshotTables(ownID int) Tables {
 			t.TwoHopDoms[e.dom] = e.via
 		}
 	}
-	for dom, pair := range p.threeHop {
-		t.ThreeHopDoms[dom] = pair
+	for _, e := range p.threeHop {
+		t.ThreeHopDoms[e.dom] = [2]int{e.v, e.x}
 	}
 	return t
 }

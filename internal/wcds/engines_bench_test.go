@@ -48,3 +48,18 @@ func BenchmarkEngines(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkAlgo2Scale runs Algorithm II (Deferred) on the event engine over
+// one 20k-node uniform scene at degree 10: the per-node state cost of the
+// protocol at a size where it, not the engine, sets the allocation profile.
+func BenchmarkAlgo2Scale(b *testing.B) {
+	const n = 20_000
+	nw := udg.GenUniform(rand.New(rand.NewSource(42)), n, udg.SideForAvgDegree(n, 10))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := Algo2Distributed(nw.G, nw.ID, Deferred, EngineRunner(simnet.EngineEvent)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

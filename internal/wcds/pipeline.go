@@ -98,32 +98,24 @@ func (p *pipelineProc) maybeStart(ctx *simnet.Context) {
 // exactly, at the cost of one extra HELLO broadcast per node.
 func Algo2ZeroKnowledge(g *graph.Graph, ids []int, mode SelectionMode, run Runner) (Result, simnet.Stats, error) {
 	procs := make([]simnet.Proc, g.N())
-	a2 := make([]*algo2Proc, g.N())
+	a2 := newAlgo2Procs(ids, mode, nil)
 	pp := make([]*pipelineProc, g.N())
 	for i := range procs {
-		a2[i] = newAlgo2Proc(ids[i], mode)
-		pp[i] = newPipelineProc(ids[i], a2[i])
+		a2[i].nbrIDs = make(map[int]int)
+		pp[i] = newPipelineProc(ids[i], &a2[i])
 		procs[i] = pp[i]
 	}
 	stats, err := run(g, procs)
 	if err != nil {
 		return Result{}, stats, err
 	}
-	var misDoms, additional []int
 	for v := range pp {
 		if !pp[v].started {
 			return Result{}, stats, fmt.Errorf("wcds: node %d never completed discovery", v)
 		}
-		switch {
-		case a2[v].color == black:
-			misDoms = append(misDoms, v)
-		case a2[v].additional:
-			additional = append(additional, v)
-		case a2[v].color == white:
-			return Result{}, stats, fmt.Errorf("wcds: node %d still white after zero-knowledge run", v)
-		}
 	}
-	return newResult(g, misDoms, additional), stats, nil
+	res, err := algo2Result(g, a2)
+	return res, stats, err
 }
 
 // Algo1ZeroKnowledge runs Algorithm I (election, levels, colour marking)

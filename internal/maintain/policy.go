@@ -275,11 +275,7 @@ func (m *Maintainer) runRepairProtocol(ctx context.Context, g *graph.Graph, pre 
 		func(g *graph.Graph, procs []simnet.Proc) (simnet.Stats, error) {
 			var col *reliable.Collector
 			if m.policy.Reliable {
-				procs, col = reliable.Wrap(procs, reliable.Options{
-					MaxRetries: m.policy.MaxRetries,
-					Observer:   m.rec,
-					Phase:      func(any) string { return "repair" },
-				})
+				procs, col = reliable.Wrap(procs, reliable.Options{MaxRetries: m.policy.MaxRetries})
 			}
 			st, rerr := m.policy.Engine.Run(g, procs, opts...)
 			if col != nil {

@@ -12,15 +12,20 @@
 // The model is deliberately small. A Span is one named phase with the
 // counters that matter for wireless protocols (messages, per-link
 // deliveries, rounds, retransmits) plus wall time. A Recorder receives
-// engine events and completed spans; Nop is the zero-allocation default so
-// uninstrumented runs pay nothing. Spans is the standard collector:
-// goroutine-safe, so one value can be shared by concurrent runs.
+// engine events and completed spans; Nop is the zero-allocation default,
+// and an engine given Nop runs unobserved. Spans is the standard
+// collector: goroutine-safe, so one value can be shared by concurrent
+// runs.
 //
 // Producers:
 //
-//   - simnet engines emit per-event accounting via WithObserver, with a
-//     classifier (wcds.PhaseOf) attributing payloads to paper phases;
-//   - the reliable layer attributes retransmissions to the phase of the
+//   - simnet engines observed via WithObserver, with a classifier
+//     (wcds.PhaseOf) attributing payloads to paper phases. Observing a
+//     Spans, an engine keeps the run in a lock-free per-run ledger and
+//     merges it with one AddRun per phase when the run returns; any other
+//     Recorder gets one Event per engine event;
+//   - the reliable layer's retransmissions, which reach the same ledger
+//     (simnet's Context.Retransmit) and are attributed to the phase of the
 //     frame being retried;
 //   - the service, chaos harness and cmd/bench time their own stages with
 //     Timer and merge engine phase spans into responses and reports.
@@ -57,6 +62,16 @@ type Span struct {
 	Retransmits int `json:"retransmits,omitempty"`
 	// WallNS is wall time attributed to the phase. It is the only
 	// non-deterministic field; digests must exclude it.
+	//
+	// For an engine phase it is run-scoped, windowed and proportional: the
+	// engine reads the clock at most once per window of 64 events and
+	// splits each window's elapsed time across the phases seen in it by
+	// event count.
+	// The windows span the run from its first observed event to the
+	// engine's return, so a run's phases sum to at most its wall time and
+	// nothing after the run is charged to them. A Timer span carries the
+	// stage's elapsed time; phases fed by direct Event calls are stamped
+	// on phase transitions and closed at the next transition or Snapshot.
 	WallNS int64 `json:"wallNs,omitempty"`
 }
 
@@ -109,10 +124,10 @@ type span struct {
 	hasRound   bool
 }
 
-// Spans is the standard Recorder: it accumulates per-phase counters,
-// tracks each phase's round extent, and attributes wall time by stamping
-// the clock on phase transitions (cheap for wave-structured protocols,
-// where events of one phase cluster together). Safe for concurrent use.
+// Spans is the standard Recorder: it accumulates per-phase counters and
+// tracks each phase's round extent, from run ledgers merged through AddRun
+// or from Event calls. Event attributes wall time by stamping the clock on
+// phase transitions. Safe for concurrent use.
 type Spans struct {
 	mu     sync.Mutex
 	order  []string
@@ -168,20 +183,32 @@ func (c *Spans) Event(phase string, kind Kind, round int) {
 		sp.Retransmits++
 	}
 	if round > 0 {
-		if !sp.hasRound || round < sp.firstRound {
-			sp.firstRound = round
-		}
-		if !sp.hasRound || round > sp.lastRound {
-			sp.lastRound = round
-		}
-		sp.hasRound = true
+		sp.widen(round)
 	}
 	c.mu.Unlock()
 }
 
-// Add implements Recorder: counters sum, round extents widen, wall times
-// sum.
-func (c *Spans) Add(in Span) {
+// widen extends the phase's round extent to cover round.
+func (sp *span) widen(round int) {
+	if !sp.hasRound || round < sp.firstRound {
+		sp.firstRound = round
+	}
+	if !sp.hasRound || round > sp.lastRound {
+		sp.lastRound = round
+	}
+	sp.hasRound = true
+}
+
+// Add implements Recorder: counters, rounds and wall times sum.
+func (c *Spans) Add(in Span) { c.AddRun(in, 0, 0) }
+
+// AddRun merges one run's account of a phase, as an engine's run ledger
+// hands it over when the run ends: counters and wall time sum as in Add,
+// and the phase's round extent widens to cover rounds first..last exactly
+// as Event's rounds widen it (first <= 0: the run saw no round). So a
+// collector reports the same extents whether a run's events arrive one by
+// one or merged.
+func (c *Spans) AddRun(in Span, first, last int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	sp := c.phase(in.Name)
@@ -190,6 +217,10 @@ func (c *Spans) Add(in Span) {
 	sp.Retransmits += in.Retransmits
 	sp.Rounds += in.Rounds
 	sp.WallNS += in.WallNS
+	if first > 0 {
+		sp.widen(first)
+		sp.widen(last)
+	}
 }
 
 // Snapshot closes out wall attribution and returns the collected spans in

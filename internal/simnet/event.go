@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"wcdsnet/internal/graph"
-	"wcdsnet/internal/obs"
 )
 
 // Engine names one of the kernel's simulation engines. It is the value the
@@ -140,6 +139,9 @@ func ScheduleScramble(eng Engine, seed int64) Option {
 //     Lamport clocks), the queue's backing array is pooled and head-indexed,
 //     and the drain loop allocates nothing: steady-state cost per delivery
 //     is a few loads and stores (pinned by TestEventEngineSteadyStateAllocs).
+//     Observing a run (WithObserver) keeps that loop: without faults or a
+//     trace hook, an observed run adds only its phase ledger as a
+//     per-delivery hook, fed the phase index each queue entry carries.
 //
 // The schedule is deterministic: FIFO in send order, with each
 // transmission's per-link deliveries in adjacency order. Two RunEvent runs
@@ -189,12 +191,14 @@ func runEvent(g *graph.Graph, procs []Proc, opts []Option, async bool) (Stats, e
 	}
 	eng := &eventEngine{
 		cfg:     cfg,
+		led:     cfg.led,
 		g:       g,
 		nodes:   nodes,
 		tickers: tickerNodes(procs),
 		queue:   eventQueue{buf: buf},
 	}
 	defer eng.queue.release()
+	defer eng.led.flush()
 	if cfg.faults != nil && (cfg.faults.plan.DelayMax > 0 || cfg.faults.plan.ReorderRate > 0) {
 		eng.reorderRNG = rand.New(rand.NewSource(splitmix64(cfg.faults.plan.Seed, 1<<32)))
 	}
@@ -248,6 +252,7 @@ type nodeState struct {
 
 type eventEngine struct {
 	cfg     *config
+	led     *ledger // nil when the run is not observed
 	g       *graph.Graph
 	nodes   []nodeState
 	tickers []int
@@ -276,11 +281,12 @@ func (e *eventEngine) now() int {
 // per-link deliveries, run the receivers' handlers inline; on an empty
 // queue run a quiescence tick pass or finish.
 func (e *eventEngine) drain(ctxs []Context) error {
-	// The fault-free, untraced configuration — every large-scale run — takes
-	// a specialized delivery loop: with no fates to draw and no observers to
-	// feed, a delivery is just the counters, the Lamport update and the
-	// handler call, with no per-link function call or fault branching.
-	if e.cfg.faults == nil && e.cfg.trace == nil && e.cfg.rec == nil {
+	// The fault-free, untraced configuration — every large-scale run, and
+	// every observed run without faults — takes a specialized delivery
+	// loop: with no fates to draw, a delivery is just the counters, the
+	// Lamport update, the ledger hook of an observed run and the handler
+	// call, with no per-link function call or fault branching.
+	if e.cfg.faults == nil && e.cfg.trace == nil {
 		return e.drainFast(ctxs)
 	}
 	nextCheck := e.deliveries + cancelCheckInterval
@@ -319,7 +325,7 @@ func (e *eventEngine) drain(ctxs []Context) error {
 	}
 }
 
-// drainFast is drain without faults, tracing or recording. The delivery
+// drainFast is drain without faults or tracing. The delivery
 // counter lives in a local (written back before every exit and before every
 // tickPass, the only paths that read it mid-run — envelope sentAt stamps
 // taken from the stale counter are consumed exclusively by fault logic,
@@ -328,6 +334,7 @@ func (e *eventEngine) drain(ctxs []Context) error {
 // deliveries.
 func (e *eventEngine) drainFast(ctxs []Context) error {
 	nodes := e.nodes
+	led := e.led
 	maxDeliveries := e.cfg.maxDeliveries
 	deliveries := e.deliveries
 	nextCheck := deliveries + cancelCheckInterval
@@ -366,6 +373,9 @@ func (e *eventEngine) drainFast(ctxs []Context) error {
 				if lam > s.lam {
 					s.lam = lam
 				}
+				if led != nil {
+					led.deliver(env.phase, int(s.lam))
+				}
 				s.proc.Recv(&ctxs[to], env.from, env.payload)
 			}
 			continue
@@ -379,6 +389,9 @@ func (e *eventEngine) drainFast(ctxs []Context) error {
 		s := &nodes[to]
 		if lam > s.lam {
 			s.lam = lam
+		}
+		if led != nil {
+			led.deliver(env.phase, int(s.lam))
 		}
 		s.proc.Recv(&ctxs[to], env.from, env.payload)
 	}
@@ -433,8 +446,8 @@ func (e *eventEngine) deliverLink(ctxs []Context, env envelope, to int, sampled 
 	if e.cfg.trace != nil {
 		e.cfg.trace(Event{Kind: EventDeliver, From: env.from, To: to, Round: -1, Payload: env.payload})
 	}
-	if e.cfg.rec != nil {
-		e.cfg.rec.Event(e.cfg.classify(env.payload), obs.Deliver, int(s.lam))
+	if e.led != nil {
+		e.led.deliver(env.phase, int(s.lam))
 	}
 	s.proc.Recv(&ctxs[to], env.from, env.payload)
 	return nil
@@ -486,26 +499,16 @@ func (e *eventEngine) tickPass(ctxs []Context) (bool, error) {
 	return true, nil
 }
 
-func (e *eventEngine) unicast(from, to int, payload any) {
+func (e *eventEngine) send(from, to int, payload any, rtx bool) {
 	e.messages++
 	if e.cfg.trace != nil {
 		e.cfg.trace(Event{Kind: EventSend, From: from, To: to, Round: -1, Payload: payload})
 	}
-	if e.cfg.rec != nil {
-		e.cfg.rec.Event(e.cfg.classify(payload), obs.Send, int(e.nodes[from].lam)+1)
+	env := envelope{from: from, to: to, payload: payload, sentAt: e.now(), lam: int(e.nodes[from].lam) + 1}
+	if e.led != nil {
+		env.phase = e.led.send(payload, env.lam, rtx)
 	}
-	e.enqueue(envelope{from: from, to: to, payload: payload, sentAt: e.now(), lam: int(e.nodes[from].lam) + 1})
-}
-
-func (e *eventEngine) broadcast(from int, payload any) {
-	e.messages++
-	if e.cfg.trace != nil {
-		e.cfg.trace(Event{Kind: EventSend, From: from, To: -1, Round: -1, Payload: payload})
-	}
-	if e.cfg.rec != nil {
-		e.cfg.rec.Event(e.cfg.classify(payload), obs.Send, int(e.nodes[from].lam)+1)
-	}
-	e.enqueue(envelope{from: from, to: ToAll, payload: payload, sentAt: e.now(), lam: int(e.nodes[from].lam) + 1})
+	e.enqueue(env)
 }
 
 // enqueue queues a transmission. Under a scramble a broadcast is split into

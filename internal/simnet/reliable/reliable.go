@@ -32,7 +32,6 @@ package reliable
 import (
 	"sync"
 
-	"wcdsnet/internal/obs"
 	"wcdsnet/internal/simnet"
 )
 
@@ -57,16 +56,6 @@ type Options struct {
 	// ticks to wait before that retransmission. Default: capped
 	// exponential 1, 2, 4, 8, 8, ...
 	Backoff func(attempt int) int
-	// Observer, when set, receives one obs.Retransmit event per
-	// retransmission, attributed to Phase(payload) of the frame being
-	// retried — so per-phase breakdowns show which protocol phase is
-	// paying the reliability cost. It is called from the goroutine running
-	// the protocol; one shared across concurrent runs must be
-	// goroutine-safe (obs.Spans is).
-	Observer obs.Recorder
-	// Phase classifies a retried frame's protocol payload for Observer.
-	// Nil attributes every retransmission to "reliable".
-	Phase func(payload any) string
 }
 
 func (o Options) withDefaults() Options {
@@ -80,9 +69,6 @@ func (o Options) withDefaults() Options {
 			}
 			return 1 << (attempt - 1)
 		}
-	}
-	if o.Observer != nil && o.Phase == nil {
-		o.Phase = func(any) string { return "reliable" }
 	}
 	return o
 }
@@ -153,8 +139,7 @@ func Wrap(procs []simnet.Proc, opt Options) ([]simnet.Proc, *Collector) {
 // dominant allocations.
 type outstanding struct {
 	seq      int
-	to       int // simnet.ToAll for a broadcast
-	payload  any
+	to       int          // simnet.ToAll for a broadcast
 	frame    any          // the Data frame boxed once; retransmits resend it
 	waiting  map[int]bool // receivers that have not acked
 	attempts int          // transmissions so far (original included)
@@ -234,7 +219,7 @@ func (p *proc) Init(ctx *simnet.Context) {
 // sendFramed frames one outgoing protocol message and transmits it.
 func (p *proc) sendFramed(ctx *simnet.Context, to int, payload any) {
 	o := getOutstanding()
-	o.seq, o.to, o.payload = p.nextSeq, to, payload
+	o.seq, o.to = p.nextSeq, to
 	o.frame = Data{Seq: o.seq, Payload: payload} // boxed once, reused by retries
 	p.nextSeq++
 	if to == simnet.ToAll {
@@ -308,14 +293,9 @@ func (p *proc) Tick(ctx *simnet.Context) bool {
 			continue
 		}
 		p.retransmits++
-		if p.opt.Observer != nil {
-			p.opt.Observer.Event(p.opt.Phase(o.payload), obs.Retransmit, -1)
-		}
-		if o.to == simnet.ToAll {
-			ctx.BroadcastDirect(o.frame)
-		} else {
-			ctx.SendDirect(o.to, o.frame)
-		}
+		// An observed run counts the resend as a retransmission of the
+		// frame's phase (the phase of the payload it carries).
+		ctx.Retransmit(o.to, o.frame)
 		o.attempts++
 		o.nextTick = p.tickNo + p.opt.Backoff(o.attempts)
 		active = true

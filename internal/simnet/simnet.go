@@ -173,8 +173,7 @@ type config struct {
 	plan          *FaultPlan
 	faults        *faultState
 	ctx           context.Context
-	rec           obs.Recorder     // nil when no observer is installed
-	classify      func(any) string // payload -> phase name for rec
+	led           *ledger // nil when the run is not observed
 }
 
 // WithMaxRounds sets the quiescence budget: the maximum number of
@@ -218,15 +217,20 @@ func WithContext(ctx context.Context) Option {
 	return func(c *config) { c.ctx = ctx }
 }
 
-// WithObserver installs a phase-scoped recorder: every send and delivery is
-// attributed to classify(payload) and reported to rec. classify must be
-// pure; both are called from the goroutine that runs the protocol. A nil
-// classify attributes everything to "all".
+// WithObserver installs a phase-scoped recorder: every send, delivery and
+// retransmission (Context.Retransmit) is attributed to classify(payload).
+// classify must be pure; it is called once per transmission, from the
+// goroutine that runs the protocol, and never on delivery: each per-link
+// copy carries its transmission's phase. A nil classify attributes
+// everything to "all".
+//
+// A nil rec or obs.Nop leaves the run unobserved. An *obs.Spans is fed
+// from a per-run ledger that the engine keeps without locks and merges
+// into it once, when the run returns (see ledger for the wall-time rule);
+// observed event runs keep the fault-free fast delivery loop. Any other
+// Recorder receives one Event call per event as it happens.
 func WithObserver(rec obs.Recorder, classify func(payload any) string) Option {
-	return func(c *config) {
-		c.rec = rec
-		c.classify = classify
-	}
+	return func(c *config) { c.led = newLedger(rec, classify) }
 }
 
 func buildConfig(n int, opts []Option) (*config, error) {
@@ -240,9 +244,6 @@ func buildConfig(n int, opts []Option) (*config, error) {
 	}
 	if c.ctx == nil {
 		c.ctx = context.Background()
-	}
-	if c.rec != nil && c.classify == nil {
-		c.classify = func(any) string { return "all" }
 	}
 	if c.plan != nil {
 		f, err := compileFaults(c.plan, n)
@@ -265,9 +266,11 @@ type Context struct {
 	sendHook func(to int, payload any)
 }
 
+// backend is an engine's transmit side: send puts one transmission on the
+// air, to one neighbour or to all of them for to == ToAll. rtx marks a
+// retransmission, which an observed run counts on top of the transmission.
 type backend interface {
-	unicast(from, to int, payload any)
-	broadcast(from int, payload any)
+	send(from, to int, payload any, rtx bool)
 }
 
 // ToAll is the hook target SetSendHook receives for a Broadcast.
@@ -298,34 +301,49 @@ func (c *Context) Broadcast(payload any) {
 		c.sendHook(ToAll, payload)
 		return
 	}
-	c.bk.broadcast(c.node, payload)
+	c.bk.send(c.node, ToAll, payload, false)
 }
 
 // Send transmits payload to the single neighbour `to`. Sending to a
 // non-neighbour is a protocol bug and panics.
 func (c *Context) Send(to int, payload any) {
-	if !c.g.HasEdge(c.node, to) {
-		panic(fmt.Sprintf("simnet: node %d sent to non-neighbour %d", c.node, to))
-	}
+	c.mustNeighbor(to)
 	if c.sendHook != nil {
 		c.sendHook(to, payload)
 		return
 	}
-	c.bk.unicast(c.node, to, payload)
+	c.bk.send(c.node, to, payload, false)
 }
 
 // BroadcastDirect transmits bypassing the send hook (for the hook's own
 // wire traffic).
 func (c *Context) BroadcastDirect(payload any) {
-	c.bk.broadcast(c.node, payload)
+	c.bk.send(c.node, ToAll, payload, false)
 }
 
 // SendDirect unicasts bypassing the send hook.
 func (c *Context) SendDirect(to int, payload any) {
+	c.mustNeighbor(to)
+	c.bk.send(c.node, to, payload, false)
+}
+
+// Retransmit re-sends a frame bypassing the send hook: to the neighbour
+// `to`, or to every neighbour for to == ToAll. It costs one message like
+// any transmission, and an observed run also counts it as a retransmission
+// of the frame's phase.
+func (c *Context) Retransmit(to int, payload any) {
+	if to != ToAll {
+		c.mustNeighbor(to)
+	}
+	c.bk.send(c.node, to, payload, true)
+}
+
+// mustNeighbor panics unless `to` is a radio neighbour: sending to a
+// non-neighbour is a protocol bug.
+func (c *Context) mustNeighbor(to int) {
 	if !c.g.HasEdge(c.node, to) {
 		panic(fmt.Sprintf("simnet: node %d sent to non-neighbour %d", c.node, to))
 	}
-	c.bk.unicast(c.node, to, payload)
 }
 
 // validate checks the engine inputs shared by both engines.
@@ -371,9 +389,10 @@ type envelope struct {
 	from    int
 	to      int // receiver, or ToAll for an unscrambled broadcast
 	payload any
-	sentAt  int  // logical send time, for scheduled-fault checks
-	lam     int  // Lamport stamp (sender clock + 1)
-	sampled bool // fault fate already drawn, deliver as-is
+	sentAt  int   // logical send time, for scheduled-fault checks
+	lam     int   // Lamport stamp (sender clock + 1)
+	sampled bool  // fault fate already drawn, deliver as-is
+	phase   int32 // ledger phase index of an observed run (in the padding)
 }
 
 // envBatchPool recycles the event engine's queue backing arrays: a batch
@@ -437,6 +456,8 @@ func RunSync(g *graph.Graph, procs []Proc, opts ...Option) (Stats, error) {
 
 	eng := getSyncEngine(cfg, g)
 	defer eng.release()
+	led := cfg.led
+	defer led.flush()
 	ctxs := eng.ctxs
 	tickers := tickerNodes(procs)
 
@@ -478,8 +499,8 @@ func RunSync(g *graph.Graph, procs []Proc, opts ...Option) (Stats, error) {
 			// current round's slot, which a far copy admitted this round
 			// refers to.
 			tx := eng.ring[c.slot].txs[c.tx]
-			to := int(c.to)
-			if cfg.faults != nil && cfg.faults.blocked(tx.from, to, tx.sentAt, eng.round) {
+			to, from := int(c.to), int(tx.from)
+			if cfg.faults != nil && cfg.faults.blocked(from, to, tx.sentAt, eng.round) {
 				eng.dropped++
 				continue
 			}
@@ -488,23 +509,25 @@ func RunSync(g *graph.Graph, procs []Proc, opts ...Option) (Stats, error) {
 				return eng.stats(), ErrMaxDeliveries
 			}
 			if cfg.trace != nil {
-				cfg.trace(Event{Kind: EventDeliver, From: tx.from, To: to, Round: eng.round, Payload: tx.payload})
+				cfg.trace(Event{Kind: EventDeliver, From: from, To: to, Round: eng.round, Payload: tx.payload})
 			}
-			if cfg.rec != nil {
-				cfg.rec.Event(cfg.classify(tx.payload), obs.Deliver, eng.round)
+			if led != nil {
+				led.deliver(tx.phase, eng.round)
 			}
-			procs[to].Recv(&ctxs[to], tx.from, tx.payload)
+			procs[to].Recv(&ctxs[to], from, tx.payload)
 		}
 		eng.finishRound()
 	}
 }
 
 // syncTx is one transmission of the synchronous engine. Its payload is
-// stored once, however many per-link copies it has.
+// stored once, however many per-link copies it has. The sender and the
+// phase index share one word, so observing a run does not grow the ring.
 type syncTx struct {
 	payload any
-	from    int
-	sentAt  int // send round, for scheduled-fault checks
+	from    int32
+	phase   int32 // ledger phase index of an observed run
+	sentAt  int   // send round, for scheduled-fault checks
 }
 
 // syncCopy is one scheduled per-link delivery: the receiver and the
@@ -786,29 +809,22 @@ func (e *syncEngine) newTx(tx syncTx) int32 {
 	return int32(len(cur.txs) - 1)
 }
 
-func (e *syncEngine) unicast(from, to int, payload any) {
+func (e *syncEngine) send(from, to int, payload any, rtx bool) {
 	e.messages++
 	if e.cfg.trace != nil {
 		e.cfg.trace(Event{Kind: EventSend, From: from, To: to, Round: -1, Payload: payload})
 	}
-	if e.cfg.rec != nil {
-		e.cfg.rec.Event(e.cfg.classify(payload), obs.Send, e.round)
+	tx := syncTx{payload: payload, from: int32(from), sentAt: e.round}
+	if e.cfg.led != nil {
+		tx.phase = e.cfg.led.send(payload, e.round, rtx)
 	}
-	tx := e.newTx(syncTx{payload: payload, from: from, sentAt: e.round})
-	e.enqueueCopy(syncCopy{to: int32(to), slot: int32(e.slot), tx: tx})
-}
-
-func (e *syncEngine) broadcast(from int, payload any) {
-	e.messages++
-	if e.cfg.trace != nil {
-		e.cfg.trace(Event{Kind: EventSend, From: from, To: -1, Round: -1, Payload: payload})
+	c := syncCopy{to: int32(to), slot: int32(e.slot), tx: e.newTx(tx)}
+	if to != ToAll {
+		e.enqueueCopy(c)
+		return
 	}
-	if e.cfg.rec != nil {
-		e.cfg.rec.Event(e.cfg.classify(payload), obs.Send, e.round)
-	}
-	c := syncCopy{slot: int32(e.slot), tx: e.newTx(syncTx{payload: payload, from: from, sentAt: e.round})}
-	for _, to := range e.g.Neighbors(from) {
-		c.to = int32(to)
+	for _, w := range e.g.Neighbors(from) {
+		c.to = int32(w)
 		e.enqueueCopy(c)
 	}
 }
@@ -822,7 +838,7 @@ func (e *syncEngine) enqueueCopy(c syncCopy) {
 		e.enqueueAt(1, c)
 		return
 	}
-	from := e.ring[c.slot].txs[c.tx].from
+	from := int(e.ring[c.slot].txs[c.tx].from)
 	if f.dropSample(from) {
 		e.dropped++
 		return

@@ -12,7 +12,9 @@ import (
 // BenchmarkEngines runs both distributed constructions on the synchronous
 // and event engines, bare and with the per-phase observer installed, on one
 // 400-node, degree-10 scene with random IDs. Each sub-benchmark is one full
-// construction per op.
+// construction per op. The event+lossy rows run Algorithm II under the
+// reliable layer at 15% loss, the lossy cell of the sweep-fleet workload,
+// where acks interleave with protocol frames on every delivery.
 func BenchmarkEngines(b *testing.B) {
 	nw, err := udg.GenConnectedAvgDegree(rand.New(rand.NewSource(42)), 400, 10, 300)
 	if err != nil {
@@ -46,6 +48,29 @@ func BenchmarkEngines(b *testing.B) {
 				})
 			}
 		}
+	}
+	for _, observed := range []bool{false, true} {
+		name := "algo2/event+lossy"
+		if observed {
+			name += "+obs"
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				spec := RunSpec{
+					Engine:    simnet.EngineEvent,
+					Faults:    &simnet.FaultPlan{Seed: 11, DropRate: 0.15},
+					MaxRounds: 4000,
+					Reliable:  true,
+				}
+				if observed {
+					spec.Phases = obs.NewSpans()
+				}
+				if _, _, err := Algo2Distributed(nw.G, nw.ID, Deferred, spec.Runner()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

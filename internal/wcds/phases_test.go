@@ -3,6 +3,7 @@ package wcds
 import (
 	"math/rand"
 	"testing"
+	"time"
 
 	"wcdsnet/internal/discovery"
 	"wcdsnet/internal/election"
@@ -70,5 +71,32 @@ func TestObserveOptionReconcilesWithStats(t *testing.T) {
 	}
 	if other := byName[PhaseOther]; other.Messages != 0 {
 		t.Fatalf("unclassified traffic in an Algorithm II run: %+v", other)
+	}
+}
+
+// A phase's wall time is its share of the run and of nothing after it:
+// time spent between the run's return and Snapshot is charged to no
+// phase, and every phase that saw events gets some of the run's time.
+func TestPhaseWallIsRunScoped(t *testing.T) {
+	nw := phasePinScene(t)
+	for _, eng := range []simnet.Engine{simnet.EngineSync, simnet.EngineEvent} {
+		rec := obs.NewSpans()
+		start := time.Now()
+		if _, _, err := Algo2Distributed(nw.G, nw.ID, Deferred, EngineRunner(eng, ObserveOption(rec))); err != nil {
+			t.Fatal(err)
+		}
+		runWall := time.Since(start).Nanoseconds()
+		time.Sleep(5 * time.Millisecond)
+		spans := rec.Snapshot()
+		var sum int64
+		for _, sp := range spans {
+			sum += sp.WallNS
+			if sp.Messages+sp.Deliveries+sp.Retransmits > 0 && sp.WallNS <= 0 {
+				t.Errorf("%s: phase %s saw events but has WallNS %d", eng, sp.Name, sp.WallNS)
+			}
+		}
+		if sum > runWall {
+			t.Errorf("%s: phases carry %dns of wall, the run took %dns", eng, sum, runWall)
+		}
 	}
 }

@@ -88,9 +88,5 @@ func (s RunSpec) Runner() Runner {
 	if !s.Reliable {
 		return EngineRunner(s.Engine, opts...)
 	}
-	ropt := s.ReliableOptions
-	if s.Phases != nil {
-		ropt.Observer, ropt.Phase = s.Phases, PhaseOf
-	}
-	return ReliableRunner(s.Engine, ropt, opts...)
+	return ReliableRunner(s.Engine, s.ReliableOptions, opts...)
 }

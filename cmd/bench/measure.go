@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -72,7 +73,7 @@ func measureOnce(cases []measureCase, workers int) (*measureRun, error) {
 	start := time.Now()
 	for _, c := range cases {
 		t0 := time.Now()
-		rep, err := spanner.DilationN(c.nw.G, c.res.Spanner, c.nw.Weight(), c.pairs, workers)
+		rep, err := spanner.DilationN(context.Background(), c.nw.G, c.res.Spanner, c.nw.Weight(), c.pairs, workers)
 		if err != nil {
 			return nil, err
 		}

@@ -20,9 +20,59 @@ import (
 	"wcdsnet/internal/wcds"
 )
 
-// genMaxTries bounds connected-instance rejection sampling, matching the
-// service's limit so batch and serve agree on which cells are realisable.
-const genMaxTries = 2000
+// Generate draws the connected network of a (topology, size, degree,
+// seed) cell for sweeps and single requests alike. The zero topology is the
+// legacy uniform path, kept verbatim so pre-topology specs reproduce their
+// exact networks (and error strings) byte for byte.
+func Generate(topo udg.Topology, size int, degree float64, seed int64) (*udg.Network, error) {
+	const maxTries = 2000
+	rng := rand.New(rand.NewSource(seed))
+	if topo.Kind == "" {
+		return udg.GenConnectedAvgDegree(rng, size, degree, maxTries)
+	}
+	return topo.GenConnected(rng, size, degree, maxTries)
+}
+
+// cell supplies what the jobs on one network share: a sweep's netMemo
+// computes each part once per cell, a single job's scene directly. network
+// must succeed before the other two are called.
+type cell interface {
+	network() (*udg.Network, error)
+	centralized(c *algo.Construction, weightSeed int64) (wcds.Result, error)
+	relays(ctx context.Context) ([]bool, error)
+}
+
+// scene is the cell of a single job on a network its caller built:
+// nothing is shared, so nothing is memoized.
+type scene struct{ nw *udg.Network }
+
+func (s scene) network() (*udg.Network, error) { return s.nw, nil }
+
+func (s scene) centralized(c *algo.Construction, weightSeed int64) (wcds.Result, error) {
+	return construct(s.nw, c, weightSeed)
+}
+
+func (s scene) relays(ctx context.Context) ([]bool, error) { return relaySet(ctx, s.nw) }
+
+// construct runs c's centralized construction on nw.
+func construct(nw *udg.Network, c *algo.Construction, weightSeed int64) (wcds.Result, error) {
+	in := algo.Input{G: nw.G, IDs: nw.ID}
+	if c.Caps.Weighted {
+		in.Weights = algo.Weights(weightSeed, nw.N())
+	}
+	return c.Run(in)
+}
+
+// relaySet builds Algorithm II with routing tables on the sync engine and
+// derives the broadcast relay set from it.
+func relaySet(ctx context.Context, nw *udg.Network) ([]bool, error) {
+	res, tables, _, err := wcds.Algo2DistributedDetailed(nw.G, nw.ID, wcds.Deferred,
+		wcds.EngineRunner(simnet.EngineSync, simnet.WithContext(ctx)))
+	if err != nil {
+		return nil, err
+	}
+	return route.RelaySet(nw.G, nw.ID, res, tables), nil
+}
 
 // netMemo holds the shared subcomputations of one (size, degree, seed,
 // topology) network cell. Each is computed at most once per Run (or
@@ -47,12 +97,11 @@ type netMemo struct {
 	centMu sync.Mutex
 	cent   map[string]*centEntry
 
-	// Distributed Algorithm II with routing tables, plus the derived relay
-	// set (shared by every broadcast source over the cell).
-	detOnce  sync.Once
-	detRes   wcds.Result
-	detRelay []bool
-	detErr   error
+	// The broadcast relay set (shared by every broadcast source over the
+	// cell).
+	relayOnce sync.Once
+	relay     []bool
+	relayErr  error
 }
 
 type centEntry struct {
@@ -62,25 +111,12 @@ type centEntry struct {
 }
 
 func (m *netMemo) network() (*udg.Network, error) {
-	m.netOnce.Do(func() {
-		rng := rand.New(rand.NewSource(m.seed))
-		if m.topo.Kind == "" {
-			// Legacy path kept verbatim so pre-topology specs reproduce
-			// their exact networks (and error strings) byte for byte.
-			m.nw, m.netErr = udg.GenConnectedAvgDegree(rng, m.size, m.degree, genMaxTries)
-		} else {
-			m.nw, m.netErr = m.topo.GenConnected(rng, m.size, m.degree, genMaxTries)
-		}
-	})
+	m.netOnce.Do(func() { m.nw, m.netErr = Generate(m.topo, m.size, m.degree, m.seed) })
 	return m.nw, m.netErr
 }
 
-func (m *netMemo) centralized(name string, weightSeed int64) (*udg.Network, wcds.Result, error) {
-	nw, err := m.network()
-	if err != nil {
-		return nil, wcds.Result{}, err
-	}
-	key := fmt.Sprintf("%s|%d", name, weightSeed)
+func (m *netMemo) centralized(c *algo.Construction, weightSeed int64) (wcds.Result, error) {
+	key := fmt.Sprintf("%s|%d", c.Name, weightSeed)
 	m.centMu.Lock()
 	e := m.cent[key]
 	if e == nil {
@@ -91,40 +127,21 @@ func (m *netMemo) centralized(name string, weightSeed int64) (*udg.Network, wcds
 		m.cent[key] = e
 	}
 	m.centMu.Unlock()
-	e.once.Do(func() {
-		c, ok := algo.Lookup(name)
-		if !ok {
-			e.err = fmt.Errorf("batch: unknown algorithm %q (want %s)", name, algo.NamesString())
-			return
-		}
-		in := algo.Input{G: nw.G, IDs: nw.ID}
-		if c.Caps.Weighted {
-			in.Weights = algo.Weights(weightSeed, nw.N())
-		}
-		e.res, e.err = c.Run(in)
-	})
-	return nw, e.res, e.err
+	e.once.Do(func() { e.res, e.err = construct(m.nw, c, weightSeed) })
+	return e.res, e.err
 }
 
-func (m *netMemo) detailed(ctx context.Context) (*udg.Network, wcds.Result, []bool, error) {
-	nw, err := m.network()
-	if err != nil {
-		return nil, wcds.Result{}, nil, err
-	}
-	m.detOnce.Do(func() {
+func (m *netMemo) relays(ctx context.Context) ([]bool, error) {
+	m.relayOnce.Do(func() {
 		// Every scenario of a Run shares one ctx, so memoizing under the
 		// first caller's context is sound: a cancellation that interrupts
 		// this construction would have interrupted every other consumer too.
-		res, tables, _, err := wcds.Algo2DistributedDetailed(nw.G, nw.ID, wcds.Deferred,
-			wcds.EngineRunner(simnet.EngineSync, simnet.WithContext(ctx)))
-		if err != nil {
-			m.detErr = fmt.Errorf("batch: backbone construction failed: %w", err)
-			return
+		m.relay, m.relayErr = relaySet(ctx, m.nw)
+		if m.relayErr != nil {
+			m.relayErr = fmt.Errorf("batch: backbone construction failed: %w", m.relayErr)
 		}
-		m.detRes = res
-		m.detRelay = route.RelaySet(nw.G, nw.ID, res, tables)
 	})
-	return nw, m.detRes, m.detRelay, m.detErr
+	return m.relay, m.relayErr
 }
 
 // Options configures Run and RunRange.
@@ -283,8 +300,8 @@ func runScenario(ctx context.Context, sc Scenario, w *Workload, memo *netMemo, m
 		}
 		res.WallNS = time.Since(start).Nanoseconds()
 	}()
-	res = execScenario(ctx, sc, w, memo, measureWorkers)
-	return res
+	o := exec(ctx, w, memo, measureWorkers)
+	return o.row(sc, w, memo.topoLabel)
 }
 
 // isCancel reports whether err is a context expiry (from any layer).
@@ -292,87 +309,127 @@ func isCancel(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-func execScenario(ctx context.Context, sc Scenario, w *Workload, memo *netMemo, measureWorkers int) Result {
-	r := Result{Index: sc.Index, Size: sc.Size, Degree: sc.Degree, Seed: sc.Seed,
-		Topology: memo.topoLabel, Workload: w.label()}
+// ErrClass says how to read a job's error. A cancelled job (its context
+// expired mid-job) is neither data nor failure; a fault-plan failure (a
+// fault-injected distributed run that stalled or blew its budget) is a
+// detectable outcome, recorded as data; every other error is hard: an
+// unrealisable scene, a construction outside its contract, an engine error
+// on a lossless run, a measurement on a disconnected scene.
+type ErrClass uint8
+
+// Error classes.
+const (
+	NoError ErrClass = iota
+	Cancelled
+	FaultFailure
+	HardError
+)
+
+// Outcome is everything one job measured. Which groups are filled depends
+// on the workload kind; the others stay zero.
+type Outcome struct {
+	Net          *udg.Network       // nil if it could not be generated
+	Construction *algo.Construction // the registry entry the workload names
+	// Built reports that the backbone was constructed (Backbone and
+	// Dilation); a dilation measurement can still fail after it. Valid is
+	// the construction's own predicate on it (checked for Backbone only).
+	Built  bool
+	Result wcds.Result
+	Valid  bool
+	// Stats and Phases are a distributed run's costs, kept when it fails.
+	Stats  simnet.Stats
+	Phases []obs.Span
+	// Dilation measures the spanner over the workload's pairs; Backbone
+	// and Flood compare the relay broadcast from its Source with a blind
+	// flood.
+	Dilation        spanner.Report
+	Backbone, Flood route.BroadcastReport
+	// Err is the job's error and Class how to read it.
+	Err   error
+	Class ErrClass
+}
+
+// fail records err, classed as a cancellation, as a fault-plan failure
+// when faultRun is set, or else as a hard error.
+func (o *Outcome) fail(err error, faultRun bool) {
+	o.Err = err
+	switch {
+	case isCancel(err):
+		o.Class = Cancelled
+	case faultRun:
+		o.Class = FaultFailure
+	default:
+		o.Class = HardError
+	}
+}
+
+// SpannerEdges returns the edge count of the backbone's spanner (0 without
+// one).
+func (o *Outcome) SpannerEdges() int {
+	if o.Result.Spanner == nil {
+		return 0
+	}
+	return o.Result.Spanner.M()
+}
+
+// Saving returns the share of blind-flood transmissions the relay
+// broadcast saves.
+func (o *Outcome) Saving() float64 {
+	if o.Flood.Transmissions == 0 {
+		return 0
+	}
+	return 1 - float64(o.Backbone.Transmissions)/float64(o.Flood.Transmissions)
+}
+
+// Exec runs one normalized workload on nw, a network its caller built,
+// through the executor of every sweep scenario, memoizing nothing.
+// measureWorkers goes to spanner.DilationN as is (<= 0 means GOMAXPROCS).
+func Exec(ctx context.Context, w *Workload, nw *udg.Network, measureWorkers int) Outcome {
+	return exec(ctx, w, scene{nw}, measureWorkers)
+}
+
+// exec is the one job executor: it runs the normalized workload w on the
+// network of c and returns everything it measured.
+func exec(ctx context.Context, w *Workload, c cell, measureWorkers int) (o Outcome) {
+	nw, err := c.network()
+	if err != nil {
+		o.fail(err, false)
+		return o
+	}
+	o.Net = nw
+	o.Construction, _ = algo.Lookup(w.Algorithm)
 	switch w.Kind {
 	case Dilation:
-		nw, res, err := memo.centralized(w.Algorithm, w.WeightSeed)
+		if o.Result, err = c.centralized(o.Construction, w.WeightSeed); err != nil {
+			o.fail(err, false)
+			return o
+		}
+		o.Built = true
+		// A deadline that passed during the construction ends the job
+		// before the pairs are even enumerated.
+		if err = ctx.Err(); err == nil {
+			pairs := spanner.Pairs(nw.G, w.Pairs, w.SampleSeed)
+			o.Dilation, err = spanner.DilationN(ctx, nw.G, o.Result.Spanner, nw.Weight(), pairs, measureWorkers)
+		}
 		if err != nil {
-			r.Err = err.Error()
-			return r
+			o.fail(err, false)
 		}
-		r.Edges = nw.G.M()
-		var pairs [][2]int
-		if w.Pairs <= 0 {
-			pairs = spanner.AllPairs(nw.G)
-		} else {
-			pairs = spanner.SamplePairs(rand.New(rand.NewSource(w.SampleSeed)), nw.N(), w.Pairs)
-		}
-		report, err := spanner.DilationN(nw.G, res.Spanner, nw.Weight(), pairs, measureWorkers)
-		if err != nil {
-			r.Err = err.Error()
-			return r
-		}
-		r.SpannerEdges = res.Spanner.M()
-		r.Pairs = report.Pairs
-		if report.WorstTopo.HopsG > 0 {
-			r.WorstTopo = float64(report.WorstTopo.HopsSpanner) / float64(report.WorstTopo.HopsG)
-		}
-		if report.WorstGeo.LenG > 0 {
-			r.WorstGeo = report.WorstGeo.LenSpanner / report.WorstGeo.LenG
-		}
-		r.AvgTopo = report.AvgTopoRatio
-		r.AvgGeo = report.AvgGeoRatio
-		r.BoundsOK = report.TopoBoundHolds && report.GeoBoundHolds
-		return r
+		return o
 
 	case Broadcast:
-		nw, _, relay, err := memo.detailed(ctx)
+		relay, err := c.relays(ctx)
 		if err != nil {
-			if isCancel(err) {
-				r.cancelled = true
-			}
-			r.Err = err.Error()
-			return r
+			o.fail(err, false)
+			return o
 		}
-		r.Edges = nw.G.M()
-		backbone := route.Broadcast(nw.G, relay, w.Source)
-		flood := route.BlindFlood(nw.G, w.Source)
-		r.RelaySize = backbone.RelaySetSize
-		r.BackboneTx = backbone.Transmissions
-		r.FloodTx = flood.Transmissions
-		r.Covered = backbone.Covered
-		if flood.Transmissions > 0 {
-			r.Saving = 1 - float64(backbone.Transmissions)/float64(flood.Transmissions)
-		}
-		return r
+		o.Backbone = route.Broadcast(nw.G, relay, w.Source)
+		o.Flood = route.BlindFlood(nw.G, w.Source)
+		return o
+	}
 
-	default: // Backbone
-		construction, okAlgo := algo.Lookup(w.Algorithm)
-		if !okAlgo {
-			r.Err = fmt.Sprintf("batch: unknown algorithm %q (want %s)", w.Algorithm, algo.NamesString())
-			return r
-		}
-		if w.Mode == "centralized" {
-			nw, res, err := memo.centralized(w.Algorithm, w.WeightSeed)
-			if err != nil {
-				r.Err = err.Error()
-				return r
-			}
-			fillBackbone(&r, nw, res, construction)
-			r.Converged = true
-			return r
-		}
-		nw, err := memo.network()
-		if err != nil {
-			r.Err = err.Error()
-			return r
-		}
-		var (
-			res wcds.Result
-			st  simnet.Stats
-		)
+	if w.Mode == "centralized" {
+		o.Result, err = c.centralized(o.Construction, w.WeightSeed)
+	} else {
 		eng, _ := simnet.ParseEngine(w.Engine)
 		rec := obs.NewSpans()
 		runner := wcds.RunSpec{
@@ -389,46 +446,64 @@ func execScenario(ctx context.Context, sc Scenario, w *Workload, memo *netMemo, 
 		if w.Selection == "eager" {
 			mode = wcds.Eager
 		}
-		res, st, err = algo.DistributedRun(construction, nw.G, nw.ID, mode, false, runner)
-		r.Messages = st.Messages
-		r.Rounds = st.Rounds
-		r.Dropped = st.Dropped
-		r.Retransmits = st.Retransmits
-		r.Phases = rec.Snapshot()
-		if err != nil {
-			// A cancellation is neither data nor failure: the caller drops
-			// the row. Under injected faults a stalled run is a detectable
-			// outcome, recorded as non-convergence; without faults it is a
-			// hard error.
-			switch {
-			case isCancel(err):
-				r.cancelled = true
-				r.Err = err.Error()
-			case w.Faults == nil:
-				r.Err = err.Error()
-			default:
-				r.Failure = err.Error()
-			}
-			return r
-		}
-		fillBackbone(&r, nw, res, construction)
-		r.Converged = true
-		return r
+		o.Result, o.Stats, err = algo.DistributedRun(o.Construction, nw.G, nw.ID, mode, false, runner)
+		o.Phases = rec.Snapshot()
 	}
+	if err != nil {
+		o.fail(err, w.Faults != nil)
+		return o
+	}
+	o.Built = true
+	o.Valid = o.Construction.Valid(nw.G, o.Result.Dominators)
+	return o
 }
 
-// fillBackbone records the backbone metrics, validating the output with the
-// construction's own kind predicate (WCDS / CDS / DS).
-func fillBackbone(r *Result, nw *udg.Network, res wcds.Result, c *algo.Construction) {
-	r.Edges = nw.G.M()
-	r.Backbone = len(res.Dominators)
-	r.MIS = len(res.MISDominators)
-	r.Additional = len(res.AdditionalDominators)
-	if res.Spanner != nil {
-		r.SpannerEdges = res.Spanner.M()
+// row projects the outcome of scenario sc onto its result row. Rows of
+// failed jobs keep only the error and, for distributed runs, the costs.
+func (o *Outcome) row(sc Scenario, w *Workload, topoLabel string) Result {
+	r := Result{Index: sc.Index, Size: sc.Size, Degree: sc.Degree, Seed: sc.Seed,
+		Topology: topoLabel, Workload: w.label(),
+		Messages: o.Stats.Messages, Rounds: o.Stats.Rounds, Dropped: o.Stats.Dropped,
+		Retransmits: o.Stats.Retransmits, Phases: o.Phases}
+	if w.Kind == Dilation && o.Built {
+		r.Edges = o.Net.G.M()
 	}
-	r.Valid = c.Valid(nw.G, res.Dominators)
-	if nw.N() > 0 {
-		r.Ratio = float64(r.Backbone) / float64(nw.N())
+	switch o.Class {
+	case NoError:
+	case FaultFailure:
+		r.Failure = o.Err.Error()
+		return r
+	default:
+		r.Err = o.Err.Error()
+		r.cancelled = o.Class == Cancelled
+		return r
 	}
+	r.Edges = o.Net.G.M()
+	switch w.Kind {
+	case Dilation:
+		r.SpannerEdges = o.SpannerEdges()
+		r.Pairs = o.Dilation.Pairs
+		r.WorstTopo = o.Dilation.WorstTopo.TopoRatio()
+		r.WorstGeo = o.Dilation.WorstGeo.GeoRatio()
+		r.AvgTopo = o.Dilation.AvgTopoRatio
+		r.AvgGeo = o.Dilation.AvgGeoRatio
+		r.BoundsOK = o.Dilation.TopoBoundHolds && o.Dilation.GeoBoundHolds
+	case Broadcast:
+		r.RelaySize = o.Backbone.RelaySetSize
+		r.BackboneTx = o.Backbone.Transmissions
+		r.FloodTx = o.Flood.Transmissions
+		r.Covered = o.Backbone.Covered
+		r.Saving = o.Saving()
+	default:
+		r.Backbone = len(o.Result.Dominators)
+		r.MIS = len(o.Result.MISDominators)
+		r.Additional = len(o.Result.AdditionalDominators)
+		r.SpannerEdges = o.SpannerEdges()
+		r.Valid = o.Valid
+		if o.Net.N() > 0 {
+			r.Ratio = float64(r.Backbone) / float64(o.Net.N())
+		}
+		r.Converged = true
+	}
+	return r
 }

@@ -16,14 +16,16 @@
 //     regardless of the worker count.
 //   - Shared subcomputations: scenarios over the same (size, degree, seed)
 //     cell share one generated network, one centralized construction per
-//     algorithm and one distributed table-building run, each computed once
-//     behind a sync.Once instead of once per scenario.
+//     algorithm and one broadcast relay set, each computed once behind a
+//     sync.Once instead of once per scenario.
 //   - Pooled hot paths: udg.BuildGraph grid scratch and simnet message
 //     queues are recycled through sync.Pools, cutting steady-state
 //     allocations of the generate/construct loop.
 //
 // Run and RunRange (one index range, for the fleet) share one executor, so
-// a sweep row is scheduled the same way whichever entry point runs it.
+// a sweep row is scheduled the same way whichever entry point runs it, and
+// every job — a sweep scenario or, through Exec, a single service request
+// — runs through one job executor whose Outcome the row projects.
 package batch
 
 import (
@@ -98,40 +100,45 @@ type Workload struct {
 	Source int `json:"source,omitempty"`
 }
 
-// normalize defaults and canonicalises the enum fields in place.
-func (w *Workload) normalize(i int) error {
+// Normalize defaults and canonicalises the enum fields in place and
+// checks the field combination: the one rule every job passes, whether it
+// arrives in a sweep spec or as a single /v1/backbone, /v1/dilation or
+// /v1/broadcast request. Checks that need the node count (fault-plan
+// ranges, the broadcast source) are the caller's: a spec knows its
+// smallest size, a request its own network.
+func (w *Workload) Normalize() error {
 	switch w.Kind {
 	case "", Backbone:
 		w.Kind = Backbone
 	case Dilation, Broadcast:
 	default:
-		return fmt.Errorf("batch: workload %d: unknown kind %q", i, w.Kind)
+		return fmt.Errorf("unknown kind %q", w.Kind)
 	}
 	if w.Algorithm == "" {
 		w.Algorithm = "II"
 	}
 	construction, ok := algo.Lookup(w.Algorithm)
 	if !ok {
-		return fmt.Errorf("batch: workload %d: unknown algorithm %q (want %s)", i, w.Algorithm, algo.NamesString())
+		return fmt.Errorf("unknown algorithm %q (want %s)", w.Algorithm, algo.NamesString())
 	}
 	w.Algorithm = construction.Name
 	if w.Kind == Broadcast && construction.Name != "II" {
-		return fmt.Errorf("batch: workload %d: broadcast workloads support algorithm II only (got %q)", i, w.Algorithm)
+		return fmt.Errorf("broadcast workloads support algorithm II only (got %q)", w.Algorithm)
 	}
 	if w.WeightSeed != 0 && !construction.Caps.Weighted {
-		return fmt.Errorf("batch: workload %d: weightSeed applies to weighted algorithms only (got %q)", i, w.Algorithm)
+		return fmt.Errorf("weightSeed applies to weighted algorithms only (got %q)", w.Algorithm)
 	}
 	if w.Kind == Dilation && construction.Kind == algo.KindDS {
-		return fmt.Errorf("batch: workload %d: dilation is undefined for %q: a plain dominating set's weakly-induced spanner need not be connected", i, w.Algorithm)
+		return fmt.Errorf("dilation is undefined for %q: a plain dominating set's weakly-induced spanner need not be connected", w.Algorithm)
 	}
 	mode, engine, err := simnet.NormalizeEngine(w.Mode, w.Engine)
 	if err != nil {
-		return fmt.Errorf("batch: workload %d: %w", i, err)
+		return err
 	}
 	w.Mode, w.Engine = mode, engine
 	if w.Mode != "centralized" && !construction.Caps.Distributed {
-		return fmt.Errorf("batch: workload %d: algorithm %q has no distributed protocol (want mode centralized; distributed algorithms: %s)",
-			i, w.Algorithm, strings.Join(algo.DistributedNames(), ", "))
+		return fmt.Errorf("algorithm %q has no distributed protocol (want mode centralized; distributed algorithms: %s)",
+			w.Algorithm, strings.Join(algo.DistributedNames(), ", "))
 	}
 	switch strings.ToLower(w.Selection) {
 	case "", "deferred":
@@ -139,23 +146,31 @@ func (w *Workload) normalize(i int) error {
 	case "eager":
 		w.Selection = "eager"
 	default:
-		return fmt.Errorf("batch: workload %d: unknown selection %q (want deferred or eager)", i, w.Selection)
+		return fmt.Errorf("unknown selection %q (want deferred or eager)", w.Selection)
 	}
 	if w.Faults != nil && w.Faults.Empty() {
 		w.Faults = nil
 	}
 	faulty := w.Faults != nil || w.Reliable || w.MaxRetries != 0 || w.MaxRounds != 0
 	if w.Kind == Backbone && faulty && w.Mode == "centralized" {
-		return fmt.Errorf("batch: workload %d: faults/reliable/maxRetries/maxRounds require a distributed mode (sync, async or event)", i)
+		return fmt.Errorf("faults/reliable/maxRetries/maxRounds require a distributed mode (sync, async or event)")
 	}
 	if w.Kind != Backbone && faulty {
-		return fmt.Errorf("batch: workload %d: faults/reliable budgets apply to backbone workloads only", i)
+		return fmt.Errorf("faults/reliable budgets apply to backbone workloads only")
 	}
 	if w.MaxRetries < 0 || w.MaxRounds < 0 {
-		return fmt.Errorf("batch: workload %d: negative budget", i)
+		return fmt.Errorf("negative budget")
 	}
 	if w.Source < 0 {
-		return fmt.Errorf("batch: workload %d: source %d must be non-negative", i, w.Source)
+		return fmt.Errorf("source %d must be non-negative", w.Source)
+	}
+	return nil
+}
+
+// normalize is Normalize for workload i of a spec, whose errors say which.
+func (w *Workload) normalize(i int) error {
+	if err := w.Normalize(); err != nil {
+		return fmt.Errorf("batch: workload %d: %w", i, err)
 	}
 	return nil
 }

@@ -9,7 +9,10 @@ import (
 
 // BatchSpec and BatchWorkload are the engine's declarative types, exposed
 // verbatim on the wire so POST /v1/batch and internal/batch can never
-// drift: the JSON schema IS the engine schema.
+// drift: the JSON schema IS the engine schema. The single-scenario
+// requests keep their own JSON fields but describe the same job: each
+// converts to a BatchWorkload (Workload), validates through its
+// Normalize, and runs on the batch executor.
 type (
 	BatchSpec     = batch.Spec
 	BatchWorkload = batch.Workload
@@ -31,22 +34,32 @@ type BatchRequest struct {
 // Normalize validates the spec in place (workload enums are defaulted and
 // case-folded) and enforces the service's size and scenario-count bounds.
 func (req *BatchRequest) Normalize(maxNodes, maxScenarios int) error {
-	if req.Workers < 0 {
-		return Errorf("workers %d must be non-negative", req.Workers)
-	}
-	if req.MeasureWorkers < 0 {
-		return Errorf("measureWorkers %d must be non-negative", req.MeasureWorkers)
-	}
-	if err := req.BatchSpec.Validate(); err != nil {
-		return Errorf("%v", err)
-	}
-	for _, n := range req.Sizes {
-		if n > maxNodes {
-			return Errorf("size %d exceeds the service limit of %d nodes", n, maxNodes)
-		}
+	if err := normalizeSweep(&req.BatchSpec, req.Workers, req.MeasureWorkers, maxNodes); err != nil {
+		return err
 	}
 	if n := req.NumScenarios(); maxScenarios > 0 && n > maxScenarios {
 		return Errorf("%d scenarios exceed the service limit of %d", n, maxScenarios)
+	}
+	return nil
+}
+
+// normalizeSweep makes the checks batch and shard requests share: the two
+// parallelism knobs, the spec itself (validated in place) and the node
+// bound on its sizes.
+func normalizeSweep(spec *BatchSpec, workers, measureWorkers, maxNodes int) error {
+	if workers < 0 {
+		return Errorf("workers %d must be non-negative", workers)
+	}
+	if measureWorkers < 0 {
+		return Errorf("measureWorkers %d must be non-negative", measureWorkers)
+	}
+	if err := spec.Validate(); err != nil {
+		return Errorf("%v", err)
+	}
+	for _, n := range spec.Sizes {
+		if n > maxNodes {
+			return Errorf("size %d exceeds the service limit of %d nodes", n, maxNodes)
+		}
 	}
 	return nil
 }

@@ -112,11 +112,7 @@ func (req *SessionRequest) Normalize(maxNodes int) error {
 	if req.Faults != nil {
 		// Validate against the spec's node count; joins grow the graph
 		// later, which only loosens the node-indexed windows' bound.
-		n := req.NetworkSpec.N
-		if len(req.NetworkSpec.Positions) > 0 {
-			n = len(req.NetworkSpec.Positions)
-		}
-		if err := req.Faults.Validate(n); err != nil {
+		if err := req.Faults.Validate(req.nodes()); err != nil {
 			return Errorf("%v", err)
 		}
 	}

@@ -34,23 +34,12 @@ type ShardRequest struct {
 // shard width, not the full sweep, so a fleet can execute sweeps wider than
 // any single worker would accept in one request).
 func (req *ShardRequest) Normalize(maxNodes, maxScenarios int) error {
-	if req.Workers < 0 {
-		return Errorf("workers %d must be non-negative", req.Workers)
-	}
-	if req.MeasureWorkers < 0 {
-		return Errorf("measureWorkers %d must be non-negative", req.MeasureWorkers)
-	}
-	if err := req.BatchSpec.Validate(); err != nil {
-		return Errorf("%v", err)
+	if err := normalizeSweep(&req.BatchSpec, req.Workers, req.MeasureWorkers, maxNodes); err != nil {
+		return err
 	}
 	n := req.NumScenarios()
 	if req.Lo < 0 || req.Hi > n || req.Lo >= req.Hi {
 		return Errorf("shard range [%d, %d) out of bounds for %d scenarios", req.Lo, req.Hi, n)
-	}
-	for _, size := range req.Sizes {
-		if size > maxNodes {
-			return Errorf("size %d exceeds the service limit of %d nodes", size, maxNodes)
-		}
 	}
 	if w := req.Hi - req.Lo; maxScenarios > 0 && w > maxScenarios {
 		return Errorf("shard width %d exceeds the service limit of %d scenarios", w, maxScenarios)

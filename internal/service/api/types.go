@@ -4,10 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"math/rand"
 	"strings"
 
-	"wcdsnet/internal/algo"
+	"wcdsnet/internal/batch"
 	"wcdsnet/internal/geom"
 	"wcdsnet/internal/obs"
 	"wcdsnet/internal/simnet"
@@ -84,6 +83,15 @@ func (sp *NetworkSpec) Validate(maxNodes int) error {
 	}
 }
 
+// nodes returns the node count the spec asks for, known in both forms
+// before the network is built.
+func (sp *NetworkSpec) nodes() int {
+	if len(sp.Positions) > 0 {
+		return len(sp.Positions)
+	}
+	return sp.N
+}
+
 // Build materialises the network. Validate must already have passed.
 func (sp *NetworkSpec) Build() (*udg.Network, error) {
 	if len(sp.Positions) > 0 {
@@ -108,14 +116,11 @@ func (sp *NetworkSpec) Build() (*udg.Network, error) {
 		}
 		return nw, nil
 	}
-	rng := rand.New(rand.NewSource(sp.Seed))
-	var nw *udg.Network
-	var err error
+	var topo udg.Topology // the legacy uniform generator, unless named
 	if sp.Topology != nil {
-		nw, err = sp.Topology.GenConnected(rng, sp.N, sp.AvgDegree, 2000)
-	} else {
-		nw, err = udg.GenConnectedAvgDegree(rng, sp.N, sp.AvgDegree, 2000)
+		topo = *sp.Topology
 	}
+	nw, err := batch.Generate(topo, sp.N, sp.AvgDegree, sp.Seed)
 	if err != nil {
 		// The parameters parsed but no connected instance exists for them
 		// (e.g. avgDegree ≈ n): the client's input is at fault, not us.
@@ -158,45 +163,21 @@ func (sp *NetworkSpec) Canonical(b *strings.Builder) {
 // BackboneRequest asks for a backbone construction over the given network.
 type BackboneRequest struct {
 	NetworkSpec
-	// Algorithm names a registered construction (default "II"; see
-	// algo.Names). Algorithms without a distributed protocol run
-	// centralized only. Schema v6 widened this beyond "I"/"II".
-	Algorithm string `json:"algorithm,omitempty"`
-	// WeightSeed seeds the per-node weight vector of weighted algorithms
-	// (0 = unit weights; rejected for unweighted algorithms). Schema v6.
-	WeightSeed int64 `json:"weightSeed,omitempty"`
-	// Mode is "centralized" (default), "sync", "async" or "event". For
-	// distributed runs it is the same enum as Engine; setting either is
-	// enough, setting both to different values is rejected.
-	Mode string `json:"mode,omitempty"`
-	// Engine selects the simulation engine of a distributed run: "sync",
-	// "async" or "event" (the million-node single-scheduler engine).
-	// Normalization keeps Mode and Engine equal for distributed requests.
-	// Schema v5.
-	Engine string `json:"engine,omitempty"`
-	// Selection is Algorithm II's connector-selection mode: "deferred"
-	// (default, schedule-independent) or "eager".
-	Selection string `json:"selection,omitempty"`
-	// ScheduleSeed seeds the per-link scramble of the delivery schedule.
-	// Engine "async" always runs under it (seed 0 by default), so each
-	// seed replays exactly; engine "event" scrambles only for a non-zero
-	// seed; engine "sync" ignores it.
-	ScheduleSeed int64 `json:"scheduleSeed,omitempty"`
-
-	// Faults injects the given fault plan into the distributed run (any
-	// distributed mode: "sync", "async" or "event"). See simnet.FaultPlan
-	// for the schema.
-	Faults *simnet.FaultPlan `json:"faults,omitempty"`
-	// Reliable wraps the protocol in the ack/retransmit layer so it
-	// converges under loss; implied counters appear in the response.
-	Reliable bool `json:"reliable,omitempty"`
-	// MaxRetries overrides the reliable layer's per-message retry budget
-	// (0 = default).
-	MaxRetries int `json:"maxRetries,omitempty"`
-	// MaxRounds overrides the engine's quiescence budget: synchronous
-	// rounds or async tick passes (0 = engine default). Heavy fault plans
-	// with retransmission legitimately need more than the default.
-	MaxRounds int `json:"maxRounds,omitempty"`
+	// The job: each field means what the batch.Workload field of the same
+	// name means, and Normalize applies that type's rule. Algorithm takes
+	// any registered construction (schema v6, as does WeightSeed; Engine is
+	// schema v5); Faults, Reliable, MaxRetries and MaxRounds need a
+	// distributed mode.
+	Algorithm    string            `json:"algorithm,omitempty"`
+	WeightSeed   int64             `json:"weightSeed,omitempty"`
+	Mode         string            `json:"mode,omitempty"`
+	Engine       string            `json:"engine,omitempty"`
+	Selection    string            `json:"selection,omitempty"`
+	ScheduleSeed int64             `json:"scheduleSeed,omitempty"`
+	Faults       *simnet.FaultPlan `json:"faults,omitempty"`
+	Reliable     bool              `json:"reliable,omitempty"`
+	MaxRetries   int               `json:"maxRetries,omitempty"`
+	MaxRounds    int               `json:"maxRounds,omitempty"`
 }
 
 // BackboneResponse reports the construction. Node-valued fields use dense
@@ -248,58 +229,24 @@ type BackboneResponse struct {
 	Abandoned      int `json:"abandoned,omitempty"`
 }
 
+// Workload returns the batch job the request describes.
+func (req *BackboneRequest) Workload() batch.Workload {
+	return batch.Workload{Kind: batch.Backbone, Algorithm: req.Algorithm, WeightSeed: req.WeightSeed,
+		Mode: req.Mode, Engine: req.Engine, Selection: req.Selection, ScheduleSeed: req.ScheduleSeed,
+		Faults: req.Faults, Reliable: req.Reliable, MaxRetries: req.MaxRetries, MaxRounds: req.MaxRounds}
+}
+
 // Normalize canonicalises the request in place (default and case-fold the
-// enum fields) and validates the field combination.
+// enum fields) and validates the field combination by the batch workload
+// rule, plus the fault plan against the spec's node count.
 func (req *BackboneRequest) Normalize() error {
-	if req.Algorithm == "" {
-		req.Algorithm = "II"
-	}
-	construction, ok := algo.Lookup(req.Algorithm)
-	if !ok {
-		return Errorf("unknown algorithm %q (want %s)", req.Algorithm, algo.NamesString())
-	}
-	req.Algorithm = construction.Name
-	if req.WeightSeed != 0 && !construction.Caps.Weighted {
-		return Errorf("weightSeed applies to weighted algorithms only (got %q)", req.Algorithm)
-	}
-	mode, engine, err := simnet.NormalizeEngine(req.Mode, req.Engine)
-	if err != nil {
+	w := req.Workload()
+	if err := w.Normalize(); err != nil {
 		return Errorf("%v", err)
 	}
-	req.Mode, req.Engine = mode, engine
-	if req.Mode != "centralized" && !construction.Caps.Distributed {
-		return Errorf("algorithm %q has no distributed protocol (want mode centralized; distributed algorithms: %s)",
-			req.Algorithm, strings.Join(algo.DistributedNames(), ", "))
-	}
-	switch strings.ToLower(req.Selection) {
-	case "", "deferred":
-		req.Selection = "deferred"
-	case "eager":
-		req.Selection = "eager"
-	default:
-		return Errorf("unknown selection %q (want deferred or eager)", req.Selection)
-	}
-	if req.Faults != nil && req.Faults.Empty() {
-		req.Faults = nil
-	}
-	faulty := req.Faults != nil || req.Reliable || req.MaxRetries != 0 || req.MaxRounds != 0
-	if faulty && req.Mode == "centralized" {
-		return Errorf("faults/reliable/maxRetries/maxRounds require a distributed mode (sync, async or event)")
-	}
-	if req.MaxRetries < 0 {
-		return Errorf("maxRetries %d must be non-negative", req.MaxRetries)
-	}
-	if req.MaxRounds < 0 {
-		return Errorf("maxRounds %d must be non-negative", req.MaxRounds)
-	}
+	req.Algorithm, req.Mode, req.Engine, req.Selection, req.Faults = w.Algorithm, w.Mode, w.Engine, w.Selection, w.Faults
 	if req.Faults != nil {
-		// Validate against the spec's node count; both spec forms know it
-		// before the network is built.
-		n := req.NetworkSpec.N
-		if len(req.NetworkSpec.Positions) > 0 {
-			n = len(req.NetworkSpec.Positions)
-		}
-		if err := req.Faults.Validate(n); err != nil {
+		if err := req.Faults.Validate(req.nodes()); err != nil {
 			return Errorf("%v", err)
 		}
 	}
@@ -333,15 +280,14 @@ func (req *BackboneRequest) CacheKey() string {
 // given network.
 type DilationRequest struct {
 	NetworkSpec
-	// Algorithm names a registered construction (default "II"; see
-	// algo.Names). All dilation runs are centralized. Schema v6 widened
-	// this beyond "I"/"II".
-	Algorithm string `json:"algorithm,omitempty"`
-	// Pairs is the number of sampled node pairs; <= 0 measures every
-	// non-adjacent pair (quadratic — capped by the service's MaxNodes).
-	Pairs int `json:"pairs,omitempty"`
-	// SampleSeed seeds pair sampling (ignored when Pairs <= 0).
-	SampleSeed int64 `json:"sampleSeed,omitempty"`
+	// The job, as in batch.Workload: Algorithm names any registered
+	// construction but a plain dominating set (schema v6), Pairs <= 0
+	// measures every non-adjacent pair (quadratic — capped by the service's
+	// MaxNodes) and SampleSeed seeds pair sampling. All dilation runs are
+	// centralized.
+	Algorithm  string `json:"algorithm,omitempty"`
+	Pairs      int    `json:"pairs,omitempty"`
+	SampleSeed int64  `json:"sampleSeed,omitempty"`
 	// MeasureWorkers parallelises the measurement across sources
 	// (spanner.DilationN). 0 means GOMAXPROCS. The result is identical for
 	// every value, so it is excluded from the cache key.
@@ -364,19 +310,19 @@ type DilationResponse struct {
 	Cached         bool    `json:"cached"`
 }
 
-// Normalize canonicalises the algorithm field.
+// Workload returns the batch job the request describes.
+func (req *DilationRequest) Workload() batch.Workload {
+	return batch.Workload{Kind: batch.Dilation, Algorithm: req.Algorithm, Pairs: req.Pairs, SampleSeed: req.SampleSeed}
+}
+
+// Normalize canonicalises the algorithm field and validates the request by
+// the batch workload rule.
 func (req *DilationRequest) Normalize() error {
-	if req.Algorithm == "" {
-		req.Algorithm = "II"
+	w := req.Workload()
+	if err := w.Normalize(); err != nil {
+		return Errorf("%v", err)
 	}
-	construction, ok := algo.Lookup(req.Algorithm)
-	if !ok {
-		return Errorf("unknown algorithm %q (want %s)", req.Algorithm, algo.NamesString())
-	}
-	req.Algorithm = construction.Name
-	if construction.Kind == algo.KindDS {
-		return Errorf("dilation is undefined for %q: a plain dominating set's weakly-induced spanner need not be connected", req.Algorithm)
-	}
+	req.Algorithm = w.Algorithm
 	if req.MeasureWorkers < 0 {
 		return Errorf("measureWorkers %d must be non-negative", req.MeasureWorkers)
 	}
@@ -416,6 +362,24 @@ type BroadcastResponse struct {
 	FloodReceptions       int     `json:"floodReceptions"`
 	TransmissionSaving    float64 `json:"transmissionSaving"`
 	Cached                bool    `json:"cached"`
+}
+
+// Workload returns the batch job the request describes.
+func (req *BroadcastRequest) Workload() batch.Workload {
+	return batch.Workload{Kind: batch.Broadcast, Source: req.Source}
+}
+
+// Normalize validates the request by the batch workload rule, plus the
+// source against the spec's node count.
+func (req *BroadcastRequest) Normalize() error {
+	w := req.Workload()
+	if err := w.Normalize(); err != nil {
+		return Errorf("%v", err)
+	}
+	if n := req.nodes(); n > 0 && req.Source >= n {
+		return Errorf("source %d out of range for %d nodes", req.Source, n)
+	}
+	return nil
 }
 
 // CacheKey returns the content address of the computation this request

@@ -6,19 +6,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math/rand"
 	"net/http"
 	"sort"
 	"time"
 
-	"wcdsnet/internal/algo"
 	"wcdsnet/internal/batch"
-	"wcdsnet/internal/obs"
-	"wcdsnet/internal/route"
 	"wcdsnet/internal/service/api"
-	"wcdsnet/internal/simnet"
-	"wcdsnet/internal/simnet/reliable"
-	"wcdsnet/internal/spanner"
+	"wcdsnet/internal/udg"
 	"wcdsnet/internal/wcds"
 )
 
@@ -83,58 +77,64 @@ func (s *Service) recoverPanics(next http.Handler) http.Handler {
 	})
 }
 
-// --- backbone --------------------------------------------------------------
+// --- single-scenario jobs ---------------------------------------------------
 
-func (s *Service) handleBackbone(w http.ResponseWriter, r *http.Request) {
-	s.requests.Inc()
-	var req BackboneRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		s.replyError(w, endpointBackbone, time.Now(), err)
-		return
-	}
-	start := time.Now()
-	if err := req.Normalize(); err != nil {
-		s.replyError(w, endpointBackbone, start, err)
-		return
-	}
-	if err := req.NetworkSpec.Validate(s.opts.MaxNodes); err != nil {
-		s.replyError(w, endpointBackbone, start, err)
-		return
-	}
-	s.serve(w, r, endpointBackbone, start, req.CacheKey(),
-		func(ctx context.Context) (any, error) { return s.computeBackbone(ctx, &req) },
-		func(v any) any { resp := *(v.(*BackboneResponse)); return &resp })
+// jobRequest is a /v1/backbone, /v1/dilation or /v1/broadcast request: a
+// network spec plus the one batch workload it runs there.
+type jobRequest interface {
+	Normalize() error
+	Validate(maxNodes int) error
+	CacheKey() string
+	Build() (*udg.Network, error)
+	Workload() batch.Workload
 }
 
-func (s *Service) computeBackbone(ctx context.Context, req *BackboneRequest) (*BackboneResponse, error) {
-	nw, err := req.NetworkSpec.Build()
-	if err != nil {
-		return nil, err
-	}
-	construction, ok := algo.Lookup(req.Algorithm)
+// serveJob decodes and validates a single-scenario request, then serves it
+// through the cache and the pool: the job builds the request's network and
+// runs its workload through the batch executor, and project turns the
+// outcome into the endpoint's response. *measureWorkers, read once req is
+// decoded, is the dilation measurement's parallelism.
+func (s *Service) serveJob(w http.ResponseWriter, r *http.Request, endpoint string, req jobRequest,
+	measureWorkers *int, project func(*batch.Outcome) (any, error)) {
+	start, ok := s.admit(w, r, endpoint, req, func() error {
+		if err := req.Normalize(); err != nil {
+			return err
+		}
+		return req.Validate(s.opts.MaxNodes)
+	})
 	if !ok {
-		// Normalize already vetted the name; this guards direct callers.
-		return nil, api.Errorf("unknown algorithm %q (want %s)", req.Algorithm, algo.NamesString())
+		return
 	}
-	var (
-		res wcds.Result
-		st  simnet.Stats
-	)
-	runner, rec := runnerFor(ctx, req)
-	if runner == nil {
-		in := algo.Input{G: nw.G, IDs: nw.ID}
-		if construction.Caps.Weighted {
-			in.Weights = algo.Weights(req.WeightSeed, nw.N())
-		}
-		res, err = construction.Run(in)
+	s.serve(w, r, endpoint, start, req.CacheKey(), func(ctx context.Context) (any, error) {
+		nw, err := req.Build()
 		if err != nil {
-			// The comparator constructions fail only on inputs outside their
-			// contract (a disconnected explicit scene): the client's fault.
-			return nil, api.Errorf("construction failed: %v", err)
+			return nil, err
 		}
-	} else {
-		res, st, err = algo.DistributedRun(construction, nw.G, nw.ID, selectionFor(req.Selection), false, runner)
+		job := req.Workload()
+		out := batch.Exec(ctx, &job, nw, *measureWorkers)
+		return project(&out)
+	})
+}
+
+// unexpected wraps an error no valid request should meet: a 500, unless
+// it is a deadline the run observed, which the pool maps to 504.
+func unexpected(what string, out *batch.Outcome) error {
+	if out.Class == batch.Cancelled {
+		return out.Err
 	}
+	return fmt.Errorf("service: %s failed: %w", what, out.Err)
+}
+
+func (s *Service) handleBackbone(w http.ResponseWriter, r *http.Request) {
+	var req BackboneRequest
+	s.serveJob(w, r, endpointBackbone, &req, new(int), func(out *batch.Outcome) (any, error) {
+		s.recordPhases(out.Phases)
+		return backboneResponse(&req, out)
+	})
+}
+
+func backboneResponse(req *BackboneRequest, out *batch.Outcome) (*BackboneResponse, error) {
+	nw, st := out.Net, out.Stats
 	resp := &BackboneResponse{
 		N:              nw.N(),
 		Edges:          nw.G.M(),
@@ -151,202 +151,85 @@ func (s *Service) computeBackbone(ctx context.Context, req *BackboneRequest) (*B
 		DupsSuppressed: st.DupsSuppressed,
 		Acks:           st.Acks,
 		Abandoned:      st.Abandoned,
-		Converged:      err == nil,
+		Converged:      out.Err == nil,
 		Schema:         api.SchemaVersion,
+		Phases:         out.Phases,
 	}
-	if rec != nil {
-		resp.Phases = rec.Snapshot()
-		s.recordPhases(resp.Phases)
-	}
-	if err != nil {
-		// The request deadline propagates into the run itself; its expiry is
-		// a transport condition (504 via the pool's error mapping), never
-		// response data — checked before the faults-as-data branch below.
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			return nil, err
-		}
-		// Under injected faults a stalled or budget-exhausted protocol is an
-		// expected, DETECTABLE outcome: report it as data, not as a server
-		// error. Without faults the same failure is a bug and stays a 500.
-		if req.Faults == nil {
-			return nil, fmt.Errorf("service: distributed run failed: %w", err)
-		}
-		resp.FailureReason = err.Error()
+	switch {
+	case out.Class == batch.FaultFailure:
+		// Under injected faults a stalled or budget-exhausted protocol is
+		// an expected, detectable outcome: data, not a server error.
+		resp.FailureReason = out.Err.Error()
 		return resp, nil
+	case out.Err != nil && req.Mode == "centralized":
+		// The comparator constructions fail only on inputs outside their
+		// contract (a disconnected explicit scene): the client's fault.
+		return nil, api.Errorf("construction failed: %v", out.Err)
+	case out.Err != nil:
+		return nil, unexpected("distributed run", out)
 	}
-	resp.Dominators = res.Dominators
-	resp.MISDominators = res.MISDominators
-	resp.AdditionalDominators = res.AdditionalDominators
-	resp.SpannerEdges = spannerEdges(res.Spanner)
-	resp.IsWCDS = wcds.IsWCDS(nw.G, res.Dominators)
-	resp.Kind = string(construction.Kind)
-	resp.Valid = construction.Valid(nw.G, res.Dominators)
+	resp.Dominators = out.Result.Dominators
+	resp.MISDominators = out.Result.MISDominators
+	resp.AdditionalDominators = out.Result.AdditionalDominators
+	resp.SpannerEdges = out.SpannerEdges()
+	resp.IsWCDS = wcds.IsWCDS(nw.G, out.Result.Dominators)
+	resp.Kind = string(out.Construction.Kind)
+	resp.Valid = out.Valid
 	return resp, nil
 }
 
-// runnerFor maps a request to a protocol runner; nil means centralized.
-// Distributed runners carry the request context (so the per-request
-// deadline interrupts the run mid-flight) and a phase recorder (so the
-// response reports the per-phase breakdown).
-func runnerFor(ctx context.Context, req *BackboneRequest) (wcds.Runner, *obs.Spans) {
-	if req.Mode == "centralized" {
-		return nil, nil
-	}
-	eng, _ := simnet.ParseEngine(req.Engine)
-	rec := obs.NewSpans()
-	return wcds.RunSpec{
-		Engine:          eng,
-		ScheduleSeed:    req.ScheduleSeed,
-		Faults:          req.Faults,
-		MaxRounds:       req.MaxRounds,
-		Ctx:             ctx,
-		Reliable:        req.Reliable,
-		ReliableOptions: reliable.Options{MaxRetries: req.MaxRetries},
-		Phases:          rec,
-	}.Runner(), rec
-}
-
-func selectionFor(sel string) wcds.SelectionMode {
-	if sel == "eager" {
-		return wcds.Eager
-	}
-	return wcds.Deferred
-}
-
-// --- dilation --------------------------------------------------------------
-
 func (s *Service) handleDilation(w http.ResponseWriter, r *http.Request) {
-	s.requests.Inc()
 	var req DilationRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		s.replyError(w, endpointDilation, time.Now(), err)
-		return
-	}
-	start := time.Now()
-	if err := req.Normalize(); err != nil {
-		s.replyError(w, endpointDilation, start, err)
-		return
-	}
-	if err := req.NetworkSpec.Validate(s.opts.MaxNodes); err != nil {
-		s.replyError(w, endpointDilation, start, err)
-		return
-	}
-	s.serve(w, r, endpointDilation, start, req.CacheKey(),
-		func(context.Context) (any, error) { return computeDilation(&req) },
-		func(v any) any { resp := *(v.(*DilationResponse)); return &resp })
+	s.serveJob(w, r, endpointDilation, &req, &req.MeasureWorkers, func(out *batch.Outcome) (any, error) {
+		switch {
+		case !out.Built:
+			return nil, api.Errorf("construction failed: %v", out.Err)
+		case out.Err != nil:
+			return nil, unexpected("dilation", out)
+		}
+		return &DilationResponse{
+			N:              out.Net.N(),
+			Edges:          out.Net.G.M(),
+			SpannerEdges:   out.SpannerEdges(),
+			Algorithm:      req.Algorithm,
+			Pairs:          out.Dilation.Pairs,
+			WorstTopoRatio: out.Dilation.WorstTopo.TopoRatio(),
+			WorstGeoRatio:  out.Dilation.WorstGeo.GeoRatio(),
+			AvgTopoRatio:   out.Dilation.AvgTopoRatio,
+			AvgGeoRatio:    out.Dilation.AvgGeoRatio,
+			TopoBoundHolds: out.Dilation.TopoBoundHolds,
+			GeoBoundHolds:  out.Dilation.GeoBoundHolds,
+		}, nil
+	})
 }
-
-func computeDilation(req *DilationRequest) (*DilationResponse, error) {
-	nw, err := req.NetworkSpec.Build()
-	if err != nil {
-		return nil, err
-	}
-	construction, ok := algo.Lookup(req.Algorithm)
-	if !ok {
-		return nil, api.Errorf("unknown algorithm %q (want %s)", req.Algorithm, algo.NamesString())
-	}
-	in := algo.Input{G: nw.G, IDs: nw.ID}
-	if construction.Caps.Weighted {
-		in.Weights = algo.Weights(0, nw.N())
-	}
-	res, err := construction.Run(in)
-	if err != nil {
-		return nil, api.Errorf("construction failed: %v", err)
-	}
-	var pairs [][2]int
-	if req.Pairs <= 0 {
-		pairs = spanner.AllPairs(nw.G)
-	} else {
-		pairs = spanner.SamplePairs(rand.New(rand.NewSource(req.SampleSeed)), nw.N(), req.Pairs)
-	}
-	report, err := spanner.DilationN(nw.G, res.Spanner, nw.Weight(), pairs, req.MeasureWorkers)
-	if err != nil {
-		return nil, fmt.Errorf("service: dilation failed: %w", err)
-	}
-	worstTopo, worstGeo := 0.0, 0.0
-	if report.WorstTopo.HopsG > 0 {
-		worstTopo = float64(report.WorstTopo.HopsSpanner) / float64(report.WorstTopo.HopsG)
-	}
-	if report.WorstGeo.LenG > 0 {
-		worstGeo = report.WorstGeo.LenSpanner / report.WorstGeo.LenG
-	}
-	return &DilationResponse{
-		N:              nw.N(),
-		Edges:          nw.G.M(),
-		SpannerEdges:   spannerEdges(res.Spanner),
-		Algorithm:      req.Algorithm,
-		Pairs:          report.Pairs,
-		WorstTopoRatio: worstTopo,
-		WorstGeoRatio:  worstGeo,
-		AvgTopoRatio:   report.AvgTopoRatio,
-		AvgGeoRatio:    report.AvgGeoRatio,
-		TopoBoundHolds: report.TopoBoundHolds,
-		GeoBoundHolds:  report.GeoBoundHolds,
-	}, nil
-}
-
-// --- broadcast -------------------------------------------------------------
 
 func (s *Service) handleBroadcast(w http.ResponseWriter, r *http.Request) {
-	s.requests.Inc()
 	var req BroadcastRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		s.replyError(w, endpointBroadcast, time.Now(), err)
-		return
-	}
-	start := time.Now()
-	if err := req.NetworkSpec.Validate(s.opts.MaxNodes); err != nil {
-		s.replyError(w, endpointBroadcast, start, err)
-		return
-	}
-	if req.Source < 0 {
-		s.replyError(w, endpointBroadcast, start, api.Errorf("source %d must be non-negative", req.Source))
-		return
-	}
-	s.serve(w, r, endpointBroadcast, start, req.CacheKey(),
-		func(ctx context.Context) (any, error) { return computeBroadcast(ctx, &req) },
-		func(v any) any { resp := *(v.(*BroadcastResponse)); return &resp })
+	s.serveJob(w, r, endpointBroadcast, &req, new(int), func(out *batch.Outcome) (any, error) {
+		if out.Err != nil {
+			return nil, unexpected("backbone construction", out)
+		}
+		return &BroadcastResponse{
+			N:                     out.Net.N(),
+			Edges:                 out.Net.G.M(),
+			Source:                req.Source,
+			RelaySetSize:          out.Backbone.RelaySetSize,
+			BackboneTransmissions: out.Backbone.Transmissions,
+			BackboneReceptions:    out.Backbone.Receptions,
+			BackboneCovered:       out.Backbone.Covered,
+			FloodTransmissions:    out.Flood.Transmissions,
+			FloodReceptions:       out.Flood.Receptions,
+			TransmissionSaving:    out.Saving(),
+		}, nil
+	})
 }
 
-func computeBroadcast(ctx context.Context, req *BroadcastRequest) (*BroadcastResponse, error) {
-	nw, err := req.NetworkSpec.Build()
-	if err != nil {
-		return nil, err
-	}
-	if req.Source >= nw.N() {
-		return nil, api.Errorf("source %d out of range for %d nodes", req.Source, nw.N())
-	}
-	res, tables, _, err := wcds.Algo2DistributedDetailed(nw.G, nw.ID, wcds.Deferred,
-		wcds.EngineRunner(simnet.EngineSync, simnet.WithContext(ctx)))
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return nil, err
-	}
-	if err != nil {
-		return nil, fmt.Errorf("service: backbone construction failed: %w", err)
-	}
-	relay := route.RelaySet(nw.G, nw.ID, res, tables)
-	backbone := route.Broadcast(nw.G, relay, req.Source)
-	flood := route.BlindFlood(nw.G, req.Source)
-	saving := 0.0
-	if flood.Transmissions > 0 {
-		saving = 1 - float64(backbone.Transmissions)/float64(flood.Transmissions)
-	}
-	return &BroadcastResponse{
-		N:                     nw.N(),
-		Edges:                 nw.G.M(),
-		Source:                req.Source,
-		RelaySetSize:          backbone.RelaySetSize,
-		BackboneTransmissions: backbone.Transmissions,
-		BackboneReceptions:    backbone.Receptions,
-		BackboneCovered:       backbone.Covered,
-		FloodTransmissions:    flood.Transmissions,
-		FloodReceptions:       flood.Receptions,
-		TransmissionSaving:    saving,
-		Cached:                false,
-	}, nil
-}
+// --- batch and shard -------------------------------------------------------
 
-// --- batch -----------------------------------------------------------------
+// streamRequested reports whether the client asked for NDJSON rows.
+func streamRequested(r *http.Request) bool {
+	return r.URL.Query().Get("stream") == "ndjson" || r.Header.Get("Accept") == "application/x-ndjson"
+}
 
 // handleBatch runs a declarative sweep on the sharded batch engine. The
 // request is bounded by MaxNodes and MaxBatchScenarios before any work is
@@ -354,57 +237,119 @@ func computeBroadcast(ctx context.Context, req *BroadcastRequest) (*BroadcastRes
 // engine cancels cleanly mid-sweep), and full-sweep reports are cached by
 // the canonical spec just like single-scenario endpoints.
 func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
-	s.requests.Inc()
 	var req BatchRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		s.replyError(w, endpointBatch, time.Now(), err)
+	start, ok := s.admit(w, r, endpointBatch, &req, func() error { return req.Normalize(s.opts.MaxNodes, s.opts.MaxBatchScenarios) })
+	if !ok {
 		return
 	}
-	start := time.Now()
-	if err := req.Normalize(s.opts.MaxNodes, s.opts.MaxBatchScenarios); err != nil {
-		s.replyError(w, endpointBatch, start, err)
+	run := func(ctx context.Context, onResult func(batch.Result)) (*batch.Report, error) {
+		spec := req.BatchSpec
+		return batch.Run(ctx, &spec, batch.Options{Workers: req.Workers, MeasureWorkers: req.MeasureWorkers, OnResult: onResult})
+	}
+	if streamRequested(r) {
+		// Streamed sweeps bypass the result cache: the value of streaming
+		// is progress, which a cache hit has none of. The summary line is
+		// the BatchResponse without the rows, which already streamed.
+		s.streamRows(w, r, endpointBatch, start, "", run, func(_ []byte, rep *batch.Report) []byte {
+			sum := &BatchResponse{Report: *rep, Digest: rep.Digest(), Schema: api.SchemaVersion}
+			sum.Results = nil
+			line, _ := json.Marshal(sum) // a report always encodes
+			return append(line, '\n')
+		})
 		return
 	}
-	if r.URL.Query().Get("stream") == "ndjson" || r.Header.Get("Accept") == "application/x-ndjson" {
-		s.streamBatch(w, r, &req, start)
-		return
-	}
-	s.serve(w, r, endpointBatch, start, req.CacheKey(),
-		func(ctx context.Context) (any, error) { return computeBatch(ctx, &req) },
-		func(v any) any { resp := *(v.(*BatchResponse)); return &resp })
+	s.serve(w, r, endpointBatch, start, req.CacheKey(), func(ctx context.Context) (any, error) {
+		// Cancellation/deadline surfaces through the pool's error mapping
+		// (504/503); the engine has no other failure mode after Normalize.
+		rep, err := run(ctx, nil)
+		if err != nil {
+			return nil, err
+		}
+		return &BatchResponse{Report: *rep, Digest: rep.Digest(), Schema: api.SchemaVersion}, nil
+	})
 }
 
-// streamBatch runs the sweep with per-row NDJSON delivery: each scenario
+// handleShard executes one [lo, hi) index range of a batch spec — the
+// fleet worker's half of cluster mode (schema v7). Rows carry their global
+// scenario indices so the coordinator can merge disjoint shards back into
+// a report whose digest is byte-identical to a local run. The node and
+// scenario bounds apply to the shard width, not the whole sweep, so a
+// fleet can run sweeps no single request would admit.
+func (s *Service) handleShard(w http.ResponseWriter, r *http.Request) {
+	var req ShardRequest
+	start, ok := s.admit(w, r, endpointShard, &req, func() error { return req.Normalize(s.opts.MaxNodes, s.opts.MaxBatchScenarios) })
+	if !ok {
+		return
+	}
+	run := func(ctx context.Context, onResult func(batch.Result)) (*batch.Report, error) {
+		spec := req.BatchSpec
+		return batch.RunRange(ctx, &spec, req.Lo, req.Hi,
+			batch.Options{Workers: req.Workers, MeasureWorkers: req.MeasureWorkers, OnResult: onResult})
+	}
+	key := req.CacheKey()
+	if streamRequested(r) {
+		// Streamed shards DO read and fill the result cache: the
+		// coordinator places shards by consistent hash precisely so a
+		// repeated sweep lands each shard on the worker that holds it.
+		s.streamRows(w, r, endpointShard, start, key, run, func(rows []byte, rep *batch.Report) []byte {
+			e := newShardEntry(rows, rep)
+			s.cache.Put(key, e)
+			return e.summaryLine(false)
+		})
+		return
+	}
+	s.serve(w, r, endpointShard, start, key, func(ctx context.Context) (any, error) {
+		rep, err := run(ctx, nil)
+		if err != nil {
+			return nil, err
+		}
+		return &ShardResponse{Report: *rep, Digest: rep.Digest(), Schema: api.SchemaVersion}, nil
+	})
+}
+
+// streamRows runs a sweep with per-row NDJSON delivery: each scenario
 // result is written and flushed as it completes (the same plumbing the
-// session stream uses), followed by one summary line — the BatchResponse
-// with the per-row results stripped, since they already streamed. Streamed
-// sweeps bypass the result cache: the value of streaming is progress,
-// which a cache hit has none of.
+// session stream uses), followed by the one line summary renders from the
+// streamed row bytes and the report. A non-empty key names a cached shard:
+// a hit replays its stored row lines in one write, with a summary that has
+// Cached set.
 //
 // Only this goroutine touches the ResponseWriter. Rows cross from the
 // pool worker over an unbuffered channel: when the request context dies
 // (deadline, client gone, fast drain), Submit returns while the worker
-// may still be finishing batch.Run, and a worker that wrote directly
+// may still be finishing the sweep, and a worker that wrote directly
 // would race the handler — or write after it returned. Instead the
 // worker's sends fall through to ctx.Done and the rows are dropped.
-func (s *Service) streamBatch(w http.ResponseWriter, r *http.Request, req *BatchRequest, start time.Time) {
-	ctx, cancel := context.WithTimeout(r.Context(), s.opts.RequestTimeout)
-	defer cancel()
-	stop := context.AfterFunc(s.baseCtx, cancel)
-	defer stop()
-
+func (s *Service) streamRows(w http.ResponseWriter, r *http.Request, endpoint string, start time.Time, key string,
+	run func(context.Context, func(batch.Result)) (*batch.Report, error), summary func(rows []byte, rep *batch.Report) []byte) {
 	rc := http.NewResponseController(w)
-	enc := json.NewEncoder(w)
 	streamed := false
-	writeLine := func(v any) {
+	write := func(lines ...[]byte) {
 		if !streamed {
 			streamed = true
 			w.Header().Set("Content-Type", "application/x-ndjson")
 			w.WriteHeader(http.StatusOK)
 		}
-		_ = enc.Encode(v)
+		for _, l := range lines {
+			_, _ = w.Write(l)
+		}
 		_ = rc.Flush()
 	}
+
+	if key != "" {
+		if v, ok := s.cache.Get(key); ok {
+			s.cacheHit.Inc()
+			e := v.(*shardEntry)
+			write(e.rows, e.summaryLine(true))
+			s.observe(endpoint, start)
+			return
+		}
+	}
+
+	ctx, cancel := context.WithTimeout(r.Context(), s.opts.RequestTimeout)
+	defer cancel()
+	stop := context.AfterFunc(s.baseCtx, cancel)
+	defer stop()
 
 	rows := make(chan batch.Result)
 	type outcome struct {
@@ -414,97 +359,48 @@ func (s *Service) streamBatch(w http.ResponseWriter, r *http.Request, req *Batch
 	done := make(chan outcome, 1)
 	go func() {
 		v, err := s.pool.Submit(ctx, func(ctx context.Context) (any, error) {
-			spec := req.BatchSpec
-			return batch.Run(ctx, &spec, batch.Options{
-				Workers:        req.Workers,
-				MeasureWorkers: req.MeasureWorkers,
-				OnResult: func(res batch.Result) {
-					select {
-					case rows <- res:
-					case <-ctx.Done():
-					}
-				},
+			return run(ctx, func(res batch.Result) {
+				select {
+				case rows <- res:
+				case <-ctx.Done():
+				}
 			})
 		})
 		done <- outcome{v, err}
 	}()
 
+	// Each row is encoded once: the line goes out on the wire and, for a
+	// shard to cache, stays in the buffer summary receives.
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
 	for {
 		select {
 		case res := <-rows:
-			writeLine(res)
+			n := buf.Len()
+			_ = enc.Encode(&res) // writes to a bytes.Buffer
+			write(buf.Bytes()[n:])
+			if key == "" {
+				buf.Reset()
+			}
 		case oc := <-done:
 			// Submit returned: on success every row send already completed
 			// (rows is unbuffered and OnResult is synchronous), and on a
 			// context error any still-running sends drain via ctx.Done.
 			if oc.err != nil {
 				if !streamed {
-					s.replySubmitError(w, endpointBatch, start, oc.err)
+					s.replySubmitError(w, endpoint, start, oc.err)
 					return
 				}
-				_ = enc.Encode(api.SessionStreamError{Error: oc.err.Error(), Fatal: true})
+				_ = json.NewEncoder(w).Encode(api.SessionStreamError{Error: oc.err.Error(), Fatal: true})
 				_ = rc.Flush()
-				s.observe(endpointBatch, start)
+				s.observe(endpoint, start)
 				return
 			}
-			rep := oc.v.(*batch.Report)
-			summary := &BatchResponse{Report: *rep, Digest: rep.Digest(), Schema: api.SchemaVersion}
-			summary.Results = nil
-			writeLine(summary)
-			s.observe(endpointBatch, start)
+			write(summary(buf.Bytes(), oc.v.(*batch.Report)))
+			s.observe(endpoint, start)
 			return
 		}
 	}
-}
-
-func computeBatch(ctx context.Context, req *BatchRequest) (*BatchResponse, error) {
-	spec := req.BatchSpec
-	rep, err := batch.Run(ctx, &spec, batch.Options{Workers: req.Workers, MeasureWorkers: req.MeasureWorkers})
-	if err != nil {
-		// Cancellation/deadline surfaces through the pool's error mapping
-		// (504/503); the engine has no other failure mode after Normalize.
-		return nil, err
-	}
-	return &BatchResponse{Report: *rep, Digest: rep.Digest(), Schema: api.SchemaVersion}, nil
-}
-
-// --- shard -----------------------------------------------------------------
-
-// handleShard executes one [lo, hi) index range of a batch spec — the
-// fleet worker's half of cluster mode (schema v7). Rows carry their global
-// scenario indices so the coordinator can merge disjoint shards back into
-// a report whose digest is byte-identical to a local run. The node and
-// scenario bounds apply to the shard width, not the whole sweep, so a
-// fleet can run sweeps no single request would admit.
-func (s *Service) handleShard(w http.ResponseWriter, r *http.Request) {
-	s.requests.Inc()
-	var req ShardRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		s.replyError(w, endpointShard, time.Now(), err)
-		return
-	}
-	start := time.Now()
-	if err := req.Normalize(s.opts.MaxNodes, s.opts.MaxBatchScenarios); err != nil {
-		s.replyError(w, endpointShard, start, err)
-		return
-	}
-	if r.URL.Query().Get("stream") == "ndjson" || r.Header.Get("Accept") == "application/x-ndjson" {
-		s.streamShard(w, r, &req, start)
-		return
-	}
-	s.serve(w, r, endpointShard, start, req.CacheKey(),
-		func(ctx context.Context) (any, error) { return computeShard(ctx, &req) },
-		func(v any) any { return v.(*shardEntry).response() })
-}
-
-func computeShard(ctx context.Context, req *ShardRequest) (*ShardResponse, error) {
-	spec := req.BatchSpec
-	rep, err := batch.RunRange(ctx, &spec, req.Lo, req.Hi,
-		batch.Options{Workers: req.Workers, MeasureWorkers: req.MeasureWorkers})
-	if err != nil {
-		return nil, err
-	}
-	return &ShardResponse{Report: *rep, Digest: rep.Digest(), Schema: api.SchemaVersion}, nil
 }
 
 // shardEntry is the cached form of an executed shard, shared by the
@@ -567,94 +463,6 @@ func cacheForm(v any) any {
 	return newShardEntry(rows.Bytes(), &resp.Report)
 }
 
-// streamShard is streamBatch's shard twin with one deliberate difference:
-// streamed shards DO read and fill the result cache. The coordinator
-// places shards on workers by consistent hash precisely so a repeated
-// sweep lands each shard on the worker that already holds it; a cache hit
-// replays the stored row lines in one write and answers a summary with
-// Cached set. Summary lines are ShardSummary: no partial aggregates.
-func (s *Service) streamShard(w http.ResponseWriter, r *http.Request, req *ShardRequest, start time.Time) {
-	rc := http.NewResponseController(w)
-	streamed := false
-	write := func(lines ...[]byte) {
-		if !streamed {
-			streamed = true
-			w.Header().Set("Content-Type", "application/x-ndjson")
-			w.WriteHeader(http.StatusOK)
-		}
-		for _, l := range lines {
-			_, _ = w.Write(l)
-		}
-		_ = rc.Flush()
-	}
-
-	key := req.CacheKey()
-	if v, ok := s.cache.Get(key); ok {
-		s.cacheHit.Inc()
-		e := v.(*shardEntry)
-		write(e.rows, e.summaryLine(true))
-		s.observe(endpointShard, start)
-		return
-	}
-
-	ctx, cancel := context.WithTimeout(r.Context(), s.opts.RequestTimeout)
-	defer cancel()
-	stop := context.AfterFunc(s.baseCtx, cancel)
-	defer stop()
-
-	rows := make(chan batch.Result)
-	type outcome struct {
-		v   any
-		err error
-	}
-	done := make(chan outcome, 1)
-	go func() {
-		v, err := s.pool.Submit(ctx, func(ctx context.Context) (any, error) {
-			spec := req.BatchSpec
-			return batch.RunRange(ctx, &spec, req.Lo, req.Hi, batch.Options{
-				Workers:        req.Workers,
-				MeasureWorkers: req.MeasureWorkers,
-				OnResult: func(res batch.Result) {
-					select {
-					case rows <- res:
-					case <-ctx.Done():
-					}
-				},
-			})
-		})
-		done <- outcome{v, err}
-	}()
-
-	// Each row is encoded once: the line goes out on the wire and stays in
-	// the buffer the cache entry keeps.
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	for {
-		select {
-		case res := <-rows:
-			n := buf.Len()
-			_ = enc.Encode(&res) // writes to a bytes.Buffer
-			write(buf.Bytes()[n:])
-		case oc := <-done:
-			if oc.err != nil {
-				if !streamed {
-					s.replySubmitError(w, endpointShard, start, oc.err)
-					return
-				}
-				_ = json.NewEncoder(w).Encode(api.SessionStreamError{Error: oc.err.Error(), Fatal: true})
-				_ = rc.Flush()
-				s.observe(endpointShard, start)
-				return
-			}
-			e := newShardEntry(buf.Bytes(), oc.v.(*batch.Report))
-			s.cache.Put(key, e)
-			write(e.summaryLine(false))
-			s.observe(endpointShard, start)
-			return
-		}
-	}
-}
-
 // --- health and metrics ----------------------------------------------------
 
 func (s *Service) handleHealthz(w http.ResponseWriter, _ *http.Request) {
@@ -679,17 +487,13 @@ func (s *Service) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 // --- shared plumbing -------------------------------------------------------
 
 // serve is the common compute path: cache lookup, pool submission with the
-// per-request deadline, backpressure and error mapping, metrics. copyResp
-// must return a shallow copy of a cached value so the Cached flag can be
-// set per response without mutating the cache.
+// per-request deadline, backpressure and error mapping, metrics.
 func (s *Service) serve(w http.ResponseWriter, r *http.Request, endpoint string, start time.Time,
-	key string, fn func(context.Context) (any, error), copyResp func(any) any) {
+	key string, fn func(context.Context) (any, error)) {
 	if v, ok := s.cache.Get(key); ok {
 		s.cacheHit.Inc()
-		resp := copyResp(v)
-		setCached(resp)
 		s.observe(endpoint, start)
-		writeJSON(w, http.StatusOK, resp)
+		writeJSON(w, http.StatusOK, cachedCopy(v))
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.opts.RequestTimeout)
@@ -708,20 +512,32 @@ func (s *Service) serve(w http.ResponseWriter, r *http.Request, endpoint string,
 	writeJSON(w, http.StatusOK, v)
 }
 
-// setCached flips the Cached field of any response type.
-func setCached(resp any) {
-	switch t := resp.(type) {
+// cachedCopy returns the response a cache hit answers with: a shallow copy
+// of the cached value with Cached set, leaving the cached value untouched.
+func cachedCopy(v any) any {
+	switch t := v.(type) {
 	case *BackboneResponse:
-		t.Cached = true
+		c := *t
+		c.Cached = true
+		return &c
 	case *DilationResponse:
-		t.Cached = true
+		c := *t
+		c.Cached = true
+		return &c
 	case *BroadcastResponse:
-		t.Cached = true
+		c := *t
+		c.Cached = true
+		return &c
 	case *BatchResponse:
-		t.Cached = true
-	case *ShardResponse:
-		t.Cached = true
+		c := *t
+		c.Cached = true
+		return &c
+	case *shardEntry:
+		c := t.response()
+		c.Cached = true
+		return c
 	}
+	return v
 }
 
 func (s *Service) observe(endpoint string, start time.Time) {
@@ -768,13 +584,23 @@ func (s *Service) replyError(w http.ResponseWriter, endpoint string, start time.
 	s.observe(endpoint, start)
 }
 
-func decodeJSON(w http.ResponseWriter, r *http.Request, dst any) error {
+// admit counts a request, decodes its JSON body into req (unknown fields
+// rejected) and runs check. It answers a failure itself and reports false;
+// otherwise it returns the time validation started.
+func (s *Service) admit(w http.ResponseWriter, r *http.Request, endpoint string, req any, check func() error) (time.Time, bool) {
+	s.requests.Inc()
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		return api.Errorf("invalid request body: %v", err)
+	if err := dec.Decode(req); err != nil {
+		s.replyError(w, endpoint, time.Now(), api.Errorf("invalid request body: %v", err))
+		return time.Time{}, false
 	}
-	return nil
+	start := time.Now()
+	if err := check(); err != nil {
+		s.replyError(w, endpoint, start, err)
+		return start, false
+	}
+	return start, true
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -27,7 +27,6 @@ import (
 	"runtime"
 	"time"
 
-	"wcdsnet/internal/graph"
 	"wcdsnet/internal/obs"
 	"wcdsnet/internal/service/api"
 	"wcdsnet/internal/service/metrics"
@@ -270,11 +269,3 @@ type (
 	ShardRequest      = api.ShardRequest
 	ShardResponse     = api.ShardResponse
 )
-
-// spannerOf is a small helper for response assembly.
-func spannerEdges(g *graph.Graph) int {
-	if g == nil {
-		return 0
-	}
-	return g.M()
-}

@@ -8,7 +8,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"time"
 
 	"wcdsnet/internal/maintain"
 	"wcdsnet/internal/service/api"
@@ -26,15 +25,9 @@ const maxStreamLineBytes = 1 << 20
 // dominator set. Construction runs on the worker pool like any other
 // compute request.
 func (s *Service) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
-	s.requests.Inc()
 	var req api.SessionRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		s.replyError(w, endpointSession, time.Now(), err)
-		return
-	}
-	start := time.Now()
-	if err := req.Normalize(s.opts.MaxNodes); err != nil {
-		s.replyError(w, endpointSession, start, err)
+	start, ok := s.admit(w, r, endpointSession, &req, func() error { return req.Normalize(s.opts.MaxNodes) })
+	if !ok {
 		return
 	}
 	ttl, idle := req.TTL(), req.Idle()

@@ -1,6 +1,7 @@
 package spanner
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"reflect"
@@ -33,12 +34,12 @@ func dilationFixture(t testing.TB, seed int64, n int, pairCount int) (*udg.Netwo
 func TestDilationWorkerCountsIdentical(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3, 4} {
 		nw, res, pairs := dilationFixture(t, seed, 90, 200)
-		base, err := DilationN(nw.G, res.Spanner, nw.Weight(), pairs, 1)
+		base, err := DilationN(context.Background(), nw.G, res.Spanner, nw.Weight(), pairs, 1)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		for _, workers := range []int{4, 7} {
-			rep, err := DilationN(nw.G, res.Spanner, nw.Weight(), pairs, workers)
+			rep, err := DilationN(context.Background(), nw.G, res.Spanner, nw.Weight(), pairs, workers)
 			if err != nil {
 				t.Fatalf("seed %d workers %d: %v", seed, workers, err)
 			}
@@ -89,7 +90,7 @@ func TestDilationPinnedReports(t *testing.T) {
 		nw, res, pairs := dilationFixture(t, seed, 70, 150)
 		want := pinnedDilation[seed]
 		for _, workers := range []int{1, 3} {
-			got, err := DilationN(nw.G, res.Spanner, nw.Weight(), pairs, workers)
+			got, err := DilationN(context.Background(), nw.G, res.Spanner, nw.Weight(), pairs, workers)
 			if err != nil {
 				t.Fatalf("seed %d workers %d: %v", seed, workers, err)
 			}
@@ -110,12 +111,12 @@ func TestDilationErrorDeterministic(t *testing.T) {
 	// disconnected in it.
 	sp := res.Spanner
 	broken := spMinusMostEdges(sp.N())
-	_, errBase := DilationN(nw.G, broken, nw.Weight(), pairs, 1)
+	_, errBase := DilationN(context.Background(), nw.G, broken, nw.Weight(), pairs, 1)
 	if errBase == nil {
 		t.Fatal("expected an error from the broken spanner")
 	}
 	for _, workers := range []int{4, 7} {
-		_, err := DilationN(nw.G, broken, nw.Weight(), pairs, workers)
+		_, err := DilationN(context.Background(), nw.G, broken, nw.Weight(), pairs, workers)
 		if err == nil || err.Error() != errBase.Error() {
 			t.Errorf("workers=%d: error %v, want %v", workers, err, errBase)
 		}
@@ -134,7 +135,7 @@ func BenchmarkDilationPooled(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := DilationN(nw.G, res.Spanner, nw.Weight(), pairs, 1); err != nil {
+		if _, err := DilationN(context.Background(), nw.G, res.Spanner, nw.Weight(), pairs, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -145,7 +146,7 @@ func BenchmarkDilationParallel(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := DilationN(nw.G, res.Spanner, nw.Weight(), pairs, 0); err != nil {
+		if _, err := DilationN(context.Background(), nw.G, res.Spanner, nw.Weight(), pairs, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -17,6 +17,7 @@
 package spanner
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -101,10 +102,11 @@ type Report struct {
 // both graphs — a spanner's edges are a subset of G's). Pairs with
 // identical or adjacent endpoints are skipped per the paper's definitions.
 //
-// Dilation runs DilationN with the default worker count (GOMAXPROCS).
-// The result is byte-identical for every worker count; see DilationN.
+// Dilation runs DilationN with the default worker count (GOMAXPROCS) and
+// no deadline. The result is byte-identical for every worker count; see
+// DilationN.
 func Dilation(g, sp *graph.Graph, w graph.WeightFunc, pairs [][2]int) (Report, error) {
-	return DilationN(g, sp, w, pairs, 0)
+	return DilationN(context.Background(), g, sp, w, pairs, 0)
 }
 
 // groupBySource drops pairs with identical or adjacent endpoints (the
@@ -198,7 +200,10 @@ func measureSource(g, sp *graph.Graph, w graph.WeightFunc, u int, targets []int,
 // digest derived from it — is byte-identical whether workers is 1 or 100.
 // Errors follow the same rule: the reported error is the first one in
 // source order. workers = 1 is the plain sequential fold.
-func DilationN(g, sp *graph.Graph, w graph.WeightFunc, pairs [][2]int, workers int) (Report, error) {
+//
+// Workers check ctx between sources: once it is done, no new source starts
+// and DilationN returns ctx.Err() instead of a partial report.
+func DilationN(ctx context.Context, g, sp *graph.Graph, w graph.WeightFunc, pairs [][2]int, workers int) (Report, error) {
 	if g.N() != sp.N() {
 		return Report{}, fmt.Errorf("spanner: node count mismatch %d vs %d", g.N(), sp.N())
 	}
@@ -214,6 +219,9 @@ func DilationN(g, sp *graph.Graph, w graph.WeightFunc, pairs [][2]int, workers i
 	if workers <= 1 {
 		sg, sd, ss := graph.GetScratch(), graph.GetScratch(), graph.GetScratch()
 		for i, u := range srcs {
+			if ctx.Err() != nil {
+				break
+			}
 			partials[i] = measureSource(g, sp, w, u, bySrc[u], sg, sd, ss)
 		}
 		sg.Release()
@@ -232,7 +240,7 @@ func DilationN(g, sp *graph.Graph, w graph.WeightFunc, pairs [][2]int, workers i
 				defer ss.Release()
 				for {
 					i := int(next.Add(1)) - 1
-					if i >= len(srcs) {
+					if i >= len(srcs) || ctx.Err() != nil {
 						return
 					}
 					partials[i] = measureSource(g, sp, w, srcs[i], bySrc[srcs[i]], sg, sd, ss)
@@ -240,6 +248,9 @@ func DilationN(g, sp *graph.Graph, w graph.WeightFunc, pairs [][2]int, workers i
 			}()
 		}
 		wg.Wait()
+	}
+	if err := ctx.Err(); err != nil {
+		return Report{}, err
 	}
 
 	rep := Report{TopoBoundHolds: true, GeoBoundHolds: true}
@@ -268,6 +279,15 @@ func DilationN(g, sp *graph.Graph, w graph.WeightFunc, pairs [][2]int, workers i
 		rep.AvgGeoRatio = sumGeo / float64(rep.Pairs)
 	}
 	return rep, nil
+}
+
+// Pairs returns the pairs a dilation measurement of count samples takes:
+// every non-adjacent pair for count <= 0, else SamplePairs seeded by seed.
+func Pairs(g *graph.Graph, count int, seed int64) [][2]int {
+	if count <= 0 {
+		return AllPairs(g)
+	}
+	return SamplePairs(rand.New(rand.NewSource(seed)), g.N(), count)
 }
 
 // AllPairs enumerates every unordered pair of distinct non-adjacent nodes.

@@ -26,6 +26,7 @@
 package wcdsnet
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -268,13 +269,7 @@ func MeasureDilation(nw *Network, res Result, pairCount int, seed int64) (Dilati
 // worker count (0 = GOMAXPROCS). The report is byte-identical for every
 // worker count; see spanner.DilationN for the determinism argument.
 func MeasureDilationWorkers(nw *Network, res Result, pairCount int, seed int64, workers int) (DilationReport, error) {
-	var pairs [][2]int
-	if pairCount <= 0 {
-		pairs = spanner.AllPairs(nw.G)
-	} else {
-		pairs = spanner.SamplePairs(rand.New(rand.NewSource(seed)), nw.N(), pairCount)
-	}
-	return spanner.DilationN(nw.G, res.Spanner, nw.Weight(), pairs, workers)
+	return spanner.DilationN(context.Background(), nw.G, res.Spanner, nw.Weight(), spanner.Pairs(nw.G, pairCount, seed), workers)
 }
 
 // NewRouter builds the clusterhead unicast router from a distributed

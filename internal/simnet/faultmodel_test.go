@@ -3,6 +3,8 @@ package simnet
 import (
 	"errors"
 	"math"
+	"math/rand"
+	"runtime"
 	"testing"
 
 	"wcdsnet/internal/graph"
@@ -292,6 +294,72 @@ func TestPartitionHealsInTime(t *testing.T) {
 	}
 	if got := countReached(procs); got != n {
 		t.Errorf("reached = %d, want full coverage after the partition healed", got)
+	}
+}
+
+// blocked agrees with the plan's partition semantics read off directly:
+// overlapping windows, repeated members and windows that open late or heal
+// all compose, and a pair is cut while some active window holds exactly one
+// of its nodes.
+func TestPartitionWindowsCompose(t *testing.T) {
+	const n = 6
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 50; trial++ {
+		var plan FaultPlan
+		for w := 1 + rng.Intn(5); w > 0; w-- {
+			win := PartitionWindow{From: rng.Intn(6), Until: rng.Intn(12)}
+			for k := 1 + rng.Intn(4); k > 0; k-- {
+				win.Group = append(win.Group, rng.Intn(n))
+			}
+			plan.Partitions = append(plan.Partitions, win)
+		}
+		f, err := compileFaults(&plan, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		holds := func(g []int, v int) bool {
+			for _, u := range g {
+				if u == v {
+					return true
+				}
+			}
+			return false
+		}
+		for u := 0; u < n; u++ {
+			for v := 0; v < n; v++ {
+				for at := 0; at < 14; at++ {
+					want := false
+					for _, w := range plan.Partitions {
+						want = want || (w.active(at) && holds(w.Group, u) != holds(w.Group, v))
+					}
+					if got := f.blocked(u, v, at, at); got != want {
+						t.Fatalf("plan %+v: blocked(%d, %d, t=%d) = %v, want %v", plan.Partitions, u, v, at, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// The partition index costs memory in proportion to the plan's groups and
+// the node count, never windows × nodes: plans arrive from service clients,
+// and many one-node windows must stay as cheap as their JSON.
+func TestPartitionIndexFollowsGroups(t *testing.T) {
+	const n, windows = 20_000, 5_000
+	plan := FaultPlan{Partitions: make([]PartitionWindow, windows)}
+	for i := range plan.Partitions {
+		plan.Partitions[i] = PartitionWindow{From: i, Group: []int{i % n}}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := compileFaults(&plan, n); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	// n slice headers, one short list per named node and the plan copy.
+	const budget = 2 << 20
+	if got := after.TotalAlloc - before.TotalAlloc; got > budget {
+		t.Errorf("compiling %d one-node windows over %d nodes allocates %d B, want at most %d", windows, n, got, budget)
 	}
 }
 

@@ -56,6 +56,8 @@ func BenchmarkEngines(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
+			var stats simnet.Stats
+			var spans *obs.Spans
 			for i := 0; i < b.N; i++ {
 				spec := RunSpec{
 					Engine:    simnet.EngineEvent,
@@ -64,11 +66,25 @@ func BenchmarkEngines(b *testing.B) {
 					Reliable:  true,
 				}
 				if observed {
-					spec.Phases = obs.NewSpans()
+					spans = obs.NewSpans()
+					spec.Phases = spans
 				}
-				if _, _, err := Algo2Distributed(nw.G, nw.ID, Deferred, spec.Runner()); err != nil {
+				var err error
+				if _, stats, err = Algo2Distributed(nw.G, nw.ID, Deferred, spec.Runner()); err != nil {
 					b.Fatal(err)
 				}
+			}
+			// The fault streams fix each copy's fate, so the traffic is
+			// the same every op; report it beside the cost it explains,
+			// outside the timed region.
+			b.StopTimer()
+			b.ReportMetric(float64(stats.Messages), "msgs/op")
+			if spans != nil {
+				rtx := 0
+				for _, sp := range spans.Snapshot() {
+					rtx += sp.Retransmits
+				}
+				b.ReportMetric(float64(rtx), "rtx/op")
 			}
 		})
 	}

@@ -165,8 +165,8 @@ var pinnedSingleJobs = map[string]string{
 	"backbone-greedy-cds":       "155081114d8e0b79",
 	"backbone-weighted-ds":      "40d5d4f15c870c79",
 	"backbone-explicit":         "8eeb6f9cb0444f1c",
-	"backbone-reliable-lossy":   "55802ab6856c2124",
-	"backbone-unreliable-lossy": "b8c99e69e55fb239",
+	"backbone-reliable-lossy":   "04a037254ff0c104",
+	"backbone-unreliable-lossy": "ae1bb384140560ef",
 	"dilation-II-p200":          "a7067e8225d10d57",
 	"dilation-II-all":           "bbbc41465e38c90e",
 	"dilation-prune-cds-p200":   "e5ceb0e8be85bb35",

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	randv2 "math/rand/v2"
 	"strings"
 
 	"wcdsnet/internal/graph"
@@ -200,7 +201,7 @@ func runEvent(g *graph.Graph, procs []Proc, opts []Option, async bool) (Stats, e
 	defer eng.queue.release()
 	defer eng.led.flush()
 	if cfg.faults != nil && (cfg.faults.plan.DelayMax > 0 || cfg.faults.plan.ReorderRate > 0) {
-		eng.reorderRNG = rand.New(rand.NewSource(splitmix64(cfg.faults.plan.Seed, 1<<32)))
+		seedStream(&eng.reorder, cfg.faults.plan.Seed, 1<<32)
 	}
 
 	ctxs := make([]Context, g.N())
@@ -258,7 +259,7 @@ type eventEngine struct {
 	tickers []int
 	queue   eventQueue
 
-	reorderRNG *rand.Rand // fault-injected delay/reorder insertions
+	reorder randv2.PCG // fault-injected delay/reorder insertions, unless scrambled
 
 	messages   int
 	deliveries int
@@ -456,14 +457,20 @@ func (e *eventEngine) deliverLink(ctxs []Context, env envelope, to int, sampled 
 // requeueScattered inserts a delayed/reordered per-link copy (and its
 // optional duplicate) at a random queue position.
 func (e *eventEngine) requeueScattered(env envelope, dup bool) {
-	rng := e.cfg.scramble
-	if rng == nil {
-		rng = e.reorderRNG
-	}
-	e.queue.pushAt(rng.Intn(e.queue.len()+1), env)
+	e.queue.pushAt(e.scatterPos(), env)
 	if dup {
-		e.queue.pushAt(rng.Intn(e.queue.len()+1), env)
+		e.queue.pushAt(e.scatterPos(), env)
 	}
+}
+
+// scatterPos draws a uniform insertion position in [0, queue length]: from
+// the schedule scramble when there is one, else from the fault plan's
+// reorder stream.
+func (e *eventEngine) scatterPos() int {
+	if e.cfg.scramble != nil {
+		return e.cfg.scramble.Intn(e.queue.len() + 1)
+	}
+	return randv2.New(&e.reorder).IntN(e.queue.len() + 1)
 }
 
 // tickPass fires on quiescence: the queue is fully drained, so anything

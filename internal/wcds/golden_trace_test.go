@@ -63,8 +63,8 @@ func TestSyncEngineGoldenTrace(t *testing.T) {
 				ReliableRunner(simnet.EngineSync, reliable.Options{}, opts...))
 			return st, err
 		}, [2]string{
-			"462de44f4e75c022af724c7ba92781ae39eea0d44c14e9dd39078f2f47f3662e",
-			"ab51db1a1741b6795b6cbbf39a7ef7af5851ce2fc833e20e9596c37deb42420c",
+			"3cbb1f477188679eb64e93a70b71cfa978b1538b53300114d7e8394e11c9aaee",
+			"b1c8d1bcb628db4858d4984bcccb608553a307ea2f3a034bffe509d8a3a38b73",
 		}},
 		{"algo2-reliable-long-delay", func(opts ...simnet.Option) (simnet.Stats, error) {
 			long := simnet.FaultPlan{Seed: 3, DropRate: 0.1, DupRate: 0.1, DelayMin: 40, DelayMax: 90, ReorderRate: 0.1}
@@ -73,8 +73,8 @@ func TestSyncEngineGoldenTrace(t *testing.T) {
 				ReliableRunner(simnet.EngineSync, reliable.Options{}, opts...))
 			return st, err
 		}, [2]string{
-			"956ebc8ca1f165d1f6e63465730818820413943eec11ddda105d4e3246ee4ce1",
-			"e3b6f29cca40aeb6808dee9f3625071842ee2e28a3a451ec5e53690629bdf923",
+			"2b8cdbc5bfdfdf752c3f7be16d47992b12d70d7187e56cffd9ad63934f964733",
+			"5dd2560827b957d8806c93d2539820786d08a4d621f9379543d8ccc46b2905c1",
 		}},
 		{"algo1-line", func(opts ...simnet.Option) (simnet.Stats, error) {
 			_, st, err := Algo1Distributed(line, lineIDs, EngineRunner(simnet.EngineSync, opts...))

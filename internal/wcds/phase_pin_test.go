@@ -75,9 +75,9 @@ func TestPhaseBreakdownPinned(t *testing.T) {
 		"algo2/async": {"mis,recruit",
 			"mis:m=200,d=1896,r=14,rtx=0;recruit:m=474,d=3857,r=24,rtx=0"},
 		"algo2/sync+lossy": {"mis,reliable,recruit",
-			"mis:m=523,d=4469,r=139,rtx=323;recruit:m=1186,d=9242,r=160,rtx=712;reliable:m=13711,d=11663,r=162,rtx=0"},
+			"mis:m=565,d=4649,r=141,rtx=365;recruit:m=1151,d=9063,r=146,rtx=677;reliable:m=13712,d=11629,r=148,rtx=0"},
 		"algo2/event+lossy": {"mis,reliable,recruit",
-			"mis:m=534,d=4523,r=58,rtx=334;recruit:m=1161,d=9082,r=59,rtx=687;reliable:m=13605,d=11567,r=61,rtx=0"},
+			"mis:m=554,d=4630,r=71,rtx=354;recruit:m=1163,d=9075,r=70,rtx=689;reliable:m=13705,d=11606,r=72,rtx=0"},
 		"algo2-zk/sync": {"discovery,mis,recruit",
 			"discovery:m=200,d=1896,r=1,rtx=0;mis:m=200,d=1896,r=6,rtx=0;recruit:m=474,d=3857,r=9,rtx=0"},
 	}
@@ -146,10 +146,10 @@ func (r *eventCounter) String() string {
 func TestForeignRecorderGetsEvents(t *testing.T) {
 	want := map[string]string{
 		"algo2/sync": "mis/1=200;mis/2=1896;recruit/1=474;recruit/2=3857",
-		"algo2/sync+lossy": "mis/1=523;mis/2=4469;mis/3=323;recruit/1=1186;recruit/2=9242;recruit/3=712;" +
-			"reliable/1=13711;reliable/2=11663",
-		"algo2/event+lossy": "mis/1=534;mis/2=4523;mis/3=334;recruit/1=1161;recruit/2=9082;recruit/3=687;" +
-			"reliable/1=13605;reliable/2=11567",
+		"algo2/sync+lossy": "mis/1=565;mis/2=4649;mis/3=365;recruit/1=1151;recruit/2=9063;recruit/3=677;" +
+			"reliable/1=13712;reliable/2=11629",
+		"algo2/event+lossy": "mis/1=554;mis/2=4630;mis/3=354;recruit/1=1163;recruit/2=9075;recruit/3=689;" +
+			"reliable/1=13705;reliable/2=11606",
 	}
 
 	nw := phasePinScene(t)

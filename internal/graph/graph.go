@@ -309,12 +309,37 @@ func PathTo(parent []int, src, v int) []int {
 // called for edges present in the graph.
 type WeightFunc func(u, v int) float64
 
+// EdgeWeights evaluates w once per adjacency slot: wt[u][i] is
+// w(u, g.Neighbors(u)[i]), the call a traversal relaxing that slot would
+// make, so traversals over wt see the very same floats. The rows are views
+// into one flat []float64 (two allocations in all). Repeated traversals
+// (every source of a dilation measurement) compute the weights once here
+// instead of once per relaxation.
+//
+// The result is aligned with the adjacency as it is now: it is invalid once
+// the graph gains an edge or its lists are reordered (SortAdjacency), and
+// must then be recomputed.
+func (g *Graph) EdgeWeights(w WeightFunc) [][]float64 {
+	flat := make([]float64, 2*g.edges)
+	wt := make([][]float64, len(g.adj))
+	off := 0
+	for u, nbrs := range g.adj {
+		row := flat[off : off+len(nbrs) : off+len(nbrs)]
+		for i, v := range nbrs {
+			row[i] = w(u, v)
+		}
+		wt[u] = row
+		off += len(nbrs)
+	}
+	return wt
+}
+
 // Dijkstra computes single-source weighted shortest-path distances using w.
 // dist[v] is math.Inf(1) for unreachable nodes. parent follows the same
 // convention as BFS. The returned slices are caller-owned; hot loops should
-// use DijkstraInto with a reusable Scratch.
+// compute EdgeWeights once and use DijkstraInto with a reusable Scratch.
 func (g *Graph) Dijkstra(src int, w WeightFunc) (dist []float64, parent []int) {
-	return g.DijkstraInto(new(Scratch), src, w)
+	return g.DijkstraInto(new(Scratch), src, g.EdgeWeights(w))
 }
 
 // MinHopMinLength computes, for every node v, the minimum hop count from
@@ -326,7 +351,7 @@ func (g *Graph) Dijkstra(src int, w WeightFunc) (dist []float64, parent []int) {
 // improve hop counts, only lengths at the next level, so a standard
 // frontier sweep suffices (see MinHopMinLengthInto for the loop).
 func (g *Graph) MinHopMinLength(src int, w WeightFunc) (hops []int, length []float64, parent []int) {
-	return g.MinHopMinLengthInto(new(Scratch), src, w)
+	return g.MinHopMinLengthInto(new(Scratch), src, g.EdgeWeights(w))
 }
 
 // MaxHopMinHopPath computes, for every node v, the minimum hop count from
@@ -334,7 +359,7 @@ func (g *Graph) MinHopMinLength(src int, w WeightFunc) (hops []int, length []flo
 // This is the worst-case l_{G'} of the paper's geometric dilation: "the
 // maximum total length of the minimum-hop paths".
 func (g *Graph) MaxHopMinHopPath(src int, w WeightFunc) (hops []int, length []float64) {
-	return g.MaxHopMinHopPathInto(new(Scratch), src, w)
+	return g.MaxHopMinHopPathInto(new(Scratch), src, g.EdgeWeights(w))
 }
 
 // pqItem is a priority-queue entry for Dijkstra.

@@ -123,10 +123,10 @@ func (g *Graph) BFSBoundedInto(s *Scratch, src, maxHops int) (dist, visited []in
 	return dist, visited
 }
 
-// DijkstraInto is Dijkstra computed in s: identical results, scratch-owned
-// outputs, zero steady-state allocations (the heap keeps its high-water
-// storage across calls).
-func (g *Graph) DijkstraInto(s *Scratch, src int, w WeightFunc) (dist []float64, parent []int) {
+// DijkstraInto is Dijkstra over the slot weights wt (see EdgeWeights):
+// identical results, scratch-owned outputs, zero steady-state allocations
+// (the heap keeps its high-water storage across calls).
+func (g *Graph) DijkstraInto(s *Scratch, src int, wt [][]float64) (dist []float64, parent []int) {
 	n := len(g.adj)
 	dist = floats(&s.length, n)
 	parent = ints(&s.parent, n)
@@ -149,11 +149,13 @@ func (g *Graph) DijkstraInto(s *Scratch, src int, w WeightFunc) (dist []float64,
 			continue
 		}
 		done[u] = true
-		for _, v := range g.adj[u] {
+		nbrs := g.adj[u]
+		du, wu := dist[u], wt[u][:len(nbrs)]
+		for i, v := range nbrs {
 			if done[v] {
 				continue
 			}
-			nd := dist[u] + w(u, v)
+			nd := du + wu[i]
 			if nd < dist[v] {
 				dist[v] = nd
 				parent[v] = u
@@ -174,8 +176,9 @@ func (s *Scratch) doneSlice(n int) []bool {
 	return s.done
 }
 
-// MinHopMinLengthInto is MinHopMinLength computed in s.
-func (g *Graph) MinHopMinLengthInto(s *Scratch, src int, w WeightFunc) (hops []int, length []float64, parent []int) {
+// MinHopMinLengthInto is MinHopMinLength over the slot weights wt,
+// computed in s.
+func (g *Graph) MinHopMinLengthInto(s *Scratch, src int, wt [][]float64) (hops []int, length []float64, parent []int) {
 	n := len(g.adj)
 	hops = ints(&s.dist, n)
 	length = floats(&s.length, n)
@@ -196,8 +199,10 @@ func (g *Graph) MinHopMinLengthInto(s *Scratch, src int, w WeightFunc) (hops []i
 	for len(frontier) > 0 {
 		next = next[:0]
 		for _, u := range frontier {
-			for _, v := range g.adj[u] {
-				nd := length[u] + w(u, v)
+			nbrs := g.adj[u]
+			lu, wu := length[u], wt[u][:len(nbrs)]
+			for i, v := range nbrs {
+				nd := lu + wu[i]
 				switch {
 				case hops[v] == Unreachable:
 					hops[v] = hops[u] + 1
@@ -216,8 +221,9 @@ func (g *Graph) MinHopMinLengthInto(s *Scratch, src int, w WeightFunc) (hops []i
 	return hops, length, parent
 }
 
-// MaxHopMinHopPathInto is MaxHopMinHopPath computed in s.
-func (g *Graph) MaxHopMinHopPathInto(s *Scratch, src int, w WeightFunc) (hops []int, length []float64) {
+// MaxHopMinHopPathInto is MaxHopMinHopPath over the slot weights wt,
+// computed in s.
+func (g *Graph) MaxHopMinHopPathInto(s *Scratch, src int, wt [][]float64) (hops []int, length []float64) {
 	n := len(g.adj)
 	hops = ints(&s.dist, n)
 	length = floats(&s.length, n)
@@ -236,8 +242,10 @@ func (g *Graph) MaxHopMinHopPathInto(s *Scratch, src int, w WeightFunc) (hops []
 	for len(frontier) > 0 {
 		next = next[:0]
 		for _, u := range frontier {
-			for _, v := range g.adj[u] {
-				nd := length[u] + w(u, v)
+			nbrs := g.adj[u]
+			lu, wu := length[u], wt[u][:len(nbrs)]
+			for i, v := range nbrs {
+				nd := lu + wu[i]
 				switch {
 				case hops[v] == Unreachable:
 					hops[v] = hops[u] + 1

@@ -144,13 +144,14 @@ type srcPartial struct {
 }
 
 // measureSource computes the partial for source u against its targets.
-// The three scratches back the three simultaneous per-source trees (hop
-// tree and weighted tree in g, max-length min-hop tree in sp), whose
-// output buffers would otherwise alias.
-func measureSource(g, sp *graph.Graph, w graph.WeightFunc, u int, targets []int, sg, sd, ss *graph.Scratch) srcPartial {
+// wtG and wtSp are the edge lengths of g and sp (graph.EdgeWeights). The
+// three scratches back the three simultaneous per-source trees (hop tree
+// and weighted tree in g, max-length min-hop tree in sp), whose output
+// buffers would otherwise alias.
+func measureSource(g, sp *graph.Graph, wtG, wtSp [][]float64, u int, targets []int, sg, sd, ss *graph.Scratch) srcPartial {
 	hopsG, _ := g.BFSInto(sg, u)
-	lenG, _ := g.DijkstraInto(sd, u, w)
-	hopsSp, lenSp := sp.MaxHopMinHopPathInto(ss, u, w)
+	lenG, _ := g.DijkstraInto(sd, u, wtG)
+	hopsSp, lenSp := sp.MaxHopMinHopPathInto(ss, u, wtSp)
 	var p srcPartial
 	for _, v := range targets {
 		if hopsG[v] == graph.Unreachable {
@@ -208,6 +209,9 @@ func DilationN(ctx context.Context, g, sp *graph.Graph, w graph.WeightFunc, pair
 		return Report{}, fmt.Errorf("spanner: node count mismatch %d vs %d", g.N(), sp.N())
 	}
 	srcs, bySrc := groupBySource(g, pairs)
+	// Edge lengths are computed once per measurement, not once per
+	// relaxation of every source's traversals.
+	wtG, wtSp := g.EdgeWeights(w), sp.EdgeWeights(w)
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -222,7 +226,7 @@ func DilationN(ctx context.Context, g, sp *graph.Graph, w graph.WeightFunc, pair
 			if ctx.Err() != nil {
 				break
 			}
-			partials[i] = measureSource(g, sp, w, u, bySrc[u], sg, sd, ss)
+			partials[i] = measureSource(g, sp, wtG, wtSp, u, bySrc[u], sg, sd, ss)
 		}
 		sg.Release()
 		sd.Release()
@@ -243,7 +247,7 @@ func DilationN(ctx context.Context, g, sp *graph.Graph, w graph.WeightFunc, pair
 					if i >= len(srcs) || ctx.Err() != nil {
 						return
 					}
-					partials[i] = measureSource(g, sp, w, srcs[i], bySrc[srcs[i]], sg, sd, ss)
+					partials[i] = measureSource(g, sp, wtG, wtSp, srcs[i], bySrc[srcs[i]], sg, sd, ss)
 				}
 			}()
 		}
@@ -371,6 +375,7 @@ func CheckLemma6(stats []PairStat, alpha, beta float64) error {
 // Report) for the given pairs; used by Lemma 6 checks and histograms.
 func CollectPairStats(g, sp *graph.Graph, w graph.WeightFunc, pairs [][2]int) ([]PairStat, error) {
 	srcs, bySrc := groupBySource(g, pairs)
+	wtG, wtSp := g.EdgeWeights(w), sp.EdgeWeights(w)
 	var out []PairStat
 	sg, sd, ss := graph.GetScratch(), graph.GetScratch(), graph.GetScratch()
 	defer sg.Release()
@@ -378,8 +383,8 @@ func CollectPairStats(g, sp *graph.Graph, w graph.WeightFunc, pairs [][2]int) ([
 	defer ss.Release()
 	for _, u := range srcs {
 		hopsG, _ := g.BFSInto(sg, u)
-		lenG, _ := g.DijkstraInto(sd, u, w)
-		hopsSp, lenSp := sp.MaxHopMinHopPathInto(ss, u, w)
+		lenG, _ := g.DijkstraInto(sd, u, wtG)
+		hopsSp, lenSp := sp.MaxHopMinHopPathInto(ss, u, wtSp)
 		for _, v := range bySrc[u] {
 			if hopsG[v] == graph.Unreachable || hopsSp[v] == graph.Unreachable {
 				return nil, fmt.Errorf("spanner: pair (%d,%d) disconnected", u, v)

@@ -88,13 +88,14 @@ type Stats struct {
 
 // Collector reads the per-node counters after a run.
 type Collector struct {
-	procs []*proc
+	procs []proc
 }
 
 // Stats sums the layer counters across nodes.
 func (c *Collector) Stats() Stats {
 	var s Stats
-	for _, p := range c.procs {
+	for i := range c.procs {
+		p := &c.procs[i]
 		s.Retransmits += p.retransmits
 		s.DupsSuppressed += p.dups
 		s.Acks += p.acks
@@ -115,70 +116,105 @@ func (c *Collector) MergeInto(st *simnet.Stats) {
 
 // Wrap returns procs wrapped in the reliability layer, plus the Collector
 // for its counters. The wrapped procs implement simnet.Ticker; run them on
-// either engine.
+// either engine. All wrappers are carved from one slab owned by the
+// Collector, so wrapping costs a constant number of allocations whatever
+// the node count; per-neighbour state is sized at Init, when the node's
+// neighbourhood is known.
 func Wrap(procs []simnet.Proc, opt Options) ([]simnet.Proc, *Collector) {
 	opt = opt.withDefaults()
 	out := make([]simnet.Proc, len(procs))
-	col := &Collector{procs: make([]*proc, len(procs))}
+	col := &Collector{procs: make([]proc, len(procs))}
 	for i, inner := range procs {
-		p := &proc{
-			inner:    inner,
-			opt:      opt,
-			outBySeq: make(map[int]*outstanding),
-			seen:     make(map[int][]uint64),
-		}
-		col.procs[i] = p
+		p := &col.procs[i]
+		p.inner, p.opt = inner, opt
 		out[i] = p
 	}
 	return out, col
 }
 
-// outstanding is one not-yet-fully-acked data frame. Records are recycled
-// through outPool: a batch sweep frames every protocol message of every
-// scenario, and the record plus its waiting map were the hot path's
-// dominant allocations.
+// outstanding is one not-yet-fully-acked data frame. A record retires to
+// outPool on its last ack or when its retry budget runs out, so a batch
+// sweep, which frames every protocol message of every scenario, reuses
+// records instead of allocating one per frame.
 type outstanding struct {
-	seq      int
-	to       int          // simnet.ToAll for a broadcast
-	frame    any          // the Data frame boxed once; retransmits resend it
-	waiting  map[int]bool // receivers that have not acked
-	attempts int          // transmissions so far (original included)
-	nextTick int          // earliest tick allowed to retransmit
-	given    bool         // abandoned after the retry budget
+	to    int // simnet.ToAll for a broadcast
+	frame any // the Data frame boxed once; retransmits resend it
+	// waiting is a bitset over the sender's neighbour slots that have not
+	// acked; pending counts its set bits.
+	waiting  []uint64
+	pending  int
+	attempts int // transmissions so far (original included)
+	nextTick int // earliest tick allowed to retransmit
 }
 
-func (o *outstanding) settled() bool { return len(o.waiting) == 0 || o.given }
+// reset sizes the waiting bitset for a sender of degree deg, all clear.
+func (o *outstanding) reset(deg int) {
+	words := (deg + 63) >> 6
+	if cap(o.waiting) < words {
+		o.waiting = make([]uint64, words)
+	}
+	o.waiting = o.waiting[:words]
+	clear(o.waiting)
+}
+
+// waitAll marks every one of the deg neighbour slots as waiting.
+func (o *outstanding) waitAll(deg int) {
+	for i := range o.waiting {
+		o.waiting[i] = ^uint64(0)
+	}
+	if r := deg & 63; r != 0 {
+		o.waiting[len(o.waiting)-1] = 1<<r - 1
+	}
+	o.pending = deg
+}
+
+// ack clears slot's waiting bit and reports whether it was set, so a
+// duplicate ack (or one from a neighbour the frame never waited for)
+// changes nothing.
+func (o *outstanding) ack(slot int) bool {
+	bit := uint64(1) << (slot & 63)
+	w := &o.waiting[slot>>6]
+	if *w&bit == 0 {
+		return false
+	}
+	*w &^= bit
+	o.pending--
+	return true
+}
 
 // outPool recycles outstanding records across messages and runs. Records
-// are scrubbed on put (only the waiting map's storage is kept) so pooled
+// are scrubbed on put (only the bitset's storage is kept) so pooled
 // memory never pins protocol payloads.
-var outPool = sync.Pool{
-	New: func() any { return &outstanding{waiting: make(map[int]bool, 8)} },
-}
+var outPool = sync.Pool{New: func() any { return new(outstanding) }}
 
 func getOutstanding() *outstanding { return outPool.Get().(*outstanding) }
 
 func putOutstanding(o *outstanding) {
-	w := o.waiting
-	clear(w)
-	*o = outstanding{waiting: w}
+	*o = outstanding{waiting: o.waiting[:0]}
 	outPool.Put(o)
 }
 
-// proc wraps one node's protocol in the reliability layer.
+// proc wraps one node's protocol in the reliability layer. Per-neighbour
+// state is addressed by slot, the neighbour's index in nbrs.
 type proc struct {
 	inner simnet.Proc
 	opt   Options
 
-	nextSeq  int
-	out      []*outstanding // send order, for deterministic retransmit order
-	outBySeq map[int]*outstanding
-	// seen maps a sender to the bitmap of sequence numbers already
-	// delivered. Sequences count up from zero per sender, so a bitmap
-	// stays dense where the previous per-sender set map cost a map plus
-	// bucket churn for every neighbour of every node.
-	seen   map[int][]uint64
-	tickNo int
+	nbrs []int // ctx.Neighbors(), kept at Init
+
+	// bySeq holds the live frames indexed by sequence number, which counts
+	// up from zero per sender, so it is also send order — the order Tick
+	// retransmits in. An entry is nil once its frame is fully acked or
+	// abandoned (or had no neighbour to wait for), so late acks find
+	// nothing. Entries below live are all nil.
+	bySeq []*outstanding
+	live  int
+	// seen[slot] is the bitmap of sequence numbers 0..63 already delivered
+	// from that neighbour. seenOver[slot][k] continues it for 64(k+1) on;
+	// it is allocated only once some neighbour's sequence passes 63.
+	seen     []uint64
+	seenOver [][]uint64
+	tickNo   int
 
 	retransmits int
 	dups        int
@@ -186,32 +222,48 @@ type proc struct {
 	abandoned   int
 }
 
-// markSeen records (from, seq) and reports whether it was already present.
-func (p *proc) markSeen(from, seq int) bool {
-	bm := p.seen[from]
-	word := seq >> 6
-	bit := uint64(1) << (seq & 63)
-	if word < len(bm) {
-		if bm[word]&bit != 0 {
-			return true
+// slotOf returns the slot of neighbour v, or -1 if v is not a neighbour.
+// A linear scan: at radio degrees (tens) it beats a binary search, whose
+// branches mispredict, and it needs no sorted adjacency.
+func (p *proc) slotOf(v int) int {
+	for i, w := range p.nbrs {
+		if w == v {
+			return i
 		}
-		bm[word] |= bit
-		return false
 	}
-	if bm == nil {
-		bm = make([]uint64, 0, 4) // 256 sequence numbers before regrowth
+	return -1
+}
+
+// markSeen records seq from the neighbour in slot and reports whether it
+// was already present.
+func (p *proc) markSeen(slot, seq int) bool {
+	word := &p.seen[slot]
+	if seq >= 64 {
+		if p.seenOver == nil {
+			p.seenOver = make([][]uint64, len(p.nbrs))
+		}
+		k := seq>>6 - 1
+		over := p.seenOver[slot]
+		for len(over) <= k {
+			over = append(over, 0)
+		}
+		p.seenOver[slot] = over
+		word = &over[k]
 	}
-	for len(bm) <= word {
-		bm = append(bm, 0)
+	bit := uint64(1) << (seq & 63)
+	if *word&bit != 0 {
+		return true
 	}
-	bm[word] |= bit
-	p.seen[from] = bm
+	*word |= bit
 	return false
 }
 
-// Init installs the send hook (so the inner protocol's sends are framed
-// without its cooperation) and starts the inner protocol.
+// Init keeps the node's neighbourhood, installs the send hook (so the
+// inner protocol's sends are framed without its cooperation) and starts
+// the inner protocol.
 func (p *proc) Init(ctx *simnet.Context) {
+	p.nbrs = ctx.Neighbors()
+	p.seen = make([]uint64, len(p.nbrs))
 	ctx.SetSendHook(func(to int, payload any) { p.sendFramed(ctx, to, payload) })
 	p.inner.Init(ctx)
 }
@@ -219,24 +271,29 @@ func (p *proc) Init(ctx *simnet.Context) {
 // sendFramed frames one outgoing protocol message and transmits it.
 func (p *proc) sendFramed(ctx *simnet.Context, to int, payload any) {
 	o := getOutstanding()
-	o.seq, o.to = p.nextSeq, to
-	o.frame = Data{Seq: o.seq, Payload: payload} // boxed once, reused by retries
-	p.nextSeq++
+	o.to = to
+	o.frame = Data{Seq: len(p.bySeq), Payload: payload} // boxed once, reused by retries
+	o.reset(len(p.nbrs))
 	if to == simnet.ToAll {
-		for _, w := range ctx.Neighbors() {
-			o.waiting[w] = true
-		}
+		o.waitAll(len(p.nbrs))
 		ctx.BroadcastDirect(o.frame)
 	} else {
-		o.waiting[to] = true
+		// Send has already checked that to is a neighbour.
+		slot := p.slotOf(to)
+		o.waiting[slot>>6] |= 1 << (slot & 63)
+		o.pending = 1
 		ctx.SendDirect(to, o.frame)
 	}
 	o.attempts = 1
 	o.nextTick = p.tickNo + p.opt.Backoff(1)
-	if len(o.waiting) > 0 {
-		p.out = append(p.out, o)
-		p.outBySeq[o.seq] = o
+	if p.bySeq == nil {
+		// Most nodes send a handful of frames; one allocation covers them.
+		p.bySeq = make([]*outstanding, 0, 8)
+	}
+	if o.pending > 0 {
+		p.bySeq = append(p.bySeq, o)
 	} else {
+		p.bySeq = append(p.bySeq, nil)
 		putOutstanding(o) // isolated node: nothing to wait for
 	}
 }
@@ -247,18 +304,23 @@ func (p *proc) Recv(ctx *simnet.Context, from int, payload any) {
 		// Always ack — the sender may be retransmitting because our
 		// previous ack was lost.
 		p.acks++
-		ctx.SendDirect(from, Ack{Seq: m.Seq})
-		if p.markSeen(from, m.Seq) {
+		ctx.SendDirect(from, Ack{Seq: m.Seq}) // panics unless from is a neighbour
+		if p.markSeen(p.slotOf(from), m.Seq) {
 			p.dups++
 			return
 		}
 		p.inner.Recv(ctx, from, m.Payload)
 	case Ack:
-		if o, ok := p.outBySeq[m.Seq]; ok {
-			delete(o.waiting, from)
-			if len(o.waiting) == 0 {
-				delete(p.outBySeq, m.Seq)
-			}
+		if uint(m.Seq) >= uint(len(p.bySeq)) {
+			return
+		}
+		o := p.bySeq[m.Seq]
+		if o == nil {
+			return // retired: fully acked or abandoned
+		}
+		if slot := p.slotOf(from); slot >= 0 && o.ack(slot) && o.pending == 0 {
+			p.bySeq[m.Seq] = nil
+			putOutstanding(o)
 		}
 	default:
 		// Traffic that did not come through this layer (mixed
@@ -273,18 +335,17 @@ func (p *proc) Recv(ctx *simnet.Context, from int, payload any) {
 func (p *proc) Tick(ctx *simnet.Context) bool {
 	p.tickNo++
 	active := false
-	live := p.out[:0]
-	for _, o := range p.out {
-		if o.settled() {
-			// Fully acked (removed from outBySeq by the Ack handler) or
-			// abandoned on a previous tick: no reference remains, recycle.
-			putOutstanding(o)
+	for p.live < len(p.bySeq) && p.bySeq[p.live] == nil {
+		p.live++
+	}
+	for seq := p.live; seq < len(p.bySeq); seq++ {
+		o := p.bySeq[seq]
+		if o == nil {
 			continue
 		}
-		live = append(live, o)
 		if o.attempts-1 >= p.opt.MaxRetries {
-			o.given = true
-			delete(p.outBySeq, o.seq)
+			p.bySeq[seq] = nil
+			putOutstanding(o)
 			p.abandoned++
 			continue
 		}
@@ -300,10 +361,6 @@ func (p *proc) Tick(ctx *simnet.Context) bool {
 		o.nextTick = p.tickNo + p.opt.Backoff(o.attempts)
 		active = true
 	}
-	for i := len(live); i < len(p.out); i++ {
-		p.out[i] = nil // drop trailing refs so recycled records aren't pinned
-	}
-	p.out = live
 	if t, ok := p.inner.(simnet.Ticker); ok {
 		if t.Tick(ctx) {
 			active = true

@@ -304,3 +304,204 @@ func TestWrapRandomizedSchedules(t *testing.T) {
 		}
 	}
 }
+
+// burstMsg is frame k of a node's burst.
+type burstMsg struct{ k int }
+
+// burstProc broadcasts a burst of frames at Init and records how often each
+// (sender, frame) pair reached it.
+type burstProc struct {
+	frames int
+	got    map[[2]int]int
+}
+
+func (p *burstProc) Init(ctx *simnet.Context) {
+	p.got = make(map[[2]int]int)
+	for k := 0; k < p.frames; k++ {
+		ctx.Broadcast(burstMsg{k})
+	}
+}
+
+func (p *burstProc) Recv(ctx *simnet.Context, from int, payload any) {
+	p.got[[2]int{from, payload.(burstMsg).k}]++
+}
+
+// starGraph is a hub (node 0) joined to every other node, with the leaves
+// chained in a path so each leaf has two or three neighbours.
+func starGraph(t *testing.T, n int) *graph.Graph {
+	t.Helper()
+	g := graph.New(n)
+	for v := 1; v < n; v++ {
+		if err := g.AddEdge(0, v); err != nil {
+			t.Fatal(err)
+		}
+		if v+1 < n {
+			if err := g.AddEdge(v, v+1); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return g
+}
+
+// TestWideBurstUnderLossAndDuplication runs the layer where its dense state
+// spans more than one word: the hub's waiting bitset covers 71 neighbour
+// slots (two words), and 130 frames per sender carry sequence numbers past
+// 127, so every receiver's seen overflow spans two words too. Under 30%
+// loss plus duplication every frame must arrive exactly once, the inner
+// outcome must equal the lossless run's, and nothing may be abandoned.
+func TestWideBurstUnderLossAndDuplication(t *testing.T) {
+	const n, frames = 72, 130
+	g := starGraph(t, n)
+	if g.Degree(0) < 70 {
+		t.Fatalf("hub degree %d, want >= 70", g.Degree(0))
+	}
+	outcome := func(eng simnet.Engine, plan *simnet.FaultPlan) ([]map[[2]int]int, Stats) {
+		inner := make([]simnet.Proc, n)
+		for i := range inner {
+			inner[i] = &burstProc{frames: frames}
+		}
+		wrapped, col := Wrap(inner, Options{})
+		var opts []simnet.Option
+		if plan != nil {
+			opts = append(opts, simnet.WithFaults(*plan))
+		}
+		if _, err := eng.Run(g, wrapped, opts...); err != nil {
+			t.Fatalf("%v: %v", eng, err)
+		}
+		got := make([]map[[2]int]int, n)
+		for i, p := range inner {
+			got[i] = p.(*burstProc).got
+		}
+		return got, col.Stats()
+	}
+	for _, eng := range []simnet.Engine{simnet.EngineSync, simnet.EngineAsync} {
+		want, _ := outcome(eng, nil)
+		got, s := outcome(eng, &simnet.FaultPlan{Seed: 9, DropRate: 0.3, DupRate: 0.2})
+		for v := 0; v < n; v++ {
+			if len(got[v]) != g.Degree(v)*frames {
+				t.Fatalf("%v: node %d heard %d distinct frames, want %d", eng, v, len(got[v]), g.Degree(v)*frames)
+			}
+			for key, c := range got[v] {
+				if c != 1 {
+					t.Fatalf("%v: node %d got frame %v %d times", eng, v, key, c)
+				}
+				if want[v][key] != 1 {
+					t.Fatalf("%v: node %d got frame %v the lossless run did not deliver", eng, v, key)
+				}
+			}
+		}
+		if s.Retransmits == 0 || s.DupsSuppressed == 0 || s.Abandoned != 0 {
+			t.Errorf("%v: layer counters %+v: want retransmits and suppressed duplicates, no abandonment", eng, s)
+		}
+	}
+}
+
+// TestLateAndDuplicateAcksChangeNothing drives the ack path directly on a
+// degree-71 sender: a repeated ack must not count twice, the last ack must
+// retire the frame, and acks for a retired or abandoned frame (or a
+// sequence never sent) must change nothing and not panic.
+func TestLateAndDuplicateAcksChangeNothing(t *testing.T) {
+	const deg = 71
+	nbrs := make([]int, deg)
+	for i := range nbrs {
+		nbrs[i] = 10 + 2*i
+	}
+	wrapped, col := Wrap([]simnet.Proc{&countProc{}}, Options{MaxRetries: 3})
+	p := &col.procs[0]
+	if wrapped[0] != simnet.Proc(p) {
+		t.Fatal("Wrap does not hand out its slab procs")
+	}
+	p.nbrs, p.seen = nbrs, make([]uint64, deg)
+	newFrame := func() *outstanding {
+		o := getOutstanding()
+		o.to, o.attempts = simnet.ToAll, 1
+		o.reset(deg)
+		o.waitAll(deg)
+		p.bySeq = append(p.bySeq, o)
+		return o
+	}
+	// The Ack branch never touches the context.
+	ack := func(from, seq int) { p.Recv(nil, from, Ack{Seq: seq}) }
+
+	acked := newFrame()
+	if len(acked.waiting) != 2 || acked.pending != deg {
+		t.Fatalf("waiting spans %d words with %d pending, want 2 and %d", len(acked.waiting), acked.pending, deg)
+	}
+	ack(nbrs[70], 0)
+	ack(nbrs[70], 0) // duplicate
+	ack(11, 0)       // not a neighbour
+	if acked.pending != deg-1 {
+		t.Fatalf("pending = %d after one ack, a duplicate and a stranger, want %d", acked.pending, deg-1)
+	}
+	for _, v := range nbrs[:deg-1] {
+		ack(v, 0)
+		ack(v, 0)
+	}
+	if p.bySeq[0] != nil {
+		t.Fatal("fully acked frame still live")
+	}
+	ack(nbrs[3], 0) // late ack for a retired frame
+	ack(nbrs[3], 7) // sequence never sent
+	ack(nbrs[3], -1)
+
+	given := newFrame()
+	given.attempts = 1 + p.opt.MaxRetries // budget spent
+	if p.Tick(nil) {                      // abandons frame 1; nothing is due
+		t.Fatal("tick reported work left with only an exhausted frame")
+	}
+	if s := col.Stats(); s.Abandoned != 1 || p.bySeq[1] != nil {
+		t.Fatalf("exhausted frame not abandoned: %+v", s)
+	}
+	ack(nbrs[5], 1) // ack arriving after abandonment
+	ack(nbrs[5], 1)
+	if s := col.Stats(); s != (Stats{Abandoned: 1}) || p.bySeq[1] != nil {
+		t.Errorf("late acks moved the layer: %+v", s)
+	}
+	if p.Tick(nil) {
+		t.Error("tick after abandonment reported work left")
+	}
+}
+
+// silentProc sends nothing, so a run of it measures the layer's own setup.
+type silentProc struct{}
+
+func (silentProc) Init(*simnet.Context)           {}
+func (silentProc) Recv(*simnet.Context, int, any) {}
+
+// TestWrapIsConstantPerNode pins the layer's setup cost: Wrap carves every
+// wrapper from one slab (a constant number of allocations for 10,000
+// nodes), and Init allocates at most two objects per node — the slot-indexed
+// seen words and the send hook — with no per-node maps.
+func TestWrapIsConstantPerNode(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	const n = 10000
+	procs := make([]simnet.Proc, n)
+	for i := range procs {
+		procs[i] = silentProc{}
+	}
+	// Three objects (wrapper table, slab, Collector); the slack of one
+	// absorbs the runtime's own occasional allocation during a large one.
+	if allocs := testing.AllocsPerRun(5, func() { Wrap(procs, Options{}) }); allocs > 4 {
+		t.Errorf("Wrap: %v allocs for %d procs, want a constant <= 4", allocs, n)
+	}
+
+	g := lineGraph(t, n)
+	bare := testing.AllocsPerRun(3, func() {
+		if _, err := simnet.RunSync(g, procs); err != nil {
+			t.Fatal(err)
+		}
+	})
+	wrapped := testing.AllocsPerRun(3, func() {
+		w, _ := Wrap(procs, Options{})
+		if _, err := simnet.RunSync(g, w); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// The constant covers Wrap itself and the engine's ticker bookkeeping.
+	if extra := wrapped - bare; extra > 2*n+16 {
+		t.Errorf("wrapped run: %v allocs over the bare run's %v, want <= 2 per node (%d)", extra, bare, 2*n+16)
+	}
+}

@@ -259,9 +259,10 @@ func Weights(seed int64, n int) []float64 {
 }
 
 // DistributedRun dispatches a distributed protocol run for a registered
-// entry: the I/II protocol switch (with optional zero-knowledge discovery)
-// lives here so the facade, batch engine, service and chaos harness share
-// one dispatch. Entries without Caps.Distributed return an error.
+// entry: the I/II protocol switch, with optional zero-knowledge discovery.
+// Its one caller is the batch executor, through which the facade, sweeps,
+// the service and the chaos harness all run. Entries without
+// Caps.Distributed return an error.
 func DistributedRun(c *Construction, g *graph.Graph, ids []int, mode wcds.SelectionMode, zeroKnowledge bool, run wcds.Runner) (wcds.Result, simnet.Stats, error) {
 	switch {
 	case c == nil:

@@ -118,6 +118,39 @@ func TestWorkloadEngineNormalize(t *testing.T) {
 	}
 }
 
+// TestNormalizeInProcessKnobs: the fields without a wire form need a
+// distributed backbone run, and a delivery budget must not be negative.
+func TestNormalizeInProcessKnobs(t *testing.T) {
+	backoff := func(int) int { return 1 }
+	cases := []struct {
+		name string
+		w    Workload
+		want string // substring of the error, "" for acceptance
+	}{
+		{"zero knowledge, sync", Workload{Engine: "sync", ZeroKnowledge: true}, ""},
+		{"max deliveries, event", Workload{Engine: "event", MaxDeliveries: 100}, ""},
+		{"backoff, reliable async", Workload{Engine: "async", Reliable: true, Backoff: backoff}, ""},
+		{"zero knowledge, centralized", Workload{ZeroKnowledge: true}, "require a distributed backbone run"},
+		{"max deliveries, centralized", Workload{Mode: "centralized", MaxDeliveries: 100}, "require a distributed backbone run"},
+		{"backoff, centralized", Workload{Backoff: backoff}, "require a distributed backbone run"},
+		{"zero knowledge, dilation", Workload{Kind: Dilation, Engine: "sync", ZeroKnowledge: true}, "require a distributed backbone run"},
+		{"negative max deliveries", Workload{Engine: "sync", MaxDeliveries: -1}, "negative budget"},
+		{"eager, centralized", Workload{Algorithm: "I", Selection: "eager"}, "requires a distributed mode"},
+		{"eager, sync", Workload{Engine: "sync", Selection: "eager"}, ""},
+	}
+	for _, tc := range cases {
+		err := tc.w.Normalize()
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: rejected: %v", tc.name, err)
+		case tc.want != "" && err == nil:
+			t.Errorf("%s: accepted", tc.name)
+		case tc.want != "" && !strings.Contains(err.Error(), tc.want):
+			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
+		}
+	}
+}
+
 // TestRunEventWorkloadMatchesSync: through the batch engine, an event-engine
 // Deferred backbone workload reports the same backbone as the sync workload
 // on every cell (schedule-independent), and its digest is stable.

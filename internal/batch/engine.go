@@ -300,7 +300,7 @@ func runScenario(ctx context.Context, sc Scenario, w *Workload, memo *netMemo, m
 		}
 		res.WallNS = time.Since(start).Nanoseconds()
 	}()
-	o := exec(ctx, w, memo, measureWorkers)
+	o := exec(ctx, w, memo, measureWorkers, obs.NewSpans())
 	return o.row(sc, w, memo.topoLabel)
 }
 
@@ -331,12 +331,11 @@ type Outcome struct {
 	Net          *udg.Network       // nil if it could not be generated
 	Construction *algo.Construction // the registry entry the workload names
 	// Built reports that the backbone was constructed (Backbone and
-	// Dilation); a dilation measurement can still fail after it. Valid is
-	// the construction's own predicate on it (checked for Backbone only).
+	// Dilation); a dilation measurement can still fail after it.
 	Built  bool
 	Result wcds.Result
-	Valid  bool
-	// Stats and Phases are a distributed run's costs, kept when it fails.
+	// Stats and Phases are a distributed run's costs, kept when it fails;
+	// Phases is nil unless the caller handed exec a recorder.
 	Stats  simnet.Stats
 	Phases []obs.Span
 	// Dilation measures the spanner over the workload's pairs; Backbone
@@ -363,6 +362,13 @@ func (o *Outcome) fail(err error, faultRun bool) {
 	}
 }
 
+// Valid applies the construction's own predicate to the backbone; false
+// when none was built. It is not cached: each call verifies anew, so only
+// the callers that report validity pay for it.
+func (o *Outcome) Valid() bool {
+	return o.Built && o.Construction.Valid(o.Net.G, o.Result.Dominators)
+}
+
 // SpannerEdges returns the edge count of the backbone's spanner (0 without
 // one).
 func (o *Outcome) SpannerEdges() int {
@@ -383,14 +389,17 @@ func (o *Outcome) Saving() float64 {
 
 // Exec runs one normalized workload on nw, a network its caller built,
 // through the executor of every sweep scenario, memoizing nothing.
-// measureWorkers goes to spanner.DilationN as is (<= 0 means GOMAXPROCS).
-func Exec(ctx context.Context, w *Workload, nw *udg.Network, measureWorkers int) Outcome {
-	return exec(ctx, w, scene{nw}, measureWorkers)
+// measureWorkers goes to spanner.DilationN as is (<= 0 means GOMAXPROCS);
+// phases, when non-nil, records a distributed run's per-phase costs into
+// Outcome.Phases (nil records nothing and costs nothing).
+func Exec(ctx context.Context, w *Workload, nw *udg.Network, measureWorkers int, phases *obs.Spans) Outcome {
+	return exec(ctx, w, scene{nw}, measureWorkers, phases)
 }
 
 // exec is the one job executor: it runs the normalized workload w on the
-// network of c and returns everything it measured.
-func exec(ctx context.Context, w *Workload, c cell, measureWorkers int) (o Outcome) {
+// network of c and returns everything it measured. It verifies nothing;
+// see Outcome.Valid.
+func exec(ctx context.Context, w *Workload, c cell, measureWorkers int, phases *obs.Spans) (o Outcome) {
 	nw, err := c.network()
 	if err != nil {
 		o.fail(err, false)
@@ -431,30 +440,33 @@ func exec(ctx context.Context, w *Workload, c cell, measureWorkers int) (o Outco
 		o.Result, err = c.centralized(o.Construction, w.WeightSeed)
 	} else {
 		eng, _ := simnet.ParseEngine(w.Engine)
-		rec := obs.NewSpans()
-		runner := wcds.RunSpec{
+		spec := wcds.RunSpec{
 			Engine:          eng,
 			ScheduleSeed:    w.ScheduleSeed,
 			Faults:          w.Faults,
 			MaxRounds:       w.MaxRounds,
+			MaxDeliveries:   w.MaxDeliveries,
 			Ctx:             ctx,
 			Reliable:        w.Reliable,
-			ReliableOptions: reliable.Options{MaxRetries: w.MaxRetries},
-			Phases:          rec,
-		}.Runner()
+			ReliableOptions: reliable.Options{MaxRetries: w.MaxRetries, Backoff: w.Backoff},
+		}
+		if phases != nil { // a nil *obs.Spans would be a non-nil Recorder
+			spec.Phases = phases
+		}
 		mode := wcds.Deferred
 		if w.Selection == "eager" {
 			mode = wcds.Eager
 		}
-		o.Result, o.Stats, err = algo.DistributedRun(o.Construction, nw.G, nw.ID, mode, false, runner)
-		o.Phases = rec.Snapshot()
+		o.Result, o.Stats, err = algo.DistributedRun(o.Construction, nw.G, nw.ID, mode, w.ZeroKnowledge, spec.Runner())
+		if phases != nil {
+			o.Phases = phases.Snapshot()
+		}
 	}
 	if err != nil {
 		o.fail(err, w.Faults != nil)
 		return o
 	}
 	o.Built = true
-	o.Valid = o.Construction.Valid(nw.G, o.Result.Dominators)
 	return o
 }
 
@@ -499,7 +511,7 @@ func (o *Outcome) row(sc Scenario, w *Workload, topoLabel string) Result {
 		r.MIS = len(o.Result.MISDominators)
 		r.Additional = len(o.Result.AdditionalDominators)
 		r.SpannerEdges = o.SpannerEdges()
-		r.Valid = o.Valid
+		r.Valid = o.Valid()
 		if o.Net.N() > 0 {
 			r.Ratio = float64(r.Backbone) / float64(o.Net.N())
 		}

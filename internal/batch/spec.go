@@ -98,6 +98,20 @@ type Workload struct {
 	SampleSeed int64 `json:"sampleSeed,omitempty"`
 	// Source is the broadcast origin node (Broadcast).
 	Source int `json:"source,omitempty"`
+
+	// The knobs below have no wire form: only in-process callers (the
+	// wcdsnet facade) set them, and they never reach a cache key. Each
+	// needs a distributed backbone run.
+
+	// ZeroKnowledge prepends HELLO neighbour discovery: every node starts
+	// knowing only its own ID.
+	ZeroKnowledge bool `json:"-"`
+	// MaxDeliveries bounds the run's per-link deliveries (0 = engine
+	// default).
+	MaxDeliveries int `json:"-"`
+	// Backoff overrides the reliable layer's retransmission backoff (nil =
+	// its default).
+	Backoff func(attempt int) int `json:"-"`
 }
 
 // Normalize defaults and canonicalises the enum fields in place and
@@ -148,6 +162,9 @@ func (w *Workload) Normalize() error {
 	default:
 		return fmt.Errorf("unknown selection %q (want deferred or eager)", w.Selection)
 	}
+	if w.Selection == "eager" && w.Mode == "centralized" {
+		return fmt.Errorf("selection eager requires a distributed mode (sync, async or event)")
+	}
 	if w.Faults != nil && w.Faults.Empty() {
 		w.Faults = nil
 	}
@@ -158,7 +175,11 @@ func (w *Workload) Normalize() error {
 	if w.Kind != Backbone && faulty {
 		return fmt.Errorf("faults/reliable budgets apply to backbone workloads only")
 	}
-	if w.MaxRetries < 0 || w.MaxRounds < 0 {
+	inProcess := w.ZeroKnowledge || w.MaxDeliveries != 0 || w.Backoff != nil
+	if inProcess && (w.Kind != Backbone || w.Mode == "centralized") {
+		return fmt.Errorf("zero knowledge, maxDeliveries and backoff require a distributed backbone run")
+	}
+	if w.MaxRetries < 0 || w.MaxRounds < 0 || w.MaxDeliveries < 0 {
 		return fmt.Errorf("negative budget")
 	}
 	if w.Source < 0 {

@@ -20,15 +20,16 @@
 package chaos
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
 
 	"wcdsnet/internal/algo"
+	"wcdsnet/internal/batch"
 	"wcdsnet/internal/mis"
 	"wcdsnet/internal/obs"
 	"wcdsnet/internal/simnet"
-	"wcdsnet/internal/simnet/reliable"
 	"wcdsnet/internal/udg"
 	"wcdsnet/internal/wcds"
 )
@@ -297,22 +298,13 @@ func reliableDistributed(nw *udg.Network, plan simnet.FaultPlan, cfg Config) (wc
 		// retransmission epochs beyond the paper's lossless bounds.
 		maxRounds = 200*nw.N() + 5000
 	}
-	rec := obs.NewSpans()
-	runner := wcds.RunSpec{
-		Engine:          cfg.Engine,
-		ScheduleSeed:    plan.Seed,
-		Faults:          &plan,
-		MaxRounds:       maxRounds,
-		Reliable:        true,
-		ReliableOptions: reliable.Options{MaxRetries: cfg.MaxRetries},
-		Phases:          rec,
-	}.Runner()
-	c, ok := algo.Lookup(cfg.Algorithm)
-	if !ok {
-		return wcds.Result{}, simnet.Stats{}, nil, fmt.Errorf("chaos: unknown algorithm %q", cfg.Algorithm)
+	w := batch.Workload{Algorithm: cfg.Algorithm, Engine: cfg.Engine.String(), ScheduleSeed: plan.Seed,
+		Faults: &plan, Reliable: true, MaxRetries: cfg.MaxRetries, MaxRounds: maxRounds}
+	if err := w.Normalize(); err != nil {
+		return wcds.Result{}, simnet.Stats{}, nil, fmt.Errorf("chaos: %v", err)
 	}
-	res, st, err := algo.DistributedRun(c, nw.G, nw.ID, wcds.Deferred, false, runner)
-	return res, st, rec.Snapshot(), err
+	out := batch.Exec(context.Background(), &w, nw, 0, obs.NewSpans())
+	return out.Result, out.Stats, out.Phases, out.Err
 }
 
 func equalSets(a, b []int) bool {

@@ -91,3 +91,24 @@ func TestBatchEndpointDeadlineCancels(t *testing.T) {
 		t.Fatalf("slow sweep answered %d, want 504: %v", resp.StatusCode, body)
 	}
 }
+
+// TestBatchInProcessKnobsHaveNoWireForm: the workload fields only the
+// in-process facade sets are not part of the /v1/batch schema, so a body
+// naming one is rejected as an unknown field, word for word as before
+// those fields existed.
+func TestBatchInProcessKnobsHaveNoWireForm(t *testing.T) {
+	_, ts := newTestService(t, Options{})
+	for field, value := range map[string]any{"zeroKnowledge": true, "maxDeliveries": 5, "backoff": 1} {
+		resp, body := postJSON(t, ts.URL+"/v1/batch", map[string]any{
+			"sizes": []int{30}, "degrees": []float64{6}, "seeds": []int64{1},
+			"workloads": []map[string]any{{"mode": "sync", field: value}},
+		})
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400; body %v", field, resp.StatusCode, body)
+		}
+		want := `invalid request body: json: unknown field "` + field + `": invalid input`
+		if body["error"] != want {
+			t.Errorf("%s: error %q, want %q", field, body["error"], want)
+		}
+	}
+}

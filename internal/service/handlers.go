@@ -10,7 +10,9 @@ import (
 	"sort"
 	"time"
 
+	"wcdsnet/internal/algo"
 	"wcdsnet/internal/batch"
+	"wcdsnet/internal/obs"
 	"wcdsnet/internal/service/api"
 	"wcdsnet/internal/udg"
 	"wcdsnet/internal/wcds"
@@ -111,7 +113,7 @@ func (s *Service) serveJob(w http.ResponseWriter, r *http.Request, endpoint stri
 			return nil, err
 		}
 		job := req.Workload()
-		out := batch.Exec(ctx, &job, nw, *measureWorkers)
+		out := batch.Exec(ctx, &job, nw, *measureWorkers, obs.NewSpans())
 		return project(&out)
 	})
 }
@@ -172,9 +174,14 @@ func backboneResponse(req *BackboneRequest, out *batch.Outcome) (*BackboneRespon
 	resp.MISDominators = out.Result.MISDominators
 	resp.AdditionalDominators = out.Result.AdditionalDominators
 	resp.SpannerEdges = out.SpannerEdges()
-	resp.IsWCDS = wcds.IsWCDS(nw.G, out.Result.Dominators)
 	resp.Kind = string(out.Construction.Kind)
-	resp.Valid = out.Valid
+	resp.Valid = out.Valid()
+	// A WCDS construction's own predicate is IsWCDS; only the CDS and DS
+	// kinds need the second check.
+	resp.IsWCDS = resp.Valid
+	if out.Construction.Kind != algo.KindWCDS {
+		resp.IsWCDS = wcds.IsWCDS(nw.G, out.Result.Dominators)
+	}
 	return resp, nil
 }
 

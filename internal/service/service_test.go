@@ -209,6 +209,7 @@ func TestValidationRejects(t *testing.T) {
 		{"duplicate ids", "/v1/backbone", map[string]any{"positions": [][2]float64{{0, 0}, {1, 0}}, "ids": []int{3, 3}}},
 		{"bad algorithm", "/v1/backbone", map[string]any{"n": 50, "avgDegree": 8, "algorithm": "III"}},
 		{"bad mode", "/v1/backbone", map[string]any{"n": 50, "avgDegree": 8, "mode": "quantum"}},
+		{"centralized eager", "/v1/backbone", map[string]any{"n": 50, "avgDegree": 8, "mode": "centralized", "selection": "eager"}},
 		{"unknown field", "/v1/backbone", map[string]any{"n": 50, "avgDegree": 8, "nodes": 50}},
 		{"negative source", "/v1/broadcast", map[string]any{"n": 50, "avgDegree": 8, "source": -1}},
 		{"dilation bad algo", "/v1/dilation", map[string]any{"n": 50, "avgDegree": 8, "algorithm": "X"}},

@@ -41,9 +41,12 @@ func ReliableRunner(eng simnet.Engine, ropt reliable.Options, opts ...simnet.Opt
 
 // RunSpec describes one distributed run: the engine and its schedule
 // seed, the fault plan and budgets, the reliable layer and the phase
-// recorder. It is the one place where a run description — a facade Option
-// list, a /v1/backbone request, a batch workload or a chaos cell — becomes
-// a Runner, so every surface follows the same scramble rule.
+// recorder. It is the one place where a run description becomes a
+// Runner, so every surface follows the same scramble rule. Algorithms I
+// and II reach it through the batch executor, which builds it from a
+// batch.Workload — the form the facade's Option list, every service
+// request and every chaos cell take; cmd/soak's lossy MIS-repair runs,
+// another protocol, build it directly.
 type RunSpec struct {
 	Engine simnet.Engine
 	// ScheduleSeed seeds the delivery scramble under

@@ -12,7 +12,6 @@ import (
 	"wcdsnet/internal/obs"
 	"wcdsnet/internal/service/api"
 	"wcdsnet/internal/simnet"
-	"wcdsnet/internal/wcds"
 )
 
 // Algorithm names a backbone construction from the registered competitor
@@ -36,7 +35,7 @@ const (
 	// AlgoGreedyCDS is Guha & Khuller's greedy CDS baseline.
 	AlgoGreedyCDS
 	// AlgoWeightedDS is the greedy minimum-weight dominating set over
-	// per-node weights (see WithWeights / WithWeightSeed).
+	// per-node weights (see WithWeightSeed).
 	AlgoWeightedDS
 	// AlgoPruneCDS is the Butenko-style prune-from-whole-graph CDS
 	// heuristic.
@@ -145,23 +144,21 @@ const (
 	EngineEvent = simnet.EngineEvent
 )
 
-// runOptions is assembled by the Option list; the zero value is the
-// centralized reference construction.
+// runOptions is assembled by the Option list: the batch workload Run
+// executes, plus the per-call context and phase switch. The zero workload
+// is the centralized reference construction.
 type runOptions struct {
-	distributed   bool
-	engine        Engine
-	scheduleSeed  int64
-	selection     SelectionMode
-	faults        *FaultPlan
-	reliable      bool
-	relOpts       ReliableOptions
-	maxRounds     int
-	maxDeliveries int
-	zeroKnowledge bool
-	phases        bool
-	ctx           context.Context
-	weights       []float64
-	weightSeed    int64
+	w      batch.Workload
+	ctx    context.Context
+	phases bool
+}
+
+// distribute selects a distributed run: the sync engine unless an engine
+// is already set.
+func (o *runOptions) distribute() {
+	if o.w.Engine == "" {
+		o.w.Engine = EngineSync.String()
+	}
 }
 
 // Option configures Run. Options compose; each documents whether it
@@ -172,7 +169,7 @@ type Option func(*runOptions)
 // engine instead of the centralized reference. Equivalent to
 // WithEngine(EngineSync).
 func Distributed() Option {
-	return func(o *runOptions) { o.distributed = true }
+	return func(o *runOptions) { o.distribute() }
 }
 
 // WithEngine runs the protocol on the named simulation engine — the one
@@ -187,7 +184,7 @@ func Distributed() Option {
 // scramble is set by WithScheduleSeed. All three construct the same WCDS
 // in Deferred mode.
 func WithEngine(eng Engine) Option {
-	return func(o *runOptions) { o.distributed, o.engine = true, eng }
+	return func(o *runOptions) { o.w.Engine = eng.String() }
 }
 
 // WithScheduleSeed seeds the delivery scramble, for exploring
@@ -199,32 +196,40 @@ func WithEngine(eng Engine) Option {
 // keeps its FIFO order; EngineSync ignores the seed (its round schedule is
 // fixed). Implies Distributed.
 func WithScheduleSeed(seed int64) Option {
-	return func(o *runOptions) { o.distributed, o.scheduleSeed = true, seed }
+	return func(o *runOptions) { o.distribute(); o.w.ScheduleSeed = seed }
 }
 
 // WithSelection picks Algorithm II's connector-selection mode (Deferred by
-// default; ignored by Algorithm I).
+// default; ignored by Algorithm I). Eager needs a distributed run.
 func WithSelection(mode SelectionMode) Option {
-	return func(o *runOptions) { o.selection = mode }
+	return func(o *runOptions) {
+		o.w.Selection = "deferred"
+		if mode == Eager {
+			o.w.Selection = "eager"
+		}
+	}
 }
 
 // WithFaults injects the fault plan into the run. Implies Distributed —
 // faults only exist on the simulation engines.
 func WithFaults(plan FaultPlan) Option {
-	return func(o *runOptions) { o.distributed, o.faults = true, &plan }
+	return func(o *runOptions) { o.distribute(); o.w.Faults = &plan }
 }
 
 // WithReliable wraps the protocol in the ack/retransmit layer so it
 // converges under loss (zero value opts = defaults). Implies Distributed.
 func WithReliable(opts ReliableOptions) Option {
-	return func(o *runOptions) { o.distributed, o.reliable, o.relOpts = true, true, opts }
+	return func(o *runOptions) {
+		o.distribute()
+		o.w.Reliable, o.w.MaxRetries, o.w.Backoff = true, opts.MaxRetries, opts.Backoff
+	}
 }
 
 // WithMaxRounds overrides the engine's quiescence budget: synchronous
 // rounds or asynchronous tick passes (0 = engine default). Implies
 // Distributed.
 func WithMaxRounds(n int) Option {
-	return func(o *runOptions) { o.distributed, o.maxRounds = true, n }
+	return func(o *runOptions) { o.distribute(); o.w.MaxRounds = n }
 }
 
 // WithMaxDeliveries bounds the run's total per-link deliveries (0 = engine
@@ -232,13 +237,13 @@ func WithMaxRounds(n int) Option {
 // asynchronous engine, where plain runs have no round clock. Implies
 // Distributed.
 func WithMaxDeliveries(n int) Option {
-	return func(o *runOptions) { o.distributed, o.maxDeliveries = true, n }
+	return func(o *runOptions) { o.distribute(); o.w.MaxDeliveries = n }
 }
 
 // ZeroKnowledge prepends in-protocol HELLO neighbour discovery: every node
 // starts knowing only its own ID. Implies Distributed.
 func ZeroKnowledge() Option {
-	return func(o *runOptions) { o.distributed, o.zeroKnowledge = true, true }
+	return func(o *runOptions) { o.distribute(); o.w.ZeroKnowledge = true }
 }
 
 // WithContext makes the run cancellable: a distributed run observes ctx
@@ -247,30 +252,22 @@ func ZeroKnowledge() Option {
 // errors.Is). Implies Distributed — the centralized references complete in
 // microseconds and have nothing to interrupt.
 func WithContext(ctx context.Context) Option {
-	return func(o *runOptions) { o.distributed, o.ctx = true, ctx }
+	return func(o *runOptions) { o.distribute(); o.ctx = ctx }
 }
 
 // WithPhases collects the per-phase cost breakdown (RunStats.Phases):
 // every transmission, delivery and retransmission is attributed to its
 // paper phase, with round extents and wall time. Implies Distributed.
 func WithPhases() Option {
-	return func(o *runOptions) { o.distributed, o.phases = true, true }
-}
-
-// WithWeights supplies explicit per-node weights for weighted constructions
-// (AlgoWeightedDS). Only accepted by algorithms with the weighted
-// capability; the slice must have one non-negative entry per node.
-func WithWeights(w []float64) Option {
-	return func(o *runOptions) { o.weights = w }
+	return func(o *runOptions) { o.distribute(); o.phases = true }
 }
 
 // WithWeightSeed draws per-node weights uniformly from [1, 2) with a
 // dedicated seeded RNG — the reproducible form the batch engine and the
-// service's weightSeed field use. Seed 0 means unit weights. Ignored when
-// WithWeights supplies an explicit slice; only accepted by weighted
-// algorithms.
+// service's weightSeed field use. Seed 0 means unit weights; only accepted
+// by weighted algorithms.
 func WithWeightSeed(seed int64) Option {
-	return func(o *runOptions) { o.weightSeed = seed }
+	return func(o *runOptions) { o.w.WeightSeed = seed }
 }
 
 // Run is the single entry point for backbone construction: pick the
@@ -286,6 +283,8 @@ func WithWeightSeed(seed int64) Option {
 //	    wcdsnet.WithFaults(plan), wcdsnet.WithReliable(wcdsnet.ReliableOptions{}))
 //	res, _, err := wcdsnet.Run(nw, wcdsnet.AlgoWeightedDS, wcdsnet.WithWeightSeed(7))
 //
+// The options fill one batch workload, checked by the rule every sweep
+// scenario and service request passes and run by the same executor.
 // Errors wrap the package sentinels: ErrInvalidInput for bad arguments and
 // ErrBudgetExceeded when a distributed run exhausts its round or delivery
 // budget (test with errors.Is).
@@ -297,93 +296,36 @@ func Run(nw *Network, a Algorithm, opts ...Option) (Result, RunStats, error) {
 	if !ok {
 		return Result{}, RunStats{}, fmt.Errorf("wcdsnet: unknown algorithm %d (want %s): %w", int(a), algo.NamesString(), ErrInvalidInput)
 	}
-	construction, ok := algo.Lookup(name)
-	if !ok {
-		return Result{}, RunStats{}, fmt.Errorf("wcdsnet: algorithm %q not registered: %w", name, ErrInvalidInput)
-	}
-	var o runOptions
-	o.selection = Deferred
+	o := runOptions{w: batch.Workload{Algorithm: name}, ctx: context.Background()}
 	for _, opt := range opts {
 		opt(&o)
 	}
-	if !o.engine.Valid() {
-		return Result{}, RunStats{}, fmt.Errorf("wcdsnet: unknown engine %v: %w", o.engine, ErrInvalidInput)
+	if err := o.w.Normalize(); err != nil {
+		return Result{}, RunStats{}, fmt.Errorf("wcdsnet: %v: %w", err, ErrInvalidInput)
 	}
-	if o.maxRounds < 0 {
-		return Result{}, RunStats{}, fmt.Errorf("wcdsnet: maxRounds %d must be non-negative: %w", o.maxRounds, ErrInvalidInput)
-	}
-	if o.maxDeliveries < 0 {
-		return Result{}, RunStats{}, fmt.Errorf("wcdsnet: maxDeliveries %d must be non-negative: %w", o.maxDeliveries, ErrInvalidInput)
-	}
-	if o.faults != nil {
-		if err := o.faults.Validate(nw.N()); err != nil {
-			return Result{}, RunStats{}, fmt.Errorf("wcdsnet: %v: %w", err, ErrInvalidInput)
-		}
-	}
-	if (o.weights != nil || o.weightSeed != 0) && !construction.Caps.Weighted {
-		return Result{}, RunStats{}, fmt.Errorf("wcdsnet: algorithm %s does not take node weights: %w", name, ErrInvalidInput)
-	}
-
-	if !o.distributed {
-		// Algorithm I's centralized reference has always ignored the
-		// (Algorithm II specific) selection mode; every other construction
-		// rejects a non-default mode as a distributed-only request.
-		if o.selection != Deferred && name != "I" {
-			return Result{}, RunStats{}, fmt.Errorf("wcdsnet: selection mode %v requires a distributed run: %w", o.selection, ErrInvalidInput)
-		}
-		in := algo.Input{G: nw.G, IDs: nw.ID}
-		if construction.Caps.Weighted {
-			in.Weights = o.weights
-			if in.Weights == nil {
-				in.Weights = algo.Weights(o.weightSeed, nw.N())
-			}
-		}
-		res, err := construction.Run(in)
-		if err != nil {
-			return Result{}, RunStats{}, fmt.Errorf("wcdsnet: %v: %w", err, ErrInvalidInput)
-		}
-		return res, RunStats{}, nil
-	}
-
-	if !construction.Caps.Distributed {
-		return Result{}, RunStats{}, fmt.Errorf("wcdsnet: algorithm %s has no distributed protocol (distributed: %s): %w",
-			name, strings.Join(algo.DistributedNames(), ", "), ErrInvalidInput)
-	}
-	spec := wcds.RunSpec{
-		Engine:          o.engine,
-		ScheduleSeed:    o.scheduleSeed,
-		Faults:          o.faults,
-		MaxRounds:       o.maxRounds,
-		MaxDeliveries:   o.maxDeliveries,
-		Ctx:             o.ctx,
-		Reliable:        o.reliable,
-		ReliableOptions: o.relOpts,
+	if err := o.w.Faults.Validate(nw.N()); err != nil {
+		return Result{}, RunStats{}, fmt.Errorf("wcdsnet: %v: %w", err, ErrInvalidInput)
 	}
 	var rec *obs.Spans
 	if o.phases {
 		rec = obs.NewSpans()
-		spec.Phases = rec
 	}
-	var (
-		res Result
-		st  RunStats
-		err error
-	)
-	res, st.Stats, err = algo.DistributedRun(construction, nw.G, nw.ID, o.selection, o.zeroKnowledge, spec.Runner())
-	if rec != nil {
-		st.Phases = rec.Snapshot()
+	out := batch.Exec(o.ctx, &o.w, nw, 0, rec)
+	st := RunStats{Stats: out.Stats, Phases: out.Phases}
+	// One error taxonomy across every engine and layer: a centralized
+	// construction fails only on input outside its contract; budget
+	// blow-outs wrap ErrBudgetExceeded; cancellations keep their context
+	// cause (context.Canceled / context.DeadlineExceeded) visible to
+	// errors.Is.
+	switch {
+	case out.Err == nil:
+		return out.Result, st, nil
+	case o.w.Mode == "centralized":
+		return out.Result, st, fmt.Errorf("wcdsnet: %v: %w", out.Err, ErrInvalidInput)
+	case errors.Is(out.Err, simnet.ErrMaxRounds) || errors.Is(out.Err, simnet.ErrMaxDeliveries):
+		return out.Result, st, fmt.Errorf("wcdsnet: %w (%w)", out.Err, ErrBudgetExceeded)
 	}
-	if err != nil {
-		// One error taxonomy across every engine and layer: budget blow-outs
-		// wrap ErrBudgetExceeded; cancellations keep their context cause
-		// (context.Canceled / context.DeadlineExceeded) visible to errors.Is.
-		if errors.Is(err, simnet.ErrMaxRounds) || errors.Is(err, simnet.ErrMaxDeliveries) {
-			err = fmt.Errorf("wcdsnet: %w (%w)", err, ErrBudgetExceeded)
-		} else {
-			err = fmt.Errorf("wcdsnet: %w", err)
-		}
-	}
-	return res, st, err
+	return out.Result, st, fmt.Errorf("wcdsnet: %w", out.Err)
 }
 
 // --- batch engine ------------------------------------------------------------

@@ -118,28 +118,34 @@ func TestWorkloadEngineNormalize(t *testing.T) {
 	}
 }
 
-// TestNormalizeInProcessKnobs: the fields without a wire form need a
-// distributed backbone run, and a delivery budget must not be negative.
-func TestNormalizeInProcessKnobs(t *testing.T) {
+// TestExecOptionsCheck: the executor's in-process knobs need a distributed
+// backbone run, a delivery budget must not be negative, and Normalize
+// rejects eager selection without a distributed mode.
+func TestExecOptionsCheck(t *testing.T) {
 	backoff := func(int) int { return 1 }
 	cases := []struct {
 		name string
 		w    Workload
+		x    ExecOptions
 		want string // substring of the error, "" for acceptance
 	}{
-		{"zero knowledge, sync", Workload{Engine: "sync", ZeroKnowledge: true}, ""},
-		{"max deliveries, event", Workload{Engine: "event", MaxDeliveries: 100}, ""},
-		{"backoff, reliable async", Workload{Engine: "async", Reliable: true, Backoff: backoff}, ""},
-		{"zero knowledge, centralized", Workload{ZeroKnowledge: true}, "require a distributed backbone run"},
-		{"max deliveries, centralized", Workload{Mode: "centralized", MaxDeliveries: 100}, "require a distributed backbone run"},
-		{"backoff, centralized", Workload{Backoff: backoff}, "require a distributed backbone run"},
-		{"zero knowledge, dilation", Workload{Kind: Dilation, Engine: "sync", ZeroKnowledge: true}, "require a distributed backbone run"},
-		{"negative max deliveries", Workload{Engine: "sync", MaxDeliveries: -1}, "negative budget"},
-		{"eager, centralized", Workload{Algorithm: "I", Selection: "eager"}, "requires a distributed mode"},
-		{"eager, sync", Workload{Engine: "sync", Selection: "eager"}, ""},
+		{"zero knowledge, sync", Workload{Engine: "sync"}, ExecOptions{ZeroKnowledge: true}, ""},
+		{"max deliveries, event", Workload{Engine: "event"}, ExecOptions{MaxDeliveries: 100}, ""},
+		{"backoff, reliable async", Workload{Engine: "async", Reliable: true}, ExecOptions{Backoff: backoff}, ""},
+		{"phases, centralized", Workload{}, ExecOptions{Phases: true, MeasureWorkers: 2}, ""},
+		{"zero knowledge, centralized", Workload{}, ExecOptions{ZeroKnowledge: true}, "require a distributed backbone run"},
+		{"max deliveries, centralized", Workload{Mode: "centralized"}, ExecOptions{MaxDeliveries: 100}, "require a distributed backbone run"},
+		{"backoff, centralized", Workload{}, ExecOptions{Backoff: backoff}, "require a distributed backbone run"},
+		{"zero knowledge, dilation", Workload{Kind: Dilation, Engine: "sync"}, ExecOptions{ZeroKnowledge: true}, "require a distributed backbone run"},
+		{"negative max deliveries", Workload{Engine: "sync"}, ExecOptions{MaxDeliveries: -1}, "negative budget"},
+		{"eager, centralized", Workload{Algorithm: "I", Selection: "eager"}, ExecOptions{}, "requires a distributed mode"},
+		{"eager, sync", Workload{Engine: "sync", Selection: "eager"}, ExecOptions{}, ""},
 	}
 	for _, tc := range cases {
 		err := tc.w.Normalize()
+		if err == nil {
+			err = tc.x.Check(&tc.w)
+		}
 		switch {
 		case tc.want == "" && err != nil:
 			t.Errorf("%s: rejected: %v", tc.name, err)

@@ -300,7 +300,7 @@ func runScenario(ctx context.Context, sc Scenario, w *Workload, memo *netMemo, m
 		}
 		res.WallNS = time.Since(start).Nanoseconds()
 	}()
-	o := exec(ctx, w, memo, measureWorkers, obs.NewSpans())
+	o := exec(ctx, w, memo, ExecOptions{MeasureWorkers: measureWorkers, Phases: true})
 	return o.row(sc, w, memo.topoLabel)
 }
 
@@ -335,7 +335,7 @@ type Outcome struct {
 	Built  bool
 	Result wcds.Result
 	// Stats and Phases are a distributed run's costs, kept when it fails;
-	// Phases is nil unless the caller handed exec a recorder.
+	// Phases is nil unless the caller asked for it (ExecOptions.Phases).
 	Stats  simnet.Stats
 	Phases []obs.Span
 	// Dilation measures the spanner over the workload's pairs; Backbone
@@ -387,19 +387,40 @@ func (o *Outcome) Saving() float64 {
 	return 1 - float64(o.Backbone.Transmissions)/float64(o.Flood.Transmissions)
 }
 
+// ExecOptions are the caller's arguments to one Exec call, not part of the
+// job: none has a wire form, so none reaches a sweep or a cache key.
+type ExecOptions struct {
+	MeasureWorkers int                   // to spanner.DilationN as is (<= 0 means GOMAXPROCS)
+	Phases         bool                  // record a protocol run's per-phase costs (else nothing is paid)
+	ZeroKnowledge  bool                  // prepend HELLO neighbour discovery: nodes start knowing only their ID
+	MaxDeliveries  int                   // per-link delivery budget (0 = engine default)
+	Backoff        func(attempt int) int // reliable-layer retransmission backoff (nil = its default)
+}
+
+// Check reports whether x can run with the normalized workload w:
+// ZeroKnowledge, MaxDeliveries and Backoff need a distributed backbone run,
+// and a delivery budget must not be negative.
+func (x *ExecOptions) Check(w *Workload) error {
+	if (x.ZeroKnowledge || x.MaxDeliveries != 0 || x.Backoff != nil) && (w.Kind != Backbone || w.Mode == "centralized") {
+		return fmt.Errorf("zero knowledge, maxDeliveries and backoff require a distributed backbone run")
+	}
+	if x.MaxDeliveries < 0 {
+		return fmt.Errorf("negative budget")
+	}
+	return nil
+}
+
 // Exec runs one normalized workload on nw, a network its caller built,
-// through the executor of every sweep scenario, memoizing nothing.
-// measureWorkers goes to spanner.DilationN as is (<= 0 means GOMAXPROCS);
-// phases, when non-nil, records a distributed run's per-phase costs into
-// Outcome.Phases (nil records nothing and costs nothing).
-func Exec(ctx context.Context, w *Workload, nw *udg.Network, measureWorkers int, phases *obs.Spans) Outcome {
-	return exec(ctx, w, scene{nw}, measureWorkers, phases)
+// through the executor of every sweep scenario, memoizing nothing. x must
+// pass Check against w.
+func Exec(ctx context.Context, w *Workload, nw *udg.Network, x ExecOptions) Outcome {
+	return exec(ctx, w, scene{nw}, x)
 }
 
 // exec is the one job executor: it runs the normalized workload w on the
 // network of c and returns everything it measured. It verifies nothing;
 // see Outcome.Valid.
-func exec(ctx context.Context, w *Workload, c cell, measureWorkers int, phases *obs.Spans) (o Outcome) {
+func exec(ctx context.Context, w *Workload, c cell, x ExecOptions) (o Outcome) {
 	nw, err := c.network()
 	if err != nil {
 		o.fail(err, false)
@@ -418,7 +439,7 @@ func exec(ctx context.Context, w *Workload, c cell, measureWorkers int, phases *
 		// before the pairs are even enumerated.
 		if err = ctx.Err(); err == nil {
 			pairs := spanner.Pairs(nw.G, w.Pairs, w.SampleSeed)
-			o.Dilation, err = spanner.DilationN(ctx, nw.G, o.Result.Spanner, nw.Weight(), pairs, measureWorkers)
+			o.Dilation, err = spanner.DilationN(ctx, nw.G, o.Result.Spanner, nw.Weight(), pairs, x.MeasureWorkers)
 		}
 		if err != nil {
 			o.fail(err, false)
@@ -445,21 +466,23 @@ func exec(ctx context.Context, w *Workload, c cell, measureWorkers int, phases *
 			ScheduleSeed:    w.ScheduleSeed,
 			Faults:          w.Faults,
 			MaxRounds:       w.MaxRounds,
-			MaxDeliveries:   w.MaxDeliveries,
+			MaxDeliveries:   x.MaxDeliveries,
 			Ctx:             ctx,
 			Reliable:        w.Reliable,
-			ReliableOptions: reliable.Options{MaxRetries: w.MaxRetries, Backoff: w.Backoff},
+			ReliableOptions: reliable.Options{MaxRetries: w.MaxRetries, Backoff: x.Backoff},
 		}
-		if phases != nil { // a nil *obs.Spans would be a non-nil Recorder
-			spec.Phases = phases
+		var rec *obs.Spans
+		if x.Phases {
+			rec = obs.NewSpans()
+			spec.Phases = rec
 		}
 		mode := wcds.Deferred
 		if w.Selection == "eager" {
 			mode = wcds.Eager
 		}
-		o.Result, o.Stats, err = algo.DistributedRun(o.Construction, nw.G, nw.ID, mode, w.ZeroKnowledge, spec.Runner())
-		if phases != nil {
-			o.Phases = phases.Snapshot()
+		o.Result, o.Stats, err = algo.DistributedRun(o.Construction, nw.G, nw.ID, mode, x.ZeroKnowledge, spec.Runner())
+		if rec != nil {
+			o.Phases = rec.Snapshot()
 		}
 	}
 	if err != nil {

@@ -98,20 +98,6 @@ type Workload struct {
 	SampleSeed int64 `json:"sampleSeed,omitempty"`
 	// Source is the broadcast origin node (Broadcast).
 	Source int `json:"source,omitempty"`
-
-	// The knobs below have no wire form: only in-process callers (the
-	// wcdsnet facade) set them, and they never reach a cache key. Each
-	// needs a distributed backbone run.
-
-	// ZeroKnowledge prepends HELLO neighbour discovery: every node starts
-	// knowing only its own ID.
-	ZeroKnowledge bool `json:"-"`
-	// MaxDeliveries bounds the run's per-link deliveries (0 = engine
-	// default).
-	MaxDeliveries int `json:"-"`
-	// Backoff overrides the reliable layer's retransmission backoff (nil =
-	// its default).
-	Backoff func(attempt int) int `json:"-"`
 }
 
 // Normalize defaults and canonicalises the enum fields in place and
@@ -175,11 +161,7 @@ func (w *Workload) Normalize() error {
 	if w.Kind != Backbone && faulty {
 		return fmt.Errorf("faults/reliable budgets apply to backbone workloads only")
 	}
-	inProcess := w.ZeroKnowledge || w.MaxDeliveries != 0 || w.Backoff != nil
-	if inProcess && (w.Kind != Backbone || w.Mode == "centralized") {
-		return fmt.Errorf("zero knowledge, maxDeliveries and backoff require a distributed backbone run")
-	}
-	if w.MaxRetries < 0 || w.MaxRounds < 0 || w.MaxDeliveries < 0 {
+	if w.MaxRetries < 0 || w.MaxRounds < 0 {
 		return fmt.Errorf("negative budget")
 	}
 	if w.Source < 0 {

@@ -207,6 +207,13 @@ func RunWith(cfg Config, run Runner) (*Report, error) {
 			c.Name, strings.Join(algo.DistributedNames(), ", "))
 	}
 	cfg.Algorithm = c.Name
+	// A configuration the executor rejects (an unknown engine, a negative
+	// retry budget) fails the sweep here rather than degrading every
+	// scenario.
+	w := cfg.workload(cfg.N, &simnet.FaultPlan{})
+	if err := w.Normalize(); err != nil {
+		return nil, fmt.Errorf("chaos: %v", err)
+	}
 	rep := &Report{}
 	totals := obs.NewSpans()
 	for i := 0; i < cfg.Seeds; i++ {
@@ -291,19 +298,25 @@ func verify(nw *udg.Network, res wcds.Result, algoName string) string {
 	return strings.Join(problems, "; ")
 }
 
-func reliableDistributed(nw *udg.Network, plan simnet.FaultPlan, cfg Config) (wcds.Result, simnet.Stats, []obs.Span, error) {
+// workload is the batch job of one scenario: the reliable protocol on an
+// n-node network under plan, with the harness's round budget.
+func (cfg *Config) workload(n int, plan *simnet.FaultPlan) batch.Workload {
 	maxRounds := cfg.MaxRounds
 	if maxRounds <= 0 {
 		// Generous default: heavy fault schedules legitimately need many
 		// retransmission epochs beyond the paper's lossless bounds.
-		maxRounds = 200*nw.N() + 5000
+		maxRounds = 200*n + 5000
 	}
-	w := batch.Workload{Algorithm: cfg.Algorithm, Engine: cfg.Engine.String(), ScheduleSeed: plan.Seed,
-		Faults: &plan, Reliable: true, MaxRetries: cfg.MaxRetries, MaxRounds: maxRounds}
+	return batch.Workload{Algorithm: cfg.Algorithm, Engine: cfg.Engine.String(), ScheduleSeed: plan.Seed,
+		Faults: plan, Reliable: true, MaxRetries: cfg.MaxRetries, MaxRounds: maxRounds}
+}
+
+func reliableDistributed(nw *udg.Network, plan simnet.FaultPlan, cfg Config) (wcds.Result, simnet.Stats, []obs.Span, error) {
+	w := cfg.workload(nw.N(), &plan)
 	if err := w.Normalize(); err != nil {
 		return wcds.Result{}, simnet.Stats{}, nil, fmt.Errorf("chaos: %v", err)
 	}
-	out := batch.Exec(context.Background(), &w, nw, 0, obs.NewSpans())
+	out := batch.Exec(context.Background(), &w, nw, batch.ExecOptions{Phases: true})
 	return out.Result, out.Stats, out.Phases, out.Err
 }
 

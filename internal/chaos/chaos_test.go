@@ -101,6 +101,20 @@ func TestSweepZeroIntensityAllConverge(t *testing.T) {
 	}
 }
 
+// A configuration the job executor rejects fails the sweep up front: no
+// scenario runs, so none can be counted as an honest Degraded outcome.
+func TestSweepRejectsInvalidConfig(t *testing.T) {
+	for name, cfg := range map[string]Config{
+		"negative retries": {Seeds: 2, N: 15, AvgDegree: 4, MaxRetries: -1},
+		"unknown engine":   {Seeds: 2, N: 15, AvgDegree: 4, Engine: simnet.Engine(9)},
+	} {
+		rep, err := Run(cfg)
+		if err == nil {
+			t.Errorf("%s: sweep ran: %s", name, rep.Summary())
+		}
+	}
+}
+
 // The harness itself must catch a corrupt runner — a converged run whose
 // result diverges from the reference is a Violation, never silently
 // accepted.

@@ -27,25 +27,11 @@ func HTTPRunner(baseURL string, client *http.Client) Runner {
 		client = http.DefaultClient
 	}
 	return func(nw *udg.Network, plan simnet.FaultPlan, cfg Config) (wcds.Result, simnet.Stats, []obs.Span, error) {
-		algorithm := cfg.Algorithm
-		if algorithm == "" {
-			algorithm = "II"
-		}
-		req := api.BackboneRequest{
-			Algorithm: algorithm,
-			Selection: "deferred",
-			Faults:    &plan,
-			Reliable:  true,
-		}
-		req.Mode = cfg.Engine.String()
+		w := cfg.workload(nw.N(), &plan)
+		req := api.BackboneRequest{Algorithm: w.Algorithm, Mode: w.Engine, Selection: "deferred",
+			Faults: w.Faults, Reliable: true, MaxRetries: w.MaxRetries, MaxRounds: w.MaxRounds}
 		if cfg.Engine != simnet.EngineSync {
 			req.ScheduleSeed = plan.Seed
-		}
-		req.MaxRetries = cfg.MaxRetries
-		if cfg.MaxRounds > 0 {
-			req.MaxRounds = cfg.MaxRounds
-		} else {
-			req.MaxRounds = 200*nw.N() + 5000
 		}
 		req.Positions = make([][2]float64, nw.N())
 		for i, p := range nw.Pos {

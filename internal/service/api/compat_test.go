@@ -154,31 +154,3 @@ func TestDilationNormalizeRegistry(t *testing.T) {
 		t.Errorf("dilation on a ds-kind construction error %v", err)
 	}
 }
-
-// TestBatchCacheKeyIgnoresInProcessKnobs: the workload fields without a
-// wire form never reach the batch cache key, which stays the pinned key of
-// the plain spec.
-func TestBatchCacheKeyIgnoresInProcessKnobs(t *testing.T) {
-	const pinned = "e7daca3c7c2afc8bd1dd4b7a19f1bb62a7fb5c17a2acf4a7e1bb8b8fbfa8868e"
-	key := func(knobs bool) string {
-		var req BatchRequest
-		blob := `{"sizes":[40],"degrees":[7],"seeds":[1],"workloads":[{"mode":"sync","algorithm":"I"}]}`
-		if err := json.Unmarshal([]byte(blob), &req); err != nil {
-			t.Fatal(err)
-		}
-		if knobs {
-			w := &req.Workloads[0]
-			w.ZeroKnowledge, w.MaxDeliveries, w.Backoff = true, 500, func(int) int { return 2 }
-		}
-		if err := req.Normalize(1000, 10000); err != nil {
-			t.Fatal(err)
-		}
-		return req.CacheKey()
-	}
-	if got := key(false); got != pinned {
-		t.Fatalf("plain spec keys %s, want %s", got, pinned)
-	}
-	if got := key(true); got != pinned {
-		t.Fatalf("in-process knobs moved the key to %s", got)
-	}
-}

@@ -92,10 +92,9 @@ func TestBatchEndpointDeadlineCancels(t *testing.T) {
 	}
 }
 
-// TestBatchInProcessKnobsHaveNoWireForm: the workload fields only the
-// in-process facade sets are not part of the /v1/batch schema, so a body
-// naming one is rejected as an unknown field, word for word as before
-// those fields existed.
+// TestBatchInProcessKnobsHaveNoWireForm: the facade's zero-knowledge,
+// delivery-budget and backoff knobs are executor arguments, not workload
+// fields, so a /v1/batch body naming one is rejected as an unknown field.
 func TestBatchInProcessKnobsHaveNoWireForm(t *testing.T) {
 	_, ts := newTestService(t, Options{})
 	for field, value := range map[string]any{"zeroKnowledge": true, "maxDeliveries": 5, "backoff": 1} {

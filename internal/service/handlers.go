@@ -12,7 +12,6 @@ import (
 
 	"wcdsnet/internal/algo"
 	"wcdsnet/internal/batch"
-	"wcdsnet/internal/obs"
 	"wcdsnet/internal/service/api"
 	"wcdsnet/internal/udg"
 	"wcdsnet/internal/wcds"
@@ -113,7 +112,7 @@ func (s *Service) serveJob(w http.ResponseWriter, r *http.Request, endpoint stri
 			return nil, err
 		}
 		job := req.Workload()
-		out := batch.Exec(ctx, &job, nw, *measureWorkers, obs.NewSpans())
+		out := batch.Exec(ctx, &job, nw, batch.ExecOptions{MeasureWorkers: *measureWorkers, Phases: true})
 		return project(&out)
 	})
 }

@@ -145,12 +145,12 @@ const (
 )
 
 // runOptions is assembled by the Option list: the batch workload Run
-// executes, plus the per-call context and phase switch. The zero workload
-// is the centralized reference construction.
+// executes, the executor's in-process arguments and the per-call context.
+// The zero workload is the centralized reference construction.
 type runOptions struct {
-	w      batch.Workload
-	ctx    context.Context
-	phases bool
+	w   batch.Workload
+	x   batch.ExecOptions
+	ctx context.Context
 }
 
 // distribute selects a distributed run: the sync engine unless an engine
@@ -221,7 +221,7 @@ func WithFaults(plan FaultPlan) Option {
 func WithReliable(opts ReliableOptions) Option {
 	return func(o *runOptions) {
 		o.distribute()
-		o.w.Reliable, o.w.MaxRetries, o.w.Backoff = true, opts.MaxRetries, opts.Backoff
+		o.w.Reliable, o.w.MaxRetries, o.x.Backoff = true, opts.MaxRetries, opts.Backoff
 	}
 }
 
@@ -237,13 +237,13 @@ func WithMaxRounds(n int) Option {
 // asynchronous engine, where plain runs have no round clock. Implies
 // Distributed.
 func WithMaxDeliveries(n int) Option {
-	return func(o *runOptions) { o.distribute(); o.w.MaxDeliveries = n }
+	return func(o *runOptions) { o.distribute(); o.x.MaxDeliveries = n }
 }
 
 // ZeroKnowledge prepends in-protocol HELLO neighbour discovery: every node
 // starts knowing only its own ID. Implies Distributed.
 func ZeroKnowledge() Option {
-	return func(o *runOptions) { o.distribute(); o.w.ZeroKnowledge = true }
+	return func(o *runOptions) { o.distribute(); o.x.ZeroKnowledge = true }
 }
 
 // WithContext makes the run cancellable: a distributed run observes ctx
@@ -259,7 +259,7 @@ func WithContext(ctx context.Context) Option {
 // every transmission, delivery and retransmission is attributed to its
 // paper phase, with round extents and wall time. Implies Distributed.
 func WithPhases() Option {
-	return func(o *runOptions) { o.distribute(); o.phases = true }
+	return func(o *runOptions) { o.distribute(); o.x.Phases = true }
 }
 
 // WithWeightSeed draws per-node weights uniformly from [1, 2) with a
@@ -284,7 +284,9 @@ func WithWeightSeed(seed int64) Option {
 //	res, _, err := wcdsnet.Run(nw, wcdsnet.AlgoWeightedDS, wcdsnet.WithWeightSeed(7))
 //
 // The options fill one batch workload, checked by the rule every sweep
-// scenario and service request passes and run by the same executor.
+// scenario and service request passes and run by the same executor; the
+// knobs with no wire form (ZeroKnowledge, WithMaxDeliveries, the reliable
+// Backoff, WithPhases) go to that executor as batch.ExecOptions.
 // Errors wrap the package sentinels: ErrInvalidInput for bad arguments and
 // ErrBudgetExceeded when a distributed run exhausts its round or delivery
 // budget (test with errors.Is).
@@ -300,17 +302,17 @@ func Run(nw *Network, a Algorithm, opts ...Option) (Result, RunStats, error) {
 	for _, opt := range opts {
 		opt(&o)
 	}
-	if err := o.w.Normalize(); err != nil {
+	err := o.w.Normalize()
+	if err == nil {
+		err = o.x.Check(&o.w)
+	}
+	if err == nil {
+		err = o.w.Faults.Validate(nw.N())
+	}
+	if err != nil {
 		return Result{}, RunStats{}, fmt.Errorf("wcdsnet: %v: %w", err, ErrInvalidInput)
 	}
-	if err := o.w.Faults.Validate(nw.N()); err != nil {
-		return Result{}, RunStats{}, fmt.Errorf("wcdsnet: %v: %w", err, ErrInvalidInput)
-	}
-	var rec *obs.Spans
-	if o.phases {
-		rec = obs.NewSpans()
-	}
-	out := batch.Exec(o.ctx, &o.w, nw, 0, rec)
+	out := batch.Exec(o.ctx, &o.w, nw, o.x)
 	st := RunStats{Stats: out.Stats, Phases: out.Phases}
 	// One error taxonomy across every engine and layer: a centralized
 	// construction fails only on input outside its contract; budget

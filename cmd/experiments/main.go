@@ -1,5 +1,6 @@
-// Command experiments runs the full claim-validation suite (E1–E10 from
-// DESIGN.md) and prints the tables recorded in EXPERIMENTS.md.
+// Command experiments runs the full claim-validation suite (E1–E12 and the
+// ablations A1–A2 from DESIGN.md) and prints the tables recorded in
+// EXPERIMENTS.md.
 //
 // Usage:
 //
@@ -9,6 +10,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -17,20 +19,25 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout, os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+// run parses args and writes each selected experiment's section to w,
+// followed by its "(ID completed in …)" timing line.
+func run(w io.Writer, args []string) error {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	var (
-		quick  = flag.Bool("quick", false, "small instances (smoke run)")
-		trials = flag.Int("trials", 0, "trials per row (0 = config default)")
-		seed   = flag.Int64("seed", 0, "seed (0 = config default)")
-		only   = flag.String("only", "", "run a single experiment, e.g. E6")
+		quick  = fs.Bool("quick", false, "small instances (smoke run)")
+		trials = fs.Int("trials", 0, "trials per row (0 = config default)")
+		seed   = fs.Int64("seed", 0, "seed (0 = config default)")
+		only   = fs.String("only", "", "run a single experiment, e.g. E6")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	cfg := exp.DefaultConfig()
 	if *quick {
@@ -65,8 +72,9 @@ func run() error {
 		if err != nil {
 			return fmt.Errorf("%s: %w", id, err)
 		}
-		fmt.Println(res.String())
-		fmt.Printf("(%s completed in %s)\n\n", res.ID, time.Since(start).Round(time.Millisecond))
+		if _, err := fmt.Fprintf(w, "%s\n(%s completed in %s)\n\n", res, res.ID, time.Since(start).Round(time.Millisecond)); err != nil {
+			return err
+		}
 		if !res.Pass {
 			failed++
 		}

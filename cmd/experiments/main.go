@@ -50,20 +50,13 @@ func run(w io.Writer, args []string) error {
 		cfg.Seed = *seed
 	}
 
-	type namedRunner struct {
-		id  string
-		run exp.Runner
-	}
-	var runners []namedRunner
-	for i, r := range exp.All() {
-		runners = append(runners, namedRunner{id: fmt.Sprintf("E%d", i+1), run: r})
-	}
-	for i, r := range exp.Ablations() {
-		runners = append(runners, namedRunner{id: fmt.Sprintf("A%d", i+1), run: r})
-	}
+	experiments := exp.All()
 	failed := 0
-	for _, nr := range runners {
-		id, runner := nr.id, nr.run
+	for i, runner := range append(experiments, exp.Ablations()...) {
+		id := fmt.Sprintf("E%d", i+1)
+		if i >= len(experiments) {
+			id = fmt.Sprintf("A%d", i+1-len(experiments))
+		}
 		if *only != "" && !strings.EqualFold(*only, id) {
 			continue
 		}

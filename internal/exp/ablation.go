@@ -1,11 +1,10 @@
 package exp
 
 import (
-	"math/rand"
-
+	"wcdsnet/internal/batch"
 	"wcdsnet/internal/mis"
-	"wcdsnet/internal/simnet"
 	"wcdsnet/internal/stats"
+	"wcdsnet/internal/udg"
 	"wcdsnet/internal/wcds"
 )
 
@@ -19,38 +18,30 @@ func Ablations() []Runner {
 // prose). Both must yield valid WCDSs; the ablation measures the price of
 // eagerness in additional dominators and messages.
 func RunA1(cfg Config) (Result, error) {
-	rng := rand.New(rand.NewSource(cfg.Seed + 101))
+	spec := &batch.Spec{
+		Sizes:     cfg.sizes(200, 400),
+		Degrees:   []float64{8, 14},
+		Seeds:     cfg.seeds(101, cfg.trials()),
+		Workloads: []batch.Workload{{Mode: "sync"}, {Mode: "sync", Selection: "eager"}},
+	}
+	cells, err := sweep(spec)
+	if err != nil {
+		return Result{}, err
+	}
 	table := stats.NewTable("n", "deg", "deferred add'l", "eager add'l", "deferred msgs", "eager msgs", "both valid")
+	additional := func(r batch.Result) int { return r.Additional }
+	messages := func(r batch.Result) int { return r.Messages }
 	pass := true
-	for _, n := range cfg.sizes(200, 400) {
-		for _, deg := range []float64{8, 14} {
-			var dAdd, eAdd, dMsg, eMsg float64
+	for si, n := range spec.Sizes {
+		for di, deg := range spec.Degrees {
+			d, e := cells.at(si, di, 0), cells.at(si, di, 1)
 			valid := true
-			for trial := 0; trial < cfg.trials(); trial++ {
-				nw, err := genNet(rng, n, deg)
-				if err != nil {
-					return Result{}, err
-				}
-				dRes, dStats, err := wcds.Algo2Distributed(nw.G, nw.ID, wcds.Deferred, wcds.EngineRunner(simnet.EngineSync))
-				if err != nil {
-					return Result{}, err
-				}
-				eRes, eStats, err := wcds.Algo2Distributed(nw.G, nw.ID, wcds.Eager, wcds.EngineRunner(simnet.EngineSync))
-				if err != nil {
-					return Result{}, err
-				}
-				if !wcds.IsWCDS(nw.G, dRes.Dominators) || !wcds.IsWCDS(nw.G, eRes.Dominators) {
-					valid = false
-				}
-				dAdd += float64(len(dRes.AdditionalDominators))
-				eAdd += float64(len(eRes.AdditionalDominators))
-				dMsg += float64(dStats.Messages)
-				eMsg += float64(eStats.Messages)
+			for k := range d {
+				valid = valid && d[k].Valid && e[k].Valid
 			}
-			tr := float64(cfg.trials())
 			pass = pass && valid
-			table.AddRow(stats.I(n), stats.F(deg, 0), stats.F(dAdd/tr, 1), stats.F(eAdd/tr, 1),
-				stats.F(dMsg/tr, 0), stats.F(eMsg/tr, 0), passMark(valid))
+			table.AddRow(stats.I(n), stats.F(deg, 0), stats.F(mean(d, additional), 1), stats.F(mean(e, additional), 1),
+				stats.F(mean(d, messages), 0), stats.F(mean(e, messages), 0), passMark(valid))
 		}
 	}
 	return Result{
@@ -67,7 +58,6 @@ func RunA1(cfg Config) (Result, error) {
 // MISs of similar size whose weakly induced subgraph may be DISCONNECTED —
 // quantifying why the paper pays for the spanning-tree phases.
 func RunA2(cfg Config) (Result, error) {
-	rng := rand.New(rand.NewSource(cfg.Seed + 102))
 	table := stats.NewTable("ranking", "n", "avg |MIS|", "WCDS rate", "required")
 	pass := true
 	for _, n := range cfg.sizes(100, 200) {
@@ -77,8 +67,8 @@ func RunA2(cfg Config) (Result, error) {
 		}
 		results := map[string]*acc{"level-id": {}, "id": {}, "degree-id": {}}
 		trials := cfg.trials() * 2
-		for trial := 0; trial < trials; trial++ {
-			nw, err := genNet(rng, n, 6)
+		for _, seed := range cfg.seeds(102, trials) {
+			nw, err := batch.Generate(udg.Topology{}, n, 6, seed)
 			if err != nil {
 				return Result{}, err
 			}

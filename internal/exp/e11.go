@@ -1,11 +1,11 @@
 package exp
 
 import (
-	"math/rand"
-
+	"wcdsnet/internal/batch"
 	"wcdsnet/internal/graph"
 	"wcdsnet/internal/spanner"
 	"wcdsnet/internal/stats"
+	"wcdsnet/internal/udg"
 	"wcdsnet/internal/wcds"
 )
 
@@ -15,7 +15,6 @@ import (
 // There is no bound to check — the experiment quantifies the price of not
 // knowing coordinates, which is the paper's selling point.
 func RunE11(cfg Config) (Result, error) {
-	rng := rand.New(rand.NewSource(cfg.Seed + 11))
 	table := stats.NewTable("spanner", "n", "edges/node", "worst h'/h", "worst l'/l", "needs positions")
 	pass := true
 	for _, n := range cfg.sizes(150, 300) {
@@ -23,8 +22,8 @@ func RunE11(cfg Config) (Result, error) {
 			edges, topo, geo float64
 		}
 		results := map[string]*agg{"WCDS-II": {}, "RNG": {}, "Gabriel": {}}
-		for trial := 0; trial < cfg.trials(); trial++ {
-			nw, err := genNet(rng, n, 14)
+		for _, seed := range cfg.seeds(11, cfg.trials()) {
+			nw, err := batch.Generate(udg.Topology{}, n, 14, seed)
 			if err != nil {
 				return Result{}, err
 			}

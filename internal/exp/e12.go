@@ -3,8 +3,10 @@ package exp
 import (
 	"math/rand"
 
+	"wcdsnet/internal/batch"
 	"wcdsnet/internal/graph"
 	"wcdsnet/internal/mis"
+	"wcdsnet/internal/spanner"
 	"wcdsnet/internal/stats"
 	"wcdsnet/internal/udg"
 	"wcdsnet/internal/wcds"
@@ -18,36 +20,35 @@ import (
 // dilation) are allowed to drift. The experiment verifies the former and
 // measures the latter.
 func RunE12(cfg Config) (Result, error) {
-	rng := rand.New(rand.NewSource(cfg.Seed + 12))
 	table := stats.NewTable("model", "n", "WCDS ok", "max MIS nbrs", "max ≤3-hop", "worst h'/h", "3h+2 ok")
 	pass := true
+	quasi := udg.Topology{Kind: "quasi", Params: map[string]float64{"rmin": 0.5, "rmax": 1, "p": 0.5}}
 	for _, n := range cfg.sizes(120, 240) {
 		type agg struct {
-			ok                 bool
-			maxNbrs, maxPack   int
-			worstTopo          float64
-			topoOK             bool
-			instances, skipped int
+			ok               bool
+			maxNbrs, maxPack int
+			worstTopo        float64
+			topoOK           bool
 		}
 		models := map[string]*agg{
 			"udg":       {ok: true, topoOK: true},
 			"quasi-udg": {ok: true, topoOK: true},
 			"gnp":       {ok: true, topoOK: true},
 		}
-		for trial := 0; trial < cfg.trials(); trial++ {
+		for _, seed := range cfg.seeds(12, cfg.trials()) {
 			instances := map[string]*udg.Network{}
-			if nw, err := genNet(rng, n, 10); err == nil {
-				instances["udg"] = nw
+			var err error
+			if instances["udg"], err = batch.Generate(udg.Topology{}, n, 10, seed); err != nil {
+				return Result{}, err
 			}
-			if nw := udg.GenQuasi(rng, n, udg.SideForAvgDegree(n, 10), 0.5, 1.0, 0.5); nw.G.Connected() {
-				instances["quasi-udg"] = nw
+			if instances["quasi-udg"], err = batch.Generate(quasi, n, 10, seed); err != nil {
+				return Result{}, err
 			}
-			if nw := gnpNetwork(rng, n, 10); nw.G.Connected() {
+			if nw := gnpNetwork(rand.New(rand.NewSource(seed)), n, 10); nw.G.Connected() {
 				instances["gnp"] = nw
 			}
 			for name, nw := range instances {
 				a := models[name]
-				a.instances++
 				res := wcds.Algo2Centralized(nw.G, nw.ID)
 				if !wcds.IsWCDS(nw.G, res.Dominators) {
 					a.ok = false
@@ -60,12 +61,10 @@ func RunE12(cfg Config) (Result, error) {
 				}
 				// Topological dilation on sampled pairs (hop metric is
 				// defined for any graph; geometric dilation is not
-				// meaningful for gnp).
-				worst, ok := sampledTopoDilation(rng, nw.G, res, 200)
-				if worst > a.worstTopo {
-					a.worstTopo = worst
-				}
-				a.topoOK = a.topoOK && ok
+				// meaningful for gnp). A disconnected spanner fails it.
+				rep, err := spanner.Dilation(nw.G, res.Spanner, nw.Weight(), spanner.Pairs(nw.G, 200, seed))
+				a.worstTopo = max(a.worstTopo, rep.WorstTopo.TopoRatio())
+				a.topoOK = a.topoOK && err == nil && rep.TopoBoundHolds
 			}
 		}
 		for _, name := range []string{"udg", "quasi-udg", "gnp"} {
@@ -113,32 +112,4 @@ func gnpNetwork(rng *rand.Rand, n int, avgDeg float64) *udg.Network {
 	nw := udg.GenUniform(rng, n, udg.SideForAvgDegree(n, avgDeg))
 	nw.G = g
 	return nw
-}
-
-// sampledTopoDilation measures the worst h'/h over sampled non-adjacent
-// pairs and whether h' ≤ 3h+2 held for all of them.
-func sampledTopoDilation(rng *rand.Rand, g *graph.Graph, res wcds.Result, samples int) (float64, bool) {
-	worst, ok := 0.0, true
-	for s := 0; s < samples; s++ {
-		u, v := rng.Intn(g.N()), rng.Intn(g.N())
-		if u == v || g.HasEdge(u, v) {
-			continue
-		}
-		h := g.HopDist(u, v)
-		if h <= 0 {
-			continue
-		}
-		hs := res.Spanner.HopDist(u, v)
-		if hs < 0 {
-			ok = false
-			continue
-		}
-		if r := float64(hs) / float64(h); r > worst {
-			worst = r
-		}
-		if hs > 3*h+2 {
-			ok = false
-		}
-	}
-	return worst, ok
 }

@@ -1,18 +1,24 @@
 // Package exp is the experiment harness: one runner per experiment in
-// DESIGN.md's per-experiment index (E1–E10), each regenerating the numbers
-// recorded in EXPERIMENTS.md and checking the paper's bound for that claim.
+// DESIGN.md's per-experiment index (E1–E12, ablations A1–A2), each
+// regenerating the numbers recorded in EXPERIMENTS.md and checking the
+// paper's bound for that claim.
 //
 // The paper itself reports no measurement tables (it is analytical), so
 // each experiment validates a stated theorem/lemma empirically and records
 // the measured distributions; see DESIGN.md §2.
+//
+// Every scene is a batch cell: the network batch.Generate draws for a
+// (size, degree, seed) triple. The sweep-shaped experiments (E5–E9, A1)
+// run as batch.Specs through batch.Run and aggregate its rows; the others
+// draw their cells with batch.Generate and measure them directly.
 package exp
 
 import (
+	"context"
 	"fmt"
-	"math/rand"
 	"strings"
 
-	"wcdsnet/internal/udg"
+	"wcdsnet/internal/batch"
 )
 
 // Config controls experiment scale.
@@ -119,14 +125,59 @@ func (c Config) trials() int {
 	return c.Trials
 }
 
-// genNet draws a connected network with a target average degree, retrying
-// generously.
-func genNet(rng *rand.Rand, n int, deg float64) (*udg.Network, error) {
-	nw, err := udg.GenConnectedAvgDegree(rng, n, deg, 2000)
-	if err != nil {
-		return nil, fmt.Errorf("exp: generate n=%d deg=%.0f: %w", n, deg, err)
+// seeds returns the cell seeds of count trials of experiment k (1–12 for
+// E1–E12, 101 and 102 for A1 and A2): trial t's is cfg.Seed + 1000·k + t.
+// Trials therefore never share a random stream, and a trial's scene does
+// not depend on how many trials or experiments ran before it.
+func (c Config) seeds(k, count int) []int64 {
+	out := make([]int64, count)
+	for t := range out {
+		out[t] = c.Seed + 1000*int64(k) + int64(t)
 	}
-	return nw, nil
+	return out
+}
+
+// cells is a finished sweep, addressed by cell.
+type cells struct {
+	spec    *batch.Spec
+	results []batch.Result
+}
+
+// sweep runs spec through the batch executor (GOMAXPROCS workers; the rows
+// are the same for any count). A failed row is an error: every cell of an
+// experiment must be measured.
+func sweep(spec *batch.Spec) (cells, error) {
+	rep, err := batch.Run(context.Background(), spec, batch.Options{})
+	if err != nil {
+		return cells{}, err
+	}
+	for _, r := range rep.Results {
+		if r.Err != "" || r.Failure != "" {
+			return cells{}, fmt.Errorf("exp: n=%d deg=%g seed=%d %s: %s%s", r.Size, r.Degree, r.Seed, r.Workload, r.Err, r.Failure)
+		}
+	}
+	return cells{spec, rep.Results}, nil
+}
+
+// at returns the rows of workload wi over every seed of the cell
+// (Sizes[si], Degrees[di]), in seed order. The spec has no topology axis.
+func (c cells) at(si, di, wi int) []batch.Result {
+	seeds, workloads := len(c.spec.Seeds), len(c.spec.Workloads)
+	lo := (si*len(c.spec.Degrees) + di) * seeds * workloads
+	out := make([]batch.Result, seeds)
+	for k := range out {
+		out[k] = c.results[lo+k*workloads+wi]
+	}
+	return out
+}
+
+// mean averages one integer field over rows.
+func mean(rows []batch.Result, field func(batch.Result) int) float64 {
+	sum := 0
+	for _, r := range rows {
+		sum += field(r)
+	}
+	return float64(sum) / float64(len(rows))
 }
 
 // passMark renders a boolean as a table cell.

@@ -1,8 +1,13 @@
 package exp
 
 import (
+	"context"
+	"fmt"
 	"strings"
 	"testing"
+
+	"wcdsnet/internal/batch"
+	"wcdsnet/internal/stats"
 )
 
 func TestQuickConfigSizes(t *testing.T) {
@@ -81,5 +86,48 @@ func TestAblationsQuick(t *testing.T) {
 		if !res.Pass {
 			t.Errorf("%s FAILED:\n%s", res.ID, res.String())
 		}
+	}
+}
+
+// TestE6AggregatesDilationRows pins that E6 reads its table off the batch
+// sweep: Algorithm II's worst h'/h in each (n, deg) row is the maximum
+// worstTopo over that cell's dilation rows, here from a one-worker run.
+func TestE6AggregatesDilationRows(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiment suite skipped in -short mode")
+	}
+	cfg := QuickConfig()
+	res, err := RunE6(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := e6Spec(cfg)
+	rep, err := batch.Run(context.Background(), spec, batch.Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]float64{}
+	for _, r := range rep.Results {
+		if r.Workload == "dilation-II-p0" {
+			key := fmt.Sprintf("%d/%g", r.Size, r.Degree)
+			want[key] = max(want[key], r.WorstTopo)
+		}
+	}
+	if len(want) != len(spec.Sizes)*len(spec.Degrees) {
+		t.Fatalf("dilation-II rows cover %d cells, want %d", len(want), len(spec.Sizes)*len(spec.Degrees))
+	}
+	for _, line := range strings.Split(res.Table, "\n") {
+		f := strings.Fields(line) // algo, n, deg, worst h'/h, worst l'/l, bounds ok
+		if len(f) != 6 || f[0] != "II" {
+			continue
+		}
+		key := f[1] + "/" + f[2]
+		if got := f[3]; got != stats.F(want[key], 2) {
+			t.Errorf("E6 II n=%s deg=%s: worst h'/h %s, dilation rows give %s", f[1], f[2], got, stats.F(want[key], 2))
+		}
+		delete(want, key)
+	}
+	if len(want) != 0 {
+		t.Errorf("E6 table has no Algorithm II row for %v", want)
 	}
 }

@@ -1,42 +1,24 @@
 package exp
 
 import (
-	"math/rand"
-
 	"wcdsnet/internal/baseline"
+	"wcdsnet/internal/batch"
 	"wcdsnet/internal/mis"
 	"wcdsnet/internal/stats"
 	"wcdsnet/internal/udg"
 	"wcdsnet/internal/wcds"
 )
 
-// Thin wrappers keep the experiment bodies uniform.
-
-func baselineExactWCDS(nw *udg.Network) (int, error) {
-	set, err := baseline.ExactMinWCDS(nw.G)
-	return len(set), err
-}
-
-func baselineGreedyWCDS(nw *udg.Network) (int, error) {
-	set, err := baseline.GreedyWCDS(nw.G)
-	return len(set), err
-}
-
-func baselineMISLB(nw *udg.Network) int {
-	return baseline.MISLowerBound(nw.G, nw.ID)
-}
-
 // RunE1 validates Lemma 1: in a unit-disk graph, a node outside an MIS has
 // at most five MIS neighbours, for every ranking strategy.
 func RunE1(cfg Config) (Result, error) {
-	rng := rand.New(rand.NewSource(cfg.Seed + 1))
 	table := stats.NewTable("ranking", "n", "avg deg", "max MIS nbrs", "bound", "holds")
 	pass := true
 	for _, n := range cfg.sizes(200, 400) {
 		for _, deg := range []float64{6, 12, 20} {
 			maxByRank := map[string]int{"id": 0, "level-id": 0, "degree-id": 0}
-			for trial := 0; trial < cfg.trials(); trial++ {
-				nw, err := genNet(rng, n, deg)
+			for _, seed := range cfg.seeds(1, cfg.trials()) {
+				nw, err := batch.Generate(udg.Topology{}, n, deg, seed)
 				if err != nil {
 					return Result{}, err
 				}
@@ -71,18 +53,21 @@ func RunE1(cfg Config) (Result, error) {
 // hops away and at most 47 within three hops, including on clustered
 // (adversarially dense) layouts.
 func RunE2(cfg Config) (Result, error) {
-	rng := rand.New(rand.NewSource(cfg.Seed + 2))
 	table := stats.NewTable("layout", "n", "max 2-hop", "bound", "max ≤3-hop", "bound", "holds")
 	pass := true
+	clusters := udg.Topology{Kind: "clusters", Params: map[string]float64{"k": 4, "sigma": 1}}
 	for _, n := range cfg.sizes(300, 600) {
 		maxTwo := map[string]int{"uniform": 0, "clustered": 0}
 		maxThree := map[string]int{"uniform": 0, "clustered": 0}
-		for trial := 0; trial < cfg.trials(); trial++ {
-			uniform, err := genNet(rng, n, 14)
+		for _, seed := range cfg.seeds(2, cfg.trials()) {
+			uniform, err := batch.Generate(udg.Topology{}, n, 14, seed)
 			if err != nil {
 				return Result{}, err
 			}
-			clustered := udg.GenClusters(rng, n, 4, 8, 1.0)
+			clustered, err := batch.Generate(clusters, n, 14, seed)
+			if err != nil {
+				return Result{}, err
+			}
 			for name, nw := range map[string]*udg.Network{"uniform": uniform, "clustered": clustered} {
 				set := mis.Greedy(nw.G, mis.ByID(nw.ID))
 				two, three := mis.PackingCounts(nw.G, set)
@@ -113,13 +98,12 @@ func RunE2(cfg Config) (Result, error) {
 // arbitrary (ID-ranked) MIS are 2 or 3 hops apart; with level-based ranking
 // the distance is exactly 2.
 func RunE3(cfg Config) (Result, error) {
-	rng := rand.New(rand.NewSource(cfg.Seed + 3))
 	table := stats.NewTable("ranking", "n", "k=2", "k=3", "k>3", "holds")
 	pass := true
 	for _, n := range cfg.sizes(100, 200) {
 		counts := map[string][3]int{"id": {}, "level-id": {}}
-		for trial := 0; trial < cfg.trials()*2; trial++ {
-			nw, err := genNet(rng, n, 7)
+		for _, seed := range cfg.seeds(3, cfg.trials()*2) {
+			nw, err := batch.Generate(udg.Topology{}, n, 7, seed)
 			if err != nil {
 				return Result{}, err
 			}
@@ -164,7 +148,6 @@ func RunE3(cfg Config) (Result, error) {
 // instances (Lemma 7's 5·opt bound for Algorithm I) and against the
 // ⌈|MIS|/5⌉ lower bound at larger scale.
 func RunE4(cfg Config) (Result, error) {
-	rng := rand.New(rand.NewSource(cfg.Seed + 4))
 	table := stats.NewTable("n", "opt/LB", "algoI", "algoII", "greedy", "worst ratio I", "≤5", "holds")
 	pass := true
 
@@ -176,26 +159,26 @@ func RunE4(cfg Config) (Result, error) {
 	for _, n := range exactN {
 		var optSum, a1Sum, a2Sum, grSum int
 		worst := 0.0
-		for trial := 0; trial < cfg.trials(); trial++ {
-			nw, err := udg.GenConnected(rng, n, udg.SideForAvgDegree(n, 5), 2000)
+		for _, seed := range cfg.seeds(4, cfg.trials()) {
+			nw, err := batch.Generate(udg.Topology{}, n, 5, seed)
 			if err != nil {
 				return Result{}, err
 			}
-			opt, err := baselineExactWCDS(nw)
+			opt, err := baseline.ExactMinWCDS(nw.G)
 			if err != nil {
 				return Result{}, err
 			}
 			a1 := len(wcds.Algo1Centralized(nw.G, nw.ID).Dominators)
 			a2 := len(wcds.Algo2Centralized(nw.G, nw.ID).Dominators)
-			gr, err := baselineGreedyWCDS(nw)
+			gr, err := baseline.GreedyWCDS(nw.G)
 			if err != nil {
 				return Result{}, err
 			}
-			optSum += opt
+			optSum += len(opt)
 			a1Sum += a1
 			a2Sum += a2
-			grSum += gr
-			if r := float64(a1) / float64(opt); r > worst {
+			grSum += len(gr)
+			if r := float64(a1) / float64(len(opt)); r > worst {
 				worst = r
 			}
 		}
@@ -210,22 +193,22 @@ func RunE4(cfg Config) (Result, error) {
 	for _, n := range cfg.sizes(200, 500) {
 		var lbSum, a1Sum, a2Sum, grSum int
 		worst := 0.0
-		for trial := 0; trial < cfg.trials(); trial++ {
-			nw, err := genNet(rng, n, 10)
+		for _, seed := range cfg.seeds(4, cfg.trials()) {
+			nw, err := batch.Generate(udg.Topology{}, n, 10, seed)
 			if err != nil {
 				return Result{}, err
 			}
-			lb := baselineMISLB(nw)
+			lb := baseline.MISLowerBound(nw.G, nw.ID)
 			a1 := len(wcds.Algo1Centralized(nw.G, nw.ID).Dominators)
 			a2 := len(wcds.Algo2Centralized(nw.G, nw.ID).Dominators)
-			gr, err := baselineGreedyWCDS(nw)
+			gr, err := baseline.GreedyWCDS(nw.G)
 			if err != nil {
 				return Result{}, err
 			}
 			lbSum += lb
 			a1Sum += a1
 			a2Sum += a2
-			grSum += gr
+			grSum += len(gr)
 			if r := float64(a1) / float64(lb); r > worst {
 				worst = r
 			}
@@ -253,36 +236,33 @@ func RunE4(cfg Config) (Result, error) {
 // weakly induced subgraph has Θ(n) edges even as the graph itself grows
 // quadratically dense.
 func RunE5(cfg Config) (Result, error) {
-	rng := rand.New(rand.NewSource(cfg.Seed + 5))
+	spec := &batch.Spec{
+		Sizes:     cfg.sizes(200, 500, 1000),
+		Degrees:   []float64{10, 20},
+		Seeds:     cfg.seeds(5, cfg.trials()),
+		Workloads: []batch.Workload{{Algorithm: "I"}, {Algorithm: "II"}},
+	}
+	cells, err := sweep(spec)
+	if err != nil {
+		return Result{}, err
+	}
 	table := stats.NewTable("n", "deg", "|E(G)|", "algoI edges", "algoII edges", "II edges/node", "bound ok")
 	pass := true
-	for _, n := range cfg.sizes(200, 500, 1000) {
-		for _, deg := range []float64{10, 20} {
-			var eG, e1, e2 float64
+	for si, n := range spec.Sizes {
+		for di, deg := range spec.Degrees {
+			r1, r2 := cells.at(si, di, 0), cells.at(si, di, 1)
 			boundOK := true
-			for trial := 0; trial < cfg.trials(); trial++ {
-				nw, err := genNet(rng, n, deg)
-				if err != nil {
-					return Result{}, err
-				}
-				r1 := wcds.Algo1Centralized(nw.G, nw.ID)
-				r2 := wcds.Algo2Centralized(nw.G, nw.ID)
-				eG += float64(nw.G.M())
-				e1 += float64(r1.Spanner.M())
-				e2 += float64(r2.Spanner.M())
-				gray1 := nw.N() - len(r1.Dominators)
-				if r1.Spanner.M() > 5*gray1 {
-					boundOK = false
-				}
-				gray2 := nw.N() - len(r2.Dominators)
-				if r2.Spanner.M() > 9*gray2+47*len(r2.MISDominators) {
+			for k := range r1 {
+				gray1, gray2 := n-r1[k].Backbone, n-r2[k].Backbone
+				if r1[k].SpannerEdges > 5*gray1 || r2[k].SpannerEdges > 9*gray2+47*r2[k].MIS {
 					boundOK = false
 				}
 			}
-			tr := float64(cfg.trials())
 			pass = pass && boundOK
-			table.AddRow(stats.I(n), stats.F(deg, 0), stats.F(eG/tr, 0), stats.F(e1/tr, 0),
-				stats.F(e2/tr, 0), stats.F(e2/tr/float64(n), 2), passMark(boundOK))
+			spannerEdges := func(r batch.Result) int { return r.SpannerEdges }
+			e2 := mean(r2, spannerEdges)
+			table.AddRow(stats.I(n), stats.F(deg, 0), stats.F(mean(r1, func(r batch.Result) int { return r.Edges }), 0),
+				stats.F(mean(r1, spannerEdges), 0), stats.F(e2, 0), stats.F(e2/float64(n), 2), passMark(boundOK))
 		}
 	}
 	return Result{

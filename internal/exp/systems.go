@@ -6,6 +6,7 @@ import (
 	"math/rand"
 
 	"wcdsnet/internal/baseline"
+	"wcdsnet/internal/batch"
 	"wcdsnet/internal/geom"
 	"wcdsnet/internal/maintain"
 	"wcdsnet/internal/mis"
@@ -17,51 +18,45 @@ import (
 	"wcdsnet/internal/wcds"
 )
 
+// e6Spec is E6's sweep: all-pairs dilation of Algorithms I and II.
+func e6Spec(cfg Config) *batch.Spec {
+	return &batch.Spec{
+		Sizes:   cfg.sizes(100, 200),
+		Degrees: []float64{6, 12},
+		Seeds:   cfg.seeds(6, cfg.trials()),
+		Workloads: []batch.Workload{
+			{Kind: batch.Dilation, Algorithm: "I"},
+			{Kind: batch.Dilation, Algorithm: "II"},
+		},
+	}
+}
+
 // RunE6 validates Theorem 11: Algorithm II's spanner has topological
 // dilation 3 (h' ≤ 3h+2) and geometric dilation 6 (l' ≤ 6l+5), checked
 // exhaustively over all non-adjacent pairs. Algorithm I's dilation is
 // measured alongside for comparison (the paper proves no bound for it).
 func RunE6(cfg Config) (Result, error) {
-	rng := rand.New(rand.NewSource(cfg.Seed + 6))
-	table := stats.NewTable("algo", "n", "deg", "worst h'/h", "3h+2 ok", "worst l'/l", "6l+5 ok")
+	spec := e6Spec(cfg)
+	cells, err := sweep(spec)
+	if err != nil {
+		return Result{}, err
+	}
+	table := stats.NewTable("algo", "n", "deg", "worst h'/h", "worst l'/l", "bounds ok")
 	pass := true
-	for _, n := range cfg.sizes(100, 200) {
-		for _, deg := range []float64{6, 12} {
-			worstTopo := map[string]float64{"I": 0, "II": 0}
-			worstGeo := map[string]float64{"I": 0, "II": 0}
-			okTopo := map[string]bool{"I": true, "II": true}
-			okGeo := map[string]bool{"I": true, "II": true}
-			for trial := 0; trial < cfg.trials(); trial++ {
-				nw, err := genNet(rng, n, deg)
-				if err != nil {
-					return Result{}, err
+	for si, n := range spec.Sizes {
+		for di, deg := range spec.Degrees {
+			for wi, w := range spec.Workloads {
+				worstTopo, worstGeo, ok := 0.0, 0.0, true
+				for _, r := range cells.at(si, di, wi) {
+					worstTopo = max(worstTopo, r.WorstTopo)
+					worstGeo = max(worstGeo, r.WorstGeo)
+					ok = ok && r.BoundsOK
 				}
-				pairs := spanner.AllPairs(nw.G)
-				for name, res := range map[string]wcds.Result{
-					"I":  wcds.Algo1Centralized(nw.G, nw.ID),
-					"II": wcds.Algo2Centralized(nw.G, nw.ID),
-				} {
-					rep, err := spanner.Dilation(nw.G, res.Spanner, nw.Weight(), pairs)
-					if err != nil {
-						return Result{}, err
-					}
-					if r := rep.WorstTopo.TopoRatio(); r > worstTopo[name] {
-						worstTopo[name] = r
-					}
-					if r := rep.WorstGeo.GeoRatio(); r > worstGeo[name] {
-						worstGeo[name] = r
-					}
-					okTopo[name] = okTopo[name] && rep.TopoBoundHolds
-					okGeo[name] = okGeo[name] && rep.GeoBoundHolds
+				if w.Algorithm == "II" {
+					pass = pass && ok
 				}
-			}
-			for _, name := range []string{"I", "II"} {
-				if name == "II" {
-					pass = pass && okTopo[name] && okGeo[name]
-				}
-				table.AddRow(name, stats.I(n), stats.F(deg, 0),
-					stats.F(worstTopo[name], 2), passMark(okTopo[name]),
-					stats.F(worstGeo[name], 2), passMark(okGeo[name]))
+				table.AddRow(w.Algorithm, stats.I(n), stats.F(deg, 0),
+					stats.F(worstTopo, 2), stats.F(worstGeo, 2), passMark(ok))
 			}
 		}
 	}
@@ -71,7 +66,10 @@ func RunE6(cfg Config) (Result, error) {
 		Claim: "Theorem 11: Algorithm II's spanner satisfies h' ≤ 3h+2 and l' ≤ 6l+5 for all non-adjacent pairs",
 		Table: table.String(),
 		Pass:  pass,
-		Notes: []string{"Algorithm I rows are informational; the paper proves dilation bounds only for Algorithm II."},
+		Notes: []string{
+			"bounds ok = h' ≤ 3h+2 and l' ≤ 6l+5 held for every pair of every instance.",
+			"Algorithm I rows are informational; the paper proves dilation bounds only for Algorithm II.",
+		},
 	}, nil
 }
 
@@ -79,30 +77,23 @@ func RunE6(cfg Config) (Result, error) {
 // messages (Theorem 12) while Algorithm I is dominated by leader election
 // (O(n log n) in the paper via [9]; our flood-max substitute is measured).
 func RunE7(cfg Config) (Result, error) {
-	rng := rand.New(rand.NewSource(cfg.Seed + 7))
+	spec := &batch.Spec{
+		Sizes:     cfg.sizes(100, 200, 400, 800, 1600),
+		Degrees:   []float64{10},
+		Seeds:     cfg.seeds(7, cfg.trials()),
+		Workloads: []batch.Workload{{Algorithm: "I", Mode: "sync"}, {Algorithm: "II", Mode: "sync"}},
+	}
+	cells, err := sweep(spec)
+	if err != nil {
+		return Result{}, err
+	}
 	table := stats.NewTable("n", "algoI msgs", "I msgs/n", "I msgs/(n·lg n)", "algoII msgs", "II msgs/n", "II rounds")
+	messages := func(r batch.Result) int { return r.Messages }
 	var ns, perNodeII []float64
-	for _, n := range cfg.sizes(100, 200, 400, 800, 1600) {
-		var m1, m2, r2v float64
-		for trial := 0; trial < cfg.trials(); trial++ {
-			nw, err := genNet(rng, n, 10)
-			if err != nil {
-				return Result{}, err
-			}
-			_, s1, err := wcds.Algo1Distributed(nw.G, nw.ID, wcds.EngineRunner(simnet.EngineSync))
-			if err != nil {
-				return Result{}, err
-			}
-			_, s2, err := wcds.Algo2Distributed(nw.G, nw.ID, wcds.Deferred, wcds.EngineRunner(simnet.EngineSync))
-			if err != nil {
-				return Result{}, err
-			}
-			m1 += float64(s1.Messages)
-			m2 += float64(s2.Messages)
-			r2v += float64(s2.Rounds)
-		}
-		tr := float64(cfg.trials())
-		m1, m2, r2v = m1/tr, m2/tr, r2v/tr
+	for si, n := range spec.Sizes {
+		r1, r2 := cells.at(si, 0, 0), cells.at(si, 0, 1)
+		m1, m2 := mean(r1, messages), mean(r2, messages)
+		r2v := mean(r2, func(r batch.Result) int { return r.Rounds })
 		ns = append(ns, float64(n))
 		perNodeII = append(perNodeII, m2/float64(n))
 		table.AddRow(stats.I(n), stats.F(m1, 0), stats.F(m1/float64(n), 2),
@@ -136,7 +127,6 @@ func RunE7(cfg Config) (Result, error) {
 // RunE8 compares backbone sizes across constructions, including exact
 // minima on small instances (where MWCDS ≤ MCDS must hold).
 func RunE8(cfg Config) (Result, error) {
-	rng := rand.New(rand.NewSource(cfg.Seed + 8))
 	table := stats.NewTable("n", "deg", "MIS", "algoI", "algoII", "greedyWCDS", "greedyCDS", "MWCDS", "MCDS")
 	pass := true
 
@@ -146,8 +136,8 @@ func RunE8(cfg Config) (Result, error) {
 		smallN = 10
 	}
 	var misS, a1S, a2S, gwS, gcS, ewS, ecS float64
-	for trial := 0; trial < cfg.trials(); trial++ {
-		nw, err := udg.GenConnected(rng, smallN, udg.SideForAvgDegree(smallN, 5), 2000)
+	for _, seed := range cfg.seeds(8, cfg.trials()) {
+		nw, err := batch.Generate(udg.Topology{}, smallN, 5, seed)
 		if err != nil {
 			return Result{}, err
 		}
@@ -182,31 +172,29 @@ func RunE8(cfg Config) (Result, error) {
 	table.AddRow(stats.I(smallN), "5", stats.F(misS/tr, 1), stats.F(a1S/tr, 1), stats.F(a2S/tr, 1),
 		stats.F(gwS/tr, 1), stats.F(gcS/tr, 1), stats.F(ewS/tr, 1), stats.F(ecS/tr, 1))
 
-	// Large-scale comparison (no exact columns).
-	for _, n := range cfg.sizes(200, 500) {
-		for _, deg := range []float64{8, 16} {
-			var misv, a1, a2, gw, gc float64
-			for trial := 0; trial < cfg.trials(); trial++ {
-				nw, err := genNet(rng, n, deg)
-				if err != nil {
-					return Result{}, err
-				}
-				gwSet, err := baseline.GreedyWCDS(nw.G)
-				if err != nil {
-					return Result{}, err
-				}
-				gcSet, err := baseline.GreedyCDS(nw.G)
-				if err != nil {
-					return Result{}, err
-				}
-				misv += float64(len(mis.Greedy(nw.G, mis.ByID(nw.ID))))
-				a1 += float64(len(wcds.Algo1Centralized(nw.G, nw.ID).Dominators))
-				a2 += float64(len(wcds.Algo2Centralized(nw.G, nw.ID).Dominators))
-				gw += float64(len(gwSet))
-				gc += float64(len(gcSet))
+	// Large-scale comparison (no exact columns). Algorithm II's MIS is the
+	// greedy ID-ranked MIS, so its row fills the MIS column.
+	spec := &batch.Spec{
+		Sizes:   cfg.sizes(200, 500),
+		Degrees: []float64{8, 16},
+		Seeds:   cfg.seeds(8, cfg.trials()),
+		Workloads: []batch.Workload{
+			{Algorithm: "I"}, {Algorithm: "II"}, {Algorithm: "greedy-wcds"}, {Algorithm: "greedy-cds"},
+		},
+	}
+	cells, err := sweep(spec)
+	if err != nil {
+		return Result{}, err
+	}
+	backbone := func(r batch.Result) int { return r.Backbone }
+	for si, n := range spec.Sizes {
+		for di, deg := range spec.Degrees {
+			row := []string{stats.I(n), stats.F(deg, 0),
+				stats.F(mean(cells.at(si, di, 1), func(r batch.Result) int { return r.MIS }), 1)}
+			for wi := range spec.Workloads {
+				row = append(row, stats.F(mean(cells.at(si, di, wi), backbone), 1))
 			}
-			table.AddRow(stats.I(n), stats.F(deg, 0), stats.F(misv/tr, 1), stats.F(a1/tr, 1),
-				stats.F(a2/tr, 1), stats.F(gw/tr, 1), stats.F(gc/tr, 1), "-", "-")
+			table.AddRow(append(row, "-", "-")...)
 		}
 	}
 	return Result{
@@ -222,17 +210,26 @@ func RunE8(cfg Config) (Result, error) {
 // (hop bound 3h+2 end to end) and broadcast over the backbone versus blind
 // flooding.
 func RunE9(cfg Config) (Result, error) {
-	rng := rand.New(rand.NewSource(cfg.Seed + 9))
+	spec := &batch.Spec{
+		Sizes:     cfg.sizes(150, 300),
+		Degrees:   []float64{10, 18},
+		Seeds:     cfg.seeds(9, cfg.trials()),
+		Workloads: []batch.Workload{{Kind: batch.Broadcast}},
+	}
+	cells, err := sweep(spec)
+	if err != nil {
+		return Result{}, err
+	}
 	table := stats.NewTable("n", "deg", "avg route stretch", "bound ok", "backbone tx", "blind tx", "tx saved")
 	pass := true
-	for _, n := range cfg.sizes(150, 300) {
-		for _, deg := range []float64{10, 18} {
+	for si, n := range spec.Sizes {
+		for di, deg := range spec.Degrees {
 			var stretchSum float64
 			var stretchCount int
 			boundOK := true
-			var backboneTx, blindTx float64
-			for trial := 0; trial < cfg.trials(); trial++ {
-				nw, err := genNet(rng, n, deg)
+			// Sampled unicast workload on each cell's network.
+			for _, seed := range spec.Seeds {
+				nw, err := batch.Generate(udg.Topology{}, n, deg, seed)
 				if err != nil {
 					return Result{}, err
 				}
@@ -244,43 +241,31 @@ func RunE9(cfg Config) (Result, error) {
 				if err != nil {
 					return Result{}, err
 				}
-				// Sampled unicast workload.
-				for q := 0; q < 50; q++ {
-					src, dst := rng.Intn(nw.N()), rng.Intn(nw.N())
-					if src == dst {
-						continue
-					}
+				for _, pr := range spanner.Pairs(nw.G, 50, seed) {
+					src, dst := pr[0], pr[1]
 					path, err := r.Route(src, dst)
 					if err != nil {
 						return Result{}, err
 					}
 					h := nw.G.HopDist(src, dst)
-					if h <= 0 {
-						continue
-					}
 					if len(path)-1 > 3*h+2 {
 						boundOK = false
 					}
 					stretchSum += float64(len(path)-1) / float64(h)
 					stretchCount++
 				}
-				// Broadcast workload.
-				relay := route.RelaySet(nw.G, nw.ID, res, tables)
-				src := rng.Intn(nw.N())
-				bb := route.Broadcast(nw.G, relay, src)
-				bf := route.BlindFlood(nw.G, src)
-				if !bb.Covered || !bf.Covered {
-					boundOK = false
-				}
-				backboneTx += float64(bb.Transmissions)
-				blindTx += float64(bf.Transmissions)
 			}
-			tr := float64(cfg.trials())
+			// Broadcast workload from node 0.
+			rows := cells.at(si, di, 0)
+			for _, r := range rows {
+				boundOK = boundOK && r.Covered
+			}
 			pass = pass && boundOK
-			saved := 1 - backboneTx/blindTx
+			backboneTx := mean(rows, func(r batch.Result) int { return r.BackboneTx })
+			blindTx := mean(rows, func(r batch.Result) int { return r.FloodTx })
 			table.AddRow(stats.I(n), stats.F(deg, 0), stats.F(stretchSum/float64(stretchCount), 2),
-				passMark(boundOK), stats.F(backboneTx/tr, 0), stats.F(blindTx/tr, 0),
-				stats.F(100*saved, 0)+"%")
+				passMark(boundOK), stats.F(backboneTx, 0), stats.F(blindTx, 0),
+				stats.F(100*(1-backboneTx/blindTx), 0)+"%")
 		}
 	}
 	return Result{
@@ -295,14 +280,15 @@ func RunE9(cfg Config) (Result, error) {
 // RunE10 exercises WCDS maintenance under random-waypoint mobility and node
 // on/off churn, measuring the locality of repairs.
 func RunE10(cfg Config) (Result, error) {
-	rng := rand.New(rand.NewSource(cfg.Seed + 10))
 	table := stats.NewTable("n", "events", "valid", "≤3-hop repairs", "median radius", "max radius", "connector churn")
 	pass := true
+	seed := cfg.seeds(10, 1)[0]
 	for _, n := range cfg.sizes(100, 200) {
-		nw, err := genNet(rng, n, 10)
+		nw, err := batch.Generate(udg.Topology{}, n, 10, seed)
 		if err != nil {
 			return Result{}, err
 		}
+		rng := rand.New(rand.NewSource(seed)) // the mobility events
 		m, err := maintain.New(nw)
 		if err != nil {
 			return Result{}, err

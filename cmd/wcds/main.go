@@ -179,7 +179,12 @@ func run() error {
 	out.AdditionalDominators = res.AdditionalDominators
 	out.SpannerEdges = res.Spanner.M()
 	out.Valid = construction.Valid(nw.G, res.Dominators)
-	out.IsWCDS = wcdsnet.IsWCDS(nw, res.Dominators)
+	// A WCDS construction's own predicate is IsWCDS; only the CDS and DS
+	// kinds need a second check.
+	out.IsWCDS = out.Valid
+	if construction.Kind != algo.KindWCDS {
+		out.IsWCDS = wcdsnet.IsWCDS(nw, res.Dominators)
+	}
 
 	// Dilation is undefined for plain dominating sets: their weakly-induced
 	// spanner need not be connected, so there is nothing to measure.

@@ -67,6 +67,12 @@ func TestValidateRejects(t *testing.T) {
 			Workloads: []Workload{{Reliable: true}}}, // centralized + reliable
 		{Sizes: []int{10}, Degrees: []float64{6}, Seeds: []int64{1},
 			Workloads: []Workload{{Kind: Dilation, Reliable: true}}},
+		{Sizes: []int{10}, Degrees: []float64{6}, Seeds: []int64{1},
+			Workloads: []Workload{{Algorithm: "I", Mode: "sync", Selection: "eager"}}},
+		{Sizes: []int{10}, Degrees: []float64{6}, Seeds: []int64{1},
+			Workloads: []Workload{{Kind: Dilation, Engine: "sync"}}},
+		{Sizes: []int{10}, Degrees: []float64{6}, Seeds: []int64{1},
+			Workloads: []Workload{{Kind: Broadcast, Mode: "event"}}},
 	}
 	for i, spec := range cases {
 		if err := spec.Validate(); err == nil {
@@ -136,10 +142,13 @@ func TestExecOptionsCheck(t *testing.T) {
 		{"zero knowledge, centralized", Workload{}, ExecOptions{ZeroKnowledge: true}, "require a distributed backbone run"},
 		{"max deliveries, centralized", Workload{Mode: "centralized"}, ExecOptions{MaxDeliveries: 100}, "require a distributed backbone run"},
 		{"backoff, centralized", Workload{}, ExecOptions{Backoff: backoff}, "require a distributed backbone run"},
-		{"zero knowledge, dilation", Workload{Kind: Dilation, Engine: "sync"}, ExecOptions{ZeroKnowledge: true}, "require a distributed backbone run"},
+		{"zero knowledge, dilation", Workload{Kind: Dilation}, ExecOptions{ZeroKnowledge: true}, "require a distributed backbone run"},
 		{"negative max deliveries", Workload{Engine: "sync"}, ExecOptions{MaxDeliveries: -1}, "negative budget"},
 		{"eager, centralized", Workload{Algorithm: "I", Selection: "eager"}, ExecOptions{}, "requires a distributed mode"},
 		{"eager, sync", Workload{Engine: "sync", Selection: "eager"}, ExecOptions{}, ""},
+		{"eager, algorithm I", Workload{Algorithm: "I", Engine: "sync", Selection: "eager"}, ExecOptions{}, "algorithm II only"},
+		{"engine, dilation", Workload{Kind: Dilation, Engine: "sync"}, ExecOptions{}, "backbone workloads only"},
+		{"mode, broadcast", Workload{Kind: Broadcast, Mode: "async"}, ExecOptions{}, "backbone workloads only"},
 	}
 	for _, tc := range cases {
 		err := tc.w.Normalize()

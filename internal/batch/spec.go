@@ -136,6 +136,9 @@ func (w *Workload) Normalize() error {
 		return err
 	}
 	w.Mode, w.Engine = mode, engine
+	if w.Kind != Backbone && w.Mode != "centralized" {
+		return fmt.Errorf("mode and engine apply to backbone workloads only (got mode %q on a %s workload)", w.Mode, w.Kind)
+	}
 	if w.Mode != "centralized" && !construction.Caps.Distributed {
 		return fmt.Errorf("algorithm %q has no distributed protocol (want mode centralized; distributed algorithms: %s)",
 			w.Algorithm, strings.Join(algo.DistributedNames(), ", "))
@@ -150,6 +153,9 @@ func (w *Workload) Normalize() error {
 	}
 	if w.Selection == "eager" && w.Mode == "centralized" {
 		return fmt.Errorf("selection eager requires a distributed mode (sync, async or event)")
+	}
+	if w.Selection == "eager" && construction.Name != "II" {
+		return fmt.Errorf("selection eager applies to algorithm II only (got %q)", w.Algorithm)
 	}
 	if w.Faults != nil && w.Faults.Empty() {
 		w.Faults = nil

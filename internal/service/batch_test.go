@@ -76,6 +76,13 @@ func TestBatchEndpointBounds(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unknown workload kind answered %d: %v", resp.StatusCode, body)
 	}
+	resp, body = postJSON(t, ts.URL+"/v1/batch", map[string]any{
+		"sizes": []int{30}, "degrees": []float64{6}, "seeds": []int64{1},
+		"workloads": []map[string]any{{"kind": "dilation", "engine": "sync"}},
+	})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("distributed dilation workload answered %d: %v", resp.StatusCode, body)
+	}
 }
 
 func TestBatchEndpointDeadlineCancels(t *testing.T) {

@@ -192,6 +192,7 @@ var rejectedSingleJobs = []struct {
 	{"/v1/backbone", map[string]any{"positions": [][2]float64{{0, 0}, {1, 0}}, "ids": []int{3, 3}}, 400},
 	{"/v1/backbone", map[string]any{"n": 50, "avgDegree": 8, "algorithm": "III"}, 400},
 	{"/v1/backbone", map[string]any{"n": 50, "avgDegree": 8, "mode": "quantum"}, 400},
+	{"/v1/backbone", map[string]any{"n": 50, "avgDegree": 8, "algorithm": "I", "mode": "sync", "selection": "eager"}, 400},
 	{"/v1/backbone", map[string]any{"n": 50, "avgDegree": 8, "nodes": 50}, 400},
 	{"/v1/broadcast", map[string]any{"n": 50, "avgDegree": 8, "source": -1}, 400},
 	{"/v1/dilation", map[string]any{"n": 50, "avgDegree": 8, "algorithm": "X"}, 400},

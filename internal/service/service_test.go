@@ -210,6 +210,7 @@ func TestValidationRejects(t *testing.T) {
 		{"bad algorithm", "/v1/backbone", map[string]any{"n": 50, "avgDegree": 8, "algorithm": "III"}},
 		{"bad mode", "/v1/backbone", map[string]any{"n": 50, "avgDegree": 8, "mode": "quantum"}},
 		{"centralized eager", "/v1/backbone", map[string]any{"n": 50, "avgDegree": 8, "mode": "centralized", "selection": "eager"}},
+		{"eager on algorithm I", "/v1/backbone", map[string]any{"n": 50, "avgDegree": 8, "algorithm": "I", "mode": "sync", "selection": "eager"}},
 		{"unknown field", "/v1/backbone", map[string]any{"n": 50, "avgDegree": 8, "nodes": 50}},
 		{"negative source", "/v1/broadcast", map[string]any{"n": 50, "avgDegree": 8, "source": -1}},
 		{"dilation bad algo", "/v1/dilation", map[string]any{"n": 50, "avgDegree": 8, "algorithm": "X"}},

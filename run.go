@@ -200,7 +200,7 @@ func WithScheduleSeed(seed int64) Option {
 }
 
 // WithSelection picks Algorithm II's connector-selection mode (Deferred by
-// default; ignored by Algorithm I). Eager needs a distributed run.
+// default). Eager needs a distributed Algorithm II run.
 func WithSelection(mode SelectionMode) Option {
 	return func(o *runOptions) {
 		o.w.Selection = "deferred"

@@ -35,6 +35,10 @@ func TestRunValidation(t *testing.T) {
 		{"unknown algorithm", func() error { _, _, err := Run(nw, Algorithm(9)); return err }},
 		{"negative budget", func() error { _, _, err := Run(nw, AlgoII, WithMaxRounds(-1)); return err }},
 		{"centralized eager", func() error { _, _, err := Run(nw, AlgoII, WithSelection(Eager)); return err }},
+		{"eager on Algorithm I", func() error {
+			_, _, err := Run(nw, AlgoI, WithEngine(EngineSync), WithSelection(Eager))
+			return err
+		}},
 		{"bad fault plan", func() error {
 			_, _, err := Run(nw, AlgoII, WithFaults(FaultPlan{DropRate: 2}))
 			return err

@@ -127,8 +127,8 @@ func (c Config) trials() int {
 
 // seeds returns the cell seeds of count trials of experiment k (1–12 for
 // E1–E12, 101 and 102 for A1 and A2): trial t's is cfg.Seed + 1000·k + t.
-// Trials therefore never share a random stream, and a trial's scene does
-// not depend on how many trials or experiments ran before it.
+// An experiment's trials never share a random stream, and a trial's scene
+// does not depend on how many trials or experiments ran before it.
 func (c Config) seeds(k, count int) []int64 {
 	out := make([]int64, count)
 	for t := range out {
@@ -152,8 +152,8 @@ func sweep(spec *batch.Spec) (cells, error) {
 		return cells{}, err
 	}
 	for _, r := range rep.Results {
-		if r.Err != "" || r.Failure != "" {
-			return cells{}, fmt.Errorf("exp: n=%d deg=%g seed=%d %s: %s%s", r.Size, r.Degree, r.Seed, r.Workload, r.Err, r.Failure)
+		if r.Err != "" {
+			return cells{}, fmt.Errorf("exp: n=%d deg=%g seed=%d %s: %s", r.Size, r.Degree, r.Seed, r.Workload, r.Err)
 		}
 	}
 	return cells{spec, rep.Results}, nil

@@ -206,7 +206,7 @@ func runEvent(g *graph.Graph, procs []Proc, opts []Option, async bool) (Stats, e
 
 	ctxs := make([]Context, g.N())
 	for i := range ctxs {
-		ctxs[i] = Context{node: i, g: g, bk: eng}
+		ctxs[i] = Context{node: i, g: g, bk: eng, sender: -1}
 	}
 	for i := range procs {
 		procs[i].Init(&ctxs[i])
@@ -377,7 +377,7 @@ func (e *eventEngine) drainFast(ctxs []Context) error {
 				if led != nil {
 					led.deliver(env.phase, int(s.lam))
 				}
-				s.proc.Recv(&ctxs[to], env.from, env.payload)
+				ctxs[to].recv(s.proc, env.from, env.payload)
 			}
 			continue
 		}
@@ -394,7 +394,7 @@ func (e *eventEngine) drainFast(ctxs []Context) error {
 		if led != nil {
 			led.deliver(env.phase, int(s.lam))
 		}
-		s.proc.Recv(&ctxs[to], env.from, env.payload)
+		ctxs[to].recv(s.proc, env.from, env.payload)
 	}
 }
 
@@ -450,7 +450,7 @@ func (e *eventEngine) deliverLink(ctxs []Context, env envelope, to int, sampled 
 	if e.led != nil {
 		e.led.deliver(env.phase, int(s.lam))
 	}
-	s.proc.Recv(&ctxs[to], env.from, env.payload)
+	ctxs[to].recv(s.proc, env.from, env.payload)
 	return nil
 }
 

@@ -264,6 +264,15 @@ type Context struct {
 	g        *graph.Graph
 	bk       backend
 	sendHook func(to int, payload any)
+	sender   int // whose frame Recv is handling now; -1 outside Recv
+}
+
+// recv hands p the frame from `from`. While it runs, a SendDirect back to
+// `from` skips the neighbour scan: the delivery has just crossed that link.
+func (c *Context) recv(p Proc, from int, payload any) {
+	c.sender = from
+	p.Recv(c, from, payload)
+	c.sender = -1
 }
 
 // backend is an engine's transmit side: send puts one transmission on the
@@ -321,9 +330,12 @@ func (c *Context) BroadcastDirect(payload any) {
 	c.bk.send(c.node, ToAll, payload, false)
 }
 
-// SendDirect unicasts bypassing the send hook.
+// SendDirect unicasts bypassing the send hook. Sending to a
+// non-neighbour panics, as with Send.
 func (c *Context) SendDirect(to int, payload any) {
-	c.mustNeighbor(to)
+	if to != c.sender {
+		c.mustNeighbor(to)
+	}
 	c.bk.send(c.node, to, payload, false)
 }
 
@@ -514,7 +526,7 @@ func RunSync(g *graph.Graph, procs []Proc, opts ...Option) (Stats, error) {
 			if led != nil {
 				led.deliver(tx.phase, eng.round)
 			}
-			procs[to].Recv(&ctxs[to], from, tx.payload)
+			ctxs[to].recv(procs[to], from, tx.payload)
 		}
 		eng.finishRound()
 	}
@@ -621,7 +633,7 @@ func getSyncEngine(cfg *config, g *graph.Graph) *syncEngine {
 	}
 	e.ctxs = e.ctxs[:g.N()]
 	for i := range e.ctxs {
-		e.ctxs[i] = Context{node: i, g: g, bk: e}
+		e.ctxs[i] = Context{node: i, g: g, bk: e, sender: -1}
 	}
 	return e
 }

@@ -274,6 +274,58 @@ func TestSendToNonNeighbourPanicsSync(t *testing.T) {
 	_, _ = RunSync(g, procs)
 }
 
+// directReplier answers a token with SendDirect to node to, or to the
+// token's sender for to == -1.
+type directReplier struct{ to int }
+
+func (directReplier) Init(ctx *Context) {}
+
+func (r directReplier) Recv(ctx *Context, from int, payload any) {
+	if _, ok := payload.(tokenMsg); !ok {
+		return
+	}
+	if r.to == -1 {
+		r.to = from
+	}
+	ctx.SendDirect(r.to, struct{}{})
+}
+
+// starter broadcasts one token; directStarter SendDirects one to node to.
+type starter struct{}
+
+func (starter) Init(ctx *Context)                        { ctx.Broadcast(tokenMsg{}) }
+func (starter) Recv(ctx *Context, from int, payload any) {}
+
+type directStarter struct{ to int }
+
+func (s directStarter) Init(ctx *Context)                      { ctx.SendDirect(s.to, tokenMsg{}) }
+func (directStarter) Recv(ctx *Context, from int, payload any) {}
+
+// TestSendDirectNeighbourCheck: inside Recv, SendDirect skips the
+// neighbour scan for the frame's sender only. A send to any other
+// non-neighbour still panics, on every engine, and so does one from Init,
+// where no frame is being handled.
+func TestSendDirectNeighbourCheck(t *testing.T) {
+	g := lineGraph(t, 3) // 0-1-2
+	panics := func(run func(*graph.Graph, []Proc) (Stats, error), procs []Proc) (p bool) {
+		defer func() { p = recover() != nil }()
+		_, _ = run(g, procs)
+		return false
+	}
+	for _, eng := range []Engine{EngineSync, EngineEvent, EngineAsync} {
+		run := func(g *graph.Graph, procs []Proc) (Stats, error) { return eng.Run(g, procs) }
+		if panics(run, []Proc{directReplier{to: -1}, starter{}, idleProc{}}) {
+			t.Errorf("%v: reply to the sender panicked", eng)
+		}
+		if !panics(run, []Proc{directReplier{to: 2}, starter{}, idleProc{}}) {
+			t.Errorf("%v: SendDirect from Recv to a non-neighbour did not panic", eng)
+		}
+		if !panics(run, []Proc{idleProc{}, idleProc{}, directStarter{to: 0}}) {
+			t.Errorf("%v: SendDirect from Init to a non-neighbour did not panic", eng)
+		}
+	}
+}
+
 func TestIdleProtocolTerminates(t *testing.T) {
 	g := lineGraph(t, 5)
 	procs := make([]Proc, 5)

@@ -216,51 +216,67 @@ func ParseTopology(s string) (Topology, error) {
 // area π, so the region area is (n-1)·π/deg). Call Normalize first; the
 // scene is not necessarily connected — see GenConnected.
 func (t Topology) Generate(rng *rand.Rand, n int, avgDegree float64) *Network {
+	if t.Kind != "quasi" {
+		return mustNew(t.draw(rng, n, avgDegree))
+	}
+	rMin, rMax, p := t.param("rmin"), t.param("rmax"), t.param("p")
+	// The expected link area per node is π·(rmin² + p·(rmax²−rmin²));
+	// size the square so the expected degree still hits the target.
+	rEff := math.Sqrt(rMin*rMin + p*(rMax*rMax-rMin*rMin))
+	qSide := 1.0
+	if n >= 2 && avgDegree > 0 {
+		qSide = math.Sqrt(float64(n-1) * math.Pi * rEff * rEff / avgDegree)
+	}
+	return GenQuasi(rng, n, qSide, rMin, rMax, p)
+}
+
+// draw places the nodes and IDs of one unit-disk scene; every kind but
+// quasi is one.
+func (t Topology) draw(rng *rand.Rand, n int, avgDegree float64) ([]geom.Point, []int) {
 	side := SideForAvgDegree(n, avgDegree)
 	switch t.Kind {
 	case "clusters":
-		return GenClusters(rng, n, int(t.param("k")), side, t.param("sigma"))
+		return drawClusters(rng, n, int(t.param("k")), side, t.param("sigma"))
 	case "grid":
-		return genGridN(rng, n, avgDegree, t.param("jitter"))
+		return drawGridN(rng, n, avgDegree, t.param("jitter"))
 	case "corridor":
 		width := t.param("width")
 		area := regionArea(n, avgDegree)
 		// Corridor area = 2·armLen·width − width² (the corner square is
 		// shared); solve for armLen.
 		armLen := (area + width*width) / (2 * width)
-		return GenCorridor(rng, n, armLen, width)
+		return drawCorridor(rng, n, armLen, width)
 	case "annulus":
 		inner := t.param("inner")
 		// Ring area π·(outer²−inner²) matches the target region area.
 		outer := math.Sqrt(inner*inner + regionArea(n, avgDegree)/math.Pi)
-		return GenAnnulus(rng, n, inner, outer)
-	case "quasi":
-		rMin, rMax, p := t.param("rmin"), t.param("rmax"), t.param("p")
-		// The expected link area per node is π·(rmin² + p·(rmax²−rmin²));
-		// size the square so the expected degree still hits the target.
-		rEff := math.Sqrt(rMin*rMin + p*(rMax*rMax-rMin*rMin))
-		qSide := 1.0
-		if n >= 2 && avgDegree > 0 {
-			qSide = math.Sqrt(float64(n-1) * math.Pi * rEff * rEff / avgDegree)
-		}
-		return GenQuasi(rng, n, qSide, rMin, rMax, p)
+		return drawAnnulus(rng, n, inner, outer)
 	default: // uniform
-		return GenUniform(rng, n, side)
+		return drawUniform(rng, n, side)
 	}
 }
 
 // GenConnected repeatedly draws from the descriptor until the graph is
 // connected, up to maxTries attempts — the Topology-generic analogue of
 // GenConnectedAvgDegree (for the uniform kind the two are draw-for-draw
-// identical given the same rng state).
+// identical given the same rng state). Unit-disk kinds decide each draw
+// on the cell grid and build only the kept scene; quasi's links are
+// random draws themselves, so each of its attempts is a whole network.
 func (t Topology) GenConnected(rng *rand.Rand, n int, avgDegree float64, maxTries int) (*Network, error) {
-	for try := 0; try < maxTries; try++ {
-		nw := t.Generate(rng, n, avgDegree)
-		if nw.G.Connected() {
-			return nw, nil
+	var nw *Network
+	if t.Kind == "quasi" {
+		for try := 0; try < maxTries && nw == nil; try++ {
+			if q := t.Generate(rng, n, avgDegree); q.G.Connected() {
+				nw = q
+			}
 		}
+	} else {
+		nw = firstConnected(maxTries, func() ([]geom.Point, []int) { return t.draw(rng, n, avgDegree) })
 	}
-	return nil, fmt.Errorf("udg: no connected %s instance with n=%d deg=%g in %d tries", t.Canonical(), n, avgDegree, maxTries)
+	if nw == nil {
+		return nil, fmt.Errorf("udg: no connected %s instance with n=%d deg=%g in %d tries", t.Canonical(), n, avgDegree, maxTries)
+	}
+	return nw, nil
 }
 
 // regionArea is the placement area that gives n unit-radius nodes the
@@ -272,15 +288,14 @@ func regionArea(n int, avgDegree float64) float64 {
 	return float64(n-1) * math.Pi / avgDegree
 }
 
-// genGridN places exactly n nodes on a near-square jittered grid whose
+// drawGridN places exactly n nodes on a near-square jittered grid whose
 // spacing targets the average degree (π/spacing² − 1 ≈ deg for an infinite
 // jitter-free grid). jitterFrac scales the per-axis jitter relative to the
 // spacing. GenGrid keeps its rows×cols signature for direct callers; the
 // topology axis needs an exact node count.
-func genGridN(rng *rand.Rand, n int, avgDegree float64, jitterFrac float64) *Network {
+func drawGridN(rng *rand.Rand, n int, avgDegree float64, jitterFrac float64) ([]geom.Point, []int) {
 	if n == 0 {
-		nw, _ := New(nil, nil, 1)
-		return nw
+		return nil, nil
 	}
 	if avgDegree <= 0 {
 		avgDegree = 1
@@ -297,9 +312,5 @@ func genGridN(rng *rand.Rand, n int, avgDegree float64, jitterFrac float64) *Net
 			})
 		}
 	}
-	nw, err := New(pos, RandomIDs(rng, n), 1)
-	if err != nil {
-		panic("udg: genGridN produced invalid network: " + err.Error())
-	}
-	return nw
+	return pos, RandomIDs(rng, n)
 }

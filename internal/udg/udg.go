@@ -41,12 +41,8 @@ func New(pos []geom.Point, ids []int, radius float64) (*Network, error) {
 	if len(ids) != len(pos) {
 		return nil, fmt.Errorf("udg: %d ids for %d positions", len(ids), len(pos))
 	}
-	seen := make(map[int]bool, len(ids))
-	for _, id := range ids {
-		if seen[id] {
-			return nil, fmt.Errorf("udg: duplicate node ID %d", id)
-		}
-		seen[id] = true
+	if err := uniqueIDs(ids); err != nil {
+		return nil, err
 	}
 	nw := &Network{
 		Pos:    append([]geom.Point(nil), pos...),
@@ -57,131 +53,289 @@ func New(pos []geom.Point, ids []int, radius float64) (*Network, error) {
 	return nw, nil
 }
 
+// uniqueIDs reports the first repeated ID. When every ID lies in [0, n) —
+// a generated scene's IDs are a permutation of 0..n-1 — a bitmap does the
+// check; any other ID set falls back to a map.
+func uniqueIDs(ids []int) error {
+	bits := make([]uint64, (len(ids)+63)/64)
+	for _, id := range ids {
+		if uint(id) >= uint(len(ids)) {
+			bits = nil
+			break
+		}
+		w, b := id/64, uint64(1)<<(id%64)
+		if bits[w]&b != 0 {
+			return fmt.Errorf("udg: duplicate node ID %d", id)
+		}
+		bits[w] |= b
+	}
+	if bits != nil {
+		return nil
+	}
+	seen := make(map[int]bool, len(ids))
+	for _, id := range ids {
+		if seen[id] {
+			return fmt.Errorf("udg: duplicate node ID %d", id)
+		}
+		seen[id] = true
+	}
+	return nil
+}
+
 // BuildGraph constructs the unit-disk graph over pos with the given radius
 // using a uniform grid of radius-sized cells, so expected construction time
 // is linear in nodes plus edges.
 //
-// The grid scratch (cell offsets and the counting-sorted node order) is
-// recycled through a sync.Pool: batch sweeps that build thousands of graphs
-// reuse the same buffers instead of re-allocating them per call. The pooled
-// dense-grid path and the sparse map fallback produce identical graphs.
+// The grid scratch (cell offsets, the counting-sorted node order and the
+// pair buffer) is recycled through a sync.Pool: batch sweeps that build
+// thousands of graphs reuse the same buffers instead of re-allocating them
+// per call. The pooled dense-grid path and the sparse map fallback produce
+// identical graphs.
 func BuildGraph(pos []geom.Point, radius float64) *graph.Graph {
-	if len(pos) == 0 {
-		return graph.New(0)
-	}
-	minX, minY := pos[0].X, pos[0].Y
-	maxX, maxY := minX, minY
-	for _, p := range pos[1:] {
-		minX = math.Min(minX, p.X)
-		minY = math.Min(minY, p.Y)
-		maxX = math.Max(maxX, p.X)
-		maxY = math.Max(maxY, p.Y)
-	}
-	colsF := math.Floor((maxX-minX)/radius) + 1
-	rowsF := math.Floor((maxY-minY)/radius) + 1
-	// Point clouds much sparser than one node per few cells (or with a
-	// degenerate extent) would waste memory on an almost-empty dense grid;
-	// hash cells instead. Generated topologies always take the dense path.
-	if !(colsF >= 1 && rowsF >= 1) || colsF*rowsF > 8*float64(len(pos))+1024 {
+	sc := gridPool.Get().(*gridScratch)
+	defer gridPool.Put(sc)
+	grid, ok := sc.bin(pos, radius)
+	if !ok {
 		g := graph.New(len(pos))
 		buildGraphSparse(g, pos, radius)
 		g.SortAdjacency()
 		return g
 	}
-	cols, rows := int(colsF), int(rowsF)
-	cellOf := func(p geom.Point) int {
-		return int((p.Y-minY)/radius)*cols + int((p.X-minX)/radius)
-	}
-	nCells := cols * rows
-	sc := gridPool.Get().(*gridScratch)
-	start := grow(&sc.start, nCells+1)
-	order := grow(&sc.order, len(pos))
-	// Counting sort of node indices by cell: start[c] ends up as the offset
-	// of cell c's slice of order, and order lists nodes in index order
-	// within each cell.
-	for _, p := range pos {
-		start[cellOf(p)+1]++
-	}
-	for c := 0; c < nCells; c++ {
-		start[c+1] += start[c]
-	}
-	fill := grow(&sc.fill, nCells)
-	for i, p := range pos {
-		c := cellOf(p)
-		order[start[c]+fill[c]] = int32(i)
-		fill[c]++
-	}
-	// Distance pass: record each accepted pair once (j > i over disjoint
-	// cells) into the pooled flat edge buffer, counting degrees as we go.
-	// Filling a degree-counted graph afterwards replaces millions of
-	// adjacency-slice growth steps with stores into one pre-sized arena,
-	// which at million-node scale halves construction time.
-	edges := sc.edges[:0]
+	// Counting degrees first and filling a degree-sized graph replaces
+	// millions of adjacency-slice growth steps with stores into one
+	// pre-sized arena, which at million-node scale halves construction time.
+	sc.pairs = grid.appendPairs(sc.pairs[:0], radius*radius)
 	deg := make([]int, len(pos))
-	r2 := radius * radius
-	for i, p := range pos {
-		c := cellOf(p)
-		cx, cy := c%cols, c/cols
-		for dy := -1; dy <= 1; dy++ {
-			y := cy + dy
-			if y < 0 || y >= rows {
-				continue
-			}
-			for dx := -1; dx <= 1; dx++ {
-				x := cx + dx
-				if x < 0 || x >= cols {
-					continue
-				}
-				cc := y*cols + x
-				for _, j32 := range order[start[cc]:start[cc+1]] {
-					j := int(j32)
-					if j <= i {
-						continue
-					}
-					if p.Dist2(pos[j]) <= r2 {
-						edges = append(edges, int64(i)<<32|int64(j))
-						deg[i]++
-						deg[j]++
-					}
-				}
-			}
-		}
+	for _, e := range sc.pairs {
+		deg[e>>32]++
+		deg[e&pairMask]++
 	}
 	g := graph.NewWithDegrees(deg)
-	for _, e := range edges {
-		// Each pair was visited once, so the unchecked insert is safe.
-		g.AddEdgeUnchecked(int(e>>32), int(e&0xffffffff))
+	for _, e := range sc.pairs {
+		// The walk yields each pair once, so the unchecked insert is safe.
+		g.AddEdgeUnchecked(int(e>>32), int(e&pairMask))
 	}
-	sc.edges = edges
-	gridPool.Put(sc)
 	g.SortAdjacency()
 	return g
 }
 
-// gridScratch is the reusable working memory of one BuildGraph call.
+// connected reports BuildGraph(pos, radius).Connected() without building
+// the graph: a union-find over the same pair walk. Generators call it on
+// every draw, so a rejected scene costs its random numbers and this check,
+// never a CSR.
+func connected(pos []geom.Point, radius float64) bool {
+	if len(pos) <= 1 {
+		return true
+	}
+	sc := gridPool.Get().(*gridScratch)
+	defer gridPool.Put(sc)
+	grid, ok := sc.bin(pos, radius)
+	if !ok {
+		return BuildGraph(pos, radius).Connected()
+	}
+	r2 := radius * radius
+	if grid.hasIsolated(r2) {
+		return false
+	}
+	sc.pairs = grid.appendPairs(sc.pairs[:0], r2)
+	parent := grow(&sc.parent, len(pos))
+	for i := range parent {
+		parent[i] = int32(i)
+	}
+	find := func(v int32) int32 {
+		for parent[v] != v {
+			parent[v] = parent[parent[v]]
+			v = parent[v]
+		}
+		return v
+	}
+	comps := len(pos)
+	for _, e := range sc.pairs {
+		a, b := find(int32(e>>32)), find(int32(e&pairMask))
+		if a != b {
+			parent[a] = b
+			if comps--; comps == 1 {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// pairMask extracts the second node of a packed pair (i<<32 | j).
+const pairMask = 1<<32 - 1
+
+// gridScratch is the reusable working memory of one grid pass.
 type gridScratch struct {
-	start []int32
-	fill  []int32
-	order []int32
-	edges []int64 // accepted pairs, packed (i<<32 | j)
+	start  []int32
+	order  []int32
+	cell   []int32
+	pts    []geom.Point
+	parent []int32
+	pairs  []int64 // accepted pairs, packed (i<<32 | j)
 }
 
 var gridPool = sync.Pool{New: func() any { return &gridScratch{} }}
 
 // grow returns (*s)[:n] zeroed, reallocating only when capacity is short.
-func grow(s *[]int32, n int) []int32 {
+func grow[T any](s *[]T, n int) []T {
 	if cap(*s) < n {
-		*s = make([]int32, n)
+		*s = make([]T, n)
 	}
 	*s = (*s)[:n]
-	for i := range *s {
-		(*s)[i] = 0
-	}
+	clear(*s)
 	return *s
 }
 
+// cellGrid is the one cell rule of the unit-disk graph: the bounding box
+// of the points cut into radius-sized cells, numbered row-major. Cell c
+// holds slots start[c] to start[c+1]-1; slot k is node order[k] at
+// position pts[k], and within a cell nodes keep their index order. Any
+// two points within the radius share a cell or sit in neighbouring ones.
+// BuildGraph, connected and sortByCell all bin through it, so the graph,
+// the connectivity check and the generators' node numbering cannot
+// disagree about cells.
+type cellGrid struct {
+	cols, rows int
+	start      []int32
+	order      []int32
+	pts        []geom.Point
+}
+
+// bin counting-sorts pos into the cell grid, in sc's buffers. It reports
+// false for no points, and for an extent that is degenerate or so sparse
+// (much less than one node per few cells) that a dense grid would waste
+// memory; generated topologies always bin.
+func (sc *gridScratch) bin(pos []geom.Point, radius float64) (cellGrid, bool) {
+	if len(pos) == 0 {
+		return cellGrid{}, false
+	}
+	minX, minY := pos[0].X, pos[0].Y
+	maxX, maxY := minX, minY
+	// p*0 is 0 for a finite coordinate and NaN otherwise, so one NaN or
+	// infinite coordinate makes nonFinite NaN and the grid declines.
+	var nonFinite float64
+	for _, p := range pos {
+		nonFinite += p.X*0 + p.Y*0
+		if p.X < minX {
+			minX = p.X
+		} else if !(p.X <= maxX) {
+			maxX = p.X
+		}
+		if p.Y < minY {
+			minY = p.Y
+		} else if !(p.Y <= maxY) {
+			maxY = p.Y
+		}
+	}
+	colsF := math.Floor((maxX-minX)/radius) + 1
+	rowsF := math.Floor((maxY-minY)/radius) + 1
+	if nonFinite != 0 || !(colsF >= 1 && rowsF >= 1) || colsF*rowsF > 8*float64(len(pos))+1024 {
+		return cellGrid{}, false
+	}
+	g := cellGrid{cols: int(colsF), rows: int(rowsF)}
+	nCells := g.cols * g.rows
+	// Cell c's count goes to start[c+2]; after the prefix sum start[c+1]
+	// is c's offset and serves as its fill cursor, which leaves it at the
+	// next cell's offset: start[0..nCells] ends up as the cell bounds.
+	start := grow(&sc.start, nCells+2)
+	cell := grow(&sc.cell, len(pos))
+	for i, p := range pos {
+		c := int32(int((p.Y-minY)/radius)*g.cols + int((p.X-minX)/radius))
+		cell[i] = c
+		start[c+2]++
+	}
+	for c := 2; c <= nCells; c++ {
+		start[c] += start[c-1]
+	}
+	order := grow(&sc.order, len(pos))
+	pts := grow(&sc.pts, len(pos))
+	for i, c := range cell {
+		k := start[c+1]
+		start[c+1]++
+		order[k] = int32(i)
+		pts[k] = pos[i]
+	}
+	g.start, g.order, g.pts = start[:nCells+1], order, pts
+	return g, true
+}
+
+// appendPairs appends every pair of nodes within distance sqrt(r2) to
+// buf, packed (i<<32 | j), each unordered pair once. The half stencil
+// pairs a cell with its own later slots and with its forward neighbours
+// E, SW, S and SE, so every pair of neighbouring cells is met from one
+// side only. A cell's slots and its east neighbour's are contiguous, and
+// so are the SW, S and SE cells of the next row: two slot ranges per node.
+func (g cellGrid) appendPairs(buf []int64, r2 float64) []int64 {
+	start, order, pts := g.start, g.order, g.pts
+	for c := 0; c < len(start)-1; c++ {
+		lo, hi := start[c], start[c+1]
+		if lo == hi {
+			continue
+		}
+		x := c % g.cols
+		east := hi
+		if x+1 < g.cols {
+			east = start[c+2]
+		}
+		var below0, below1 int32
+		if c+g.cols < len(start)-1 {
+			sw, se := c+g.cols, c+g.cols+1
+			if x > 0 {
+				sw--
+			}
+			if x+1 < g.cols {
+				se++
+			}
+			below0, below1 = start[sw], start[se]
+		}
+		for k := lo; k < hi; k++ {
+			p, i := pts[k], int64(order[k])<<32
+			for m := k + 1; m < east; m++ {
+				if p.Dist2(pts[m]) <= r2 {
+					buf = append(buf, i|int64(order[m]))
+				}
+			}
+			for m := below0; m < below1; m++ {
+				if p.Dist2(pts[m]) <= r2 {
+					buf = append(buf, i|int64(order[m]))
+				}
+			}
+		}
+	}
+	return buf
+}
+
+// hasIsolated reports whether some node has no other node within
+// distance sqrt(r2), stopping at the first. Most sparse draws that are
+// not connected have such a node, and finding one costs a few distance
+// tests per node where the pair walk tests every candidate pair.
+func (g cellGrid) hasIsolated(r2 float64) bool {
+	start, pts := g.start, g.pts
+	for c := 0; c < len(start)-1; c++ {
+		x, y := c%g.cols, c/g.cols
+		x0, x1 := max(x-1, 0), min(x+1, g.cols-1)
+		y0, y1 := max(y-1, 0), min(y+1, g.rows-1)
+	node:
+		for k := start[c]; k < start[c+1]; k++ {
+			p := pts[k]
+			for yy := y0; yy <= y1; yy++ {
+				row := yy * g.cols
+				for m := start[row+x0]; m < start[row+x1+1]; m++ {
+					if m != k && p.Dist2(pts[m]) <= r2 {
+						continue node
+					}
+				}
+			}
+			return true
+		}
+	}
+	return false
+}
+
 // buildGraphSparse is the map-backed fallback grid for point clouds whose
-// bounding box is huge (or not finite) relative to the node count.
+// bounding box is huge (or not finite) relative to the node count. It
+// walks the same half stencil as appendPairs over hashed cells.
 func buildGraphSparse(g *graph.Graph, pos []geom.Point, radius float64) {
 	type cell struct{ cx, cy int }
 	cells := make(map[cell][]int, len(pos))
@@ -193,17 +347,18 @@ func buildGraphSparse(g *graph.Graph, pos []geom.Point, radius float64) {
 		cells[c] = append(cells[c], i)
 	}
 	r2 := radius * radius
-	for i, p := range pos {
-		c := cellOf(p)
-		for dx := -1; dx <= 1; dx++ {
-			for dy := -1; dy <= 1; dy++ {
-				for _, j := range cells[cell{c.cx + dx, c.cy + dy}] {
-					if j <= i {
-						continue
-					}
+	forward := [4]cell{{1, 0}, {-1, 1}, {0, 1}, {1, 1}}
+	for c, members := range cells {
+		for s, i := range members {
+			p := pos[i]
+			for _, j := range members[s+1:] {
+				if p.Dist2(pos[j]) <= r2 {
+					g.AddEdgeUnchecked(i, j)
+				}
+			}
+			for _, d := range forward {
+				for _, j := range cells[cell{c.cx + d.cx, c.cy + d.cy}] {
 					if p.Dist2(pos[j]) <= r2 {
-						// Duplicate additions are impossible: each pair is
-						// visited once via the j > i guard.
 						g.AddEdgeUnchecked(i, j)
 					}
 				}
@@ -266,42 +421,36 @@ func SideForAvgDegree(n int, targetDeg float64) float64 {
 // DRAM: protocol waves sweep the scene cell by cell instead of jumping
 // across a working set of hundreds of megabytes. Only generators renumber —
 // indices are theirs to assign; New never reorders caller positions.
+// A degenerate or sparse extent has no dense grid, and keeps its order.
 func sortByCell(pos []geom.Point, radius float64) {
-	if len(pos) == 0 {
-		return
+	sc := gridPool.Get().(*gridScratch)
+	if grid, ok := sc.bin(pos, radius); ok {
+		copy(pos, grid.pts)
 	}
-	minX, minY := pos[0].X, pos[0].Y
-	maxX, maxY := minX, minY
-	for _, p := range pos[1:] {
-		minX = math.Min(minX, p.X)
-		minY = math.Min(minY, p.Y)
-		maxX = math.Max(maxX, p.X)
-		maxY = math.Max(maxY, p.Y)
+	gridPool.Put(sc)
+}
+
+// mustNew builds a generated scene; generated inputs are always valid.
+func mustNew(pos []geom.Point, ids []int) *Network {
+	nw, err := New(pos, ids, 1)
+	if err != nil {
+		panic("udg: generator produced invalid network: " + err.Error())
 	}
-	colsF := math.Floor((maxX-minX)/radius) + 1
-	rowsF := math.Floor((maxY-minY)/radius) + 1
-	if !(colsF >= 1 && rowsF >= 1) || colsF*rowsF > 8*float64(len(pos))+1024 {
-		return // degenerate or sparse extent: the dense grid (and the win) vanish
+	return nw
+}
+
+// firstConnected draws up to maxTries scenes and builds the first whose
+// unit-disk graph is connected, or returns nil. A rejected draw still
+// consumes all its random numbers, IDs included, so the rng stream — and
+// with it every kept scene — is the same as drawing whole networks; it
+// only skips the build.
+func firstConnected(maxTries int, draw func() ([]geom.Point, []int)) *Network {
+	for try := 0; try < maxTries; try++ {
+		if pos, ids := draw(); connected(pos, 1) {
+			return mustNew(pos, ids)
+		}
 	}
-	cols := int(colsF)
-	nCells := cols * int(rowsF)
-	cellOf := func(p geom.Point) int {
-		return int((p.Y-minY)/radius)*cols + int((p.X-minX)/radius)
-	}
-	start := make([]int32, nCells+1)
-	for _, p := range pos {
-		start[cellOf(p)+1]++
-	}
-	for c := 0; c < nCells; c++ {
-		start[c+1] += start[c]
-	}
-	out := make([]geom.Point, len(pos))
-	for _, p := range pos {
-		c := cellOf(p)
-		out[start[c]] = p
-		start[c]++
-	}
-	copy(pos, out)
+	return nil
 }
 
 // GenUniform places n nodes uniformly at random in the square [0,side]²
@@ -311,23 +460,26 @@ func sortByCell(pos []geom.Point, radius float64) {
 // order is pure simulation bookkeeping and never leaks into the
 // algorithms' symmetry breaking.
 func GenUniform(rng *rand.Rand, n int, side float64) *Network {
+	return mustNew(drawUniform(rng, n, side))
+}
+
+func drawUniform(rng *rand.Rand, n int, side float64) ([]geom.Point, []int) {
 	pos := make([]geom.Point, n)
 	for i := range pos {
 		pos[i] = geom.Point{X: rng.Float64() * side, Y: rng.Float64() * side}
 	}
 	sortByCell(pos, 1)
-	nw, err := New(pos, RandomIDs(rng, n), 1)
-	if err != nil {
-		// Unreachable: generated inputs are always valid.
-		panic("udg: GenUniform produced invalid network: " + err.Error())
-	}
-	return nw
+	return pos, RandomIDs(rng, n)
 }
 
 // GenClusters places n nodes into k Gaussian clusters whose centers are
 // uniform in [0,side]²; sigma is the cluster spread. Positions are clamped
 // to the square. Clustered layouts stress the MIS packing lemmas.
 func GenClusters(rng *rand.Rand, n, k int, side, sigma float64) *Network {
+	return mustNew(drawClusters(rng, n, k, side, sigma))
+}
+
+func drawClusters(rng *rand.Rand, n, k int, side, sigma float64) ([]geom.Point, []int) {
 	if k < 1 {
 		k = 1
 	}
@@ -345,11 +497,7 @@ func GenClusters(rng *rand.Rand, n, k int, side, sigma float64) *Network {
 		}
 		pos[i] = box.Clamp(p)
 	}
-	nw, err := New(pos, RandomIDs(rng, n), 1)
-	if err != nil {
-		panic("udg: GenClusters produced invalid network: " + err.Error())
-	}
-	return nw
+	return pos, RandomIDs(rng, n)
 }
 
 // GenGrid places nodes on a rows×cols grid with the given spacing, each
@@ -365,11 +513,7 @@ func GenGrid(rng *rand.Rand, rows, cols int, spacing, jitter float64) *Network {
 			})
 		}
 	}
-	nw, err := New(pos, RandomIDs(rng, len(pos)), 1)
-	if err != nil {
-		panic("udg: GenGrid produced invalid network: " + err.Error())
-	}
-	return nw
+	return mustNew(pos, RandomIDs(rng, len(pos)))
 }
 
 // GenCorridor places n nodes uniformly in an L-shaped corridor of the
@@ -377,6 +521,10 @@ func GenGrid(rng *rand.Rand, rows, cols int, spacing, jitter float64) *Network {
 // Corridor topologies force long detours around the bend and stress the
 // spanner dilation bounds far harder than convex regions.
 func GenCorridor(rng *rand.Rand, n int, armLen, width float64) *Network {
+	return mustNew(drawCorridor(rng, n, armLen, width))
+}
+
+func drawCorridor(rng *rand.Rand, n int, armLen, width float64) ([]geom.Point, []int) {
 	if armLen < width {
 		armLen = width
 	}
@@ -390,17 +538,17 @@ func GenCorridor(rng *rand.Rand, n int, armLen, width float64) *Network {
 			pos[i] = geom.Point{X: rng.Float64() * width, Y: rng.Float64() * armLen}
 		}
 	}
-	nw, err := New(pos, RandomIDs(rng, n), 1)
-	if err != nil {
-		panic("udg: GenCorridor produced invalid network: " + err.Error())
-	}
-	return nw
+	return pos, RandomIDs(rng, n)
 }
 
 // GenAnnulus places n nodes uniformly in a ring with the given inner and
 // outer radii centred at (outer, outer). The hole in the middle makes
 // shortest paths curve, another dilation stressor.
 func GenAnnulus(rng *rand.Rand, n int, inner, outer float64) *Network {
+	return mustNew(drawAnnulus(rng, n, inner, outer))
+}
+
+func drawAnnulus(rng *rand.Rand, n int, inner, outer float64) ([]geom.Point, []int) {
 	if outer <= inner {
 		outer = inner + 1
 	}
@@ -416,11 +564,7 @@ func GenAnnulus(rng *rand.Rand, n int, inner, outer float64) *Network {
 			}
 		}
 	}
-	nw, err := New(pos, RandomIDs(rng, n), 1)
-	if err != nil {
-		panic("udg: GenAnnulus produced invalid network: " + err.Error())
-	}
-	return nw
+	return pos, RandomIDs(rng, n)
 }
 
 // GenQuasi places n nodes uniformly in [0,side]² and links them with the
@@ -459,17 +603,16 @@ func GenQuasi(rng *rand.Rand, n int, side, rMin, rMax, p float64) *Network {
 	}
 }
 
-// GenConnected repeatedly samples GenUniform until the unit-disk graph is
-// connected, up to maxTries attempts. It returns an error when the density
-// is too low to produce a connected instance within the budget.
+// GenConnected samples uniform scenes until the unit-disk graph is
+// connected, up to maxTries attempts; only the kept scene is built. It
+// returns an error when the density is too low to produce a connected
+// instance within the budget.
 func GenConnected(rng *rand.Rand, n int, side float64, maxTries int) (*Network, error) {
-	for try := 0; try < maxTries; try++ {
-		nw := GenUniform(rng, n, side)
-		if nw.G.Connected() {
-			return nw, nil
-		}
+	nw := firstConnected(maxTries, func() ([]geom.Point, []int) { return drawUniform(rng, n, side) })
+	if nw == nil {
+		return nil, fmt.Errorf("udg: no connected instance with n=%d side=%.2f in %d tries", n, side, maxTries)
 	}
-	return nil, fmt.Errorf("udg: no connected instance with n=%d side=%.2f in %d tries", n, side, maxTries)
+	return nw, nil
 }
 
 // GenConnectedAvgDegree is the experiment workhorse: a connected uniform

@@ -33,6 +33,35 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// TestNewDuplicateIDs covers both duplicate checks: the bitmap, taken
+// while every ID lies in [0, n), and the map any other ID sends it to.
+// Either reports the first repeat in scan order.
+func TestNewDuplicateIDs(t *testing.T) {
+	pos := make([]geom.Point, 4)
+	for _, tc := range []struct {
+		ids  []int
+		want string // "" means accepted
+	}{
+		{[]int{3, 1, 0, 2}, ""},
+		{[]int{2, 0, 2, 1}, "udg: duplicate node ID 2"},
+		{[]int{0, 1, 1, 0}, "udg: duplicate node ID 1"},
+		{[]int{-1, 7, 4, -8}, ""},
+		{[]int{-1, 5, -1, 2}, "udg: duplicate node ID -1"},
+		{[]int{4, 9, 1, 4}, "udg: duplicate node ID 4"},
+		{[]int{1, 0, 1, 9}, "udg: duplicate node ID 1"},
+		{[]int{1, 9, 0, 1}, "udg: duplicate node ID 1"},
+	} {
+		_, err := New(pos, tc.ids, 1)
+		got := ""
+		if err != nil {
+			got = err.Error()
+		}
+		if got != tc.want {
+			t.Errorf("ids %v: error %q, want %q", tc.ids, got, tc.want)
+		}
+	}
+}
+
 func TestBuildGraphSmall(t *testing.T) {
 	// Three nodes on a line at distances 1.0 and 1.01: first pair adjacent
 	// (boundary inclusive), second pair not.

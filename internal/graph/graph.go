@@ -10,6 +10,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -62,6 +63,45 @@ func FromEdges(n int, edges [][2]int) (*Graph, error) {
 		}
 	}
 	return g, nil
+}
+
+// Patched returns a successor of g with n ≥ g.N() nodes that shares every
+// adjacency list of g except the replaced ones: node nodes[i] gets
+// lists[i] (nodes must be distinct), and nodes from g.N() on that are not
+// replaced get empty lists.
+// g is never modified, so it stays valid beside its successor; shared
+// lists are capacity-clipped, so an AddEdge on either graph copies rather
+// than writes into the other.
+//
+// The caller keeps the result a simple undirected graph: an edge appears
+// in both endpoints' lists, so every node that gains or loses a neighbour
+// must be among nodes. The edge count then follows from the replaced
+// lists' change in degree.
+func (g *Graph) Patched(n int, nodes []int, lists [][]int) *Graph {
+	adj := make([][]int, n)
+	for u, nbrs := range g.adj {
+		adj[u] = nbrs[:len(nbrs):len(nbrs)]
+	}
+	degDelta := 0
+	for i, u := range nodes {
+		degDelta += len(lists[i]) - len(adj[u])
+		adj[u] = lists[i][:len(lists[i]):len(lists[i])]
+	}
+	return &Graph{adj: adj, edges: g.edges + degDelta/2}
+}
+
+// Equal reports whether g and h have the same nodes and the same adjacency
+// lists in the same order.
+func (g *Graph) Equal(h *Graph) bool {
+	if len(g.adj) != len(h.adj) || g.edges != h.edges {
+		return false
+	}
+	for u, nbrs := range g.adj {
+		if !slices.Equal(nbrs, h.adj[u]) {
+			return false
+		}
+	}
+	return true
 }
 
 // N returns the number of nodes.

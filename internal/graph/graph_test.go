@@ -62,6 +62,37 @@ func TestNewEmpty(t *testing.T) {
 	}
 }
 
+func TestPatchedSharesAndCounts(t *testing.T) {
+	// Path 0-1-2-3; node 3 moves next to 0 and a new node 4 joins at 1:
+	// lists of 0, 1, 2, 3 and 4 change.
+	g := pathGraph(t, 4)
+	before := g.Clone()
+	p := g.Patched(5, []int{0, 1, 2, 3, 4}, [][]int{{1, 3}, {0, 2, 4}, {1}, {0}, {1}})
+	if !g.Equal(before) {
+		t.Fatal("Patched modified its receiver")
+	}
+	want, err := FromEdges(5, [][2]int{{0, 1}, {1, 2}, {0, 3}, {1, 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want.SortAdjacency()
+	if !p.Equal(want) || p.M() != 4 {
+		t.Fatalf("patched graph m=%d edges %v, want %v", p.M(), p.Edges(), want.Edges())
+	}
+	// An unreplaced list is shared, and growing it on one graph leaves the
+	// other alone.
+	q := g.Patched(4, []int{0, 3}, [][]int{{1, 3}, {0, 2}})
+	if &q.Neighbors(1)[0] != &g.Neighbors(1)[0] {
+		t.Fatal("unreplaced list was copied")
+	}
+	if err := q.AddEdge(1, 3); err != nil {
+		t.Fatal(err)
+	}
+	if !g.Equal(before) {
+		t.Fatal("AddEdge on a successor wrote into the shared list")
+	}
+}
+
 func TestAddEdgeErrors(t *testing.T) {
 	g := New(3)
 	if err := g.AddEdge(0, 0); err == nil {

@@ -14,7 +14,12 @@
 //     seeded only with the nodes an event could have affected.
 //  2. The additional-dominator (connector) assignments for three-hop
 //     dominator pairs are recomputed with the same canonical selection the
-//     construction uses, and the diff is reported.
+//     construction uses, for the owners within three hops of a change, and
+//     the diff is reported.
+//
+// The unit-disk graph itself is updated the same way: only the event
+// sites and their old and new neighbours get fresh adjacency lists, in a
+// copy-on-write successor of the previous graph.
 //
 // Repairs are context-aware: a cancelled context aborts the repair and
 // rolls the maintainer back to its pre-epoch state, so a long-lived session
@@ -29,9 +34,11 @@
 package maintain
 
 import (
+	"container/heap"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"wcdsnet/internal/geom"
@@ -47,12 +54,22 @@ import (
 // churn, later disconnection is reported as data via Report.Connected).
 var ErrNotConnected = errors.New("maintain: initial network must be connected")
 
+// ErrNotUnitDisk is returned by New when the network's graph is not the
+// unit-disk graph of its positions (a quasi-unit-disk scene, say): epochs
+// relink the nodes around each event with the unit-disk rule and keep
+// every other link, which is exact only when the rest already follows it.
+var ErrNotUnitDisk = errors.New("maintain: network graph must be the unit-disk graph of its positions")
+
 // Maintainer tracks a network and its maintained WCDS across events.
 type Maintainer struct {
-	nw         *udg.Network
-	inMIS      []bool
-	active     []bool // off nodes keep their slot but have no edges
-	connectors map[[2]int][2]int
+	nw     *udg.Network
+	inMIS  []bool // implies active: switching a node off demotes it
+	active []bool // off nodes keep their slot but have no edges
+	// conns[u] lists the connector choices owned by MIS-dominator u (see
+	// wcds.Connector). An epoch installs a fresh outer slice and fresh
+	// lists for the owners it recomputes, so a snapshot's conns is never
+	// written.
+	conns [][]wcds.Connector
 
 	// policy selects the repair strategy and, for the distributed
 	// protocol, the fault environment it runs under (see RepairPolicy in
@@ -68,6 +85,11 @@ type Maintainer struct {
 	// rec receives per-stage spans (rebuild, repair, connectors) so a
 	// session can attribute repair cost like any other phase.
 	rec obs.Recorder
+
+	// ks is the connector kernel's scratch, kept across epochs so a
+	// recompute allocates only its output; not part of the maintained
+	// state.
+	ks wcds.ConnectorScratch
 }
 
 // SetDistributedRepair selects the repair strategy for subsequent events:
@@ -76,8 +98,9 @@ type Maintainer struct {
 // faults, the reliable layer and the escalation ladder.
 func (m *Maintainer) SetDistributedRepair(on bool) { m.policy = RepairPolicy{Distributed: on} }
 
-// SetObserver directs per-stage timing spans ("rebuild", "repair",
-// "connectors") to rec; nil restores the no-op default.
+// SetObserver directs per-stage timing spans ("rebuild", which times the
+// graph relink, "repair" and "connectors") to rec; nil restores the no-op
+// default.
 func (m *Maintainer) SetObserver(rec obs.Recorder) {
 	if rec == nil {
 		rec = obs.Nop
@@ -155,10 +178,14 @@ type Report struct {
 
 // New builds a Maintainer with the canonical Algorithm II state for the
 // network's current topology. The network must be connected (errors.Is
-// ErrNotConnected otherwise).
+// ErrNotConnected otherwise) and its graph must be the unit-disk graph of
+// its positions (ErrNotUnitDisk otherwise).
 func New(nw *udg.Network) (*Maintainer, error) {
 	if !nw.G.Connected() {
 		return nil, ErrNotConnected
+	}
+	if !nw.G.Equal(udg.BuildGraph(nw.Pos, nw.Radius)) {
+		return nil, ErrNotUnitDisk
 	}
 	m := &Maintainer{
 		nw:     nw,
@@ -173,7 +200,7 @@ func New(nw *udg.Network) (*Maintainer, error) {
 	for _, v := range set {
 		m.inMIS[v] = true
 	}
-	m.connectors = wcds.ConnectorSelection(nw.G, nw.ID, set)
+	m.conns = wcds.ConnectorSelection(nw.G, nw.ID, set)
 	return m, nil
 }
 
@@ -188,21 +215,58 @@ func (m *Maintainer) MISDominators() []int {
 	return set
 }
 
-// Dominators returns the full maintained WCDS (MIS plus connectors).
+// Dominators returns the full maintained WCDS (MIS plus connectors),
+// sorted.
 func (m *Maintainer) Dominators() []int {
-	seen := make(map[int]bool)
-	for _, v := range m.MISDominators() {
-		seen[v] = true
+	var out []int
+	for v, in := range m.dominatorMask() {
+		if in {
+			out = append(out, v)
+		}
 	}
-	for _, pair := range m.connectors {
-		seen[pair[0]] = true
-	}
-	out := make([]int, 0, len(seen))
-	for v := range seen {
-		out = append(out, v)
-	}
-	sort.Ints(out)
 	return out
+}
+
+// dominatorMask marks the maintained WCDS: active MIS members and every
+// connector.
+func (m *Maintainer) dominatorMask() []bool {
+	mask := make([]bool, len(m.inMIS))
+	for v, in := range m.inMIS {
+		mask[v] = in && m.active[v]
+	}
+	for _, owned := range m.conns {
+		for _, c := range owned {
+			mask[c.V] = true
+		}
+	}
+	return mask
+}
+
+// MISSize returns len(MISDominators()) without building the list.
+func (m *Maintainer) MISSize() int {
+	n := 0
+	for v, in := range m.inMIS {
+		if in && m.active[v] {
+			n++
+		}
+	}
+	return n
+}
+
+// BackboneSize returns len(Dominators()) without building the list.
+func (m *Maintainer) BackboneSize() int { return countTrue(m.dominatorMask()) }
+
+// ActiveCount returns the number of switched-on nodes.
+func (m *Maintainer) ActiveCount() int { return countTrue(m.active) }
+
+func countTrue(mask []bool) int {
+	n := 0
+	for _, b := range mask {
+		if b {
+			n++
+		}
+	}
+	return n
 }
 
 // InMIS returns a copy of the MIS membership mask (inactive nodes false).
@@ -265,36 +329,36 @@ func (m *Maintainer) AddNode(ctx context.Context, p geom.Point, id int) (int, Re
 }
 
 // snapshot captures the maintainer's full state for rollback. The graph
-// pointer suffices: rebuild always installs a fresh graph, never mutates
-// the old one in place.
+// and connector pointers suffice: an epoch installs copy-on-write
+// successors of both and never writes the old ones.
 type snapshot struct {
-	pos        []geom.Point
-	id         []int
-	inMIS      []bool
-	active     []bool
-	connectors map[[2]int][2]int
-	g          *graph.Graph
+	pos    []geom.Point
+	id     []int
+	inMIS  []bool
+	active []bool
+	conns  [][]wcds.Connector
+	g      *graph.Graph
 }
 
 func (m *Maintainer) save() snapshot {
 	return snapshot{
-		pos:        append([]geom.Point(nil), m.nw.Pos...),
-		id:         append([]int(nil), m.nw.ID...),
-		inMIS:      append([]bool(nil), m.inMIS...),
-		active:     append([]bool(nil), m.active...),
-		connectors: m.connectors,
-		g:          m.nw.G,
+		pos:    append([]geom.Point(nil), m.nw.Pos...),
+		id:     append([]int(nil), m.nw.ID...),
+		inMIS:  append([]bool(nil), m.inMIS...),
+		active: append([]bool(nil), m.active...),
+		conns:  m.conns,
+		g:      m.nw.G,
 	}
 }
 
 func (m *Maintainer) restore(s snapshot) {
 	m.nw.Pos, m.nw.ID, m.nw.G = s.pos, s.id, s.g
-	m.inMIS, m.active, m.connectors = s.inMIS, s.active, s.connectors
+	m.inMIS, m.active, m.conns = s.inMIS, s.active, s.conns
 }
 
-// ApplyEpoch applies a batch of topology mutations, rebuilds the unit-disk
-// graph once, and repairs the WCDS with the local rules seeded only at the
-// event sites. A validation failure or a cancelled context rolls the
+// ApplyEpoch applies a batch of topology mutations, relinks the unit-disk
+// graph around the event sites, and repairs the WCDS with the local rules
+// seeded only there. A validation failure or a cancelled context rolls the
 // maintainer back to its pre-epoch state and returns the error (context
 // causes stay visible to errors.Is).
 func (m *Maintainer) ApplyEpoch(ctx context.Context, muts []Mutation) (Report, error) {
@@ -305,10 +369,8 @@ func (m *Maintainer) ApplyEpoch(ctx context.Context, muts []Mutation) (Report, e
 	preG := m.nw.G
 
 	// Apply the mutations to positions and masks. Event sites and the
-	// pre-epoch neighbourhoods seed the repair worklist after the rebuild.
-	var events []int
-	var joined []int
-	seeds := map[int]bool{}
+	// pre-epoch neighbourhoods seed the repair worklist after the relink.
+	var events, joined, seeds []int
 	fail := func(err error) (Report, error) {
 		m.restore(snap)
 		return Report{}, err
@@ -340,9 +402,7 @@ func (m *Maintainer) ApplyEpoch(ctx context.Context, muts []Mutation) (Report, e
 			}
 			events = append(events, v)
 			if v < preG.N() {
-				for _, w := range preG.Neighbors(v) {
-					seeds[w] = true
-				}
+				seeds = append(seeds, preG.Neighbors(v)...)
 			}
 		case OpJoin:
 			for _, id := range m.nw.ID {
@@ -363,17 +423,15 @@ func (m *Maintainer) ApplyEpoch(ctx context.Context, muts []Mutation) (Report, e
 	}
 
 	tm := obs.StartTimer("rebuild")
-	m.rebuild()
+	m.nw.G = m.relink(preG, events)
 	tm.Done(m.rec)
 
 	for _, v := range events {
-		seeds[v] = true
-		for _, w := range m.nw.G.Neighbors(v) {
-			seeds[w] = true
-		}
+		seeds = append(seeds, v)
+		seeds = append(seeds, m.nw.G.Neighbors(v)...)
 	}
 
-	rep, err := m.repair(ctx, events, seeds)
+	rep, err := m.repair(ctx, snap, events, seeds)
 	if err != nil {
 		m.restore(snap)
 		return Report{}, err
@@ -382,37 +440,80 @@ func (m *Maintainer) ApplyEpoch(ctx context.Context, muts []Mutation) (Report, e
 	return rep, nil
 }
 
-// rebuild recomputes the unit-disk graph over active nodes only.
-func (m *Maintainer) rebuild() {
-	m.nw.Rebuild()
-	if allActive(m.active) {
-		return
-	}
-	// Mask out edges of inactive nodes by rebuilding a filtered graph.
-	g := graph.New(m.nw.N())
-	for _, e := range m.nw.G.Edges() {
-		if m.active[e[0]] && m.active[e[1]] {
-			_ = g.AddEdge(e[0], e[1])
+// relink returns the post-epoch graph as a copy-on-write successor of old:
+// the unit-disk graph over active nodes, by BuildGraph's predicate. Only
+// the event sites get lists built from scratch, by a scan of the active
+// nodes; every other changed edge ends at an old or new neighbour of a
+// site, whose list keeps its non-site neighbours and takes the sites now
+// in range. All other lists are shared with old. Lists are allocated to
+// size, so a long session's graph stays as compact as a fresh build.
+func (m *Maintainer) relink(old *graph.Graph, events []int) *graph.Graph {
+	n := m.nw.N()
+	pos, active := m.nw.Pos, m.active
+	r2 := m.nw.Radius * m.nw.Radius
+	slot := map[int]int{} // node -> index in nodes: sites first, then their neighbours
+	var nodes []int
+	add := func(v int) {
+		if _, ok := slot[v]; !ok {
+			slot[v] = len(nodes)
+			nodes = append(nodes, v)
 		}
 	}
-	g.SortAdjacency()
-	m.nw.G = g
-}
-
-func allActive(active []bool) bool {
-	for _, a := range active {
-		if !a {
-			return false
+	for _, v := range events {
+		add(v)
+	}
+	sites := len(nodes)
+	isSite := func(v int) bool { i, ok := slot[v]; return ok && i < sites }
+	lists := make([][]int, sites, 4*sites)
+	var buf []int
+	for i, v := range nodes {
+		if !active[v] {
+			continue
+		}
+		buf = buf[:0]
+		p := pos[v]
+		for q, on := range active {
+			if on && q != v && p.Dist2(pos[q]) <= r2 {
+				buf = append(buf, q)
+			}
+		}
+		lists[i] = slices.Clone(buf)
+	}
+	for i, v := range nodes[:sites] {
+		if v < old.N() {
+			for _, w := range old.Neighbors(v) {
+				add(w)
+			}
+		}
+		for _, w := range lists[i] {
+			add(w)
 		}
 	}
-	return true
+	for _, w := range nodes[sites:] {
+		buf = buf[:0]
+		if w < old.N() {
+			for _, x := range old.Neighbors(w) {
+				if !isSite(x) {
+					buf = append(buf, x)
+				}
+			}
+		}
+		for _, v := range nodes[:sites] {
+			if active[v] && pos[v].Dist2(pos[w]) <= r2 {
+				buf = append(buf, v)
+			}
+		}
+		slices.Sort(buf)
+		lists = append(lists, slices.Clone(buf))
+	}
+	return old.Patched(n, nodes, lists)
 }
 
 // repair restores the MIS invariants with deterministic local rules and
 // refreshes the connector assignments, returning the change report.
-func (m *Maintainer) repair(ctx context.Context, events []int, seeds map[int]bool) (Report, error) {
+func (m *Maintainer) repair(ctx context.Context, pre snapshot, events, seeds []int) (Report, error) {
 	oldMIS := append([]bool(nil), m.inMIS...)
-	oldDoms := m.Dominators()
+	oldDoms := m.dominatorMask()
 
 	tm := obs.StartTimer("repair")
 	var (
@@ -437,25 +538,28 @@ func (m *Maintainer) repair(ctx context.Context, events []int, seeds map[int]boo
 	if err != nil {
 		return Report{}, err
 	}
-	rep := m.finishRepair(events, oldMIS, oldDoms, promoted, demoted)
+	rep := m.finishRepair(pre, events, oldMIS, oldDoms, promoted, demoted)
 	rep.Repair = info
 	return rep, nil
 }
 
 // repairWorklist restores the MIS invariants with the deterministic local
-// worklist rules, mutating inMIS in place. A nil seed set sweeps every
+// worklist rules, mutating inMIS in place. A nil seed list sweeps every
 // active node (the from-scratch reference); otherwise only the given dirty
-// set (plus anything a state change touches) is processed. The context is
-// observed between rule applications so a repair can be cancelled
-// mid-worklist; on cancellation inMIS may be partially repaired and the
-// caller must roll back.
+// nodes (plus anything a state change touches) are processed. The work set
+// is a min-heap on ID with an in-work mask, so each step takes the
+// lowest-ID dirty node in O(log n). The context is observed between rule
+// applications so a repair can be cancelled mid-worklist; on cancellation
+// inMIS may be partially repaired and the caller must roll back.
 func repairWorklist(ctx context.Context, g *graph.Graph, ids []int, inMIS, active []bool,
-	seeds map[int]bool) (promoted, demoted []int, err error) {
+	seeds []int) (promoted, demoted []int, err error) {
 
-	work := map[int]bool{}
+	work := &idHeap{ids: ids}
+	inWork := make([]bool, g.N())
 	addDirty := func(v int) {
-		if active[v] {
-			work[v] = true
+		if active[v] && !inWork[v] {
+			inWork[v] = true
+			heap.Push(work, v)
 		}
 	}
 	if seeds == nil {
@@ -463,22 +567,16 @@ func repairWorklist(ctx context.Context, g *graph.Graph, ids []int, inMIS, activ
 			addDirty(v)
 		}
 	} else {
-		for v := range seeds {
+		for _, v := range seeds {
 			if v >= 0 && v < g.N() {
 				addDirty(v)
 			}
 		}
 	}
-
 	popMin := func() int {
-		best := -1
-		for v := range work {
-			if best == -1 || ids[v] < ids[best] {
-				best = v
-			}
-		}
-		delete(work, best)
-		return best
+		v := heap.Pop(work).(int)
+		inWork[v] = false
+		return v
 	}
 	dominated := func(v int) bool {
 		if inMIS[v] {
@@ -492,7 +590,7 @@ func repairWorklist(ctx context.Context, g *graph.Graph, ids []int, inMIS, activ
 		return false
 	}
 	steps := 0
-	for len(work) > 0 {
+	for len(work.nodes) > 0 {
 		if steps&31 == 0 {
 			if cerr := ctx.Err(); cerr != nil {
 				return nil, nil, fmt.Errorf("maintain: repair interrupted: %w", cerr)
@@ -538,6 +636,19 @@ func repairWorklist(ctx context.Context, g *graph.Graph, ids []int, inMIS, activ
 	return promoted, demoted, nil
 }
 
+// idHeap is a container/heap of nodes ordered by ID.
+type idHeap struct{ ids, nodes []int }
+
+func (h idHeap) Len() int           { return len(h.nodes) }
+func (h idHeap) Less(i, j int) bool { return h.ids[h.nodes[i]] < h.ids[h.nodes[j]] }
+func (h idHeap) Swap(i, j int)      { h.nodes[i], h.nodes[j] = h.nodes[j], h.nodes[i] }
+func (h *idHeap) Push(v any)        { h.nodes = append(h.nodes, v.(int)) }
+func (h *idHeap) Pop() any {
+	v := h.nodes[len(h.nodes)-1]
+	h.nodes = h.nodes[:len(h.nodes)-1]
+	return v
+}
+
 // Fixpoint runs the documented repair rules over every active node of g to
 // a fixpoint, starting from the given MIS membership, and returns the
 // repaired mask. It is the from-scratch reference for the dirty-set repair:
@@ -561,27 +672,11 @@ func Fixpoint(ctx context.Context, g *graph.Graph, ids []int, inMIS, active []bo
 }
 
 // finishRepair refreshes the connector assignments and assembles the
-// change report shared by both repair strategies.
-func (m *Maintainer) finishRepair(events []int, oldMIS []bool, oldDoms, promoted, demoted []int) Report {
-	g := m.nw.G
-	ids := m.nw.ID
-
-	// Refresh connectors with the canonical selection over the repaired
-	// MIS; diff against the previous assignment.
+// change report shared by both repair strategies. oldMIS and oldDoms are
+// the post-mutation, pre-repair MIS and dominator masks.
+func (m *Maintainer) finishRepair(pre snapshot, events []int, oldMIS, oldDoms []bool, promoted, demoted []int) Report {
 	tm := obs.StartTimer("connectors")
-	newConns := wcds.ConnectorSelection(g, ids, m.MISDominators())
-	changes := 0
-	for key, val := range newConns {
-		if old, ok := m.connectors[key]; !ok || old != val {
-			changes++
-		}
-	}
-	for key := range m.connectors {
-		if _, ok := newConns[key]; !ok {
-			changes++
-		}
-	}
-	m.connectors = newConns
+	changes := m.refreshConnectors(pre, events, promoted, demoted)
 	tm.Done(m.rec)
 
 	rep := Report{
@@ -591,18 +686,103 @@ func (m *Maintainer) finishRepair(events []int, oldMIS []bool, oldDoms, promoted
 		Connected:        m.activeConnected(),
 	}
 	// A node both demoted and re-promoted during repair ends with its old
-	// role; count net changes only. Pre-epoch indices beyond the old mask
-	// are new joiners: any role they end with is a change.
-	newDoms := m.Dominators()
-	rep.RoleChanged = symmetricDiff(oldDoms, newDoms)
-	for v := range oldMIS {
-		if oldMIS[v] != m.inMIS[v] {
+	// role; count net changes only.
+	for v, dom := range m.dominatorMask() {
+		if dom != oldDoms[v] || oldMIS[v] != m.inMIS[v] {
 			rep.RoleChanged = append(rep.RoleChanged, v)
 		}
 	}
-	rep.RoleChanged = dedupSorted(rep.RoleChanged)
 	rep.AffectedRadius = m.radiusFrom(events, rep.RoleChanged)
 	return rep
+}
+
+// refreshConnectors recomputes the connector choices of every owner the
+// epoch can have changed and returns how many keys were added, removed or
+// reassigned. A key's choice reads only its owner's radius-3 ball (see
+// wcds.(*ConnectorScratch).AppendOwned), and every edge or MIS change lies
+// at an event site or a promoted or demoted node. So the dirty owners are
+// the MIS members, before or after the epoch, within three hops of those
+// nodes in the pre-epoch graph or the current one; all other keys stand.
+func (m *Maintainer) refreshConnectors(pre snapshot, changed ...[]int) int {
+	g, n := m.nw.G, m.nw.N()
+	ball := within3(pre.g, changed, nil)
+	ball = within3(g, changed, ball)
+	slices.Sort(ball)
+	ball = slices.Compact(ball)
+
+	inSet := make([]bool, n)
+	for v, in := range m.inMIS {
+		inSet[v] = in && m.active[v]
+	}
+	next := make([][]wcds.Connector, n)
+	copy(next, m.conns)
+	var buf []wcds.Connector
+	changes := 0
+	for _, u := range ball {
+		wasOwner := u < len(pre.inMIS) && pre.inMIS[u] && pre.active[u]
+		if !wasOwner && !inSet[u] {
+			continue
+		}
+		var owned []wcds.Connector
+		if inSet[u] {
+			buf = m.ks.AppendOwned(g, m.nw.ID, inSet, u, buf[:0])
+			if len(buf) > 0 {
+				owned = slices.Clone(buf)
+			}
+		}
+		changes += connectorDiff(next[u], owned)
+		next[u] = owned
+	}
+	m.conns = next
+	return changes
+}
+
+// within3 appends to out every node within three hops of a node in src,
+// in g; nodes g does not have yet (this epoch's joins) are skipped.
+func within3(g *graph.Graph, src [][]int, out []int) []int {
+	seen := make([]bool, g.N())
+	lo := len(out)
+	for _, vs := range src {
+		for _, v := range vs {
+			if v < g.N() && !seen[v] {
+				seen[v] = true
+				out = append(out, v)
+			}
+		}
+	}
+	for hop := 0; hop < 3; hop++ {
+		hi := len(out)
+		for _, v := range out[lo:hi] {
+			for _, w := range g.Neighbors(v) {
+				if !seen[w] {
+					seen[w] = true
+					out = append(out, w)
+				}
+			}
+		}
+		lo = hi
+	}
+	return out
+}
+
+// connectorDiff counts the keys of two owner lists, each sorted by W, that
+// are in one only or map to different choices.
+func connectorDiff(a, b []wcds.Connector) int {
+	diff := 0
+	for len(a) > 0 && len(b) > 0 {
+		switch {
+		case a[0].W < b[0].W:
+			diff, a = diff+1, a[1:]
+		case a[0].W > b[0].W:
+			diff, b = diff+1, b[1:]
+		default:
+			if a[0] != b[0] {
+				diff++
+			}
+			a, b = a[1:], b[1:]
+		}
+	}
+	return diff + len(a) + len(b)
 }
 
 // activeConnected reports connectivity of the active subgraph.
@@ -728,32 +908,6 @@ func dedupSorted(xs []int) []int {
 	for _, x := range xs[1:] {
 		if x != out[len(out)-1] {
 			out = append(out, x)
-		}
-	}
-	return out
-}
-
-// symmetricDiff returns elements in exactly one of the two sorted slices.
-func symmetricDiff(a, b []int) []int {
-	var out []int
-	i, j := 0, 0
-	for i < len(a) || j < len(b) {
-		switch {
-		case i == len(a):
-			out = append(out, b[j])
-			j++
-		case j == len(b):
-			out = append(out, a[i])
-			i++
-		case a[i] == b[j]:
-			i++
-			j++
-		case a[i] < b[j]:
-			out = append(out, a[i])
-			i++
-		default:
-			out = append(out, b[j])
-			j++
 		}
 	}
 	return out

@@ -138,7 +138,7 @@ func (m *Maintainer) RepairPolicy() RepairPolicy { return m.policy }
 // at the top of this file. It mutates m.inMIS to the repaired (validated)
 // MIS and returns the promotion/demotion diff against oldMIS. Any returned
 // error leaves state for the caller (ApplyEpoch) to roll back.
-func (m *Maintainer) repairLadder(ctx context.Context, oldMIS []bool, seeds map[int]bool) (promoted, demoted []int, info RepairInfo, err error) {
+func (m *Maintainer) repairLadder(ctx context.Context, oldMIS []bool, seeds []int) (promoted, demoted []int, info RepairInfo, err error) {
 	g := m.nw.G
 	m.repairEpochs++
 	info.Mode = RepairModeDistributed

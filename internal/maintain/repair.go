@@ -32,9 +32,10 @@ import (
 // which the tests assert across scrambled schedules.
 //
 // The connector (additional-dominator) refresh stays the canonical
-// recomputation from wcds.ConnectorSelection, as in the construction — the
-// paper defers the full maintenance protocol to future work, and
-// experiment E10 reports the measured role-change locality.
+// selection of the construction (wcds.ConnectorSelection's owner kernel,
+// run for the owners near the epoch's changes) — the paper defers the full
+// maintenance protocol to future work, and experiment E10 reports the
+// measured role-change locality.
 
 // StateMsg beacons the sender's identity, role, and coverage status. Seq
 // increases with every beacon so receivers can discard out-of-order copies

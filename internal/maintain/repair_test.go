@@ -129,7 +129,7 @@ func TestRepairAfterMoveIsLocal(t *testing.T) {
 		old := nw.Pos[v]
 		nw.Pos[v] = geom.Square(udg.SideForAvgDegree(100, 10)).Clamp(
 			geom.Point{X: old.X + rng.NormFloat64()*0.4, Y: old.Y + rng.NormFloat64()*0.4})
-		nw.Rebuild()
+		nw.G = udg.BuildGraph(nw.Pos, nw.Radius)
 		set, flips, stats, err := RepairMISDistributed(nw.G, nw.ID, mask, syncRun)
 		if err != nil {
 			t.Fatal(err)

@@ -76,6 +76,9 @@ func (s *Service) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(err, maintain.ErrNotConnected) {
 			return nil, fmt.Errorf("session requires a connected network: %w", api.ErrUnreachable)
 		}
+		if errors.Is(err, maintain.ErrNotUnitDisk) {
+			return nil, fmt.Errorf("%w: session requires a unit-disk network; quasi-unit-disk scenes cannot be maintained", api.ErrInvalidInput)
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -84,13 +87,14 @@ func (s *Service) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 			return nil, err
 		}
 		m := sess.Maintainer()
+		doms := m.Dominators()
 		return &api.SessionResponse{
 			Session:      sess.ID(),
 			N:            m.Network().N(),
 			Edges:        m.Network().G.M(),
-			Dominators:   m.Dominators(),
-			MISSize:      len(m.MISDominators()),
-			BackboneSize: len(m.Dominators()),
+			Dominators:   doms,
+			MISSize:      m.MISSize(),
+			BackboneSize: len(doms),
 			TTLSeconds:   ttl.Seconds(),
 			IdleSeconds:  idle.Seconds(),
 			Schema:       api.SchemaVersion,

@@ -226,6 +226,26 @@ func TestSessionCreateRejectsDisconnectedAndUnknownStream(t *testing.T) {
 	}
 }
 
+// Epochs relink nodes with the unit-disk rule, so a session only takes a
+// scene whose graph already follows it: quasi-unit-disk links are a 400,
+// while the quasi kind with p=1 is a unit-disk graph at rmax and opens.
+func TestSessionCreateRequiresUnitDiskScene(t *testing.T) {
+	_, ts := newTestService(t, Options{})
+	buf, _ := json.Marshal(map[string]any{"seed": 3, "n": 60, "avgDegree": 10,
+		"topology": map[string]any{"kind": "quasi"}})
+	resp, err := http.Post(ts.URL+"/v1/session", "application/json", bytes.NewReader(buf))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(raw), "unit-disk") {
+		t.Fatalf("quasi create: status %d (%s), want 400 naming the unit-disk requirement", resp.StatusCode, raw)
+	}
+	createSession(t, ts.URL, map[string]any{"seed": 3, "n": 60, "avgDegree": 10,
+		"topology": map[string]any{"kind": "quasi", "params": map[string]float64{"p": 1}}})
+}
+
 func TestSessionMetricsExposed(t *testing.T) {
 	svc, ts := newTestService(t, Options{})
 	created := createSession(t, ts.URL, map[string]any{"seed": 23, "n": 40, "avgDegree": 8})

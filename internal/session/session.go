@@ -191,7 +191,8 @@ type Session struct {
 
 // New builds a session over nw (which the session takes ownership of; pass
 // a clone to keep the original). The network must be connected
-// (maintain.ErrNotConnected otherwise).
+// (maintain.ErrNotConnected otherwise) and a unit-disk graph
+// (maintain.ErrNotUnitDisk otherwise).
 func New(id string, nw *udg.Network, cfg Config) (*Session, error) {
 	m, err := maintain.New(nw)
 	if err != nil {
@@ -317,12 +318,6 @@ func (s *Session) Apply(ctx context.Context, deltas []Delta) (Event, error) {
 	s.nextID = nextID
 	s.seq++
 
-	active := 0
-	for _, on := range s.m.ActiveMask() {
-		if on {
-			active++
-		}
-	}
 	ev := Event{
 		Session:          s.id,
 		Seq:              s.seq,
@@ -335,9 +330,9 @@ func (s *Session) Apply(ctx context.Context, deltas []Delta) (Event, error) {
 		NodesTouched:     len(rep.RoleChanged),
 		RepairRadius:     rep.AffectedRadius,
 		Connected:        rep.Connected,
-		ActiveNodes:      active,
-		MISSize:          len(s.m.MISDominators()),
-		BackboneSize:     len(s.m.Dominators()),
+		ActiveNodes:      s.m.ActiveCount(),
+		MISSize:          s.m.MISSize(),
+		BackboneSize:     s.m.BackboneSize(),
 		ElapsedMicros:    time.Since(start).Microseconds(),
 		Repair:           repairReport(rep.Repair),
 	}

@@ -367,11 +367,6 @@ func buildGraphSparse(g *graph.Graph, pos []geom.Point, radius float64) {
 	}
 }
 
-// Rebuild recomputes the unit-disk graph after position changes (mobility).
-func (nw *Network) Rebuild() {
-	nw.G = BuildGraph(nw.Pos, nw.Radius)
-}
-
 // N returns the node count.
 func (nw *Network) N() int { return len(nw.Pos) }
 

@@ -128,7 +128,7 @@ func TestBuildGraphNegativeCoordinates(t *testing.T) {
 	}
 }
 
-func TestRebuildAfterMove(t *testing.T) {
+func TestBuildGraphAfterMove(t *testing.T) {
 	nw, err := New([]geom.Point{{X: 0, Y: 0}, {X: 0.5, Y: 0}}, []int{0, 1}, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -137,8 +137,7 @@ func TestRebuildAfterMove(t *testing.T) {
 		t.Fatal("initial edge missing")
 	}
 	nw.Pos[1] = geom.Point{X: 5, Y: 0}
-	nw.Rebuild()
-	if nw.G.HasEdge(0, 1) {
+	if BuildGraph(nw.Pos, nw.Radius).HasEdge(0, 1) {
 		t.Error("edge should disappear after the node moved away")
 	}
 }

@@ -650,94 +650,17 @@ func (p *algo2Proc) snapshotTables() Tables {
 // Deferred mode under any engine and schedule, which the tests verify.
 func Algo2Centralized(g *graph.Graph, ids []int) Result {
 	set := mis.Greedy(g, mis.ByID(ids))
-	conns := ConnectorSelection(g, ids, set)
-	additionalSet := make(map[int]bool, len(conns))
-	for _, pair := range conns {
-		additionalSet[pair[0]] = true
+	isConnector := make([]bool, g.N())
+	for _, owned := range ConnectorSelection(g, ids, set) {
+		for _, c := range owned {
+			isConnector[c.V] = true
+		}
 	}
 	var additional []int
-	for v := range additionalSet {
-		additional = append(additional, v)
+	for v, in := range isConnector {
+		if in {
+			additional = append(additional, v)
+		}
 	}
 	return newResult(g, set, additional)
-}
-
-// ConnectorSelection computes Algorithm II's canonical (Deferred-mode)
-// additional-dominator choices for the given MIS: for every dominator pair
-// (u, w) at hop distance exactly three with ids[u] < ids[w], the returned
-// map holds key [2]int{u, w} with value [2]int{v, x} — the connector v
-// (which joins the WCDS) and second intermediate x of the u–v–x–w path with
-// the lexicographically smallest (ids[v], ids[x]). All values are node
-// indices. The mobility-maintenance layer re-runs this after topology
-// changes.
-func ConnectorSelection(g *graph.Graph, ids []int, misSet []int) map[[2]int][2]int {
-	inSet := make([]bool, g.N())
-	for _, v := range misSet {
-		inSet[v] = true
-	}
-	nodeOfID := make(map[int]int, g.N())
-	for v := 0; v < g.N(); v++ {
-		nodeOfID[ids[v]] = v
-	}
-
-	// adjacentDom[v] = IDs of dominators adjacent to v.
-	// twoHop[v] = dominator ID -> min via-ID, mirroring the protocol's
-	// 2HopDomList before the adjacency exclusion.
-	adjacentDom := make([]map[int]bool, g.N())
-	for v := 0; v < g.N(); v++ {
-		adjacentDom[v] = make(map[int]bool)
-		for _, w := range g.Neighbors(v) {
-			if inSet[w] {
-				adjacentDom[v][ids[w]] = true
-			}
-		}
-	}
-	twoHop := make([]map[int]int, g.N())
-	for v := 0; v < g.N(); v++ {
-		twoHop[v] = make(map[int]int)
-		for _, x := range g.Neighbors(v) {
-			if inSet[x] {
-				continue // only gray nodes publish 1-HOP reports
-			}
-			for dom := range adjacentDom[x] {
-				if dom == ids[v] {
-					continue
-				}
-				if cur, ok := twoHop[v][dom]; !ok || ids[x] < cur {
-					twoHop[v][dom] = ids[x]
-				}
-			}
-		}
-	}
-
-	out := make(map[[2]int][2]int)
-	for _, u := range misSet {
-		// Candidates come from gray neighbours' published 2-HOP lists,
-		// which exclude dominators the publisher is adjacent to.
-		cand := make(map[int][2]int)
-		for _, v := range g.Neighbors(u) {
-			if inSet[v] {
-				continue // dominator neighbours are impossible; defensive
-			}
-			for dom, via := range twoHop[v] {
-				if adjacentDom[v][dom] {
-					continue // excluded from v's broadcast
-				}
-				if dom == ids[u] || ids[u] >= dom {
-					continue
-				}
-				pair := [2]int{ids[v], via}
-				if cur, ok := cand[dom]; !ok || pair[0] < cur[0] || (pair[0] == cur[0] && pair[1] < cur[1]) {
-					cand[dom] = pair
-				}
-			}
-		}
-		for dom, pair := range cand {
-			if _, reachable := twoHop[u][dom]; reachable {
-				continue // two hops away: no connector needed
-			}
-			out[[2]int{u, nodeOfID[dom]}] = [2]int{nodeOfID[pair[0]], nodeOfID[pair[1]]}
-		}
-	}
-	return out
 }

@@ -290,8 +290,9 @@ func BlindFlood(nw *Network, src int) BroadcastReport {
 	return route.BlindFlood(nw.G, src)
 }
 
-// NewMaintainer starts WCDS maintenance over the (connected) network; the
-// network's positions are owned by the maintainer from then on.
+// NewMaintainer starts WCDS maintenance over the network, which must be
+// connected and a unit-disk graph of its positions; the network's
+// positions are owned by the maintainer from then on.
 func NewMaintainer(nw *Network) (*Maintainer, error) {
 	return maintain.New(nw)
 }

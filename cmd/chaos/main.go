@@ -38,11 +38,15 @@
 //
 // -seeds, -seed, -n, -deg, -engines, -retries and -rounds apply to both
 // modes.
+//
+// Every VIOLATION line is followed by a "replay:" line: the command that
+// reruns that one scenario or churn cell, with every flag it depends on.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"net/http/httptest"
 	"os"
 	"strconv"
@@ -55,133 +59,158 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout, os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "chaos:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+// sweeps is one parsed command line: the in-process fault-sweep cells in
+// sweep order, the service-layer cell (-http) and, in churn mode, one churn
+// sweep per engine.
+type sweeps struct {
+	faults  []chaos.Config
+	http    *chaos.Config
+	churn   []chaos.ChurnConfig
+	verbose bool
+}
+
+// parse reads the command line into the sweeps it names.
+func parse(args []string) (*sweeps, error) {
+	fs := flag.NewFlagSet("chaos", flag.ContinueOnError)
 	var (
-		seeds       = flag.Int("seeds", 40, "scenarios per (engine, intensity) cell")
-		seed        = flag.Int64("seed", 1, "base scenario seed")
-		n           = flag.Int("n", 40, "nodes per generated network")
-		deg         = flag.Float64("deg", 7, "target average degree")
-		algoName    = flag.String("algo", "II", "distributed protocol under test: "+strings.Join(algo.DistributedNames(), ", "))
-		intensities = flag.String("intensities", "0.3,0.6,1.0", "comma-separated fault intensities")
-		engines     = flag.String("engines", "both", "sync | async | both")
-		retries     = flag.Int("retries", 0, "reliable retry budget (0 = default)")
-		rounds      = flag.Int("rounds", 0, "quiescence budget (0 = chaos default)")
-		httpSweep   = flag.Bool("http", false, "also sweep through the service HTTP layer")
-		verbose     = flag.Bool("v", false, "per-scenario detail")
+		seeds       = fs.Int("seeds", 40, "scenarios per (engine, intensity) cell")
+		seed        = fs.Int64("seed", 1, "base scenario seed")
+		n           = fs.Int("n", 40, "nodes per generated network")
+		deg         = fs.Float64("deg", 7, "target average degree")
+		algoName    = fs.String("algo", "II", "distributed protocol under test: "+strings.Join(algo.DistributedNames(), ", "))
+		intensities = fs.String("intensities", "0.3,0.6,1.0", "comma-separated fault intensities")
+		engines     = fs.String("engines", "both", "sync | async | both")
+		retries     = fs.Int("retries", 0, "reliable retry budget (0 = default)")
+		rounds      = fs.Int("rounds", 0, "quiescence budget (0 = chaos default)")
+		httpSweep   = fs.Bool("http", false, "also sweep through the service HTTP layer")
+		verbose     = fs.Bool("v", false, "per-scenario detail")
 
-		churn       = flag.Bool("churn", false, "run the churn-under-faults session sweep instead")
-		churnEpochs = flag.Int("churn-epochs", 12, "epochs per replayed delta stream")
-		drops       = flag.String("drops", "0.1,0.3", "comma-separated drop rates for the churn fault grid")
-		reliableRep = flag.Bool("reliable", true, "wrap the churn repair protocol in the ack/retransmit layer")
+		churn       = fs.Bool("churn", false, "run the churn-under-faults session sweep instead")
+		churnEpochs = fs.Int("churn-epochs", 12, "epochs per replayed delta stream")
+		drops       = fs.String("drops", "0.1,0.3", "comma-separated drop rates for the churn fault grid")
+		reliableRep = fs.Bool("reliable", true, "wrap the churn repair protocol in the ack/retransmit layer")
 	)
-	flag.Parse()
-
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
 	engs, err := parseEngines(*engines)
 	if err != nil {
-		return err
+		return nil, err
 	}
+	sw := &sweeps{verbose: *verbose}
 	if *churn {
-		return runChurn(*seeds, *seed, *n, *deg, *churnEpochs, *drops, engs, *reliableRep, *retries, *rounds, *verbose)
-	}
-
-	levels, err := parseIntensities(*intensities)
-	if err != nil {
-		return err
-	}
-
-	violations := 0
-	for _, intensity := range levels {
+		rates, err := parseIntensities(*drops)
+		if err != nil {
+			return nil, err
+		}
 		for _, eng := range engs {
-			cfg := chaos.Config{
+			sw.churn = append(sw.churn, chaos.ChurnConfig{
 				Seeds:      *seeds,
 				BaseSeed:   *seed,
 				N:          *n,
 				AvgDegree:  *deg,
-				Intensity:  intensity,
-				Algorithm:  *algoName,
-				Engine:     eng,
+				Epochs:     *churnEpochs,
+				DropRates:  rates,
+				Reliable:   *reliableRep,
 				MaxRetries: *retries,
 				MaxRounds:  *rounds,
-			}
-			rep, err := chaos.Run(cfg)
-			if err != nil {
-				return err
-			}
-			report(rep, fmt.Sprintf("algo=%s intensity=%.2f async=%v", *algoName, intensity, eng == simnet.EngineAsync), *verbose)
-			violations += rep.Violations
+				Engine:     eng,
+			})
 		}
+		return sw, nil
 	}
 
+	levels, err := parseIntensities(*intensities)
+	if err != nil {
+		return nil, err
+	}
+	cell := chaos.Config{
+		Seeds:      *seeds,
+		BaseSeed:   *seed,
+		N:          *n,
+		AvgDegree:  *deg,
+		Algorithm:  *algoName,
+		MaxRetries: *retries,
+		MaxRounds:  *rounds,
+	}
+	for _, intensity := range levels {
+		for _, eng := range engs {
+			cell.Intensity, cell.Engine = intensity, eng
+			sw.faults = append(sw.faults, cell)
+		}
+	}
 	if *httpSweep {
+		cell.Intensity, cell.Engine = levels[len(levels)-1], simnet.EngineSync
+		sw.http = &cell
+	}
+	return sw, nil
+}
+
+// run parses args, runs the sweeps they name and writes the report to w;
+// it fails on any invariant violation.
+func run(w io.Writer, args []string) error {
+	sw, err := parse(args)
+	if err != nil {
+		return err
+	}
+	if sw.churn != nil {
+		return runChurn(w, sw)
+	}
+
+	violations := 0
+	for _, cfg := range sw.faults {
+		rep, err := chaos.Run(cfg)
+		if err != nil {
+			return err
+		}
+		report(w, rep, cfg, false, sw.verbose)
+		violations += rep.Violations
+	}
+
+	if sw.http != nil {
 		svc := service.New(service.Options{})
 		srv := httptest.NewServer(svc.Handler())
-		cfg := chaos.Config{
-			Seeds:      *seeds,
-			BaseSeed:   *seed,
-			N:          *n,
-			AvgDegree:  *deg,
-			Intensity:  levels[len(levels)-1],
-			Algorithm:  *algoName,
-			MaxRetries: *retries,
-			MaxRounds:  *rounds,
-		}
-		rep, err := chaos.RunWith(cfg, chaos.HTTPRunner(srv.URL, srv.Client()))
+		rep, err := chaos.RunWith(*sw.http, chaos.HTTPRunner(srv.URL, srv.Client()))
 		srv.Close()
 		svc.Close()
 		if err != nil {
 			return err
 		}
-		report(rep, "http service sweep", *verbose)
+		report(w, rep, *sw.http, true, sw.verbose)
 		violations += rep.Violations
 	}
 
 	if violations > 0 {
 		return fmt.Errorf("%d invariant violations", violations)
 	}
-	fmt.Println("chaos: all sweeps clean — every run converged exactly or failed detectably")
+	fmt.Fprintln(w, "chaos: all sweeps clean — every run converged exactly or failed detectably")
 	return nil
 }
 
 // runChurn executes the churn-under-faults sweep across (engine × drop
 // rate × seed) cells and exits nonzero on any audited violation.
-func runChurn(seeds int, seed int64, n int, deg float64, epochs int, drops string, engs []simnet.Engine, reliable bool, retries, rounds int, verbose bool) error {
-	rates, err := parseIntensities(drops)
-	if err != nil {
-		return err
-	}
-
+func runChurn(w io.Writer, sw *sweeps) error {
 	violations := 0
-	for _, eng := range engs {
-		cfg := chaos.ChurnConfig{
-			Seeds:      seeds,
-			BaseSeed:   seed,
-			N:          n,
-			AvgDegree:  deg,
-			Epochs:     epochs,
-			DropRates:  rates,
-			Reliable:   reliable,
-			MaxRetries: retries,
-			MaxRounds:  rounds,
-			Engine:     eng,
-		}
+	for _, cfg := range sw.churn {
 		rep, err := chaos.RunChurn(cfg)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%-28s %s\n", fmt.Sprintf("churn async=%v:", eng == simnet.EngineAsync), rep.Summary())
+		fmt.Fprintf(w, "%-28s %s\n", fmt.Sprintf("churn async=%v:", cfg.Engine == simnet.EngineAsync), rep.Summary())
 		for _, c := range rep.Cells {
 			switch {
 			case c.Violated > 0:
-				fmt.Printf("  drop=%.2f seed %-6d VIOLATION (%d/%d epochs): %s\n",
+				fmt.Fprintf(w, "  drop=%.2f seed %-6d VIOLATION (%d/%d epochs): %s\n",
 					c.DropRate, c.Seed, c.Violated, c.Epochs, c.Detail)
-			case verbose:
-				fmt.Printf("  drop=%.2f seed %-6d %d epochs: %d converged, %d degraded, retries=%d escalations=%d msgs=%d\n",
+				fmt.Fprintf(w, "    replay: %s\n", cfg.Replay(c.DropRate, c.Seed))
+			case sw.verbose:
+				fmt.Fprintf(w, "  drop=%.2f seed %-6d %d epochs: %d converged, %d degraded, retries=%d escalations=%d msgs=%d\n",
 					c.DropRate, c.Seed, c.Epochs, c.Converged, c.Degraded, c.Retries, c.Escalations, c.Messages)
 			}
 		}
@@ -190,30 +219,37 @@ func runChurn(seeds int, seed int64, n int, deg float64, epochs int, drops strin
 	if violations > 0 {
 		return fmt.Errorf("%d churn epoch violations", violations)
 	}
-	fmt.Println("chaos: churn sweep clean — every epoch converged exactly or degraded detectably")
+	fmt.Fprintln(w, "chaos: churn sweep clean — every epoch converged exactly or degraded detectably")
 	return nil
 }
 
-func report(rep *chaos.Report, label string, verbose bool) {
-	fmt.Printf("%-28s %s\n", label+":", rep.Summary())
+// report prints one sweep's verdict, its phase totals and, per scenario,
+// each violation with its replay line (every scenario with -v).
+func report(w io.Writer, rep *chaos.Report, cfg chaos.Config, http, verbose bool) {
+	label := fmt.Sprintf("algo=%s intensity=%.2f async=%v", cfg.Algorithm, cfg.Intensity, cfg.Engine == simnet.EngineAsync)
+	if http {
+		label = "http service sweep"
+	}
+	fmt.Fprintf(w, "%-28s %s\n", label+":", rep.Summary())
 	if len(rep.PhaseTotals) > 0 {
-		fmt.Print("  phases: ")
+		fmt.Fprint(w, "  phases: ")
 		for i, sp := range rep.PhaseTotals {
 			if i > 0 {
-				fmt.Print("  ")
+				fmt.Fprint(w, "  ")
 			}
-			fmt.Printf("%s msgs=%d rtx=%d", sp.Name, sp.Messages, sp.Retransmits)
+			fmt.Fprintf(w, "%s msgs=%d rtx=%d", sp.Name, sp.Messages, sp.Retransmits)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 	for _, s := range rep.Scenarios {
 		switch {
 		case s.Outcome == chaos.Violated:
-			fmt.Printf("  seed %-6d VIOLATION: %s\n", s.Seed, s.Detail)
+			fmt.Fprintf(w, "  seed %-6d VIOLATION: %s\n", s.Seed, s.Detail)
+			fmt.Fprintf(w, "    replay: %s\n", cfg.Replay(s.Seed, http))
 		case verbose && s.Outcome == chaos.Degraded:
-			fmt.Printf("  seed %-6d degraded: %s\n", s.Seed, s.Detail)
+			fmt.Fprintf(w, "  seed %-6d degraded: %s\n", s.Seed, s.Detail)
 		case verbose:
-			fmt.Printf("  seed %-6d converged: msgs=%d retransmits=%d dropped=%d ticks=%d\n",
+			fmt.Fprintf(w, "  seed %-6d converged: msgs=%d retransmits=%d dropped=%d ticks=%d\n",
 				s.Seed, s.Stats.Messages, s.Stats.Retransmits, s.Stats.Dropped, s.Stats.Ticks)
 		}
 	}

@@ -9,7 +9,8 @@
 // incremental-repair path the service's NDJSON endpoint drives. The report
 // aggregates epoch apply latency and repair locality (nodes whose role
 // changed, hop radius from the event sites). Maintained invariants are
-// re-verified every -validate epochs; any violation fails the run.
+// re-verified every -validate epochs; any violation fails the run, and the
+// error ends with the command that replays the failing trace alone.
 //
 // Usage:
 //
@@ -42,9 +43,11 @@ import (
 	"math/rand"
 	"os"
 	"sort"
+	"strconv"
 	"time"
 
 	"wcdsnet"
+	"wcdsnet/internal/session"
 )
 
 func main() {
@@ -82,7 +85,9 @@ func run() error {
 		traceSeed := *seed + int64(s)
 		st, err := replay(traceSeed, *n, *deg, *epochs, *validate, *drop, *reliable, *retries)
 		if err != nil {
-			return fmt.Errorf("trace seed=%d: %w", traceSeed, err)
+			return fmt.Errorf("trace seed=%d: %w\nreplay: go run ./cmd/churn -seed %d -seeds 1 -n %d -deg %s -epochs %d -validate %d -drop %s -reliable=%t -retries %d",
+				traceSeed, err, traceSeed, *n, strconv.FormatFloat(*deg, 'g', -1, 64), *epochs, *validate,
+				strconv.FormatFloat(*drop, 'g', -1, 64), *reliable, *retries)
 		}
 		if *verbose {
 			fmt.Printf("trace seed=%-3d n=%3d: %d epochs, %d deltas, p95=%v touched mean=%.1f\n",
@@ -138,8 +143,7 @@ func replay(seed int64, n int, deg float64, epochs, validate int, drop float64, 
 	ctx := context.Background()
 	var st stats
 	for e := 0; e < epochs; e++ {
-		deltas := randomEpoch(rng, sess)
-		ev, err := sess.Apply(ctx, deltas)
+		ev, err := sess.Apply(ctx, session.RandomEpoch(rng, sess))
 		if err != nil {
 			return st, fmt.Errorf("epoch %d: %w", e, err)
 		}
@@ -156,57 +160,6 @@ func replay(seed int64, n int, deg float64, epochs, validate int, drop float64, 
 	}
 	st.validations++
 	return st, nil
-}
-
-// randomEpoch builds one epoch of 1..4 valid deltas against the session's
-// current state: mostly moves, some leaves, rejoins and brand-new joins
-// near existing nodes, each delta touching a distinct node.
-func randomEpoch(rng *rand.Rand, sess *wcdsnet.TopologySession) []wcdsnet.SessionDelta {
-	m := sess.Maintainer()
-	nw := m.Network()
-	var on, off []int
-	for v, a := range m.ActiveMask() {
-		if a {
-			on = append(on, v)
-		} else {
-			off = append(off, v)
-		}
-	}
-	count := 1 + rng.Intn(4)
-	used := map[int]bool{}
-	var out []wcdsnet.SessionDelta
-	for len(out) < count {
-		switch k := rng.Intn(10); {
-		case k < 6 && len(on) > 0: // move
-			v := on[rng.Intn(len(on))]
-			if used[v] {
-				continue
-			}
-			used[v] = true
-			p := nw.Pos[v]
-			out = append(out, wcdsnet.SessionDelta{Op: wcdsnet.DeltaMove, Node: &v,
-				X: p.X + rng.NormFloat64()*0.4, Y: p.Y + rng.NormFloat64()*0.4})
-		case k < 8 && len(on) > 1: // leave
-			v := on[rng.Intn(len(on))]
-			if used[v] {
-				continue
-			}
-			used[v] = true
-			out = append(out, wcdsnet.SessionDelta{Op: wcdsnet.DeltaLeave, Node: &v})
-		case k < 9 && len(off) > 0: // rejoin
-			v := off[rng.Intn(len(off))]
-			if used[v] {
-				continue
-			}
-			used[v] = true
-			out = append(out, wcdsnet.SessionDelta{Op: wcdsnet.DeltaJoin, Node: &v})
-		default: // brand-new node near an existing one
-			anchor := nw.Pos[rng.Intn(nw.N())]
-			out = append(out, wcdsnet.SessionDelta{Op: wcdsnet.DeltaJoin,
-				X: anchor.X + rng.NormFloat64()*0.3, Y: anchor.Y + rng.NormFloat64()*0.3})
-		}
-	}
-	return out
 }
 
 // stats accumulates per-epoch measurements across one or more traces.

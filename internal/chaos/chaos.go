@@ -23,6 +23,8 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
+	"strconv"
 	"strings"
 
 	"wcdsnet/internal/algo"
@@ -124,6 +126,38 @@ type Config struct {
 	MaxRounds int
 }
 
+func (cfg Config) withDefaults() Config {
+	if cfg.Seeds <= 0 {
+		cfg.Seeds = 20
+	}
+	if cfg.N <= 0 {
+		cfg.N = 40
+	}
+	if cfg.AvgDegree <= 0 {
+		cfg.AvgDegree = 7
+	}
+	if cfg.Algorithm == "" {
+		cfg.Algorithm = "II"
+	}
+	return cfg
+}
+
+// Replay returns the cmd/chaos command line that reruns scenario seed of
+// this sweep, and only it; http adds the sweep through the service layer
+// (-http), which runs at the same intensity on the sync engine.
+func (cfg Config) Replay(seed int64, http bool) string {
+	cfg = cfg.withDefaults()
+	line := fmt.Sprintf("go run ./cmd/chaos -seed %d -seeds 1 -n %d -deg %s -algo %s -intensities %s -engines %s -retries %d -rounds %d",
+		seed, cfg.N, formatFloat(cfg.AvgDegree), cfg.Algorithm, formatFloat(cfg.Intensity), cfg.Engine, cfg.MaxRetries, cfg.MaxRounds)
+	if http {
+		line += " -http"
+	}
+	return line
+}
+
+// formatFloat prints v so that parsing it back gives v exactly.
+func formatFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+
 // Outcome classifies one scenario.
 type Outcome int
 
@@ -185,18 +219,7 @@ func Run(cfg Config) (*Report, error) {
 
 // RunWith is Run with a custom scenario runner.
 func RunWith(cfg Config, run Runner) (*Report, error) {
-	if cfg.Seeds <= 0 {
-		cfg.Seeds = 20
-	}
-	if cfg.N <= 0 {
-		cfg.N = 40
-	}
-	if cfg.AvgDegree <= 0 {
-		cfg.AvgDegree = 7
-	}
-	if cfg.Algorithm == "" {
-		cfg.Algorithm = "II"
-	}
+	cfg = cfg.withDefaults()
 	c, ok := algo.Lookup(cfg.Algorithm)
 	if !ok {
 		return nil, fmt.Errorf("chaos: unknown algorithm %q (want %s)",
@@ -290,8 +313,8 @@ func verify(nw *udg.Network, res wcds.Result, algoName string) string {
 	}
 	if algoName == "II" {
 		want := wcds.Algo2Centralized(nw.G, nw.ID)
-		if !equalSets(res.MISDominators, want.MISDominators) ||
-			!equalSets(res.AdditionalDominators, want.AdditionalDominators) {
+		if !slices.Equal(res.MISDominators, want.MISDominators) ||
+			!slices.Equal(res.AdditionalDominators, want.AdditionalDominators) {
 			problems = append(problems, "converged result differs from the lossless centralized reference")
 		}
 	}
@@ -318,16 +341,4 @@ func reliableDistributed(nw *udg.Network, plan simnet.FaultPlan, cfg Config) (wc
 	}
 	out := batch.Exec(context.Background(), &w, nw, batch.ExecOptions{Phases: true})
 	return out.Result, out.Stats, out.Phases, out.Err
-}
-
-func equalSets(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -72,6 +72,14 @@ func (cfg ChurnConfig) withDefaults() ChurnConfig {
 	return cfg
 }
 
+// Replay returns the cmd/chaos command line that reruns the churn cell of
+// drop rate rate and seed seed, and only it.
+func (cfg ChurnConfig) Replay(rate float64, seed int64) string {
+	cfg = cfg.withDefaults()
+	return fmt.Sprintf("go run ./cmd/chaos -churn -seed %d -seeds 1 -n %d -deg %s -engines %s -retries %d -rounds %d -drops %s -churn-epochs %d -reliable=%t",
+		seed, cfg.N, formatFloat(cfg.AvgDegree), cfg.Engine, cfg.MaxRetries, cfg.MaxRounds, formatFloat(rate), cfg.Epochs, cfg.Reliable)
+}
+
 // ChurnCell is the verdict of one (drop rate, seed) replay.
 type ChurnCell struct {
 	DropRate float64
@@ -165,7 +173,7 @@ func runChurnCell(seed int64, rate float64, cfg ChurnConfig) (ChurnCell, error) 
 	churnRNG := rand.New(rand.NewSource(seed * 7919))
 	for e := 0; e < cfg.Epochs; e++ {
 		pre := m.InMIS() // pre-epoch mask: the audit's reference start
-		deltas := churnEpoch(churnRNG, sess)
+		deltas := session.RandomEpoch(churnRNG, sess)
 		ev, err := sess.Apply(ctx, deltas)
 		if err != nil {
 			return cell, fmt.Errorf("epoch %d: %w", e, err)
@@ -227,55 +235,4 @@ func auditEpoch(ctx context.Context, m *maintain.Maintainer, pre []bool, ev sess
 		}
 	}
 	return ""
-}
-
-// churnEpoch builds one epoch of 1..4 valid deltas against the session's
-// current state (the same mix cmd/churn replays): mostly moves, some
-// leaves, rejoins and brand-new joins near existing nodes.
-func churnEpoch(rng *rand.Rand, sess *session.Session) []session.Delta {
-	m := sess.Maintainer()
-	nw := m.Network()
-	var on, off []int
-	for v, a := range m.ActiveMask() {
-		if a {
-			on = append(on, v)
-		} else {
-			off = append(off, v)
-		}
-	}
-	count := 1 + rng.Intn(4)
-	used := map[int]bool{}
-	var out []session.Delta
-	for len(out) < count {
-		switch k := rng.Intn(10); {
-		case k < 6 && len(on) > 0: // move
-			v := on[rng.Intn(len(on))]
-			if used[v] {
-				continue
-			}
-			used[v] = true
-			p := nw.Pos[v]
-			out = append(out, session.Delta{Op: session.OpMove, Node: &v,
-				X: p.X + rng.NormFloat64()*0.4, Y: p.Y + rng.NormFloat64()*0.4})
-		case k < 8 && len(on) > 1: // leave
-			v := on[rng.Intn(len(on))]
-			if used[v] {
-				continue
-			}
-			used[v] = true
-			out = append(out, session.Delta{Op: session.OpLeave, Node: &v})
-		case k < 9 && len(off) > 0: // rejoin
-			v := off[rng.Intn(len(off))]
-			if used[v] {
-				continue
-			}
-			used[v] = true
-			out = append(out, session.Delta{Op: session.OpJoin, Node: &v})
-		default: // brand-new node near an existing one
-			anchor := nw.Pos[rng.Intn(nw.N())]
-			out = append(out, session.Delta{Op: session.OpJoin,
-				X: anchor.X + rng.NormFloat64()*0.3, Y: anchor.Y + rng.NormFloat64()*0.3})
-		}
-	}
-	return out
 }

@@ -143,9 +143,7 @@ func TestLocalEpochsMatchGlobal(t *testing.T) {
 						t.Fatalf("%s seed %d epoch %d: double leave accepted", pc.name, seed, ep)
 					}
 					rejected++
-				case err != nil && ep%9 == 4:
-					// An epoch whose worklist is empty commits before any
-					// cancellation check; the others must roll back.
+				case ep%9 == 4:
 					if !errors.Is(err, context.Canceled) {
 						t.Fatalf("%s seed %d epoch %d: err = %v, want context.Canceled", pc.name, seed, ep, err)
 					}

@@ -92,12 +92,6 @@ type Maintainer struct {
 	ks wcds.ConnectorScratch
 }
 
-// SetDistributedRepair selects the repair strategy for subsequent events:
-// a lossless distributed protocol run on the synchronous engine. It is the
-// compatibility switch for RepairPolicy — use SetRepairPolicy to configure
-// faults, the reliable layer and the escalation ladder.
-func (m *Maintainer) SetDistributedRepair(on bool) { m.policy = RepairPolicy{Distributed: on} }
-
 // SetObserver directs per-stage timing spans ("rebuild", which times the
 // graph relink, "repair" and "connectors") to rec; nil restores the no-op
 // default.
@@ -230,11 +224,17 @@ func (m *Maintainer) Dominators() []int {
 // dominatorMask marks the maintained WCDS: active MIS members and every
 // connector.
 func (m *Maintainer) dominatorMask() []bool {
-	mask := make([]bool, len(m.inMIS))
-	for v, in := range m.inMIS {
-		mask[v] = in && m.active[v]
+	return dominatorMask(m.inMIS, m.active, m.conns, len(m.inMIS))
+}
+
+// dominatorMask marks, over n nodes, the WCDS of a maintained state; nodes
+// past the state's own length are non-dominators.
+func dominatorMask(inMIS, active []bool, conns [][]wcds.Connector, n int) []bool {
+	mask := make([]bool, n)
+	for v, in := range inMIS {
+		mask[v] = in && active[v]
 	}
-	for _, owned := range m.conns {
+	for _, owned := range conns {
 		for _, c := range owned {
 			mask[c.V] = true
 		}
@@ -364,6 +364,9 @@ func (m *Maintainer) restore(s snapshot) {
 func (m *Maintainer) ApplyEpoch(ctx context.Context, muts []Mutation) (Report, error) {
 	if len(muts) == 0 {
 		return Report{}, fmt.Errorf("maintain: empty epoch")
+	}
+	if err := ctx.Err(); err != nil {
+		return Report{}, fmt.Errorf("maintain: epoch cancelled: %w", err)
 	}
 	snap := m.save()
 	preG := m.nw.G
@@ -513,7 +516,6 @@ func (m *Maintainer) relink(old *graph.Graph, events []int) *graph.Graph {
 // refreshes the connector assignments, returning the change report.
 func (m *Maintainer) repair(ctx context.Context, pre snapshot, events, seeds []int) (Report, error) {
 	oldMIS := append([]bool(nil), m.inMIS...)
-	oldDoms := m.dominatorMask()
 
 	tm := obs.StartTimer("repair")
 	var (
@@ -538,7 +540,7 @@ func (m *Maintainer) repair(ctx context.Context, pre snapshot, events, seeds []i
 	if err != nil {
 		return Report{}, err
 	}
-	rep := m.finishRepair(pre, events, oldMIS, oldDoms, promoted, demoted)
+	rep := m.finishRepair(pre, events, oldMIS, promoted, demoted)
 	rep.Repair = info
 	return rep, nil
 }
@@ -672,13 +674,24 @@ func Fixpoint(ctx context.Context, g *graph.Graph, ids []int, inMIS, active []bo
 }
 
 // finishRepair refreshes the connector assignments and assembles the
-// change report shared by both repair strategies. oldMIS and oldDoms are
-// the post-mutation, pre-repair MIS and dominator masks.
-func (m *Maintainer) finishRepair(pre snapshot, events []int, oldMIS, oldDoms []bool, promoted, demoted []int) Report {
+// change report shared by both repair strategies. oldMIS is the
+// post-mutation, pre-repair MIS mask.
+func (m *Maintainer) finishRepair(pre snapshot, events []int, oldMIS []bool, promoted, demoted []int) Report {
 	tm := obs.StartTimer("connectors")
 	changes := m.refreshConnectors(pre, events, promoted, demoted)
 	tm.Done(m.rec)
 
+	// Roles are compared with the pre-epoch state, not the pre-repair mask
+	// oldMIS: a MIS dominator the mutations switched off is demoted.
+	n := m.nw.N()
+	wasMIS := make([]bool, n)
+	copy(wasMIS, pre.inMIS)
+	wasDom := dominatorMask(pre.inMIS, pre.active, pre.conns, n)
+	for v, was := range wasMIS {
+		if was && !oldMIS[v] {
+			demoted = append(demoted, v)
+		}
+	}
 	rep := Report{
 		Promoted:         dedupSorted(promoted),
 		Demoted:          dedupSorted(demoted),
@@ -688,7 +701,7 @@ func (m *Maintainer) finishRepair(pre snapshot, events []int, oldMIS, oldDoms []
 	// A node both demoted and re-promoted during repair ends with its old
 	// role; count net changes only.
 	for v, dom := range m.dominatorMask() {
-		if dom != oldDoms[v] || oldMIS[v] != m.inMIS[v] {
+		if dom != wasDom[v] || wasMIS[v] != m.inMIS[v] {
 			rep.RoleChanged = append(rep.RoleChanged, v)
 		}
 	}

@@ -3,6 +3,7 @@ package maintain
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"wcdsnet/internal/geom"
@@ -145,6 +146,23 @@ func TestToggleOffOn(t *testing.T) {
 	}
 	if toggled == 0 {
 		t.Fatal("no node could be toggled without disconnecting; network too sparse for the test")
+	}
+}
+
+// Switching off a MIS dominator demotes it: the report compares roles with
+// the pre-epoch state, not with the mask the mutations left behind.
+func TestSwitchedOffDominatorIsReported(t *testing.T) {
+	m, err := New(newNetwork(t, rand.New(rand.NewSource(1)), 60, 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := m.MISDominators()[1]
+	rep, err := m.SetActive(context.Background(), v, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Contains(rep.Demoted, v) || !slices.Contains(rep.RoleChanged, v) {
+		t.Errorf("switched off MIS node %d: Demoted %v, RoleChanged %v; want it in both", v, rep.Demoted, rep.RoleChanged)
 	}
 }
 

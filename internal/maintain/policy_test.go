@@ -3,6 +3,7 @@ package maintain
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -36,48 +37,59 @@ func churnMutations(rng *rand.Rand, m *Maintainer, side float64) []Mutation {
 // have installed exactly the lossless Fixpoint of its pre-repair state, and
 // no epoch may be Violated.
 func TestRepairLadderConvergedMatchesFixpoint(t *testing.T) {
+	// check runs 8 epochs of moves, each kept inside [0,side]².
+	check := func(scene string, rng *rand.Rand, nw *udg.Network, side float64, plan simnet.FaultPlan) {
+		m, err := New(nw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.SetRepairPolicy(RepairPolicy{Distributed: true, Faults: &plan, Reliable: true})
+		for e := 0; e < 8; e++ {
+			pre := m.InMIS()
+			rep, err := m.ApplyEpoch(context.Background(), churnMutations(rng, m, side))
+			if err != nil {
+				t.Fatalf("%s epoch %d: %v", scene, e, err)
+			}
+			if rep.Repair.Outcome == Violated {
+				t.Fatalf("%s epoch %d: violated under the reliable layer", scene, e)
+			}
+			if err := m.Validate(); err != nil {
+				t.Fatalf("%s epoch %d: served invalid backbone: %v", scene, e, err)
+			}
+			if rep.Repair.Outcome != Converged {
+				continue
+			}
+			want, err := Fixpoint(context.Background(), nw.G, nw.ID, pre, m.ActiveMask())
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := m.InMIS()
+			for v := range got {
+				if got[v] != want[v] {
+					t.Fatalf("%s epoch %d: converged but differs from lossless fixpoint at node %d", scene, e, v)
+				}
+			}
+		}
+	}
 	for _, drop := range []float64{0.1, 0.3} {
 		for seed := int64(1); seed <= 3; seed++ {
 			rng := rand.New(rand.NewSource(seed))
 			nw := newNetwork(t, rng, 50, 8)
-			side := udg.SideForAvgDegree(50, 8)
-			m, err := New(nw)
-			if err != nil {
-				t.Fatal(err)
-			}
-			m.SetRepairPolicy(RepairPolicy{
-				Distributed: true,
-				Faults:      &simnet.FaultPlan{Seed: seed, DropRate: drop, ReorderRate: 0.2, DupRate: 0.05},
-				Reliable:    true,
-			})
-			for e := 0; e < 8; e++ {
-				pre := m.InMIS()
-				rep, err := m.ApplyEpoch(context.Background(), churnMutations(rng, m, side))
-				if err != nil {
-					t.Fatalf("drop=%g seed=%d epoch %d: %v", drop, seed, e, err)
-				}
-				if rep.Repair.Outcome == Violated {
-					t.Fatalf("drop=%g seed=%d epoch %d: violated under the reliable layer", drop, seed, e)
-				}
-				if err := m.Validate(); err != nil {
-					t.Fatalf("drop=%g seed=%d epoch %d: served invalid backbone: %v", drop, seed, e, err)
-				}
-				if rep.Repair.Outcome != Converged {
-					continue
-				}
-				want, err := Fixpoint(context.Background(), nw.G, nw.ID, pre, m.ActiveMask())
-				if err != nil {
-					t.Fatal(err)
-				}
-				got := m.InMIS()
-				for v := range got {
-					if got[v] != want[v] {
-						t.Fatalf("drop=%g seed=%d epoch %d: converged but differs from lossless fixpoint at node %d",
-							drop, seed, e, v)
-					}
-				}
-			}
+			check(fmt.Sprintf("drop=%g seed=%d", drop, seed), rng, nw, udg.SideForAvgDegree(50, 8),
+				simnet.FaultPlan{Seed: seed, DropRate: drop, ReorderRate: 0.2, DupRate: 0.05})
 		}
+	}
+	for _, kind := range []string{"clusters", "corridor", "annulus"} {
+		rng := rand.New(rand.NewSource(7))
+		nw, err := udg.Topology{Kind: kind}.GenConnected(rng, 50, 8, 300)
+		if err != nil {
+			t.Fatal(err)
+		}
+		side := 0.0
+		for _, p := range nw.Pos {
+			side = max(side, p.X, p.Y)
+		}
+		check(kind, rng, nw, side, simnet.FaultPlan{Seed: 7, DropRate: 0.1, ReorderRate: 0.2, DupRate: 0.05})
 	}
 }
 

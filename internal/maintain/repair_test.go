@@ -2,6 +2,7 @@ package maintain
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -99,19 +100,28 @@ func TestRepairFromEmptyAndFull(t *testing.T) {
 
 func TestRepairAsyncScrambledInvariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	for trial := 0; trial < 10; trial++ {
-		nw := newNetwork(t, rng, 40+rng.Intn(40), 8)
+	check := func(scene string, nw *udg.Network, scramble int64) {
 		mask := make([]bool, nw.N())
 		for i := range mask {
 			mask[i] = rng.Intn(3) == 0
 		}
-		set, _, _, err := RepairMISDistributed(nw.G, nw.ID, mask, asyncScrambled(int64(trial*7)))
+		set, _, _, err := RepairMISDistributed(nw.G, nw.ID, mask, asyncScrambled(scramble))
 		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
+			t.Fatalf("%s: %v", scene, err)
 		}
 		if !mis.IsMaximalIndependent(nw.G, set) {
-			t.Fatalf("trial %d: async repair invalid", trial)
+			t.Fatalf("%s: async repair invalid", scene)
 		}
+	}
+	for trial := 0; trial < 10; trial++ {
+		check(fmt.Sprintf("trial %d", trial), newNetwork(t, rng, 40+rng.Intn(40), 8), int64(trial*7))
+	}
+	for _, kind := range []string{"clusters", "corridor", "annulus"} {
+		nw, err := udg.Topology{Kind: kind}.GenConnected(rng, 60, 8, 300)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(kind, nw, 70)
 	}
 }
 
@@ -154,7 +164,7 @@ func TestMaintainerDistributedRepairStrategy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.SetDistributedRepair(true)
+	m.SetRepairPolicy(RepairPolicy{Distributed: true})
 	side := udg.SideForAvgDegree(80, 10)
 	applied := 0
 	for ev := 0; ev < 60; ev++ {

@@ -1,6 +1,7 @@
 package mis
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -252,21 +253,31 @@ func TestLemma1OnRandomUDGs(t *testing.T) {
 			t.Fatalf("trial %d: Lemma 1 violated: %d MIS neighbours", trial, got)
 		}
 	}
+	for _, kind := range []string{"clusters", "corridor", "annulus"} {
+		nw := udg.Topology{Kind: kind}.Generate(rng, 150, 8)
+		if got := MaxMISNeighbors(nw.G, Greedy(nw.G, ByID(nw.ID))); got > 5 {
+			t.Fatalf("%s: Lemma 1 violated: %d MIS neighbours", kind, got)
+		}
+	}
 }
 
 func TestLemma2OnRandomUDGs(t *testing.T) {
+	check := func(scene string, nw *udg.Network) {
+		two, three := PackingCounts(nw.G, Greedy(nw.G, ByID(nw.ID)))
+		if two > 23 {
+			t.Fatalf("%s: Lemma 2 (two-hop) violated: %d > 23", scene, two)
+		}
+		if three > 47 {
+			t.Fatalf("%s: Lemma 2 (three-hop) violated: %d > 47", scene, three)
+		}
+	}
 	rng := rand.New(rand.NewSource(4))
 	for trial := 0; trial < 10; trial++ {
 		n := 100 + rng.Intn(300)
-		nw := udg.GenClusters(rng, n, 3+rng.Intn(5), 8, 1.2)
-		set := Greedy(nw.G, ByID(nw.ID))
-		two, three := PackingCounts(nw.G, set)
-		if two > 23 {
-			t.Fatalf("trial %d: Lemma 2 (two-hop) violated: %d > 23", trial, two)
-		}
-		if three > 47 {
-			t.Fatalf("trial %d: Lemma 2 (three-hop) violated: %d > 47", trial, three)
-		}
+		check(fmt.Sprintf("trial %d", trial), udg.GenClusters(rng, n, 3+rng.Intn(5), 8, 1.2))
+	}
+	for _, kind := range []string{"uniform", "corridor", "annulus"} {
+		check(kind, udg.Topology{Kind: kind}.Generate(rng, 200, 8))
 	}
 }
 

@@ -1,6 +1,7 @@
 package route
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -11,10 +12,17 @@ import (
 )
 
 // buildBackbone runs Algorithm II (deferred, sync) on a random connected
-// UDG and returns everything the router needs.
+// uniform UDG and returns everything the router needs.
 func buildBackbone(t *testing.T, rng *rand.Rand, n int, deg float64) (*udg.Network, wcds.Result, []wcds.Tables) {
 	t.Helper()
-	nw, err := udg.GenConnectedAvgDegree(rng, n, deg, 300)
+	return buildSceneBackbone(t, rng, "uniform", n, deg)
+}
+
+// buildSceneBackbone is buildBackbone on a scene of the given topology
+// kind; the uniform kind draws exactly as udg.GenConnectedAvgDegree does.
+func buildSceneBackbone(t *testing.T, rng *rand.Rand, kind string, n int, deg float64) (*udg.Network, wcds.Result, []wcds.Tables) {
+	t.Helper()
+	nw, err := udg.Topology{Kind: kind}.GenConnected(rng, n, deg, 300)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,9 +34,7 @@ func buildBackbone(t *testing.T, rng *rand.Rand, n int, deg float64) (*udg.Netwo
 }
 
 func TestRouterRoutesAllPairs(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 5; trial++ {
-		nw, res, tables := buildBackbone(t, rng, 40+rng.Intn(60), 7)
+	check := func(scene string, nw *udg.Network, res wcds.Result, tables []wcds.Tables) {
 		r, err := NewRouter(nw.G, nw.ID, res, tables)
 		if err != nil {
 			t.Fatal(err)
@@ -39,7 +45,7 @@ func TestRouterRoutesAllPairs(t *testing.T) {
 			for dst := 0; dst < nw.N(); dst++ {
 				path, err := r.Route(src, dst)
 				if err != nil {
-					t.Fatalf("trial %d: Route(%d,%d): %v", trial, src, dst, err)
+					t.Fatalf("%s: Route(%d,%d): %v", scene, src, dst, err)
 				}
 				if path[0] != src || path[len(path)-1] != dst {
 					t.Fatalf("path %v does not join %d and %d", path, src, dst)
@@ -56,11 +62,20 @@ func TestRouterRoutesAllPairs(t *testing.T) {
 				}
 				// Theorem 11 operational form: at most 3·h + 2 hops.
 				if h := hops[dst]; h > 0 && len(path)-1 > 3*h+2 {
-					t.Fatalf("route %d→%d uses %d hops, G needs %d (bound %d)",
-						src, dst, len(path)-1, h, 3*h+2)
+					t.Fatalf("%s: route %d→%d uses %d hops, G needs %d (bound %d)",
+						scene, src, dst, len(path)-1, h, 3*h+2)
 				}
 			}
 		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 5; trial++ {
+		nw, res, tables := buildBackbone(t, rng, 40+rng.Intn(60), 7)
+		check(fmt.Sprintf("trial %d", trial), nw, res, tables)
+	}
+	for _, kind := range []string{"clusters", "corridor", "annulus"} {
+		nw, res, tables := buildSceneBackbone(t, rng, kind, 80, 8)
+		check(kind, nw, res, tables)
 	}
 }
 
@@ -145,11 +160,13 @@ func TestBroadcastCoversAndSaves(t *testing.T) {
 
 func TestBroadcastFromEverySource(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	nw, res, tables := buildBackbone(t, rng, 60, 8)
-	relay := RelaySet(nw.G, nw.ID, res, tables)
-	for src := 0; src < nw.N(); src++ {
-		if rep := Broadcast(nw.G, relay, src); !rep.Covered {
-			t.Fatalf("broadcast from %d did not cover the network", src)
+	for _, kind := range []string{"uniform", "clusters", "corridor", "annulus"} {
+		nw, res, tables := buildSceneBackbone(t, rng, kind, 60, 8)
+		relay := RelaySet(nw.G, nw.ID, res, tables)
+		for src := 0; src < nw.N(); src++ {
+			if rep := Broadcast(nw.G, relay, src); !rep.Covered {
+				t.Fatalf("%s: broadcast from %d did not cover the network", kind, src)
+			}
 		}
 	}
 }

@@ -43,7 +43,7 @@ func TestFaultBearingChurnProperty(t *testing.T) {
 			}
 			for e := 0; e < epochs; e++ {
 				preMIS := s.Maintainer().InMIS()
-				ev, err := s.Apply(context.Background(), randomEpoch(rng, s))
+				ev, err := s.Apply(context.Background(), RandomEpoch(rng, s))
 				if err != nil {
 					t.Fatalf("drop=%g seed=%d epoch %d: %v", drop, seed, e, err)
 				}
@@ -92,7 +92,7 @@ func TestFaultBearingEscalationRungProperty(t *testing.T) {
 	defer s.Close(nil)
 	sawDegraded := false
 	for e := 0; e < 12; e++ {
-		ev, err := s.Apply(context.Background(), randomEpoch(rng, s))
+		ev, err := s.Apply(context.Background(), RandomEpoch(rng, s))
 		if err != nil {
 			t.Fatalf("epoch %d: %v", e, err)
 		}
@@ -187,7 +187,7 @@ func TestRepairReportPlainSession(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close(nil)
-	ev, err := s.Apply(context.Background(), randomEpoch(rng, s))
+	ev, err := s.Apply(context.Background(), RandomEpoch(rng, s))
 	if err != nil {
 		t.Fatal(err)
 	}

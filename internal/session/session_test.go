@@ -22,58 +22,6 @@ func newNet(t *testing.T, rng *rand.Rand, n int, deg float64) *udg.Network {
 	return nw
 }
 
-// randomEpoch builds one epoch of 1..4 valid deltas against the session's
-// current state, touching distinct nodes so the epoch cannot trip the
-// already-in-requested-state validation.
-func randomEpoch(rng *rand.Rand, s *Session) []Delta {
-	m := s.Maintainer()
-	active := m.ActiveMask()
-	nw := m.Network()
-	var on, off []int
-	for v, a := range active {
-		if a {
-			on = append(on, v)
-		} else {
-			off = append(off, v)
-		}
-	}
-	n := 1 + rng.Intn(4)
-	used := map[int]bool{}
-	var out []Delta
-	for len(out) < n {
-		switch k := rng.Intn(10); {
-		case k < 6 && len(on) > 0: // move
-			v := on[rng.Intn(len(on))]
-			if used[v] {
-				continue
-			}
-			used[v] = true
-			p := nw.Pos[v]
-			out = append(out, Delta{Op: OpMove, Node: &v,
-				X: p.X + rng.NormFloat64()*0.4, Y: p.Y + rng.NormFloat64()*0.4})
-		case k < 8 && len(on) > 1: // leave
-			v := on[rng.Intn(len(on))]
-			if used[v] {
-				continue
-			}
-			used[v] = true
-			out = append(out, Delta{Op: OpLeave, Node: &v})
-		case k < 9 && len(off) > 0: // rejoin
-			v := off[rng.Intn(len(off))]
-			if used[v] {
-				continue
-			}
-			used[v] = true
-			out = append(out, Delta{Op: OpJoin, Node: &v})
-		default: // brand-new node near an existing one
-			anchor := nw.Pos[rng.Intn(nw.N())]
-			out = append(out, Delta{Op: OpJoin,
-				X: anchor.X + rng.NormFloat64()*0.3, Y: anchor.Y + rng.NormFloat64()*0.3})
-		}
-	}
-	return out
-}
-
 // TestChurnFixpointEquivalence is the subsystem's correctness gate: for
 // random churn traces across size/degree cells, after every epoch the
 // incrementally-repaired state must (a) satisfy the maintained WCDS
@@ -100,7 +48,7 @@ func TestChurnFixpointEquivalence(t *testing.T) {
 			}
 			for e := 0; e < epochs; e++ {
 				preMIS := s.Maintainer().InMIS()
-				deltas := randomEpoch(rng, s)
+				deltas := RandomEpoch(rng, s)
 				ev, err := s.Apply(context.Background(), deltas)
 				if err != nil {
 					t.Fatalf("cell %dx%.0f seed %d epoch %d: %v", cell.n, cell.deg, seed, e, err)

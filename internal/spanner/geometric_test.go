@@ -1,6 +1,7 @@
 package spanner
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -85,18 +86,28 @@ func TestGeometricSubsetChain(t *testing.T) {
 func TestGeometricSpannersConnected(t *testing.T) {
 	// On a connected UDG with generic (continuous random) positions both
 	// prunings preserve connectivity: they contain the Euclidean MST.
+	check := func(scene string, nw *udg.Network) {
+		if !RNG(nw).Connected() {
+			t.Fatalf("%s: RNG disconnected", scene)
+		}
+		if !Gabriel(nw).Connected() {
+			t.Fatalf("%s: Gabriel disconnected", scene)
+		}
+	}
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 10; trial++ {
 		nw, err := udg.GenConnectedAvgDegree(rng, 100, 10, 300)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !RNG(nw).Connected() {
-			t.Fatalf("trial %d: RNG disconnected", trial)
+		check(fmt.Sprintf("trial %d", trial), nw)
+	}
+	for _, kind := range []string{"clusters", "corridor", "annulus"} {
+		nw, err := udg.Topology{Kind: kind}.GenConnected(rng, 100, 10, 300)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !Gabriel(nw).Connected() {
-			t.Fatalf("trial %d: Gabriel disconnected", trial)
-		}
+		check(kind, nw)
 	}
 }
 

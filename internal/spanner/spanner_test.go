@@ -1,6 +1,7 @@
 package spanner
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -145,6 +146,23 @@ func TestTheorem11OnAlgo2Spanners(t *testing.T) {
 	// The paper's headline result: Algorithm II's spanner satisfies
 	// h' ≤ 3h+2 and l' ≤ 6l+5 for every non-adjacent pair. Verified
 	// exhaustively on moderate instances.
+	// Corridors and annuli have their own tests (stress_test.go); a
+	// clustered scene joins the uniform ones here.
+	check := func(scene string, nw *udg.Network) {
+		res := wcds.Algo2Centralized(nw.G, nw.ID)
+		rep, err := Dilation(nw.G, res.Spanner, nw.Weight(), AllPairs(nw.G))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rep.TopoBoundHolds {
+			t.Fatalf("%s: Theorem 11 topological bound violated: worst %+v (%d violations)",
+				scene, rep.WorstTopo, rep.TopoViolations)
+		}
+		if !rep.GeoBoundHolds {
+			t.Fatalf("%s: Theorem 11 geometric bound violated: worst %+v (%d violations)",
+				scene, rep.WorstGeo, rep.GeoViolations)
+		}
+	}
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 8; trial++ {
 		n := 40 + rng.Intn(80)
@@ -152,20 +170,13 @@ func TestTheorem11OnAlgo2Spanners(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := wcds.Algo2Centralized(nw.G, nw.ID)
-		rep, err := Dilation(nw.G, res.Spanner, nw.Weight(), AllPairs(nw.G))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !rep.TopoBoundHolds {
-			t.Fatalf("trial %d: Theorem 11 topological bound violated: worst %+v (%d violations)",
-				trial, rep.WorstTopo, rep.TopoViolations)
-		}
-		if !rep.GeoBoundHolds {
-			t.Fatalf("trial %d: Theorem 11 geometric bound violated: worst %+v (%d violations)",
-				trial, rep.WorstGeo, rep.GeoViolations)
-		}
+		check(fmt.Sprintf("trial %d", trial), nw)
 	}
+	nw, err := udg.Topology{Kind: "clusters"}.GenConnected(rng, 150, 8, 300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("clusters", nw)
 }
 
 func TestLemma6TransferOnAlgo2(t *testing.T) {

@@ -1,6 +1,7 @@
 package wcds
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -34,6 +35,26 @@ func TestAlgo1CentralizedEmpty(t *testing.T) {
 }
 
 func TestAlgo1CentralizedPropertiesOnUDGs(t *testing.T) {
+	check := func(scene string, nw *udg.Network) {
+		res := Algo1Centralized(nw.G, nw.ID)
+		set := res.Dominators
+		if !mis.IsMaximalIndependent(nw.G, set) {
+			t.Fatalf("%s: not a maximal independent set", scene)
+		}
+		if !IsWCDS(nw.G, set) {
+			t.Fatalf("%s: not a WCDS (Theorem 5 violated)", scene)
+		}
+		// Theorem 4: complementary subsets exactly two hops apart.
+		if k, ok := mis.MaxComplementaryDistance(nw.G, set, 4); !ok || (len(set) > 1 && k != 2) {
+			t.Fatalf("%s: complementary distance %d (ok=%v), want 2", scene, k, ok)
+		}
+		// Theorem 8 accounting: every black edge joins a gray node to a
+		// black node, and each gray node has at most 5 black neighbours.
+		grayCount := nw.N() - len(set)
+		if res.Spanner.M() > 5*grayCount {
+			t.Fatalf("%s: spanner has %d edges > 5·gray = %d", scene, res.Spanner.M(), 5*grayCount)
+		}
+	}
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 15; trial++ {
 		n := 30 + rng.Intn(150)
@@ -41,24 +62,10 @@ func TestAlgo1CentralizedPropertiesOnUDGs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := Algo1Centralized(nw.G, nw.ID)
-		set := res.Dominators
-		if !mis.IsMaximalIndependent(nw.G, set) {
-			t.Fatalf("trial %d: not a maximal independent set", trial)
-		}
-		if !IsWCDS(nw.G, set) {
-			t.Fatalf("trial %d: not a WCDS (Theorem 5 violated)", trial)
-		}
-		// Theorem 4: complementary subsets exactly two hops apart.
-		if k, ok := mis.MaxComplementaryDistance(nw.G, set, 4); !ok || (len(set) > 1 && k != 2) {
-			t.Fatalf("trial %d: complementary distance %d (ok=%v), want 2", trial, k, ok)
-		}
-		// Theorem 8 accounting: every black edge joins a gray node to a
-		// black node, and each gray node has at most 5 black neighbours.
-		grayCount := nw.N() - len(set)
-		if res.Spanner.M() > 5*grayCount {
-			t.Fatalf("trial %d: spanner has %d edges > 5·gray = %d", trial, res.Spanner.M(), 5*grayCount)
-		}
+		check(fmt.Sprintf("trial %d", trial), nw)
+	}
+	for kind, nw := range familyScenes(t, 11) {
+		check(kind, nw)
 	}
 }
 

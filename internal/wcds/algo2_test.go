@@ -1,6 +1,7 @@
 package wcds
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -51,6 +52,19 @@ func TestAlgo2CentralizedPathWithConnectors(t *testing.T) {
 }
 
 func TestAlgo2DistributedSyncMatchesCentralized(t *testing.T) {
+	check := func(scene string, nw *udg.Network) {
+		want := Algo2Centralized(nw.G, nw.ID)
+		got, _, err := Algo2Distributed(nw.G, nw.ID, Deferred, EngineRunner(simnet.EngineSync))
+		if err != nil {
+			t.Fatalf("%s: %v", scene, err)
+		}
+		if !equalInts(got.MISDominators, want.MISDominators) {
+			t.Fatalf("%s: MIS %v != %v", scene, got.MISDominators, want.MISDominators)
+		}
+		if !equalInts(got.AdditionalDominators, want.AdditionalDominators) {
+			t.Fatalf("%s: additional %v != %v", scene, got.AdditionalDominators, want.AdditionalDominators)
+		}
+	}
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 12; trial++ {
 		n := 20 + rng.Intn(120)
@@ -58,17 +72,10 @@ func TestAlgo2DistributedSyncMatchesCentralized(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := Algo2Centralized(nw.G, nw.ID)
-		got, _, err := Algo2Distributed(nw.G, nw.ID, Deferred, EngineRunner(simnet.EngineSync))
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		if !equalInts(got.MISDominators, want.MISDominators) {
-			t.Fatalf("trial %d: MIS %v != %v", trial, got.MISDominators, want.MISDominators)
-		}
-		if !equalInts(got.AdditionalDominators, want.AdditionalDominators) {
-			t.Fatalf("trial %d: additional %v != %v", trial, got.AdditionalDominators, want.AdditionalDominators)
-		}
+		check(fmt.Sprintf("trial %d", trial), nw)
+	}
+	for kind, nw := range familyScenes(t, 12) {
+		check(kind, nw)
 	}
 }
 
@@ -76,6 +83,20 @@ func TestAlgo2DistributedAsyncScheduleIndependent(t *testing.T) {
 	// Deferred selection is canonical: the asynchronous engine under
 	// scrambled (non-FIFO) delivery must produce exactly the centralized
 	// result too.
+	check := func(scene string, nw *udg.Network, scramble int64) {
+		want := Algo2Centralized(nw.G, nw.ID)
+		runner := EngineRunner(simnet.EngineAsync, simnet.WithScramble(rand.New(rand.NewSource(scramble))))
+		got, _, err := Algo2Distributed(nw.G, nw.ID, Deferred, runner)
+		if err != nil {
+			t.Fatalf("%s: %v", scene, err)
+		}
+		if !equalInts(got.MISDominators, want.MISDominators) {
+			t.Fatalf("%s: MIS differs under async schedule", scene)
+		}
+		if !equalInts(got.AdditionalDominators, want.AdditionalDominators) {
+			t.Fatalf("%s: additional %v != %v", scene, got.AdditionalDominators, want.AdditionalDominators)
+		}
+	}
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 8; trial++ {
 		n := 20 + rng.Intn(80)
@@ -83,18 +104,10 @@ func TestAlgo2DistributedAsyncScheduleIndependent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := Algo2Centralized(nw.G, nw.ID)
-		runner := EngineRunner(simnet.EngineAsync, simnet.WithScramble(rand.New(rand.NewSource(int64(trial*31)))))
-		got, _, err := Algo2Distributed(nw.G, nw.ID, Deferred, runner)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		if !equalInts(got.MISDominators, want.MISDominators) {
-			t.Fatalf("trial %d: MIS differs under async schedule", trial)
-		}
-		if !equalInts(got.AdditionalDominators, want.AdditionalDominators) {
-			t.Fatalf("trial %d: additional %v != %v", trial, got.AdditionalDominators, want.AdditionalDominators)
-		}
+		check(fmt.Sprintf("trial %d", trial), nw, int64(trial*31))
+	}
+	for kind, nw := range familyScenes(t, 13) {
+		check(kind, nw, 13)
 	}
 }
 
@@ -123,6 +136,28 @@ func TestAlgo2EagerStillValid(t *testing.T) {
 }
 
 func TestAlgo2PropertiesOnUDGs(t *testing.T) {
+	check := func(scene string, nw *udg.Network) {
+		res := Algo2Centralized(nw.G, nw.ID)
+		if !mis.IsMaximalIndependent(nw.G, res.MISDominators) {
+			t.Fatalf("%s: MIS part invalid", scene)
+		}
+		if !IsWCDS(nw.G, res.Dominators) {
+			t.Fatalf("%s: not a WCDS", scene)
+		}
+		if k, ok := mis.MaxComplementaryDistance(nw.G, res.Dominators, 4); !ok || k > 2 {
+			t.Fatalf("%s: complementary distance %d (ok=%v), want ≤ 2 (Lemma 9)", scene, k, ok)
+		}
+		// MIS part must be the greedy-by-ID MIS regardless of anything.
+		if want := mis.Greedy(nw.G, mis.ByID(nw.ID)); !equalInts(res.MISDominators, want) {
+			t.Fatalf("%s: MIS part is not greedy-by-ID", scene)
+		}
+		// Theorem 10's sparsity accounting: at most 9·|gray| + 47·|S| edges.
+		grayCount := nw.N() - len(res.Dominators)
+		bound := 9*grayCount + 47*len(res.MISDominators)
+		if res.Spanner.M() > bound {
+			t.Fatalf("%s: spanner edges %d exceed Theorem 10 bound %d", scene, res.Spanner.M(), bound)
+		}
+	}
 	rng := rand.New(rand.NewSource(4))
 	for trial := 0; trial < 12; trial++ {
 		n := 30 + rng.Intn(200)
@@ -130,26 +165,10 @@ func TestAlgo2PropertiesOnUDGs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := Algo2Centralized(nw.G, nw.ID)
-		if !mis.IsMaximalIndependent(nw.G, res.MISDominators) {
-			t.Fatalf("trial %d: MIS part invalid", trial)
-		}
-		if !IsWCDS(nw.G, res.Dominators) {
-			t.Fatalf("trial %d: not a WCDS", trial)
-		}
-		if k, ok := mis.MaxComplementaryDistance(nw.G, res.Dominators, 4); !ok || k > 2 {
-			t.Fatalf("trial %d: complementary distance %d (ok=%v), want ≤ 2 (Lemma 9)", trial, k, ok)
-		}
-		// MIS part must be the greedy-by-ID MIS regardless of anything.
-		if want := mis.Greedy(nw.G, mis.ByID(nw.ID)); !equalInts(res.MISDominators, want) {
-			t.Fatalf("trial %d: MIS part is not greedy-by-ID", trial)
-		}
-		// Theorem 10's sparsity accounting: at most 9·|gray| + 47·|S| edges.
-		grayCount := nw.N() - len(res.Dominators)
-		bound := 9*grayCount + 47*len(res.MISDominators)
-		if res.Spanner.M() > bound {
-			t.Fatalf("trial %d: spanner edges %d exceed Theorem 10 bound %d", trial, res.Spanner.M(), bound)
-		}
+		check(fmt.Sprintf("trial %d", trial), nw)
+	}
+	for kind, nw := range familyScenes(t, 14) {
+		check(kind, nw)
 	}
 }
 

@@ -1,6 +1,7 @@
 package wcds
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -40,24 +41,30 @@ func TestZeroKnowledgeAsyncScrambled(t *testing.T) {
 	// Under non-FIFO scrambled delivery, Algorithm II messages can arrive
 	// before a node finished discovery; the buffering path must preserve
 	// exact equality with the centralized reference.
+	check := func(scene string, nw *udg.Network, scramble int64) {
+		want := Algo2Centralized(nw.G, nw.ID)
+		runner := EngineRunner(simnet.EngineAsync, simnet.WithScramble(rand.New(rand.NewSource(scramble))))
+		got, _, err := Algo2ZeroKnowledge(nw.G, nw.ID, Deferred, runner)
+		if err != nil {
+			t.Fatalf("%s: %v", scene, err)
+		}
+		if !equalInts(got.Dominators, want.Dominators) {
+			t.Fatalf("%s: async zero-knowledge diverged", scene)
+		}
+		if !equalInts(got.AdditionalDominators, want.AdditionalDominators) {
+			t.Fatalf("%s: connector sets diverged", scene)
+		}
+	}
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 8; trial++ {
 		nw, err := udg.GenConnectedAvgDegree(rng, 30+rng.Intn(60), 8, 300)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := Algo2Centralized(nw.G, nw.ID)
-		runner := EngineRunner(simnet.EngineAsync, simnet.WithScramble(rand.New(rand.NewSource(int64(trial*13)))))
-		got, _, err := Algo2ZeroKnowledge(nw.G, nw.ID, Deferred, runner)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		if !equalInts(got.Dominators, want.Dominators) {
-			t.Fatalf("trial %d: async zero-knowledge diverged", trial)
-		}
-		if !equalInts(got.AdditionalDominators, want.AdditionalDominators) {
-			t.Fatalf("trial %d: connector sets diverged", trial)
-		}
+		check(fmt.Sprintf("trial %d", trial), nw, int64(trial*13))
+	}
+	for kind, nw := range familyScenes(t, 15) {
+		check(kind, nw, 15)
 	}
 }
 

@@ -45,8 +45,7 @@ func ReliableRunner(eng simnet.Engine, ropt reliable.Options, opts ...simnet.Opt
 // Runner, so every surface follows the same scramble rule. Algorithms I
 // and II reach it through the batch executor, which builds it from a
 // batch.Workload — the form the facade's Option list, every service
-// request and every chaos cell take; cmd/soak's lossy MIS-repair runs,
-// another protocol, build it directly.
+// request and every chaos cell take.
 type RunSpec struct {
 	Engine simnet.Engine
 	// ScheduleSeed seeds the delivery scramble under

@@ -1,9 +1,11 @@
 package wcds
 
 import (
+	"math/rand"
 	"testing"
 
 	"wcdsnet/internal/graph"
+	"wcdsnet/internal/udg"
 )
 
 func pathGraph(t *testing.T, n int) *graph.Graph {
@@ -23,6 +25,24 @@ func seqIDs(n int) []int {
 		ids[i] = i
 	}
 	return ids
+}
+
+// familyScenes draws, from seed, one connected 80-node scene of average
+// degree 8 from each non-uniform unit-disk family, keyed by kind: the
+// inputs that carry a property test over uniform scenes to clustered,
+// corridor and annulus deployments.
+func familyScenes(t *testing.T, seed int64) map[string]*udg.Network {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	scenes := map[string]*udg.Network{}
+	for _, kind := range []string{"clusters", "corridor", "annulus"} {
+		nw, err := udg.Topology{Kind: kind}.GenConnected(rng, 80, 8, 300)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scenes[kind] = nw
+	}
+	return scenes
 }
 
 func equalInts(a, b []int) bool {

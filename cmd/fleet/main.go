@@ -22,13 +22,10 @@
 //	-spec ""          JSON batch-spec file (full control; overrides the axis flags)
 //	-check            also run the sweep locally and fail on digest drift
 //	-out ""           write the fleet report as JSON to this file
-//	-soak             run the cluster soak harness and exit (see soak.go)
 //
-// In soak mode the harness drives the pinned 108-scenario sweep plus
-// sustained mixed /v1/backbone traffic against a 3-worker local cluster,
-// kills one worker mid-sweep, and fails on digest drift versus the local
-// run, missing re-dispatch, or a p99 latency SLO violation. CI runs it as
-// the fleet-soak job and uploads the JSON report as an artifact.
+// The command drives sweeps; it does not grade worker loss. Killing a
+// worker mid-sweep under survivor traffic is the fleet package's
+// TestFleetWorkerKillMidSweepConverges.
 package main
 
 import (
@@ -63,15 +60,9 @@ func run() error {
 		specFile = flag.String("spec", "", "JSON batch-spec file (overrides the axis flags)")
 		check    = flag.Bool("check", false, "also run the sweep locally and fail on digest drift")
 		out      = flag.String("out", "", "write the fleet report as JSON to this file")
-		soak     = flag.Bool("soak", false, "run the cluster soak harness and exit")
-		sloMS    = flag.Float64("slo", 5000, "soak traffic p99 SLO in milliseconds")
 	)
 	flag.Parse()
 	ctx := context.Background()
-
-	if *soak {
-		return runSoak(ctx, *spawnN, *width, *sloMS, *out)
-	}
 
 	spec, err := buildSpec(*specFile, *sizes, *degrees, *seeds)
 	if err != nil {

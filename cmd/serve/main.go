@@ -14,8 +14,6 @@
 //	-timeout 30s     per-request deadline (queue wait + compute)
 //	-maxnodes 20000  largest accepted network
 //	-grace 30s       graceful-drain window before in-flight work is cancelled
-//	-selfcheck 0     load-test mode: fire N concurrent mixed requests
-//	                 through the real HTTP stack, report, and exit
 //
 // The server drains gracefully on SIGINT/SIGTERM: the listener closes, the
 // pool finishes accepted jobs, then the process exits. Past the -grace
@@ -37,22 +35,20 @@
 // finish. A group of serve processes forms a cluster-mode fleet behind
 // cmd/fleet, which fans one sweep out over /v1/shard and merges the rows
 // back digest-identically.
+//
+// The command serves; it does not grade itself. Concurrent mixed load
+// through the real HTTP stack, with 429s retried until every request ends
+// 200 and the cache hits, is the service package's TestConcurrentMixedLoad.
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
-	"io"
-	"net"
 	"net/http"
 	"os"
 	"os/signal"
-	"sync"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -76,7 +72,6 @@ func run() error {
 		maxNodes  = flag.Int("maxnodes", 20000, "largest accepted network")
 		maxBatch  = flag.Int("maxbatch", 0, "largest accepted batch sweep in scenarios (0 = default, -1 = unbounded)")
 		grace     = flag.Duration("grace", 30*time.Second, "graceful-drain window; past it, in-flight jobs and open sessions are cancelled")
-		selfcheck = flag.Int("selfcheck", 0, "fire N concurrent mixed requests and exit")
 	)
 	flag.Parse()
 
@@ -89,10 +84,6 @@ func run() error {
 		MaxBatchScenarios: *maxBatch,
 	})
 	defer svc.Close()
-
-	if *selfcheck > 0 {
-		return runSelfcheck(svc, *addr, *selfcheck)
-	}
 
 	server := &http.Server{Addr: *addr, Handler: svc.Handler()}
 	errc := make(chan error, 1)
@@ -131,114 +122,5 @@ func run() error {
 	}
 	svc.Close() // drain the pool after the listener stops accepting
 	fmt.Println("serve: drained, bye")
-	return nil
-}
-
-// runSelfcheck starts the real HTTP stack on a loopback port and hammers it
-// with n concurrent mixed requests drawn from a small scenario set, so
-// cache hits, pool backpressure (429 + retry) and latency are all exercised
-// end to end. It fails if any request ends in an error after retries, or if
-// the cache never hit.
-func runSelfcheck(svc *service.Service, addr string, n int) error {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		// Fall back to the configured address (e.g. sandboxed environments
-		// that only allow specific binds).
-		ln, err = net.Listen("tcp", addr)
-		if err != nil {
-			return fmt.Errorf("selfcheck: listen: %w", err)
-		}
-	}
-	server := &http.Server{Handler: svc.Handler()}
-	go func() { _ = server.Serve(ln) }()
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		_ = server.Shutdown(ctx)
-	}()
-	base := "http://" + ln.Addr().String()
-	fmt.Printf("serve: selfcheck against %s with %d requests\n", base, n)
-
-	// A small scenario pool: repeats guarantee cache hits, distinct seeds
-	// guarantee misses, and the three endpoints mix compute costs.
-	type reqSpec struct {
-		path string
-		body map[string]any
-	}
-	specs := make([]reqSpec, 0, 12)
-	for seed := 0; seed < 4; seed++ {
-		specs = append(specs,
-			reqSpec{"/v1/backbone", map[string]any{
-				"seed": seed, "n": 120, "avgDegree": 8, "algorithm": "II", "mode": "sync"}},
-			reqSpec{"/v1/dilation", map[string]any{
-				"seed": seed, "n": 100, "avgDegree": 8, "pairs": 100}},
-			reqSpec{"/v1/broadcast", map[string]any{
-				"seed": seed, "n": 100, "avgDegree": 8, "source": 0}},
-		)
-	}
-
-	client := &http.Client{Timeout: 60 * time.Second}
-	var (
-		wg        sync.WaitGroup
-		failures  atomic.Int64
-		retries   atomic.Int64
-		completed atomic.Int64
-	)
-	sem := make(chan struct{}, 64) // client-side concurrency, beyond pool+queue
-	start := time.Now()
-	for i := 0; i < n; i++ {
-		spec := specs[i%len(specs)]
-		wg.Add(1)
-		go func(spec reqSpec) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			body, _ := json.Marshal(spec.body)
-			for attempt := 0; ; attempt++ {
-				resp, err := client.Post(base+spec.path, "application/json", bytes.NewReader(body))
-				if err != nil {
-					failures.Add(1)
-					fmt.Fprintf(os.Stderr, "selfcheck: %s: %v\n", spec.path, err)
-					return
-				}
-				_, _ = io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-				switch {
-				case resp.StatusCode == http.StatusOK:
-					completed.Add(1)
-					return
-				case resp.StatusCode == http.StatusTooManyRequests && attempt < 50:
-					// Backpressure working as designed: honour Retry-After.
-					retries.Add(1)
-					time.Sleep(25 * time.Millisecond)
-				default:
-					failures.Add(1)
-					fmt.Fprintf(os.Stderr, "selfcheck: %s: status %d\n", spec.path, resp.StatusCode)
-					return
-				}
-			}
-		}(spec)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-
-	hits, misses, evictions := svc.CacheStats()
-	executed, rejected, expired := svc.PoolStats()
-	fmt.Printf("selfcheck: %d/%d ok in %v (%.0f req/s), %d failures, %d client retries\n",
-		completed.Load(), n, elapsed.Round(time.Millisecond),
-		float64(n)/elapsed.Seconds(), failures.Load(), retries.Load())
-	fmt.Printf("selfcheck: cache hits=%d misses=%d evictions=%d | pool executed=%d rejected=%d expired=%d\n",
-		hits, misses, evictions, executed, rejected, expired)
-
-	if failures.Load() > 0 {
-		return fmt.Errorf("selfcheck: %d requests failed", failures.Load())
-	}
-	if completed.Load() != int64(n) {
-		return fmt.Errorf("selfcheck: only %d/%d completed", completed.Load(), n)
-	}
-	if hits == 0 {
-		return fmt.Errorf("selfcheck: cache never hit across %d requests", n)
-	}
-	fmt.Println("selfcheck: PASS")
 	return nil
 }

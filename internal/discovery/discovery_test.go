@@ -94,7 +94,7 @@ func TestDiscoveryUnderLossDetectable(t *testing.T) {
 		t.Fatal(err)
 	}
 	tables, _, err := Run(nw.G, nw.ID, 1, simnet.EngineSync,
-		simnet.WithDropRate(rand.New(rand.NewSource(4)), 0.5))
+		simnet.WithFaults(simnet.FaultPlan{Seed: rand.New(rand.NewSource(4)).Int63(), DropRate: 0.5}))
 	if err != nil {
 		// Acceptable: a k=2 run can stall; k=1 never errors though.
 		t.Fatalf("k=1 discovery should always quiesce: %v", err)

@@ -64,7 +64,7 @@ func TestElectionUnderMessageLossStalls(t *testing.T) {
 		eprocs[i] = NewProc(i + 1)
 		procs[i] = eprocs[i]
 	}
-	stats, err := simnet.RunSync(g, procs, simnet.WithDropRate(rand.New(rand.NewSource(1)), 1.0))
+	stats, err := simnet.RunSync(g, procs, simnet.WithFaults(simnet.FaultPlan{Seed: rand.New(rand.NewSource(1)).Int63(), DropRate: 1.0}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,14 +1,21 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
+	"net/http"
 	"sync"
 	"testing"
 	"time"
 
 	"wcdsnet/internal/batch"
 	"wcdsnet/internal/service"
+	"wcdsnet/internal/simnet"
+	"wcdsnet/internal/stats"
 )
 
 // fleetSpec is the sweep the fleet contract tests run: 8 network cells ×
@@ -130,13 +137,36 @@ func TestFleetCacheAffinity(t *testing.T) {
 	}
 }
 
+// killSpec is the worker-kill sweep: fleetSpec's 8 network cells × 9
+// workloads = 72 scenarios. Centralized I and II, II on the sync and event
+// engines, a lossy reliable event run, dilation and three broadcast sources
+// all cross the wire; each is schedule-independent, so the digest
+// comparison against the local run is exact.
+func killSpec() *batch.Spec {
+	spec := fleetSpec()
+	spec.Workloads = []batch.Workload{
+		{Kind: batch.Backbone, Algorithm: "II"},
+		{Kind: batch.Backbone, Algorithm: "I"},
+		{Kind: batch.Backbone, Algorithm: "II", Mode: "sync"},
+		{Kind: batch.Backbone, Algorithm: "II", Engine: "event"},
+		{Kind: batch.Backbone, Algorithm: "II", Engine: "event",
+			Faults: &simnet.FaultPlan{Seed: 11, DropRate: 0.15}, Reliable: true, MaxRounds: 4000},
+		{Kind: batch.Dilation, Algorithm: "II", Pairs: 40, SampleSeed: 7},
+		{Kind: batch.Broadcast, Source: 0},
+		{Kind: batch.Broadcast, Source: 1},
+		{Kind: batch.Broadcast, Source: 2},
+	}
+	return spec
+}
+
 // TestFleetWorkerKillMidSweepConverges is the loss-recovery acceptance
 // test: a worker killed mid-sweep (listener closed, in-flight streams
 // cancelled) must cost nothing but re-dispatch — the merged digest stays
-// byte-identical to the local run and no row is double-counted.
+// byte-identical to the local run and no row is double-counted — while
+// the survivors keep answering their own /v1/backbone traffic.
 func TestFleetWorkerKillMidSweepConverges(t *testing.T) {
 	ctx := context.Background()
-	local, err := batch.Run(ctx, fleetSpec(), batch.Options{Workers: 1})
+	local, err := batch.Run(ctx, killSpec(), batch.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +176,7 @@ func TestFleetWorkerKillMidSweepConverges(t *testing.T) {
 	// The victim is the worker owning the most shards: when the kill fires
 	// on the very first merged row, it cannot have completed more than one
 	// of them, so orphans are guaranteed.
-	plan, err := Plan(fleetSpec(), Options{Workers: addrs, ShardWidth: 1})
+	plan, err := Plan(killSpec(), Options{Workers: addrs, ShardWidth: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,9 +191,75 @@ func TestFleetWorkerKillMidSweepConverges(t *testing.T) {
 		t.Fatalf("victim owns only %d shards; placement too skewed for the test", counts[addrs[victim]])
 	}
 
+	// Each survivor serves a closed loop of one client with a rotating
+	// backbone mix over a small seed pool (cache hits and fresh computes)
+	// from before the sweep starts until it has returned and the survivor
+	// has answered at least 10 requests, so the latency sample is never
+	// empty. Throttling (429) is allowed; any other status or a transport
+	// error ends the loop and fails the test.
+	const minAnswered, sloMS = 10, 5000.0
+	sweepDone := make(chan struct{})
+	var (
+		traffic     sync.WaitGroup
+		mu          sync.Mutex
+		latencies   []float64
+		trafficErrs []string
+	)
+	client := &http.Client{Timeout: 30 * time.Second}
+	for i, addr := range addrs {
+		if i == victim {
+			continue
+		}
+		traffic.Add(1)
+		go func(addr string) {
+			defer traffic.Done()
+			for i, answered := 0, 0; ; i++ {
+				select {
+				case <-sweepDone:
+					if answered >= minAnswered {
+						return
+					}
+				default:
+				}
+				req := map[string]any{"seed": 1 + i%4, "n": 60, "avgDegree": 8, "algorithm": "II"}
+				switch i % 3 {
+				case 1:
+					req["algorithm"] = "I"
+				case 2:
+					req["mode"] = "sync"
+				}
+				raw, _ := json.Marshal(req)
+				begin := time.Now()
+				resp, err := client.Post(addr+"/v1/backbone", "application/json", bytes.NewReader(raw))
+				if err != nil {
+					mu.Lock()
+					trafficErrs = append(trafficErrs, err.Error())
+					mu.Unlock()
+					return
+				}
+				_, _ = io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				mu.Lock()
+				switch resp.StatusCode {
+				case http.StatusOK:
+					answered++
+					latencies = append(latencies, float64(time.Since(begin))/1e6)
+				case http.StatusTooManyRequests:
+				default:
+					trafficErrs = append(trafficErrs, fmt.Sprintf("%s answered %d", addr, resp.StatusCode))
+				}
+				failed := len(trafficErrs) > 0
+				mu.Unlock()
+				if failed {
+					return
+				}
+			}
+		}(addr)
+	}
+
 	var once sync.Once
 	killed := make(chan struct{})
-	rep, err := Run(ctx, fleetSpec(), Options{
+	rep, err := Run(ctx, killSpec(), Options{
 		Workers:    addrs,
 		ShardWidth: 1,
 		OnRow: func(batch.Result) {
@@ -175,6 +271,8 @@ func TestFleetWorkerKillMidSweepConverges(t *testing.T) {
 			})
 		},
 	})
+	close(sweepDone)
+	traffic.Wait()
 	if err != nil {
 		t.Fatalf("fleet run did not survive the kill: %v", err)
 	}
@@ -183,8 +281,8 @@ func TestFleetWorkerKillMidSweepConverges(t *testing.T) {
 	if rep.Digest != local.Digest() {
 		t.Errorf("post-kill digest %s != local %s", rep.Digest, local.Digest())
 	}
-	if len(rep.Results) != 16 || rep.Failed != 0 {
-		t.Errorf("post-kill rows=%d failed=%d", len(rep.Results), rep.Failed)
+	if n := killSpec().NumScenarios(); len(rep.Results) != n || rep.Failed != 0 {
+		t.Errorf("post-kill rows=%d of %d, failed=%d", len(rep.Results), n, rep.Failed)
 	}
 	if rep.Redispatched == 0 {
 		t.Error("kill produced no re-dispatches")
@@ -200,6 +298,12 @@ func TestFleetWorkerKillMidSweepConverges(t *testing.T) {
 	}
 	if failedWorkers != 1 {
 		t.Errorf("%d workers marked failed, want 1", failedWorkers)
+	}
+	for _, e := range trafficErrs {
+		t.Errorf("survivor traffic: %s", e)
+	}
+	if p99 := stats.NearestRank(latencies, 0.99); p99 > sloMS {
+		t.Errorf("survivor traffic p99 %.1fms over %.0fms (%d answered)", p99, sloMS, len(latencies))
 	}
 }
 

@@ -36,8 +36,8 @@ func (p *ShardPlan) Owned() map[string]int {
 // Plan validates spec in place (so shard keys match the ones workers
 // compute), slices it and places every shard; it reads only opts.Workers,
 // opts.ShardWidth and opts.Replicas. It is the coordinator's placement,
-// exported so tools that must predict it — a soak harness choosing the
-// worker to kill — share this one function.
+// so code that must predict it — the kill test choosing the worker to
+// kill — shares this one function.
 //
 // Slicing is cell-aligned: the width is rounded up to a whole number of
 // network cells (the NumScenarios/NumNetworks consecutive scenarios of one

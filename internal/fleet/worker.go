@@ -10,7 +10,7 @@ import (
 
 // LocalWorker is an in-process fleet worker: a full service.Service behind
 // a real TCP loopback listener. cmd/fleet -spawn, cmd/bench's fleet phase
-// and the soak harness use these so every fleet run exercises the complete
+// and the fleet tests use these so every fleet run exercises the complete
 // wire path — HTTP, JSON, NDJSON streaming — without managing OS
 // processes, and tests can kill a worker abruptly mid-sweep.
 type LocalWorker struct {

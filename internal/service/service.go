@@ -243,13 +243,8 @@ func closeReason(cause error) string {
 	}
 }
 
-// CacheStats exposes the result cache counters (used by -selfcheck).
+// CacheStats exposes the result cache counters.
 func (s *Service) CacheStats() (hits, misses, evictions int64) { return s.cache.Stats() }
-
-// PoolStats exposes the pool counters (used by -selfcheck).
-func (s *Service) PoolStats() (executed, rejected, expired int64) {
-	return s.pool.Executed(), s.pool.Rejected(), s.pool.Expired()
-}
 
 // --- request model ---------------------------------------------------------
 

@@ -224,20 +224,25 @@ func deltaKind(op string) string {
 }
 
 // parseDeltaLine decodes one NDJSON line: a single delta object or an
-// array of deltas forming one batched epoch.
+// array of deltas forming one batched epoch. Unknown fields are rejected,
+// as in every request body, so a misspelt key cannot change what a line
+// means.
 func parseDeltaLine(line []byte) ([]session.Delta, error) {
-	if line[0] == '[' {
-		var epoch []session.Delta
-		if err := json.Unmarshal(line, &epoch); err != nil {
-			return nil, err
-		}
-		return epoch, nil
+	var epoch []session.Delta
+	var target any = &epoch
+	if line[0] != '[' {
+		epoch = make([]session.Delta, 1)
+		target = &epoch[0]
 	}
-	var d session.Delta
-	if err := json.Unmarshal(line, &d); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(line))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(target); err != nil {
 		return nil, err
 	}
-	return []session.Delta{d}, nil
+	if dec.InputOffset() != int64(len(line)) {
+		return nil, errors.New("trailing data after the delta")
+	}
+	return epoch, nil
 }
 
 // handleSessionDelete closes a session explicitly.

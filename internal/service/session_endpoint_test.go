@@ -134,42 +134,51 @@ func TestSessionStreamBadDeltaContinues(t *testing.T) {
 	}
 }
 
-// A line that is not valid JSON ends the stream: epochs queued before it
+// A line that does not decode ends the stream: epochs queued before it
 // still apply, and the final line is a fatal error carrying the actual
-// parse failure (not a smuggled "empty epoch" with fatal:false).
+// parse failure (not a smuggled "empty epoch" with fatal:false). A line with
+// an unknown field does not decode either, whether it is one delta or an
+// array epoch: the misspelt "nod" would otherwise join a brand-new node
+// instead of rejoining node 5.
 func TestSessionStreamParseErrorFatal(t *testing.T) {
 	_, ts := newTestService(t, Options{})
-	created := createSession(t, ts.URL, map[string]any{"seed": 24, "n": 40, "avgDegree": 8})
-	var deltas bytes.Buffer
-	fmt.Fprintln(&deltas, `{"op":"move","node":1,"x":0.2,"y":0.2}`)
-	fmt.Fprintln(&deltas, `{"op":"move","node":`) // truncated JSON
-	resp, err := http.Post(ts.URL+"/v1/session/"+created.Session+"/stream",
-		"application/x-ndjson", &deltas)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var lines []map[string]any
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		var m map[string]any
-		if err := json.Unmarshal(sc.Bytes(), &m); err != nil {
+	for _, bad := range []string{
+		`{"op":"move","node":`, // truncated JSON
+		`{"op":"join","nod":5,"x":1,"y":1}`,
+		`[{"op":"move","node":2,"x":0.3,"y":0.3},{"op":"leave","node":3,"why":"typo"}]`,
+	} {
+		created := createSession(t, ts.URL, map[string]any{"seed": 24, "n": 40, "avgDegree": 8})
+		var deltas bytes.Buffer
+		fmt.Fprintln(&deltas, `{"op":"move","node":1,"x":0.2,"y":0.2}`)
+		fmt.Fprintln(&deltas, bad)
+		resp, err := http.Post(ts.URL+"/v1/session/"+created.Session+"/stream",
+			"application/x-ndjson", &deltas)
+		if err != nil {
 			t.Fatal(err)
 		}
-		lines = append(lines, m)
-	}
-	if len(lines) != 2 {
-		t.Fatalf("got %d lines, want event + fatal error: %v", len(lines), lines)
-	}
-	if lines[0]["seq"] != float64(1) {
-		t.Fatalf("epoch before the bad line did not apply: %v", lines[0])
-	}
-	msg, _ := lines[1]["error"].(string)
-	if msg == "" || lines[1]["fatal"] != true {
-		t.Fatalf("last line should be a fatal error: %v", lines[1])
-	}
-	if !strings.Contains(msg, "unparseable") {
-		t.Fatalf("fatal line does not carry the parse error: %q", msg)
+		var lines []map[string]any
+		sc := bufio.NewScanner(resp.Body)
+		for sc.Scan() {
+			var m map[string]any
+			if err := json.Unmarshal(sc.Bytes(), &m); err != nil {
+				t.Fatal(err)
+			}
+			lines = append(lines, m)
+		}
+		resp.Body.Close()
+		if len(lines) != 2 {
+			t.Fatalf("%s: got %d lines, want event + fatal error: %v", bad, len(lines), lines)
+		}
+		if lines[0]["seq"] != float64(1) {
+			t.Fatalf("%s: epoch before the bad line did not apply: %v", bad, lines[0])
+		}
+		msg, _ := lines[1]["error"].(string)
+		if msg == "" || lines[1]["fatal"] != true {
+			t.Fatalf("%s: last line should be a fatal error: %v", bad, lines[1])
+		}
+		if !strings.Contains(msg, "unparseable") {
+			t.Fatalf("%s: fatal line does not carry the parse error: %q", bad, msg)
+		}
 	}
 }
 

@@ -224,7 +224,7 @@ func TestRunEventDuplicationCountedAndHarmless(t *testing.T) {
 	const n = 10
 	g := lineGraph(t, n)
 	procs := floodProcs(n, 0)
-	stats, err := RunEvent(g, procs, WithDuplication(1.0), WithFaultSeed(2))
+	stats, err := RunEvent(g, procs, WithFaults(FaultPlan{Seed: 2, DupRate: 1.0}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func TestRunEventCrashBlocksFlood(t *testing.T) {
 	const n = 10
 	g := lineGraph(t, n)
 	procs := floodProcs(n, 0)
-	stats, err := RunEvent(g, procs, WithCrash(5, 0, 0))
+	stats, err := RunEvent(g, procs, WithFaults(FaultPlan{Crashes: []CrashWindow{{Node: 5}}}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -113,7 +113,7 @@ func TestDelayStretchesRounds(t *testing.T) {
 	}
 
 	delayed := floodProcs(n, 0)
-	stats, err := RunSync(g, delayed, WithDelay(2, 2), WithFaultSeed(1))
+	stats, err := RunSync(g, delayed, WithFaults(FaultPlan{Seed: 1, DelayMin: 2, DelayMax: 2}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestDuplicationCountedAndHarmlessToFlood(t *testing.T) {
 	const n = 10
 	g := lineGraph(t, n)
 	procs := floodProcs(n, 0)
-	stats, err := RunSync(g, procs, WithDuplication(1.0), WithFaultSeed(2))
+	stats, err := RunSync(g, procs, WithFaults(FaultPlan{Seed: 2, DupRate: 1.0}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,9 +191,9 @@ func TestReorderKeepsCoverage(t *testing.T) {
 		procs := floodProcs(n, 0)
 		var err error
 		if async {
-			_, err = EngineAsync.Run(g, procs, WithReorder(0.5), WithFaultSeed(3))
+			_, err = EngineAsync.Run(g, procs, WithFaults(FaultPlan{Seed: 3, ReorderRate: 0.5}))
 		} else {
-			_, err = RunSync(g, procs, WithReorder(0.5), WithFaultSeed(3))
+			_, err = RunSync(g, procs, WithFaults(FaultPlan{Seed: 3, ReorderRate: 0.5}))
 		}
 		if err != nil {
 			t.Fatalf("async=%v: %v", async, err)
@@ -253,9 +253,9 @@ func TestCrashBlocksFloodBothEngines(t *testing.T) {
 		// Node 5 is down from time 0 and never restarts: the token cannot
 		// cross it on a line.
 		if async {
-			stats, err = EngineAsync.Run(g, procs, WithCrash(5, 0, 0))
+			stats, err = EngineAsync.Run(g, procs, WithFaults(FaultPlan{Crashes: []CrashWindow{{Node: 5}}}))
 		} else {
-			stats, err = RunSync(g, procs, WithCrash(5, 0, 0))
+			stats, err = RunSync(g, procs, WithFaults(FaultPlan{Crashes: []CrashWindow{{Node: 5}}}))
 		}
 		if err != nil {
 			t.Fatalf("async=%v: %v", async, err)
@@ -273,7 +273,7 @@ func TestPartitionForeverSplitsFlood(t *testing.T) {
 	const n = 10
 	g := lineGraph(t, n)
 	procs := floodProcs(n, 0)
-	_, err := RunSync(g, procs, WithPartition(0, 0, []int{0, 1, 2, 3, 4}))
+	_, err := RunSync(g, procs, WithFaults(FaultPlan{Partitions: []PartitionWindow{{Group: []int{0, 1, 2, 3, 4}}}}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +288,7 @@ func TestPartitionHealsInTime(t *testing.T) {
 	procs := floodProcs(n, 0)
 	// The token needs 5 rounds to reach the cut edge 4–5; a partition healing
 	// at round 4 never blocks it.
-	_, err := RunSync(g, procs, WithPartition(0, 4, []int{0, 1, 2, 3, 4}))
+	_, err := RunSync(g, procs, WithFaults(FaultPlan{Partitions: []PartitionWindow{{Until: 4, Group: []int{0, 1, 2, 3, 4}}}}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +369,7 @@ func TestLinkDownOneWay(t *testing.T) {
 
 	// Forward direction 0→1 is dead.
 	procs := []Proc{&pingPong{peer: 1, starter: true, bounces: 3}, &pingPong{peer: 0, bounces: 3}}
-	if _, err := RunSync(g, procs, WithLinkDown(down)); err != nil {
+	if _, err := RunSync(g, procs, WithFaults(FaultPlan{LinkDowns: []LinkWindow{down}})); err != nil {
 		t.Fatal(err)
 	}
 	if procs[1].(*pingPong).count != 0 {
@@ -378,7 +378,7 @@ func TestLinkDownOneWay(t *testing.T) {
 
 	// Reverse direction 1→0 still works.
 	procs = []Proc{&pingPong{peer: 1, bounces: 0}, &pingPong{peer: 0, starter: true, bounces: 0}}
-	if _, err := RunSync(g, procs, WithLinkDown(down)); err != nil {
+	if _, err := RunSync(g, procs, WithFaults(FaultPlan{LinkDowns: []LinkWindow{down}})); err != nil {
 		t.Fatal(err)
 	}
 	if procs[0].(*pingPong).count != 1 {
@@ -389,7 +389,7 @@ func TestLinkDownOneWay(t *testing.T) {
 func TestLinkDownBothWays(t *testing.T) {
 	g := lineGraph(t, 2)
 	procs := []Proc{&pingPong{peer: 1, starter: true, bounces: 3}, &pingPong{peer: 0, bounces: 3}}
-	stats, err := RunSync(g, procs, WithLinkDown(LinkWindow{A: 1, B: 0, Start: 0}))
+	stats, err := RunSync(g, procs, WithFaults(FaultPlan{LinkDowns: []LinkWindow{{A: 1, B: 0}}}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package simnet
 
 import (
 	"fmt"
-	"math/rand"
 	randv2 "math/rand/v2"
 )
 
@@ -102,8 +101,8 @@ func Flap(a, b, start, up, down, horizon int) []LinkWindow {
 // FaultPlan is a declarative, serializable description of every fault a run
 // injects. It is the exchange format shared by the engine options, the
 // chaos harness and the service layer's JSON API. The zero value injects
-// nothing. Compile it into engine options with WithFaults, or use the
-// fine-grained With* options to build one incrementally.
+// nothing. Install it on a run with WithFaults; it is the engines' only
+// fault option.
 type FaultPlan struct {
 	// Seed derives the per-sender fault streams for the probabilistic
 	// faults. Two runs with equal plans see identical per-sender fault
@@ -189,116 +188,10 @@ func (p *FaultPlan) Validate(n int) error {
 
 // --- options ---------------------------------------------------------------
 
-// WithFaults installs a complete fault plan, merging over any fine-grained
-// fault options already applied (non-zero plan fields win).
+// WithFaults installs the run's fault plan. Given more than once, the last
+// plan wins.
 func WithFaults(plan FaultPlan) Option {
-	return func(c *config) { c.plan = mergePlans(c.plan, plan) }
-}
-
-func mergePlans(base *FaultPlan, over FaultPlan) *FaultPlan {
-	if base == nil {
-		p := over
-		return &p
-	}
-	if over.Seed != 0 {
-		base.Seed = over.Seed
-	}
-	if over.DropRate != 0 {
-		base.DropRate = over.DropRate
-	}
-	if over.DupRate != 0 {
-		base.DupRate = over.DupRate
-	}
-	if over.DelayMin != 0 {
-		base.DelayMin = over.DelayMin
-	}
-	if over.DelayMax != 0 {
-		base.DelayMax = over.DelayMax
-	}
-	if over.ReorderRate != 0 {
-		base.ReorderRate = over.ReorderRate
-	}
-	base.Crashes = append(base.Crashes, over.Crashes...)
-	base.Partitions = append(base.Partitions, over.Partitions...)
-	base.LinkDowns = append(base.LinkDowns, over.LinkDowns...)
-	return base
-}
-
-func (c *config) editPlan(f func(p *FaultPlan)) {
-	if c.plan == nil {
-		c.plan = &FaultPlan{}
-	}
-	f(c.plan)
-}
-
-// WithDropRate makes each per-link delivery fail independently with
-// probability p. The rng seeds the plan's deterministic per-sender fault
-// streams (it is drawn from once; it is never shared across goroutines).
-// Protocols that assume reliable local broadcast must fail DETECTABLY under
-// loss (nodes left undecided) unless wrapped in the reliable layer.
-func WithDropRate(rng *rand.Rand, p float64) Option {
-	seed := rng.Int63()
-	return func(c *config) {
-		c.editPlan(func(pl *FaultPlan) {
-			pl.Seed = seed
-			pl.DropRate = p
-		})
-	}
-}
-
-// WithFaultSeed fixes the seed of the per-sender fault streams.
-func WithFaultSeed(seed int64) Option {
-	return func(c *config) { c.editPlan(func(pl *FaultPlan) { pl.Seed = seed }) }
-}
-
-// WithDuplication delivers a late extra copy of each per-link delivery with
-// probability p.
-func WithDuplication(p float64) Option {
-	return func(c *config) { c.editPlan(func(pl *FaultPlan) { pl.DupRate = p }) }
-}
-
-// WithDelay adds a uniform extra latency of [min, max] rounds per delivery
-// under RunSync; under the event and async engines it manifests as
-// reordering (see FaultPlan).
-func WithDelay(min, max int) Option {
-	return func(c *config) {
-		c.editPlan(func(pl *FaultPlan) {
-			pl.DelayMin = min
-			pl.DelayMax = max
-		})
-	}
-}
-
-// WithReorder perturbs delivery order with probability p per delivery.
-func WithReorder(p float64) Option {
-	return func(c *config) { c.editPlan(func(pl *FaultPlan) { pl.ReorderRate = p }) }
-}
-
-// WithCrash takes node offline for logical time [from, until); until <= 0
-// means no restart. See FaultPlan for the crash semantics.
-func WithCrash(node, from, until int) Option {
-	return func(c *config) {
-		c.editPlan(func(pl *FaultPlan) {
-			pl.Crashes = append(pl.Crashes, CrashWindow{Node: node, From: from, Until: until})
-		})
-	}
-}
-
-// WithPartition splits group from the rest of the network for logical time
-// [from, until); until <= 0 means the partition never heals.
-func WithPartition(from, until int, group []int) Option {
-	return func(c *config) {
-		c.editPlan(func(pl *FaultPlan) {
-			pl.Partitions = append(pl.Partitions, PartitionWindow{From: from, Until: until, Group: group})
-		})
-	}
-}
-
-// WithLinkDown installs one link downtime window.
-func WithLinkDown(w LinkWindow) Option {
-	return func(c *config) {
-		c.editPlan(func(pl *FaultPlan) { pl.LinkDowns = append(pl.LinkDowns, w) })
-	}
+	return func(c *config) { c.plan = &plan }
 }
 
 // --- compiled state --------------------------------------------------------

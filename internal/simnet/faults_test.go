@@ -22,7 +22,7 @@ func countReached(procs []Proc) int {
 func TestDropRateZeroIsLossless(t *testing.T) {
 	g := lineGraph(t, 20)
 	procs := floodProcs(20, 0)
-	stats, err := RunSync(g, procs, WithDropRate(rand.New(rand.NewSource(1)), 0))
+	stats, err := RunSync(g, procs, WithFaults(FaultPlan{Seed: rand.New(rand.NewSource(1)).Int63(), DropRate: 0}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestDropRateZeroIsLossless(t *testing.T) {
 func TestDropRateOneDeliversNothing(t *testing.T) {
 	g := lineGraph(t, 10)
 	procs := floodProcs(10, 0)
-	stats, err := RunSync(g, procs, WithDropRate(rand.New(rand.NewSource(1)), 1.0))
+	stats, err := RunSync(g, procs, WithFaults(FaultPlan{Seed: rand.New(rand.NewSource(1)).Int63(), DropRate: 1.0}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestDropRatePartialLossSync(t *testing.T) {
 	// cleanly.
 	g := lineGraph(t, 50)
 	procs := floodProcs(50, 0)
-	_, err := RunSync(g, procs, WithDropRate(rand.New(rand.NewSource(7)), 0.5))
+	_, err := RunSync(g, procs, WithFaults(FaultPlan{Seed: rand.New(rand.NewSource(7)).Int63(), DropRate: 0.5}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestDropRatePartialLossSync(t *testing.T) {
 func TestDropRatePartialLossAsync(t *testing.T) {
 	g := lineGraph(t, 50)
 	procs := floodProcs(50, 0)
-	_, err := EngineAsync.Run(g, procs, WithDropRate(rand.New(rand.NewSource(7)), 0.5))
+	_, err := EngineAsync.Run(g, procs, WithFaults(FaultPlan{Seed: rand.New(rand.NewSource(7)).Int63(), DropRate: 0.5}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestDroppedMessagesStillCountAsTransmissions(t *testing.T) {
 		&pingPong{peer: 1, starter: true, bounces: 5},
 		&pingPong{peer: 0, bounces: 5},
 	}
-	stats, err := RunSync(g, procs, WithDropRate(rand.New(rand.NewSource(3)), 1.0))
+	stats, err := RunSync(g, procs, WithFaults(FaultPlan{Seed: rand.New(rand.NewSource(3)).Int63(), DropRate: 1.0}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -206,7 +206,7 @@ func TestCrashedNodeRecoversAfterRestart(t *testing.T) {
 	// Node 2 is dark for rounds [0, 12): the flood stalls against it, the
 	// reliable layer keeps retrying, and after the restart the token crosses
 	// and covers the far side.
-	st, err := simnet.RunSync(g, wrapped, simnet.WithCrash(2, 0, 12))
+	st, err := simnet.RunSync(g, wrapped, simnet.WithFaults(simnet.FaultPlan{Crashes: []simnet.CrashWindow{{Node: 2, Until: 12}}}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -130,7 +130,7 @@ func TestZeroKnowledgeUnderLossDetectable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runner := EngineRunner(simnet.EngineSync, simnet.WithDropRate(rand.New(rand.NewSource(4)), 0.4))
+	runner := EngineRunner(simnet.EngineSync, simnet.WithFaults(simnet.FaultPlan{Seed: rand.New(rand.NewSource(4)).Int63(), DropRate: 0.4}))
 	_, _, err = Algo2ZeroKnowledge(nw.G, nw.ID, Deferred, runner)
 	if err == nil {
 		t.Error("expected a detectable failure under 40% loss")

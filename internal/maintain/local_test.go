@@ -3,8 +3,10 @@ package maintain
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"wcdsnet/internal/geom"
@@ -214,22 +216,27 @@ func TestNewRejectsNonUnitDiskGraph(t *testing.T) {
 	}
 }
 
-// BenchmarkApplyEpoch grows a session to about 1,500 nodes by seeded joins
-// and times epochs of the session churn mix under the local and the lossy
-// repair policy.
+// BenchmarkApplyEpoch times epochs under the local and the lossy repair
+// policy. "local" and "lossy" grow a session to about 1,500 nodes by
+// seeded joins and apply the session churn mix. The n200 cases take the
+// shape of perfbench's session-churn (200 nodes, degree 8, 10% drop) and
+// apply moves only, once as is and once with 2,000 switched-off slots
+// beside the same active set: any per-slot cost of an epoch shows as the
+// gap between the two.
 func BenchmarkApplyEpoch(b *testing.B) {
-	for _, pc := range []struct {
+	policies := []struct {
 		name   string
 		policy RepairPolicy
 	}{
 		{"local", RepairPolicy{}},
 		{"lossy", RepairPolicy{Distributed: true, Reliable: true,
 			Faults: &simnet.FaultPlan{Seed: 5, DropRate: 0.1}}},
-	} {
+	}
+	ctx := context.Background()
+	for _, pc := range policies {
 		b.Run(pc.name, func(b *testing.B) {
 			m, rng, nextID := grownMaintainer(b, 1500)
 			m.SetRepairPolicy(pc.policy)
-			ctx := context.Background()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := m.ApplyEpoch(ctx, churnEpoch(rng, m, &nextID)); err != nil {
@@ -238,6 +245,74 @@ func BenchmarkApplyEpoch(b *testing.B) {
 			}
 		})
 	}
+	for _, pc := range policies {
+		for _, dead := range []int{0, 2000} {
+			b.Run(fmt.Sprintf("n200/%s/dead=%d", pc.name, dead), func(b *testing.B) {
+				rng := rand.New(rand.NewSource(78))
+				scene, err := udg.GenConnectedAvgDegree(rng, 200, 8, 300)
+				if err != nil {
+					b.Fatal(err)
+				}
+				m, err := New(scene)
+				if err != nil {
+					b.Fatal(err)
+				}
+				addDeadSlots(b, m, dead)
+				m.SetRepairPolicy(pc.policy)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := m.ApplyEpoch(ctx, moveEpoch(rng, m, 200)); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
+// addDeadSlots joins k nodes far from the scene and from each other, then
+// switches them off, so the maintainer carries k slots with no edges and
+// its active set is unchanged.
+func addDeadSlots(b *testing.B, m *Maintainer, k int) {
+	ctx := context.Background()
+	first, nextID := m.nw.N(), 1_000_000
+	for lo := 0; lo < k; lo += 500 {
+		var muts []Mutation
+		for i := lo; i < min(lo+500, k); i++ {
+			muts = append(muts, Mutation{Op: OpJoin, ID: nextID, Pos: geom.Point{X: -10 - 2*float64(i), Y: -10}})
+			nextID++
+		}
+		if _, err := m.ApplyEpoch(ctx, muts); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for lo := first; lo < first+k; lo += 500 {
+		var muts []Mutation
+		for v := lo; v < min(lo+500, first+k); v++ {
+			muts = append(muts, Mutation{Op: OpOff, Node: v})
+		}
+		if _, err := m.ApplyEpoch(ctx, muts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// moveEpoch moves 1..4 distinct nodes among the first live slots by the
+// churn mix's jitter.
+func moveEpoch(rng *rand.Rand, m *Maintainer, live int) []Mutation {
+	count := 1 + rng.Intn(4)
+	out := make([]Mutation, 0, count)
+	for len(out) < count {
+		v := rng.Intn(live)
+		if slices.ContainsFunc(out, func(mu Mutation) bool { return mu.Node == v }) {
+			continue
+		}
+		p := m.nw.Pos[v]
+		out = append(out, Mutation{Op: OpMove, Node: v,
+			Pos: geom.Point{X: p.X + rng.NormFloat64()*0.4, Y: p.Y + rng.NormFloat64()*0.4}})
+	}
+	return out
 }
 
 // grownMaintainer starts a maintainer on a connected 100-node piece of a

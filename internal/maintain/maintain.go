@@ -86,11 +86,51 @@ type Maintainer struct {
 	// session can attribute repair cost like any other phase.
 	rec obs.Recorder
 
+	// backbone is the size of the maintained WCDS, counted when an epoch
+	// commits so BackboneSize needs no pass over the slots.
+	backbone int
+
 	// ks is the connector kernel's scratch, kept across epochs so a
 	// recompute allocates only its output; not part of the maintained
 	// state.
 	ks wcds.ConnectorScratch
+	// sc is the rest of an epoch's working memory, kept the same way.
+	sc epochScratch
 }
+
+// epochScratch holds an epoch's per-slot working memory, so an epoch
+// allocates no array over all slots. Its contents are meaningless between
+// uses.
+type epochScratch struct {
+	wl          worklist      // repairWorklist's heap and in-work marks
+	near        marks         // within3's and radiusFrom's visited nodes
+	ball        []int         // refreshConnectors' dirty owners
+	dist        []int         // radiusFrom's hop counts, valid where near is set
+	queue       []int         // radiusFrom's BFS queue
+	bfs         graph.Scratch // activeConnected's BFS
+	want        []bool        // the lossless reference of a lossy epoch
+	wasDom, dom []bool        // finishRepair's dominator masks
+}
+
+// marks is a set of node slots that empties in O(1): a slot is in the set
+// while its stamp equals gen, so each use bumps gen instead of clearing or
+// allocating a per-slot array. The zero value is ready to use.
+type marks struct {
+	gen   uint64 // never wraps in practice
+	stamp []uint64
+}
+
+// reset empties the set and sizes it for n slots.
+func (s *marks) reset(n int) {
+	s.gen++
+	if len(s.stamp) < n {
+		s.stamp = append(s.stamp, make([]uint64, n-len(s.stamp))...)
+	}
+}
+
+func (s *marks) has(v int) bool { return s.stamp[v] == s.gen }
+func (s *marks) add(v int)      { s.stamp[v] = s.gen }
+func (s *marks) del(v int)      { s.stamp[v] = 0 }
 
 // SetObserver directs per-stage timing spans ("rebuild", which times the
 // graph relink, "repair" and "connectors") to rec; nil restores the no-op
@@ -195,6 +235,7 @@ func New(nw *udg.Network) (*Maintainer, error) {
 		m.inMIS[v] = true
 	}
 	m.conns = wcds.ConnectorSelection(nw.G, nw.ID, set)
+	m.backbone = countTrue(m.dominatorMask())
 	return m, nil
 }
 
@@ -224,13 +265,13 @@ func (m *Maintainer) Dominators() []int {
 // dominatorMask marks the maintained WCDS: active MIS members and every
 // connector.
 func (m *Maintainer) dominatorMask() []bool {
-	return dominatorMask(m.inMIS, m.active, m.conns, len(m.inMIS))
+	return dominatorMask(nil, m.inMIS, m.active, m.conns, len(m.inMIS))
 }
 
-// dominatorMask marks, over n nodes, the WCDS of a maintained state; nodes
-// past the state's own length are non-dominators.
-func dominatorMask(inMIS, active []bool, conns [][]wcds.Connector, n int) []bool {
-	mask := make([]bool, n)
+// dominatorMask marks, in mask resized to n nodes, the WCDS of a
+// maintained state; nodes past the state's own length are non-dominators.
+func dominatorMask(mask, inMIS, active []bool, conns [][]wcds.Connector, n int) []bool {
+	mask = append(mask[:0], make([]bool, n)...)
 	for v, in := range inMIS {
 		mask[v] = in && active[v]
 	}
@@ -254,7 +295,7 @@ func (m *Maintainer) MISSize() int {
 }
 
 // BackboneSize returns len(Dominators()) without building the list.
-func (m *Maintainer) BackboneSize() int { return countTrue(m.dominatorMask()) }
+func (m *Maintainer) BackboneSize() int { return m.backbone }
 
 // ActiveCount returns the number of switched-on nodes.
 func (m *Maintainer) ActiveCount() int { return countTrue(m.active) }
@@ -373,7 +414,8 @@ func (m *Maintainer) ApplyEpoch(ctx context.Context, muts []Mutation) (Report, e
 
 	// Apply the mutations to positions and masks. Event sites and the
 	// pre-epoch neighbourhoods seed the repair worklist after the relink.
-	var events, joined, seeds []int
+	// offMIS lists the MIS members the mutations switch off.
+	var events, joined, seeds, offMIS []int
 	fail := func(err error) (Report, error) {
 		m.restore(snap)
 		return Report{}, err
@@ -394,6 +436,9 @@ func (m *Maintainer) ApplyEpoch(ctx context.Context, muts []Mutation) (Report, e
 			case OpOff:
 				if !m.active[v] {
 					return fail(fmt.Errorf("maintain: node %d already in requested state", v))
+				}
+				if m.inMIS[v] {
+					offMIS = append(offMIS, v)
 				}
 				m.active[v] = false
 				m.inMIS[v] = false
@@ -434,7 +479,7 @@ func (m *Maintainer) ApplyEpoch(ctx context.Context, muts []Mutation) (Report, e
 		seeds = append(seeds, m.nw.G.Neighbors(v)...)
 	}
 
-	rep, err := m.repair(ctx, snap, events, seeds)
+	rep, err := m.repair(ctx, snap, events, seeds, offMIS)
 	if err != nil {
 		m.restore(snap)
 		return Report{}, err
@@ -514,9 +559,8 @@ func (m *Maintainer) relink(old *graph.Graph, events []int) *graph.Graph {
 
 // repair restores the MIS invariants with deterministic local rules and
 // refreshes the connector assignments, returning the change report.
-func (m *Maintainer) repair(ctx context.Context, pre snapshot, events, seeds []int) (Report, error) {
-	oldMIS := append([]bool(nil), m.inMIS...)
-
+// offMIS lists the pre-epoch MIS members the mutations switched off.
+func (m *Maintainer) repair(ctx context.Context, pre snapshot, events, seeds, offMIS []int) (Report, error) {
 	tm := obs.StartTimer("repair")
 	var (
 		promoted, demoted []int
@@ -529,9 +573,9 @@ func (m *Maintainer) repair(ctx context.Context, pre snapshot, events, seeds []i
 		// nodes (isolated in the filtered graph) self-promote as their own
 		// components during the protocol; they are stripped on install
 		// because the maintenance semantics exempt them.
-		promoted, demoted, info, err = m.repairLadder(ctx, oldMIS, seeds)
+		promoted, demoted, info, err = m.repairLadder(ctx, seeds)
 	} else {
-		promoted, demoted, err = repairWorklist(ctx, m.nw.G, m.nw.ID, m.inMIS, m.active, seeds)
+		promoted, demoted, err = repairWorklist(ctx, m.nw.G, m.nw.ID, m.inMIS, m.active, seeds, &m.sc.wl)
 		// The local worklist IS the reference repair (property-tested
 		// equal to Fixpoint), so the plain path always converges.
 		info = RepairInfo{Mode: RepairModeLocal, Outcome: Converged}
@@ -540,7 +584,9 @@ func (m *Maintainer) repair(ctx context.Context, pre snapshot, events, seeds []i
 	if err != nil {
 		return Report{}, err
 	}
-	rep := m.finishRepair(pre, events, oldMIS, promoted, demoted)
+	// Roles are compared with the pre-epoch state: a MIS dominator the
+	// mutations switched off is demoted.
+	rep := m.finishRepair(pre, events, promoted, append(demoted, offMIS...))
 	rep.Repair = info
 	return rep, nil
 }
@@ -552,15 +598,18 @@ func (m *Maintainer) repair(ctx context.Context, pre snapshot, events, seeds []i
 // is a min-heap on ID with an in-work mask, so each step takes the
 // lowest-ID dirty node in O(log n). The context is observed between rule
 // applications so a repair can be cancelled mid-worklist; on cancellation
-// inMIS may be partially repaired and the caller must roll back.
+// inMIS may be partially repaired and the caller must roll back. wl is the
+// working memory; its previous contents do not matter.
 func repairWorklist(ctx context.Context, g *graph.Graph, ids []int, inMIS, active []bool,
-	seeds []int) (promoted, demoted []int, err error) {
+	seeds []int, wl *worklist) (promoted, demoted []int, err error) {
 
-	work := &idHeap{ids: ids}
-	inWork := make([]bool, g.N())
+	work := &wl.heap
+	*work = idHeap{ids: ids, nodes: work.nodes[:0]}
+	inWork := &wl.inWork
+	inWork.reset(g.N())
 	addDirty := func(v int) {
-		if active[v] && !inWork[v] {
-			inWork[v] = true
+		if active[v] && !inWork.has(v) {
+			inWork.add(v)
 			heap.Push(work, v)
 		}
 	}
@@ -577,7 +626,7 @@ func repairWorklist(ctx context.Context, g *graph.Graph, ids []int, inMIS, activ
 	}
 	popMin := func() int {
 		v := heap.Pop(work).(int)
-		inWork[v] = false
+		inWork.del(v)
 		return v
 	}
 	dominated := func(v int) bool {
@@ -638,6 +687,13 @@ func repairWorklist(ctx context.Context, g *graph.Graph, ids []int, inMIS, activ
 	return promoted, demoted, nil
 }
 
+// worklist is repairWorklist's working memory: the heap and the in-work
+// marks. The zero value is ready to use.
+type worklist struct {
+	heap   idHeap
+	inWork marks
+}
+
 // idHeap is a container/heap of nodes ordered by ID.
 type idHeap struct{ ids, nodes []int }
 
@@ -667,44 +723,38 @@ func Fixpoint(ctx context.Context, g *graph.Graph, ids []int, inMIS, active []bo
 			out[v] = false
 		}
 	}
-	if _, _, err := repairWorklist(ctx, g, ids, out, active, nil); err != nil {
+	if _, _, err := repairWorklist(ctx, g, ids, out, active, nil, new(worklist)); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
 // finishRepair refreshes the connector assignments and assembles the
-// change report shared by both repair strategies. oldMIS is the
-// post-mutation, pre-repair MIS mask.
-func (m *Maintainer) finishRepair(pre snapshot, events []int, oldMIS []bool, promoted, demoted []int) Report {
+// change report shared by both repair strategies, comparing roles with
+// the pre-epoch state.
+func (m *Maintainer) finishRepair(pre snapshot, events, promoted, demoted []int) Report {
 	tm := obs.StartTimer("connectors")
 	changes := m.refreshConnectors(pre, events, promoted, demoted)
 	tm.Done(m.rec)
 
-	// Roles are compared with the pre-epoch state, not the pre-repair mask
-	// oldMIS: a MIS dominator the mutations switched off is demoted.
-	n := m.nw.N()
-	wasMIS := make([]bool, n)
-	copy(wasMIS, pre.inMIS)
-	wasDom := dominatorMask(pre.inMIS, pre.active, pre.conns, n)
-	for v, was := range wasMIS {
-		if was && !oldMIS[v] {
-			demoted = append(demoted, v)
-		}
-	}
+	n, sc := m.nw.N(), &m.sc
+	sc.wasDom = dominatorMask(sc.wasDom, pre.inMIS, pre.active, pre.conns, n)
+	sc.dom = dominatorMask(sc.dom, m.inMIS, m.active, m.conns, n)
 	rep := Report{
 		Promoted:         dedupSorted(promoted),
 		Demoted:          dedupSorted(demoted),
 		ConnectorChanges: changes,
-		Connected:        m.activeConnected(),
+		Connected:        m.activeConnected(&sc.bfs),
 	}
 	// A node both demoted and re-promoted during repair ends with its old
 	// role; count net changes only.
-	for v, dom := range m.dominatorMask() {
-		if dom != wasDom[v] || wasMIS[v] != m.inMIS[v] {
+	for v, dom := range sc.dom {
+		wasMIS := v < len(pre.inMIS) && pre.inMIS[v]
+		if dom != sc.wasDom[v] || wasMIS != m.inMIS[v] {
 			rep.RoleChanged = append(rep.RoleChanged, v)
 		}
 	}
+	m.backbone = countTrue(sc.dom)
 	rep.AffectedRadius = m.radiusFrom(events, rep.RoleChanged)
 	return rep
 }
@@ -718,15 +768,14 @@ func (m *Maintainer) finishRepair(pre snapshot, events []int, oldMIS []bool, pro
 // nodes in the pre-epoch graph or the current one; all other keys stand.
 func (m *Maintainer) refreshConnectors(pre snapshot, changed ...[]int) int {
 	g, n := m.nw.G, m.nw.N()
-	ball := within3(pre.g, changed, nil)
-	ball = within3(g, changed, ball)
+	ball := within3(pre.g, changed, m.sc.ball[:0], &m.sc.near)
+	ball = within3(g, changed, ball, &m.sc.near)
 	slices.Sort(ball)
 	ball = slices.Compact(ball)
+	m.sc.ball = ball
 
-	inSet := make([]bool, n)
-	for v, in := range m.inMIS {
-		inSet[v] = in && m.active[v]
-	}
+	// inMIS implies active, so it is the kernel's dominator mask as is.
+	inSet := m.inMIS
 	next := make([][]wcds.Connector, n)
 	copy(next, m.conns)
 	var buf []wcds.Connector
@@ -751,14 +800,15 @@ func (m *Maintainer) refreshConnectors(pre snapshot, changed ...[]int) int {
 }
 
 // within3 appends to out every node within three hops of a node in src,
-// in g; nodes g does not have yet (this epoch's joins) are skipped.
-func within3(g *graph.Graph, src [][]int, out []int) []int {
-	seen := make([]bool, g.N())
+// in g; nodes g does not have yet (this epoch's joins) are skipped. seen
+// is reset and used as the visited set.
+func within3(g *graph.Graph, src [][]int, out []int, seen *marks) []int {
+	seen.reset(g.N())
 	lo := len(out)
 	for _, vs := range src {
 		for _, v := range vs {
-			if v < g.N() && !seen[v] {
-				seen[v] = true
+			if v < g.N() && !seen.has(v) {
+				seen.add(v)
 				out = append(out, v)
 			}
 		}
@@ -767,8 +817,8 @@ func within3(g *graph.Graph, src [][]int, out []int) []int {
 		hi := len(out)
 		for _, v := range out[lo:hi] {
 			for _, w := range g.Neighbors(v) {
-				if !seen[w] {
-					seen[w] = true
+				if !seen.has(w) {
+					seen.add(w)
 					out = append(out, w)
 				}
 			}
@@ -798,29 +848,24 @@ func connectorDiff(a, b []wcds.Connector) int {
 	return diff + len(a) + len(b)
 }
 
-// activeConnected reports connectivity of the active subgraph.
-func (m *Maintainer) activeConnected() bool {
-	g := m.nw.G
-	start := -1
-	activeCount := 0
-	for v := 0; v < g.N(); v++ {
-		if m.active[v] {
-			activeCount++
+// activeConnected reports connectivity of the active subgraph, running
+// its BFS in s. Inactive nodes have no edges, so the active graph is
+// connected exactly when a BFS from one active node visits them all.
+func (m *Maintainer) activeConnected(s *graph.Scratch) bool {
+	start, count := -1, 0
+	for v, on := range m.active {
+		if on {
+			count++
 			if start == -1 {
 				start = v
 			}
 		}
 	}
-	if activeCount <= 1 {
+	if count <= 1 {
 		return true
 	}
-	dist, _ := g.BFS(start)
-	for v := 0; v < g.N(); v++ {
-		if m.active[v] && dist[v] == graph.Unreachable {
-			return false
-		}
-	}
-	return true
+	_, visited := m.nw.G.BFSBoundedInto(s, start, m.nw.N())
+	return len(visited) == count
 }
 
 // radiusFrom returns the maximum hop distance, in the current graph, from
@@ -829,14 +874,15 @@ func (m *Maintainer) radiusFrom(events, changed []int) int {
 	if len(changed) == 0 || len(events) == 0 {
 		return 0
 	}
-	g := m.nw.G
-	dist := make([]int, g.N())
-	for i := range dist {
-		dist[i] = -1
+	g, sc := m.nw.G, &m.sc
+	sc.near.reset(g.N())
+	if len(sc.dist) < g.N() {
+		sc.dist = make([]int, g.N())
 	}
-	queue := make([]int, 0, len(events))
+	dist, queue := sc.dist, sc.queue[:0]
 	for _, v := range events {
-		if v >= 0 && v < g.N() && dist[v] == -1 {
+		if v >= 0 && v < g.N() && !sc.near.has(v) {
+			sc.near.add(v)
 			dist[v] = 0
 			queue = append(queue, v)
 		}
@@ -844,15 +890,17 @@ func (m *Maintainer) radiusFrom(events, changed []int) int {
 	for head := 0; head < len(queue); head++ {
 		v := queue[head]
 		for _, w := range g.Neighbors(v) {
-			if dist[w] == -1 {
+			if !sc.near.has(w) {
+				sc.near.add(w)
 				dist[w] = dist[v] + 1
 				queue = append(queue, w)
 			}
 		}
 	}
+	sc.queue = queue
 	radius := 0
 	for _, v := range changed {
-		if dist[v] == -1 {
+		if !sc.near.has(v) {
 			return -1
 		}
 		if dist[v] > radius {
@@ -879,7 +927,9 @@ func (m *Maintainer) Validate() error {
 			return fmt.Errorf("maintain: active node %d undominated", v)
 		}
 	}
-	if m.activeConnected() {
+	s := graph.GetScratch()
+	defer s.Release()
+	if m.activeConnected(s) {
 		// WCDS check restricted to active nodes: the weakly induced
 		// subgraph must connect every active node (inactive nodes have no
 		// edges and are exempt).

@@ -136,9 +136,10 @@ func (m *Maintainer) RepairPolicy() RepairPolicy { return m.policy }
 
 // repairLadder is the distributed path of the escalation ladder described
 // at the top of this file. It mutates m.inMIS to the repaired (validated)
-// MIS and returns the promotion/demotion diff against oldMIS. Any returned
-// error leaves state for the caller (ApplyEpoch) to roll back.
-func (m *Maintainer) repairLadder(ctx context.Context, oldMIS []bool, seeds []int) (promoted, demoted []int, info RepairInfo, err error) {
+// MIS and returns the promotion/demotion diff against the post-mutation,
+// pre-repair mask. Any returned error leaves state for the caller
+// (ApplyEpoch) to roll back.
+func (m *Maintainer) repairLadder(ctx context.Context, seeds []int) (promoted, demoted []int, info RepairInfo, err error) {
 	g := m.nw.G
 	m.repairEpochs++
 	info.Mode = RepairModeDistributed
@@ -196,7 +197,7 @@ func (m *Maintainer) repairLadder(ctx context.Context, oldMIS []bool, seeds []in
 		// pre-repair state, seeded at the event sites.
 		info.Escalations++
 		info.Mode = RepairModeLocal
-		if _, _, werr := repairWorklist(ctx, g, m.nw.ID, m.inMIS, m.active, seeds); werr != nil {
+		if _, _, werr := repairWorklist(ctx, g, m.nw.ID, m.inMIS, m.active, seeds, &m.sc.wl); werr != nil {
 			return nil, nil, info, werr
 		}
 	}
@@ -221,13 +222,17 @@ func (m *Maintainer) repairLadder(ctx context.Context, oldMIS []bool, seeds []in
 	} else if info.Outcome == 0 {
 		// Classify against the lossless reference: identical means the
 		// fault-bearing run converged exactly; a valid but tie-divergent
-		// result (or the rung-2 fallback) is served as Degraded.
+		// result (or the rung-2 fallback) is served as Degraded. The
+		// reference is the local worklist seeded at the event sites, which
+		// reaches Fixpoint's result (the plain path relies on the same
+		// equality) without sweeping every slot.
 		if info.Escalations > 0 {
 			info.Outcome = Degraded
 		} else {
-			want, ferr := Fixpoint(ctx, g, m.nw.ID, pre, m.active)
-			if ferr != nil {
-				return nil, nil, info, ferr
+			want := append(m.sc.want[:0], pre...)
+			m.sc.want = want
+			if _, _, werr := repairWorklist(ctx, g, m.nw.ID, want, m.active, seeds, &m.sc.wl); werr != nil {
+				return nil, nil, info, werr
 			}
 			info.Outcome = Converged
 			for v := range m.inMIS {
@@ -241,9 +246,9 @@ func (m *Maintainer) repairLadder(ctx context.Context, oldMIS []bool, seeds []in
 
 	for v := range m.inMIS {
 		switch {
-		case m.inMIS[v] && !oldMIS[v]:
+		case m.inMIS[v] && !pre[v]:
 			promoted = append(promoted, v)
-		case !m.inMIS[v] && oldMIS[v]:
+		case !m.inMIS[v] && pre[v]:
 			demoted = append(demoted, v)
 		}
 	}
@@ -271,7 +276,7 @@ func (m *Maintainer) runRepairProtocol(ctx context.Context, g *graph.Graph, pre 
 		plan.Seed = remixSeed(plan.Seed, int64(m.repairEpochs), int64(attempt))
 		opts = append(opts, simnet.WithFaults(plan))
 	}
-	set, _, st, err := RepairMISDistributed(g, m.nw.ID, append([]bool(nil), pre...),
+	set, _, st, err := RepairMISDistributed(g, m.nw.ID, pre,
 		func(g *graph.Graph, procs []simnet.Proc) (simnet.Stats, error) {
 			var col *reliable.Collector
 			if m.policy.Reliable {

@@ -2,7 +2,6 @@ package maintain
 
 import (
 	"fmt"
-	"sort"
 
 	"wcdsnet/internal/graph"
 	"wcdsnet/internal/simnet"
@@ -47,15 +46,24 @@ type StateMsg struct {
 	Covered bool
 }
 
+// nbrState is what a node last heard from the neighbour in one slot of its
+// adjacency list. seq is 0 until the first beacon arrives (beacons count
+// from 1).
+type nbrState struct {
+	id      int
+	seq     int
+	dom     bool
+	covered bool
+}
+
 type repairProc struct {
 	ownID int
 	isDom bool
 
-	nbrID      map[int]int  // node index -> ID
-	nbrDom     map[int]bool // node index -> freshest heard role
-	nbrCovered map[int]bool // node index -> freshest heard coverage
-	nbrSeq     map[int]int  // node index -> freshest beacon sequence
-	heard      int
+	nbrs    []int      // g.Neighbors(v)
+	nbr     []nbrState // slot-aligned with nbrs
+	heard   int        // slots heard from at least once
+	domNbrs int        // slots whose freshest beacon reports Dom
 
 	seq         int
 	lastDom     bool
@@ -65,29 +73,20 @@ type repairProc struct {
 	flips int // role changes performed during repair
 }
 
-func newRepairProc(ownID int, isDom bool) *repairProc {
-	return &repairProc{
-		ownID:      ownID,
-		isDom:      isDom,
-		nbrID:      make(map[int]int),
-		nbrDom:     make(map[int]bool),
-		nbrCovered: make(map[int]bool),
-		nbrSeq:     make(map[int]int),
+// slotOf returns the slot of neighbour v, or -1 if v is not a neighbour.
+// A linear scan, as in the reliable layer: at radio degrees it beats a
+// binary search.
+func (p *repairProc) slotOf(v int) int {
+	for i, w := range p.nbrs {
+		if w == v {
+			return i
+		}
 	}
+	return -1
 }
 
 // covered reports the node's current coverage from its own view.
-func (p *repairProc) covered() bool {
-	if p.isDom {
-		return true
-	}
-	for _, dom := range p.nbrDom {
-		if dom {
-			return true
-		}
-	}
-	return false
-}
+func (p *repairProc) covered() bool { return p.isDom || p.domNbrs > 0 }
 
 // beaconIfChanged announces the node's state when it differs from the last
 // announcement (or was never announced).
@@ -112,22 +111,31 @@ func (p *repairProc) Recv(ctx *simnet.Context, from int, payload any) {
 	if !ok {
 		return
 	}
-	if _, seen := p.nbrID[from]; !seen {
+	slot := p.slotOf(from)
+	if slot < 0 {
+		return
+	}
+	s := &p.nbr[slot]
+	if s.seq == 0 {
 		p.heard++
-	} else if m.Seq <= p.nbrSeq[from] {
+	} else if m.Seq <= s.seq {
 		return // stale or duplicate beacon under non-FIFO delivery
 	}
-	p.nbrID[from] = m.ID
-	p.nbrSeq[from] = m.Seq
-	p.nbrDom[from] = m.Dom
-	p.nbrCovered[from] = m.Covered
+	if m.Dom != s.dom {
+		if m.Dom {
+			p.domNbrs++
+		} else {
+			p.domNbrs--
+		}
+	}
+	*s = nbrState{id: m.ID, seq: m.Seq, dom: m.Dom, covered: m.Covered}
 	p.evaluate(ctx)
 }
 
 // evaluate applies the repair rules once the full neighbourhood state is
 // known, then re-beacons any change to role or coverage.
 func (p *repairProc) evaluate(ctx *simnet.Context) {
-	if p.heard != ctx.Degree() {
+	if p.heard != len(p.nbrs) {
 		return
 	}
 	switch {
@@ -143,8 +151,8 @@ func (p *repairProc) evaluate(ctx *simnet.Context) {
 
 // lowerDomNeighbor reports a known dominator neighbour with a smaller ID.
 func (p *repairProc) lowerDomNeighbor() bool {
-	for w, dom := range p.nbrDom {
-		if dom && p.nbrID[w] < p.ownID {
+	for _, s := range p.nbr {
+		if s.dom && s.id < p.ownID {
 			return true
 		}
 	}
@@ -154,8 +162,8 @@ func (p *repairProc) lowerDomNeighbor() bool {
 // lowerUncoveredNeighbor reports a lower-ID neighbour that says it is
 // uncovered — that neighbour has promotion priority.
 func (p *repairProc) lowerUncoveredNeighbor() bool {
-	for w, id := range p.nbrID {
-		if id < p.ownID && !p.nbrDom[w] && !p.nbrCovered[w] {
+	for _, s := range p.nbr {
+		if s.id < p.ownID && !s.dom && !s.covered {
 			return true
 		}
 	}
@@ -163,19 +171,25 @@ func (p *repairProc) lowerUncoveredNeighbor() bool {
 }
 
 // RepairMISDistributed runs the distributed repair protocol over graph g,
-// starting from the (possibly invalid) dominator assignment oldDom, and
-// returns the repaired MIS, the number of role flips, and the run cost.
+// starting from the (possibly invalid) dominator assignment oldDom, which
+// it only reads, and returns the repaired MIS in ascending order, the
+// number of role flips, and the run cost.
 func RepairMISDistributed(g *graph.Graph, ids []int, oldDom []bool,
 	run func(*graph.Graph, []simnet.Proc) (simnet.Stats, error)) ([]int, int, simnet.Stats, error) {
 
 	if len(ids) != g.N() || len(oldDom) != g.N() {
 		return nil, 0, simnet.Stats{}, fmt.Errorf("maintain: ids/oldDom length mismatch with %d nodes", g.N())
 	}
+	// Every proc, and every proc's per-neighbour state, is cut from one
+	// slab: a run allocates the same handful of blocks at any degree.
+	rps := make([]repairProc, g.N())
 	procs := make([]simnet.Proc, g.N())
-	rps := make([]*repairProc, g.N())
-	for i := range procs {
-		rps[i] = newRepairProc(ids[i], oldDom[i])
-		procs[i] = rps[i]
+	slab := make([]nbrState, 2*g.M())
+	for v := range rps {
+		nbrs := g.Neighbors(v)
+		rps[v] = repairProc{ownID: ids[v], isDom: oldDom[v], nbrs: nbrs, nbr: slab[:len(nbrs):len(nbrs)]}
+		slab = slab[len(nbrs):]
+		procs[v] = &rps[v]
 	}
 	stats, err := run(g, procs)
 	if err != nil {
@@ -183,12 +197,11 @@ func RepairMISDistributed(g *graph.Graph, ids []int, oldDom []bool,
 	}
 	var set []int
 	flips := 0
-	for v, p := range rps {
-		if p.isDom {
+	for v := range rps {
+		if rps[v].isDom {
 			set = append(set, v)
 		}
-		flips += p.flips
+		flips += rps[v].flips
 	}
-	sort.Ints(set)
 	return set, flips, stats, nil
 }

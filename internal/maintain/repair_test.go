@@ -208,3 +208,34 @@ func TestRepairValidationErrors(t *testing.T) {
 		t.Error("expected mask length error")
 	}
 }
+
+// TestRepairProtocolAllocs pins the protocol's own allocations: its state
+// is cut from slabs, so beyond one boxed StateMsg per beacon a run
+// allocates a fixed handful of blocks, whatever the degree. A per-node or
+// per-neighbour allocation would show here, and grow with the degree.
+func TestRepairProtocolAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	const n, fixed = 200, 40
+	for _, deg := range []float64{8, 16} {
+		nw := newNetwork(t, rand.New(rand.NewSource(5)), n, deg)
+		dom := domMask(n, mis.Greedy(nw.G, mis.ByID(nw.ID)))
+		for k := 0; k < n/10; k++ {
+			dom[(k*37)%n] = k%2 == 0 // conflicts and gaps to repair
+		}
+		var beacons int
+		allocs := testing.AllocsPerRun(20, func() {
+			_, _, st, err := RepairMISDistributed(nw.G, nw.ID, dom, syncRun)
+			if err != nil {
+				t.Fatal(err)
+			}
+			beacons = st.Messages
+		})
+		t.Logf("degree %g: %.0f allocs per run, %d of them beacons", deg, allocs, beacons)
+		if extra := allocs - float64(beacons); extra > fixed {
+			t.Errorf("degree %g: %.0f allocs per run beyond its %d beacons, want at most %d",
+				deg, extra, beacons, fixed)
+		}
+	}
+}

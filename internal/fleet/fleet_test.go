@@ -180,7 +180,7 @@ func TestFleetWorkerKillMidSweepConverges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	counts := plan.Owned()
+	counts := shardCounts(plan)
 	victim := 0
 	for i, a := range addrs {
 		if counts[a] > counts[addrs[victim]] {

@@ -24,15 +24,6 @@ type PlannedShard struct {
 	Worker string
 }
 
-// Owned counts the shards placed on each worker.
-func (p *ShardPlan) Owned() map[string]int {
-	counts := map[string]int{}
-	for _, sh := range p.Shards {
-		counts[sh.Worker]++
-	}
-	return counts
-}
-
 // Plan validates spec in place (so shard keys match the ones workers
 // compute), slices it and places every shard; it reads only opts.Workers,
 // opts.ShardWidth and opts.Replicas. It is the coordinator's placement,

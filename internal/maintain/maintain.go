@@ -774,20 +774,19 @@ func (m *Maintainer) refreshConnectors(pre snapshot, changed ...[]int) int {
 	ball = slices.Compact(ball)
 	m.sc.ball = ball
 
-	// inMIS implies active, so it is the kernel's dominator mask as is.
-	inSet := m.inMIS
 	next := make([][]wcds.Connector, n)
 	copy(next, m.conns)
 	var buf []wcds.Connector
 	changes := 0
 	for _, u := range ball {
 		wasOwner := u < len(pre.inMIS) && pre.inMIS[u] && pre.active[u]
-		if !wasOwner && !inSet[u] {
+		if !wasOwner && !m.inMIS[u] {
 			continue
 		}
 		var owned []wcds.Connector
-		if inSet[u] {
-			buf = m.ks.AppendOwned(g, m.nw.ID, inSet, u, buf[:0])
+		if m.inMIS[u] {
+			// inMIS implies active, so it is the kernel's dominator mask.
+			buf = m.ks.AppendOwned(g, m.nw.ID, m.inMIS, u, buf[:0])
 			if len(buf) > 0 {
 				owned = slices.Clone(buf)
 			}

@@ -2,6 +2,7 @@ package maintain
 
 import (
 	"fmt"
+	"slices"
 
 	"wcdsnet/internal/graph"
 	"wcdsnet/internal/simnet"
@@ -73,18 +74,6 @@ type repairProc struct {
 	flips int // role changes performed during repair
 }
 
-// slotOf returns the slot of neighbour v, or -1 if v is not a neighbour.
-// A linear scan, as in the reliable layer: at radio degrees it beats a
-// binary search.
-func (p *repairProc) slotOf(v int) int {
-	for i, w := range p.nbrs {
-		if w == v {
-			return i
-		}
-	}
-	return -1
-}
-
 // covered reports the node's current coverage from its own view.
 func (p *repairProc) covered() bool { return p.isDom || p.domNbrs > 0 }
 
@@ -111,7 +100,9 @@ func (p *repairProc) Recv(ctx *simnet.Context, from int, payload any) {
 	if !ok {
 		return
 	}
-	slot := p.slotOf(from)
+	// A linear scan, as in the reliable layer: at radio degrees it beats
+	// a binary search.
+	slot := slices.Index(p.nbrs, from)
 	if slot < 0 {
 		return
 	}

@@ -12,6 +12,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"time"
@@ -403,56 +404,77 @@ func TestConcurrentMixedLoad(t *testing.T) {
 	// small scenario set so cache hits, misses and pool traffic interleave.
 	// A 429 is backpressure working as designed and is retried (50 tries,
 	// 25 ms apart); every request must end 200, and the repeats must hit
-	// the cache.
+	// the cache. The roomy service's queue holds every in-flight request,
+	// so it never answers 429. The tight one has one worker and one queue
+	// slot, so every run sees 429s and the retry budget must absorb real
+	// backpressure (with 4 workers, even no queue at all left some runs
+	// without a 429).
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	svc, ts := newTestService(t, Options{Workers: 4, QueueSize: 64})
-	var wg sync.WaitGroup
-	errs := make(chan string, 256)
-	for g := 0; g < 16; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 8; i++ {
-				seed := (g + i) % 3
-				var path string
-				var req map[string]any
-				switch i % 3 {
-				case 0:
-					path, req = "/v1/backbone", map[string]any{"seed": seed, "n": 60, "avgDegree": 6, "mode": "sync"}
-				case 1:
-					path, req = "/v1/dilation", map[string]any{"seed": seed, "n": 50, "avgDegree": 6, "pairs": 50}
-				default:
-					path, req = "/v1/broadcast", map[string]any{"seed": seed, "n": 50, "avgDegree": 6}
-				}
-				raw, _ := json.Marshal(req)
-				for try := 1; ; try++ {
-					resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(raw))
-					if err != nil {
-						errs <- err.Error()
-						return
+	for _, tc := range []struct {
+		name  string
+		opts  Options
+		tight bool
+	}{
+		{"roomy", Options{Workers: 4, QueueSize: 64}, false},
+		{"tight", Options{Workers: 1, QueueSize: 1}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			svc, ts := newTestService(t, tc.opts)
+			var wg sync.WaitGroup
+			var retried atomic.Int64
+			errs := make(chan string, 256)
+			for g := 0; g < 16; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					for i := 0; i < 8; i++ {
+						seed := (g + i) % 3
+						var path string
+						var req map[string]any
+						switch i % 3 {
+						case 0:
+							path, req = "/v1/backbone", map[string]any{"seed": seed, "n": 60, "avgDegree": 6, "mode": "sync"}
+						case 1:
+							path, req = "/v1/dilation", map[string]any{"seed": seed, "n": 50, "avgDegree": 6, "pairs": 50}
+						default:
+							path, req = "/v1/broadcast", map[string]any{"seed": seed, "n": 50, "avgDegree": 6}
+						}
+						raw, _ := json.Marshal(req)
+						for try := 1; ; try++ {
+							resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(raw))
+							if err != nil {
+								errs <- err.Error()
+								return
+							}
+							resp.Body.Close()
+							if resp.StatusCode == http.StatusTooManyRequests && try < 50 {
+								retried.Add(1)
+								time.Sleep(25 * time.Millisecond)
+								continue
+							}
+							if resp.StatusCode != http.StatusOK {
+								errs <- fmt.Sprintf("%s: status %d after %d tries", path, resp.StatusCode, try)
+							}
+							break
+						}
 					}
-					resp.Body.Close()
-					if resp.StatusCode == http.StatusTooManyRequests && try < 50 {
-						time.Sleep(25 * time.Millisecond)
-						continue
-					}
-					if resp.StatusCode != http.StatusOK {
-						errs <- fmt.Sprintf("%s: status %d after %d tries", path, resp.StatusCode, try)
-					}
-					break
-				}
+				}(g)
 			}
-		}(g)
-	}
-	wg.Wait()
-	close(errs)
-	for e := range errs {
-		t.Error(e)
-	}
-	if hits, _, _ := svc.CacheStats(); hits == 0 {
-		t.Error("the cache never hit across the repeated requests")
+			wg.Wait()
+			close(errs)
+			for e := range errs {
+				t.Error(e)
+			}
+			if hits, _, _ := svc.CacheStats(); hits == 0 {
+				t.Error("the cache never hit across the repeated requests")
+			}
+			t.Logf("%d 429s retried", retried.Load())
+			if tc.tight && retried.Load() == 0 {
+				t.Error("the tight queue never answered 429, so the retry path did not run")
+			}
+		})
 	}
 }
 

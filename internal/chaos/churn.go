@@ -13,9 +13,9 @@ import (
 
 // Churn-under-faults sweep: seeded delta streams replayed through streaming
 // topology sessions whose per-epoch repair runs the distributed protocol
-// over a lossy simnet. Each cell of the (drop rate × seed) grid replays the
-// same kind of churn trace cmd/churn generates — moves, leaves, rejoins,
-// brand-new joins — and audits every epoch independently of the session's
+// over a lossy simnet. Each cell of the (drop rate × seed) grid replays a
+// session.RandomEpoch churn trace — moves, leaves, rejoins, brand-new
+// joins — and audits every epoch independently of the session's
 // own labels:
 //
 //   - the maintained invariants must hold after every epoch;

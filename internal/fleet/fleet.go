@@ -49,20 +49,11 @@ type Options struct {
 	// trades scheduling granularity (small shards rebalance better after a
 	// worker loss) against per-request overhead and cache-hit coarseness.
 	ShardWidth int
-	// Replicas is the ring's virtual-node count per worker (default 64).
-	Replicas int
 	// WorkerParallel is the in-worker shard parallelism forwarded as the
 	// shard request's workers field (0 = the worker's GOMAXPROCS).
 	WorkerParallel int
 	// MeasureWorkers is forwarded per shard (0 = engine default of 1).
 	MeasureWorkers int
-	// ShardTimeout bounds one shard request end to end (default 5m).
-	ShardTimeout time.Duration
-	// HealthTimeout bounds one /healthz probe (default 2s).
-	HealthTimeout time.Duration
-	// Client overrides the HTTP client (default: a plain &http.Client{};
-	// per-request contexts carry the timeouts).
-	Client *http.Client
 	// OnRow, when non-nil, streams each merged row as it arrives
 	// (completion order, serialized; duplicates from re-dispatched shards
 	// are filtered before the callback).
@@ -73,17 +64,16 @@ func (o Options) withDefaults() Options {
 	if o.ShardWidth <= 0 {
 		o.ShardWidth = 8
 	}
-	if o.ShardTimeout <= 0 {
-		o.ShardTimeout = 5 * time.Minute
-	}
-	if o.HealthTimeout <= 0 {
-		o.HealthTimeout = 2 * time.Second
-	}
-	if o.Client == nil {
-		o.Client = &http.Client{}
-	}
 	return o
 }
+
+// shardTimeout bounds one shard request end to end, healthTimeout one
+// /healthz probe. Requests go through http.DefaultClient; these per-request
+// contexts carry the timeouts.
+const (
+	shardTimeout  = 5 * time.Minute
+	healthTimeout = 2 * time.Second
+)
 
 // WorkerStats is one worker's share of a fleet run.
 type WorkerStats struct {
@@ -147,9 +137,8 @@ type shardState struct {
 }
 
 type coordinator struct {
-	spec   *batch.Spec
-	opts   Options
-	client *http.Client
+	spec *batch.Spec
+	opts Options
 
 	mu          sync.Mutex
 	queues      map[string][]*shardState
@@ -181,10 +170,9 @@ func Run(ctx context.Context, spec *batch.Spec, opts Options) (*Report, error) {
 	c := &coordinator{
 		spec:   spec,
 		opts:   opts,
-		client: opts.Client,
 		queues: map[string][]*shardState{},
 		live:   map[string]bool{},
-		ring:   NewRing(opts.Workers, opts.Replicas),
+		ring:   NewRing(opts.Workers),
 		merged: make([]batch.Result, n),
 		done:   make([]bool, n),
 		stats:  map[string]*WorkerStats{},
@@ -377,13 +365,13 @@ func (c *coordinator) failWorker(addr string, inflight *shardState, cause error)
 
 // healthy probes addr's /healthz.
 func (c *coordinator) healthy(ctx context.Context, addr string) bool {
-	ctx, cancel := context.WithTimeout(ctx, c.opts.HealthTimeout)
+	ctx, cancel := context.WithTimeout(ctx, healthTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, addr+"/healthz", nil)
 	if err != nil {
 		return false
 	}
-	resp, err := c.client.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return false
 	}
@@ -407,14 +395,14 @@ func (c *coordinator) runShard(ctx context.Context, addr string, sh *shardState)
 	if err != nil {
 		return false, &permanentError{fmt.Errorf("fleet: encoding shard request: %w", err)}
 	}
-	ctx, cancel := context.WithTimeout(ctx, c.opts.ShardTimeout)
+	ctx, cancel := context.WithTimeout(ctx, shardTimeout)
 	defer cancel()
 	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, addr+"/v1/shard?stream=ndjson", bytes.NewReader(buf))
 	if err != nil {
 		return false, err
 	}
 	httpReq.Header.Set("Content-Type", "application/json")
-	resp, err := c.client.Do(httpReq)
+	resp, err := http.DefaultClient.Do(httpReq)
 	if err != nil {
 		return false, err
 	}

@@ -25,8 +25,8 @@ type PlannedShard struct {
 }
 
 // Plan validates spec in place (so shard keys match the ones workers
-// compute), slices it and places every shard; it reads only opts.Workers,
-// opts.ShardWidth and opts.Replicas. It is the coordinator's placement,
+// compute), slices it and places every shard; it reads only opts.Workers
+// and opts.ShardWidth. It is the coordinator's placement,
 // so code that must predict it — the kill test choosing the worker to
 // kill — shares this one function.
 //
@@ -55,7 +55,7 @@ func Plan(spec *batch.Spec, opts Options) (*ShardPlan, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	ring := NewRing(opts.Workers, opts.Replicas)
+	ring := NewRing(opts.Workers)
 	n, cells := spec.NumScenarios(), spec.NumNetworks()
 	width := opts.ShardWidth
 	if cells >= ring.Len() {

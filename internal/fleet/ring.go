@@ -13,27 +13,25 @@ import (
 // lookupBounded), so a
 // repeated sweep lands every shard on the worker whose result cache
 // already holds it — the fleet-wide analogue of the service's
-// content-addressed cache. Virtual nodes (Replicas points per worker)
+// content-addressed cache. Virtual nodes (replicas points per worker)
 // smooth the load split, and removing a worker moves only the shards it
 // owned: the survivors' placements are untouched, which is what keeps
 // their caches warm across a worker loss.
 type Ring struct {
-	replicas int
-	points   []ringPoint // sorted by hash
+	points []ringPoint // sorted by hash
 }
+
+// replicas is the ring's virtual-node count per worker.
+const replicas = 64
 
 type ringPoint struct {
 	hash uint64
 	addr string
 }
 
-// NewRing builds a ring with replicas virtual nodes per address
-// (replicas <= 0 selects the default of 64).
-func NewRing(addrs []string, replicas int) *Ring {
-	if replicas <= 0 {
-		replicas = 64
-	}
-	r := &Ring{replicas: replicas}
+// NewRing builds a ring with replicas virtual nodes per address.
+func NewRing(addrs []string) *Ring {
+	r := &Ring{}
 	for _, a := range addrs {
 		r.add(a)
 	}
@@ -49,7 +47,7 @@ func NewRing(addrs []string, replicas int) *Ring {
 }
 
 func (r *Ring) add(addr string) {
-	for i := 0; i < r.replicas; i++ {
+	for i := 0; i < replicas; i++ {
 		r.points = append(r.points, ringPoint{hash: ringHash(fmt.Sprintf("%s#%d", addr, i)), addr: addr})
 	}
 }
@@ -57,7 +55,7 @@ func (r *Ring) add(addr string) {
 // Remove returns a new ring without addr; r is unchanged. Shards owned by
 // surviving workers keep their owners.
 func (r *Ring) Remove(addr string) *Ring {
-	out := &Ring{replicas: r.replicas, points: make([]ringPoint, 0, len(r.points))}
+	out := &Ring{points: make([]ringPoint, 0, len(r.points))}
 	for _, p := range r.points {
 		if p.addr != addr {
 			out.points = append(out.points, p)

@@ -7,7 +7,7 @@ import (
 
 func TestRingDeterministicLookup(t *testing.T) {
 	addrs := []string{"http://a:1", "http://b:2", "http://c:3"}
-	r1, r2 := NewRing(addrs, 64), NewRing(addrs, 64)
+	r1, r2 := NewRing(addrs), NewRing(addrs)
 	for i := 0; i < 200; i++ {
 		key := fmt.Sprintf("key-%d", i)
 		if r1.Lookup(key) != r2.Lookup(key) {
@@ -24,7 +24,7 @@ func TestRingDeterministicLookup(t *testing.T) {
 // it owned, so the survivors' cache placements stay warm.
 func TestRingRemoveMovesOnlyOwnedKeys(t *testing.T) {
 	addrs := []string{"http://a:1", "http://b:2", "http://c:3", "http://d:4"}
-	ring := NewRing(addrs, 64)
+	ring := NewRing(addrs)
 	const dead = "http://b:2"
 	shrunk := ring.Remove(dead)
 	if shrunk.Len() != 3 {
@@ -51,7 +51,7 @@ func TestRingRemoveMovesOnlyOwnedKeys(t *testing.T) {
 
 func TestRingBalance(t *testing.T) {
 	addrs := []string{"http://a:1", "http://b:2", "http://c:3"}
-	ring := NewRing(addrs, 64)
+	ring := NewRing(addrs)
 	counts := map[string]int{}
 	for i := 0; i < 3000; i++ {
 		counts[ring.Lookup(fmt.Sprintf("key-%d", i))]++
@@ -66,7 +66,7 @@ func TestRingBalance(t *testing.T) {
 }
 
 func TestRingEmpty(t *testing.T) {
-	if got := NewRing(nil, 64).Lookup("x"); got != "" {
+	if got := NewRing(nil).Lookup("x"); got != "" {
 		t.Fatalf("empty ring returned %q", got)
 	}
 }

@@ -101,9 +101,11 @@ func globalDiff(a, b [][]wcds.Connector) int {
 // TestLocalEpochsMatchGlobal drives long seeded churn through local and
 // lossy maintainers and checks after every epoch that the relinked graph
 // is the from-scratch graph (lists, order and edge count), that the
-// connector state is the global selection over the repaired MIS, and that
-// ConnectorChanges is the global diff. Cancelled and rejected epochs must
-// leave the previous graph object and connector state in place.
+// connector state is the global selection over the repaired MIS, that
+// ConnectorChanges is the global diff and that the maintained invariants
+// hold (Validate). Cancelled and rejected epochs must leave the previous
+// graph object and connector state in place. The lossy policies run with
+// the reliable layer's default retry budget and with a caller-set one.
 func TestLocalEpochsMatchGlobal(t *testing.T) {
 	policies := []struct {
 		name   string
@@ -113,6 +115,8 @@ func TestLocalEpochsMatchGlobal(t *testing.T) {
 		{"local", RepairPolicy{}, 400},
 		{"lossy", RepairPolicy{Distributed: true, Reliable: true,
 			Faults: &simnet.FaultPlan{Seed: 3, DropRate: 0.1}}, 120},
+		{"lossy-retries", RepairPolicy{Distributed: true, Reliable: true, MaxRetries: 40,
+			Faults: &simnet.FaultPlan{Seed: 3, DropRate: 0.2}}, 120},
 	}
 	for _, pc := range policies {
 		for seed := int64(1); seed <= 3; seed++ {
@@ -153,6 +157,9 @@ func TestLocalEpochsMatchGlobal(t *testing.T) {
 				case err != nil:
 					t.Fatalf("%s seed %d epoch %d: %v", pc.name, seed, ep, err)
 				default:
+					if err := m.Validate(); err != nil {
+						t.Fatalf("%s seed %d epoch %d: invariants violated: %v", pc.name, seed, ep, err)
+					}
 					if want := rebuiltGraph(m.nw, m.active); !m.nw.G.Equal(want) {
 						t.Fatalf("%s seed %d epoch %d: relinked graph differs from the rebuild (m=%d, want %d)",
 							pc.name, seed, ep, m.nw.G.M(), want.M())

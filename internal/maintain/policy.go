@@ -52,18 +52,15 @@ type RepairPolicy struct {
 	// MaxRounds is the engine quiescence budget per protocol attempt
 	// (0 = a fault-tolerant default far above the lossless bound).
 	MaxRounds int
-	// MaxAttempts bounds full protocol re-runs before escalating to the
-	// local rules (0 = DefaultRepairAttempts).
-	MaxAttempts int
 	// Engine selects the simulation engine the protocol runs on
 	// (EngineSync, EngineAsync or EngineEvent; the zero value is
 	// EngineSync).
 	Engine simnet.Engine
 }
 
-// DefaultRepairAttempts is the rung-1 protocol retry budget when
-// RepairPolicy.MaxAttempts is zero.
-const DefaultRepairAttempts = 2
+// repairAttempts bounds full protocol runs per epoch before the ladder
+// escalates to the local rules (rung 1's retry budget).
+const repairAttempts = 2
 
 // Repair modes reported in RepairInfo.Mode: which strategy produced the
 // installed backbone.
@@ -147,14 +144,9 @@ func (m *Maintainer) repairLadder(ctx context.Context, seeds []int) (promoted, d
 	// The post-mutation, pre-repair membership: every attempt starts from
 	// it, and the lossless Fixpoint reference is computed from it.
 	pre := append([]bool(nil), m.inMIS...)
-	attempts := m.policy.MaxAttempts
-	if attempts <= 0 {
-		attempts = DefaultRepairAttempts
-	}
-
 	var set []int
 	ok := false
-	for a := 1; a <= attempts; a++ {
+	for a := 1; a <= repairAttempts; a++ {
 		info.Attempts = a
 		res, st, rerr := m.runRepairProtocol(ctx, g, pre, a)
 		info.Messages += st.Messages

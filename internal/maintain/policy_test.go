@@ -109,7 +109,6 @@ func TestRepairLadderEscalatesToLocal(t *testing.T) {
 		Faults:      &simnet.FaultPlan{Seed: 11, DropRate: 0.3},
 		Reliable:    true,
 		MaxRounds:   1, // impossible budget: force rung-1 exhaustion
-		MaxAttempts: 2,
 	})
 	sawFallback := false
 	for e := 0; e < 6; e++ {

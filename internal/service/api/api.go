@@ -37,7 +37,7 @@ const Version = "v1"
 // engine selection: backbone, batch and session requests accept an engine
 // field ("sync", "async" or "event" — the million-node single-scheduler
 // engine), mode accepts "event", and backbone responses echo engine; the
-// session async flag remains as a deprecated alias for engine "async".
+// session async flag stayed as a deprecated alias for engine "async".
 // Revision 6 opened the competitor suite: backbone, dilation and batch
 // requests accept any registered algorithm name (algo.Names, not just
 // "I"/"II"), generated network specs accept a topology descriptor
@@ -50,7 +50,11 @@ const Version = "v1"
 // index-addressed rows (JSON or the same NDJSON row stream as /v1/batch),
 // so a fleet coordinator (internal/fleet) can fan one spec out across
 // workers and merge a digest-identical report. Requests without a shard
-// range normalize and cache-key exactly as under revision 6.
+// range normalize and cache-key exactly as under revision 6. Later removals
+// kept the revision, so every response it describes is unchanged: the
+// session async flag is gone (engine "async" is its one spelling, and a
+// body that still carries "async" is an unknown field, 400), and POST
+// /v1/shard always answers with the NDJSON row stream.
 const SchemaVersion = 7
 
 // Sentinel errors shared by the facade, the batch engine and the service

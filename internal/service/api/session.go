@@ -51,22 +51,16 @@ type SessionRequest struct {
 	// Engine runs the repair protocol on the named simulation engine:
 	// "sync" (default), "async" or "event". Schema v5.
 	Engine string `json:"engine,omitempty"`
-	// Async runs the repair protocol on the asynchronous engine.
-	//
-	// Deprecated: set Engine to "async" instead. Async remains as the
-	// schema-v4 spelling; setting it together with a contradicting Engine
-	// is rejected.
-	Async bool `json:"async,omitempty"`
 }
 
 // FaultBearing reports whether the request asks for distributed repair
 // under the fault model (any of the schema-v4/v5 repair fields set).
 func (req *SessionRequest) FaultBearing() bool {
 	return req.Faults != nil || req.Reliable || req.MaxRetries != 0 || req.MaxRounds != 0 ||
-		req.Async || req.Engine != ""
+		req.Engine != ""
 }
 
-// RepairEngine resolves the engine/async pair onto the repair protocol's
+// RepairEngine resolves the engine field onto the repair protocol's
 // simulation engine. Call after Normalize.
 func (req *SessionRequest) RepairEngine() simnet.Engine {
 	eng, _ := simnet.ParseEngine(req.Engine)
@@ -78,19 +72,12 @@ func (req *SessionRequest) Normalize(maxNodes int) error {
 	if err := req.NetworkSpec.Validate(maxNodes); err != nil {
 		return err
 	}
-	switch eng := strings.ToLower(req.Engine); eng {
-	case "", "sync", "async", "event":
-		if req.Async {
-			if eng != "" && eng != "async" {
-				return Errorf("engine %q contradicts the deprecated async flag", req.Engine)
-			}
-			eng = "async"
+	if eng := strings.ToLower(req.Engine); eng != "" {
+		if _, ok := simnet.ParseEngine(eng); !ok {
+			return Errorf("unknown engine %q (want sync, async or event)", req.Engine)
 		}
 		req.Engine = eng
-	default:
-		return Errorf("unknown engine %q (want sync, async or event)", req.Engine)
 	}
-	req.Async = req.Engine == "async"
 	if req.TTLSeconds < 0 {
 		return Errorf("ttlSeconds %v must be non-negative", req.TTLSeconds)
 	}

@@ -17,7 +17,7 @@ func TestSessionRequestFaultBearing(t *testing.T) {
 		{Reliable: true},
 		{MaxRetries: 3},
 		{MaxRounds: 100},
-		{Async: true},
+		{Engine: "async"},
 	}
 	for i, req := range cases {
 		if !req.FaultBearing() {
@@ -53,27 +53,23 @@ func TestSessionRequestEngineAlias(t *testing.T) {
 	cases := []struct {
 		name       string
 		engine     string
-		async      bool
 		wantEngine string
-		wantAsync  bool
 		wantRepair simnet.Engine
 		wantErr    bool
 	}{
-		{"default", "", false, "", false, simnet.EngineSync, false},
-		{"engine sync", "sync", false, "sync", false, simnet.EngineSync, false},
-		{"engine event", "event", false, "event", false, simnet.EngineEvent, false},
-		{"case folded", "ASYNC", false, "async", true, simnet.EngineAsync, false},
-		{"legacy async", "", true, "async", true, simnet.EngineAsync, false},
-		{"async agrees", "async", true, "async", true, simnet.EngineAsync, false},
-		{"async contradicts", "event", true, "", false, simnet.EngineSync, true},
-		{"unknown", "turbo", false, "", false, simnet.EngineSync, true},
+		{"default", "", "", simnet.EngineSync, false},
+		{"engine sync", "sync", "sync", simnet.EngineSync, false},
+		{"engine event", "event", "event", simnet.EngineEvent, false},
+		{"engine async", "async", "async", simnet.EngineAsync, false},
+		{"case folded", "ASYNC", "async", simnet.EngineAsync, false},
+		{"unknown", "turbo", "", simnet.EngineSync, true},
 	}
 	for _, c := range cases {
-		req := SessionRequest{NetworkSpec: spec, Engine: c.engine, Async: c.async}
+		req := SessionRequest{NetworkSpec: spec, Engine: c.engine}
 		err := req.Normalize(1000)
 		if c.wantErr {
 			if err == nil {
-				t.Errorf("%s: accepted engine=%q async=%v", c.name, c.engine, c.async)
+				t.Errorf("%s: accepted engine=%q", c.name, c.engine)
 			}
 			continue
 		}
@@ -81,9 +77,8 @@ func TestSessionRequestEngineAlias(t *testing.T) {
 			t.Errorf("%s: %v", c.name, err)
 			continue
 		}
-		if req.Engine != c.wantEngine || req.Async != c.wantAsync {
-			t.Errorf("%s: normalized to engine=%q async=%v, want %q/%v",
-				c.name, req.Engine, req.Async, c.wantEngine, c.wantAsync)
+		if req.Engine != c.wantEngine {
+			t.Errorf("%s: normalized to engine=%q, want %q", c.name, req.Engine, c.wantEngine)
 		}
 		if got := req.RepairEngine(); got != c.wantRepair {
 			t.Errorf("%s: RepairEngine() = %v, want %v", c.name, got, c.wantRepair)

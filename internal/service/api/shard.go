@@ -60,27 +60,19 @@ func (req *ShardRequest) CacheKey() string {
 	return HashKey(b.String())
 }
 
-// ShardResponse is the shard's report: Results carry global scenario
-// indices and the embedded report's Digest covers only this shard's rows
-// (the coordinator recomputes the full-sweep digest after the merge).
-// Aggregates are the shard's partial per-workload summaries; a streamed
-// shard (?stream=ndjson) omits them from its summary line, see
-// ShardSummary.
-type ShardResponse struct {
+// ShardSummary is the closing line of a shard's NDJSON stream (POST
+// /v1/shard): the shard's report without its rows, which already
+// streamed, and without the partial per-shard aggregates — most of the
+// summary's bytes, and never read: the coordinator re-derives the sweep's
+// aggregates from the merged rows.
+type ShardSummary struct {
 	batch.Report
 	// Digest is the SHA-256 of this shard's canonical rows, so a coordinator
-	// can verify a cached or re-dispatched shard against a prior copy.
+	// can verify a cached or re-dispatched shard against a prior copy (the
+	// coordinator recomputes the full-sweep digest after the merge).
 	Digest string `json:"digest"`
 	Cached bool   `json:"cached"`
 	Schema int    `json:"schema"`
-}
-
-// ShardSummary is the closing line of a streamed shard: the ShardResponse
-// without its rows, which already streamed, and without the partial
-// per-shard aggregates — most of the summary's bytes, and never read: the
-// coordinator re-derives the sweep's aggregates from the merged rows.
-type ShardSummary struct {
-	ShardResponse
 	// Results and Aggregates shadow the embedded report's fields; they stay
 	// nil, so the line carries neither key.
 	Results    []batch.Result           `json:"results,omitempty"`

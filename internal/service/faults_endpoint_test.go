@@ -70,6 +70,8 @@ func TestSessionFaultValidation(t *testing.T) {
 		"bad drop rate":    {"seed": 1, "n": 30, "avgDegree": 8, "faults": map[string]any{"dropRate": 1.5}},
 		"crash out of range": {"seed": 1, "n": 30, "avgDegree": 8,
 			"faults": map[string]any{"crashes": []map[string]any{{"node": 99, "from": 0}}}},
+		// The schema-v4 async flag is gone; engine "async" is its spelling.
+		"retired async flag": {"seed": 1, "n": 30, "avgDegree": 8, "async": true},
 	} {
 		buf, _ := json.Marshal(body)
 		resp, err := http.Post(ts.URL+"/v1/session", "application/json", bytes.NewReader(buf))

@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sort"
 	"time"
 
 	"wcdsnet/internal/algo"
@@ -276,11 +275,16 @@ func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleShard executes one [lo, hi) index range of a batch spec — the
-// fleet worker's half of cluster mode (schema v7). Rows carry their global
-// scenario indices so the coordinator can merge disjoint shards back into
-// a report whose digest is byte-identical to a local run. The node and
-// scenario bounds apply to the shard width, not the whole sweep, so a
-// fleet can run sweeps no single request would admit.
+// fleet worker's half of cluster mode (schema v7) — and streams its rows
+// as NDJSON, then a summary line. Rows carry their global scenario indices
+// so the coordinator can merge disjoint shards back into a report whose
+// digest is byte-identical to a local run. The node and scenario bounds
+// apply to the shard width, not the whole sweep, so a fleet can run sweeps
+// no single request would admit.
+//
+// Shards read and fill the result cache: the coordinator places shards by
+// consistent hash precisely so a repeated sweep lands each shard on the
+// worker that holds it.
 func (s *Service) handleShard(w http.ResponseWriter, r *http.Request) {
 	var req ShardRequest
 	start, ok := s.admit(w, r, endpointShard, &req, func() error { return req.Normalize(s.opts.MaxNodes, s.opts.MaxBatchScenarios) })
@@ -293,23 +297,10 @@ func (s *Service) handleShard(w http.ResponseWriter, r *http.Request) {
 			batch.Options{Workers: req.Workers, MeasureWorkers: req.MeasureWorkers, OnResult: onResult})
 	}
 	key := req.CacheKey()
-	if streamRequested(r) {
-		// Streamed shards DO read and fill the result cache: the
-		// coordinator places shards by consistent hash precisely so a
-		// repeated sweep lands each shard on the worker that holds it.
-		s.streamRows(w, r, endpointShard, start, key, run, func(rows []byte, rep *batch.Report) []byte {
-			e := newShardEntry(rows, rep)
-			s.cache.Put(key, e)
-			return e.summaryLine(false)
-		})
-		return
-	}
-	s.serve(w, r, endpointShard, start, key, func(ctx context.Context) (any, error) {
-		rep, err := run(ctx, nil)
-		if err != nil {
-			return nil, err
-		}
-		return &ShardResponse{Report: *rep, Digest: rep.Digest(), Schema: api.SchemaVersion}, nil
+	s.streamRows(w, r, endpointShard, start, key, run, func(rows []byte, rep *batch.Report) []byte {
+		e := newShardEntry(rows, rep)
+		s.cache.Put(key, e)
+		return e.summaryLine(false)
 	})
 }
 
@@ -409,64 +400,28 @@ func (s *Service) streamRows(w http.ResponseWriter, r *http.Request, endpoint st
 	}
 }
 
-// shardEntry is the cached form of an executed shard, shared by the
-// streamed and the plain /v1/shard paths: the rows as the NDJSON lines the
-// stream writes, plus the report's scalars. A streamed hit is then one
-// write instead of a re-encode, and an entry holds a few KB of bytes
+// shardEntry is the cached form of an executed shard: the rows as the
+// NDJSON lines the stream writes, plus the report's scalars. A hit is then
+// one write instead of a re-encode, and an entry holds a few KB of bytes
 // instead of decoded rows and the partial aggregate maps.
 type shardEntry struct {
-	rows    []byte        // one encoded batch.Result per line
-	summary ShardResponse // Results and Aggregates nil
+	rows    []byte           // one encoded batch.Result per line
+	summary api.ShardSummary // Results and Aggregates nil
 }
 
 // newShardEntry keeps a copy of rows (trimmed to size) and rep's scalars.
 func newShardEntry(rows []byte, rep *batch.Report) *shardEntry {
-	e := &shardEntry{rows: bytes.Clone(rows), summary: ShardResponse{Report: *rep, Digest: rep.Digest(), Schema: api.SchemaVersion}}
-	e.summary.Results, e.summary.Aggregates = nil, nil
+	e := &shardEntry{rows: bytes.Clone(rows), summary: api.ShardSummary{Report: *rep, Digest: rep.Digest(), Schema: api.SchemaVersion}}
+	e.summary.Report.Results, e.summary.Report.Aggregates = nil, nil
 	return e
 }
 
 // summaryLine renders the streamed shard's closing NDJSON line.
 func (e *shardEntry) summaryLine(cached bool) []byte {
-	sum := api.ShardSummary{ShardResponse: e.summary}
+	sum := e.summary
 	sum.Cached = cached
 	line, _ := json.Marshal(&sum) // scalars only; cannot fail
 	return append(line, '\n')
-}
-
-// response rebuilds the plain /v1/shard body: the rows decoded back into
-// index order and the aggregates re-derived by Finalize, so the JSON is the
-// one a fresh execution answers with. Cached is left for the caller.
-func (e *shardEntry) response() *ShardResponse {
-	resp := e.summary
-	resp.Results = make([]batch.Result, 0, resp.Scenarios)
-	dec := json.NewDecoder(bytes.NewReader(e.rows))
-	for dec.More() {
-		var res batch.Result
-		if err := dec.Decode(&res); err != nil {
-			// The bytes were encoded from batch.Result by this process.
-			panic(fmt.Sprintf("service: cached shard row does not decode: %v", err))
-		}
-		resp.Results = append(resp.Results, res)
-	}
-	sort.Slice(resp.Results, func(i, j int) bool { return resp.Results[i].Index < resp.Results[j].Index })
-	resp.Finalize()
-	return &resp
-}
-
-// cacheForm returns the value the result cache stores for a response:
-// shards compactly as a shardEntry, everything else as is.
-func cacheForm(v any) any {
-	resp, ok := v.(*ShardResponse)
-	if !ok {
-		return v
-	}
-	var rows bytes.Buffer
-	enc := json.NewEncoder(&rows)
-	for i := range resp.Results {
-		_ = enc.Encode(&resp.Results[i]) // writes to a bytes.Buffer
-	}
-	return newShardEntry(rows.Bytes(), &resp.Report)
 }
 
 // --- health and metrics ----------------------------------------------------
@@ -513,7 +468,7 @@ func (s *Service) serve(w http.ResponseWriter, r *http.Request, endpoint string,
 		s.replySubmitError(w, endpoint, start, err)
 		return
 	}
-	s.cache.Put(key, cacheForm(v))
+	s.cache.Put(key, v)
 	s.observe(endpoint, start)
 	writeJSON(w, http.StatusOK, v)
 }
@@ -538,10 +493,6 @@ func cachedCopy(v any) any {
 		c := *t
 		c.Cached = true
 		return &c
-	case *shardEntry:
-		c := t.response()
-		c.Cached = true
-		return c
 	}
 	return v
 }

@@ -53,19 +53,19 @@ type Options struct {
 	// may request (default: 5000). Negative disables the batch endpoint's
 	// bound entirely.
 	MaxBatchScenarios int
-
-	// MaxSessions caps concurrently open topology sessions (default: 64).
-	MaxSessions int
-	// SessionTTL is the default session lifetime when the create request
-	// does not set one (default: 10m).
-	SessionTTL time.Duration
-	// SessionIdle is the default idle-eviction timeout (default: 2m).
-	SessionIdle time.Duration
-	// SessionQueue bounds the per-stream delta and event queues — the
-	// backpressure depth between the NDJSON reader, the repair loop and
-	// the NDJSON writer (default: 16 epochs).
-	SessionQueue int
 }
+
+// Topology-session limits. maxSessions caps concurrently open sessions;
+// sessionTTL and sessionIdle are the lifetime and idle-eviction timeout of
+// a session whose create request sets none; sessionQueue bounds the
+// per-stream delta and event queues — the backpressure depth between the
+// NDJSON reader, the repair loop and the NDJSON writer, in epochs.
+const (
+	maxSessions  = 64
+	sessionTTL   = 10 * time.Minute
+	sessionIdle  = 2 * time.Minute
+	sessionQueue = 16
+)
 
 func (o Options) withDefaults() Options {
 	if o.Workers <= 0 {
@@ -91,18 +91,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxBatchScenarios < 0 {
 		o.MaxBatchScenarios = 0 // unbounded
-	}
-	if o.MaxSessions <= 0 {
-		o.MaxSessions = 64
-	}
-	if o.SessionTTL <= 0 {
-		o.SessionTTL = 10 * time.Minute
-	}
-	if o.SessionIdle <= 0 {
-		o.SessionIdle = 2 * time.Minute
-	}
-	if o.SessionQueue <= 0 {
-		o.SessionQueue = 16
 	}
 	return o
 }
@@ -152,7 +140,7 @@ func New(opts Options) *Service {
 	}
 	s.baseCtx, s.baseCancel = context.WithCancelCause(context.Background())
 	s.sessions = session.NewManager(session.ManagerOptions{
-		MaxSessions: opts.MaxSessions,
+		MaxSessions: maxSessions,
 		OnClose: func(_ string, cause error) {
 			s.sessionCloses.With(closeReason(cause)).Inc()
 		},
@@ -262,5 +250,4 @@ type (
 	BatchRequest      = api.BatchRequest
 	BatchResponse     = api.BatchResponse
 	ShardRequest      = api.ShardRequest
-	ShardResponse     = api.ShardResponse
 )

@@ -32,10 +32,10 @@ func (s *Service) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	ttl, idle := req.TTL(), req.Idle()
 	if ttl == 0 {
-		ttl = s.opts.SessionTTL
+		ttl = sessionTTL
 	}
 	if idle == 0 {
-		idle = s.opts.SessionIdle
+		idle = sessionIdle
 	}
 
 	ctx, cancel := context.WithTimeout(r.Context(), s.opts.RequestTimeout)
@@ -145,8 +145,8 @@ func (s *Service) handleSessionStream(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	_ = rc.Flush()
 
-	in := make(chan []session.Delta, s.opts.SessionQueue)
-	out := sess.Stream(ctx, in, s.opts.SessionQueue)
+	in := make(chan []session.Delta, sessionQueue)
+	out := sess.Stream(ctx, in, sessionQueue)
 
 	// Body reader: one goroutine parsing NDJSON lines into epochs. It
 	// stops on EOF, on an unreadable line (the error crosses to the writer

@@ -7,7 +7,6 @@ import (
 	"io"
 	"net/http"
 	"reflect"
-	"strings"
 	"testing"
 
 	"wcdsnet/internal/service/api"
@@ -25,6 +24,53 @@ func shardSpec() map[string]any {
 	}
 }
 
+// postShard posts a shard request and reads its NDJSON answer: the row
+// lines in arrival order and the decoded summary line.
+func postShard(t *testing.T, url string, req map[string]any) (rows []json.RawMessage, summary map[string]any) {
+	t.Helper()
+	buf, _ := json.Marshal(req)
+	resp, err := http.Post(url+"/v1/shard", "application/json", bytes.NewReader(buf))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		raw, _ := io.ReadAll(resp.Body)
+		t.Fatalf("status %d: %s", resp.StatusCode, raw)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
+		t.Fatalf("content type %q", ct)
+	}
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		line := append(json.RawMessage(nil), sc.Bytes()...)
+		var m map[string]any
+		if err := json.Unmarshal(line, &m); err != nil {
+			t.Fatal(err)
+		}
+		switch {
+		case m["digest"] != nil:
+			if summary != nil {
+				t.Fatal("two summary lines")
+			}
+			summary = m
+		case m["error"] != nil:
+			t.Fatalf("stream error: %v", m["error"])
+		case summary != nil:
+			t.Fatal("row after the summary line")
+		default:
+			rows = append(rows, line)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if summary == nil {
+		t.Fatal("stream ended without a summary line")
+	}
+	return rows, summary
+}
+
 // TestShardEndpointMatchesBatchRows: a shard's rows are byte-identical to
 // the corresponding slice of the full /v1/batch results — the wire-level
 // form of the RunRange contract the fleet merge depends on.
@@ -38,23 +84,25 @@ func TestShardEndpointMatchesBatchRows(t *testing.T) {
 
 	req := shardSpec()
 	req["lo"], req["hi"] = 2, 5
-	resp, body := postJSON(t, ts.URL+"/v1/shard", req)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("shard status %d: %v", resp.StatusCode, body)
+	rows, summary := postShard(t, ts.URL, req)
+	if summary["scenarios"] != float64(3) || len(rows) != 3 {
+		t.Fatalf("shard scenarios = %v with %d rows, want 3", summary["scenarios"], len(rows))
 	}
-	if body["scenarios"] != float64(3) {
-		t.Fatalf("shard scenarios = %v, want 3", body["scenarios"])
-	}
-	rows, ok := body["results"].([]any)
-	if !ok || len(rows) != 3 {
-		t.Fatalf("shard results missing or short: %v", body["results"])
-	}
-	for i, row := range rows {
-		got := row.(map[string]any)
-		want := fullRows[2+i].(map[string]any)
-		if got["index"] != float64(2+i) {
-			t.Fatalf("shard row %d carries index %v", i, got["index"])
+	// The rows stream in completion order; compare them in index order.
+	byIndex := map[float64]map[string]any{}
+	for _, raw := range rows {
+		var got map[string]any
+		if err := json.Unmarshal(raw, &got); err != nil {
+			t.Fatal(err)
 		}
+		byIndex[got["index"].(float64)] = got
+	}
+	for i := 2; i < 5; i++ {
+		got, ok := byIndex[float64(i)]
+		if !ok {
+			t.Fatalf("shard rows lack index %d", i)
+		}
+		want := fullRows[i].(map[string]any)
 		// Wall time is the only non-deterministic field.
 		delete(got, "wallNS")
 		delete(want, "wallNS")
@@ -64,20 +112,18 @@ func TestShardEndpointMatchesBatchRows(t *testing.T) {
 			t.Fatalf("shard row %d differs from batch row:\n%s\nvs\n%s", i, g, w)
 		}
 	}
-	if body["cached"] != false {
+	if summary["cached"] != false {
 		t.Fatal("first shard reported cached=true")
 	}
 
 	// Repeat: cache hit. A different range is a distinct entry.
-	resp, body = postJSON(t, ts.URL+"/v1/shard", req)
-	if resp.StatusCode != http.StatusOK || body["cached"] != true {
-		t.Fatalf("repeat shard: status %d cached %v", resp.StatusCode, body["cached"])
+	if _, summary = postShard(t, ts.URL, req); summary["cached"] != true {
+		t.Fatalf("repeat shard: cached %v", summary["cached"])
 	}
 	other := shardSpec()
 	other["lo"], other["hi"] = 0, 2
-	resp, body = postJSON(t, ts.URL+"/v1/shard", other)
-	if resp.StatusCode != http.StatusOK || body["cached"] != false {
-		t.Fatalf("distinct range: status %d cached %v", resp.StatusCode, body["cached"])
+	if _, summary = postShard(t, ts.URL, other); summary["cached"] != false {
+		t.Fatalf("distinct range: cached %v", summary["cached"])
 	}
 }
 
@@ -94,96 +140,53 @@ func TestShardEndpointRejectsBadRange(t *testing.T) {
 }
 
 // TestShardStreamNDJSON: the shard stream delivers rows then a summary,
-// and — unlike /v1/batch — a repeated streamed shard replays from the
-// result cache with Cached set, which is what gives the fleet's
-// consistent-hash placement its payoff.
+// and — unlike /v1/batch — a repeated shard replays from the result cache
+// with Cached set, which is what gives the fleet's consistent-hash
+// placement its payoff. The fleet's ?stream=ndjson query is accepted as
+// well: a shard streams whether or not it is asked to.
 func TestShardStreamNDJSON(t *testing.T) {
 	_, ts := newTestService(t, Options{})
 	req := shardSpec()
 	req["lo"], req["hi"] = 0, 4
-	buf, _ := json.Marshal(req)
 
-	stream := func() (rows int, summary map[string]any) {
-		t.Helper()
-		resp, err := http.Post(ts.URL+"/v1/shard?stream=ndjson", "application/json", bytes.NewReader(buf))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			raw, _ := io.ReadAll(resp.Body)
-			t.Fatalf("status %d: %s", resp.StatusCode, raw)
-		}
-		if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
-			t.Fatalf("content type %q", ct)
-		}
-		sc := bufio.NewScanner(resp.Body)
-		for sc.Scan() {
-			var m map[string]any
-			if err := json.Unmarshal(sc.Bytes(), &m); err != nil {
-				t.Fatal(err)
-			}
-			switch {
-			case m["digest"] != nil:
-				if summary != nil {
-					t.Fatal("two summary lines")
-				}
-				summary = m
-			case m["error"] != nil:
-				t.Fatalf("stream error: %v", m["error"])
-			default:
-				rows++
-			}
-		}
-		if summary == nil {
-			t.Fatal("stream ended without a summary line")
-		}
-		return rows, summary
-	}
-
-	rows, summary := stream()
-	if rows != 4 || summary["cached"] != false {
-		t.Fatalf("first stream: %d rows, cached %v", rows, summary["cached"])
+	rows, summary := postShard(t, ts.URL, req)
+	if len(rows) != 4 || summary["cached"] != false {
+		t.Fatalf("first stream: %d rows, cached %v", len(rows), summary["cached"])
 	}
 	if summary["schema"] != float64(api.SchemaVersion) {
 		t.Fatalf("summary schema = %v", summary["schema"])
 	}
 	digest := summary["digest"]
 
-	rows, summary = stream()
-	if rows != 4 || summary["cached"] != true {
-		t.Fatalf("cached stream: %d rows, cached %v", rows, summary["cached"])
+	rows, summary = postShard(t, ts.URL, req)
+	if len(rows) != 4 || summary["cached"] != true {
+		t.Fatalf("cached stream: %d rows, cached %v", len(rows), summary["cached"])
 	}
 	if summary["digest"] != digest {
 		t.Fatalf("cached digest %v != %v", summary["digest"], digest)
 	}
+
+	buf, _ := json.Marshal(req)
+	resp, err := http.Post(ts.URL+"/v1/shard?stream=ndjson", "application/json", bytes.NewReader(buf))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	lines := bytes.Split(bytes.TrimSpace(raw), []byte("\n"))
+	if resp.StatusCode != http.StatusOK || len(lines) != 5 {
+		t.Fatalf("?stream=ndjson: status %d, %d lines: %s", resp.StatusCode, len(lines), raw)
+	}
 }
 
-// TestShardCacheAcrossPaths: the streamed and the plain /v1/shard paths
-// share one compact cache entry. A streamed miss, a streamed hit and a
-// plain hit of the same shard carry the same rows; the plain hit's body
-// equals a fresh plain body (another worker's execution) apart from
-// timing, aggregates included; streamed summaries carry no aggregates.
+// TestShardCacheAcrossPaths: a streamed miss fills the compact cache entry
+// and a streamed hit replays it. Both carry the same row bytes and the same
+// digest, and neither summary line carries aggregates or results.
 func TestShardCacheAcrossPaths(t *testing.T) {
 	_, ts := newTestService(t, Options{})
-	_, fresh := newTestService(t, Options{})
 	req := shardSpec()
 	req["lo"], req["hi"] = 0, 6
-	buf, _ := json.Marshal(req)
 
-	post := func(url string) []byte {
-		t.Helper()
-		resp, err := http.Post(url, "application/json", bytes.NewReader(buf))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		raw, err := io.ReadAll(resp.Body)
-		if err != nil || resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s: status %d, err %v: %s", url, resp.StatusCode, err, raw)
-		}
-		return raw
-	}
 	// byIndex keys encoded rows by scenario index.
 	byIndex := func(rows []json.RawMessage) map[float64]string {
 		t.Helper()
@@ -199,12 +202,8 @@ func TestShardCacheAcrossPaths(t *testing.T) {
 	}
 	stream := func(wantCached bool) (map[float64]string, map[string]any) {
 		t.Helper()
-		lines := bytes.Split(bytes.TrimSpace(post(ts.URL+"/v1/shard?stream=ndjson")), []byte("\n"))
-		var summary map[string]any
-		if err := json.Unmarshal(lines[len(lines)-1], &summary); err != nil {
-			t.Fatal(err)
-		}
-		if summary["cached"] != wantCached || summary["digest"] == nil {
+		rows, summary := postShard(t, ts.URL, req)
+		if summary["cached"] != wantCached {
 			t.Fatalf("streamed summary (want cached=%v): %v", wantCached, summary)
 		}
 		for _, k := range []string{"aggregates", "results"} {
@@ -212,74 +211,15 @@ func TestShardCacheAcrossPaths(t *testing.T) {
 				t.Errorf("streamed summary carries %q", k)
 			}
 		}
-		var rows []json.RawMessage
-		for _, l := range lines[:len(lines)-1] {
-			rows = append(rows, l)
-		}
 		return byIndex(rows), summary
 	}
 
 	missRows, missSum := stream(false)
 	hitRows, hitSum := stream(true)
-	plain := post(ts.URL + "/v1/shard")
-	var body struct {
-		Results []json.RawMessage `json:"results"`
-		Digest  string            `json:"digest"`
-		Cached  bool              `json:"cached"`
+	if len(missRows) != 6 || !reflect.DeepEqual(missRows, hitRows) {
+		t.Fatalf("rows differ between miss and hit:\nmiss %v\nhit  %v", missRows, hitRows)
 	}
-	if err := json.Unmarshal(plain, &body); err != nil {
-		t.Fatal(err)
+	if hitSum["digest"] != missSum["digest"] {
+		t.Fatalf("digests differ: miss %v, hit %v", missSum["digest"], hitSum["digest"])
 	}
-	if !body.Cached {
-		t.Fatal("plain request after a streamed miss was not a cache hit")
-	}
-	plainRows := byIndex(body.Results)
-	if len(missRows) != 6 || !reflect.DeepEqual(missRows, hitRows) || !reflect.DeepEqual(missRows, plainRows) {
-		t.Fatalf("rows differ across paths:\nmiss  %v\nhit   %v\nplain %v", missRows, hitRows, plainRows)
-	}
-	if hitSum["digest"] != missSum["digest"] || body.Digest != missSum["digest"] {
-		t.Fatalf("digests differ: miss %v, hit %v, plain %v", missSum["digest"], hitSum["digest"], body.Digest)
-	}
-
-	got, want := untimed(t, plain), untimed(t, post(fresh.URL+"/v1/shard"))
-	if !reflect.DeepEqual(got, want) {
-		g, _ := json.Marshal(got)
-		w, _ := json.Marshal(want)
-		t.Fatalf("plain cache hit differs from a fresh body:\n%s\nvs\n%s", g, w)
-	}
-	if aggs, _ := got["aggregates"].(map[string]any); len(aggs) == 0 {
-		t.Fatal("plain cache hit carries no aggregates")
-	}
-}
-
-// untimed decodes a shard body and drops what differs between two
-// executions of the same shard: the cached flag, wall times, allocation
-// counters and the wall-time aggregates.
-func untimed(t *testing.T, raw []byte) map[string]any {
-	t.Helper()
-	var m map[string]any
-	if err := json.Unmarshal(raw, &m); err != nil {
-		t.Fatal(err)
-	}
-	var strip func(v any)
-	strip = func(v any) {
-		switch v := v.(type) {
-		case map[string]any:
-			for k, x := range v {
-				switch {
-				case k == "cached", k == "wallNS", k == "wallNs", k == "allocBytes", k == "mallocs",
-					strings.HasSuffix(k, "/wallMS"):
-					delete(v, k)
-				default:
-					strip(x)
-				}
-			}
-		case []any:
-			for _, x := range v {
-				strip(x)
-			}
-		}
-	}
-	strip(m)
-	return m
 }

@@ -16,8 +16,9 @@ import (
 // 200-node, degree-8 session under three lossy repair policies and pins a
 // hash of every event's JSON (wall time zeroed). Any change to the repair
 // protocol's rules, beacon order, fault fates or classification moves a
-// hash; a change to how fast an epoch runs must not. It does not skip
-// under -short, so the race-enabled churn step runs it too.
+// hash; a change to how fast an epoch runs must not. Every epoch must also
+// leave a valid backbone (Maintainer.Validate). It does not skip under
+// -short, so the race-enabled churn step runs it too.
 func TestLossyEpochEventsPinned(t *testing.T) {
 	lossy := func(drop float64, reliable bool, engine simnet.Engine) maintain.RepairPolicy {
 		return maintain.RepairPolicy{
@@ -49,6 +50,9 @@ func TestLossyEpochEventsPinned(t *testing.T) {
 				ev, err := s.Apply(context.Background(), RandomEpoch(rng, s))
 				if err != nil {
 					t.Fatalf("epoch %d: %v", e, err)
+				}
+				if err := s.Maintainer().Validate(); err != nil {
+					t.Fatalf("epoch %d: invariants violated: %v", e, err)
 				}
 				escalations += ev.Repair.Escalations
 				ev.ElapsedMicros = 0

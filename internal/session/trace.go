@@ -6,8 +6,8 @@ import "math/rand"
 // current state: mostly moves, some leaves, rejoins and brand-new joins
 // near existing nodes. Each delta touches a distinct node, so the epoch
 // cannot trip the already-in-requested-state validation. It is the churn
-// trace generator of cmd/churn, the chaos churn sweep and the session
-// tests; the draws are a pure function of rng and the session state, so a
+// trace generator of E10's churn rows, the chaos churn sweep and the
+// session tests; the draws are a pure function of rng and the session state, so a
 // trace replays from its seed.
 func RandomEpoch(rng *rand.Rand, s *Session) []Delta {
 	m := s.Maintainer()

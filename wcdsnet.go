@@ -105,7 +105,7 @@ type (
 	ReliableOptions = reliable.Options
 	// TopologySession is a long-lived streaming churn session: it owns a
 	// live Network plus a Maintainer, applies epochs of SessionDeltas and
-	// emits one SessionEvent per epoch. See OpenSession and cmd/churn.
+	// emits one SessionEvent per epoch. See OpenSession and cmd/chaos -churn.
 	TopologySession = session.Session
 	// SessionDelta is one topology change: {"op":"move"|"leave"|"join", ...}.
 	SessionDelta = session.Delta

@@ -89,32 +89,6 @@ func (p Partition) Radius(g *graph.Graph) int {
 	return r
 }
 
-// Gateways returns the sorted nodes with at least one neighbour in a
-// different cluster — the nodes that carry inter-cluster traffic.
-func (p Partition) Gateways(g *graph.Graph) []int {
-	var out []int
-	for v := 0; v < g.N(); v++ {
-		for _, w := range g.Neighbors(v) {
-			if p.Head[w] != p.Head[v] {
-				out = append(out, v)
-				break
-			}
-		}
-	}
-	return out
-}
-
-// InterClusterEdges counts edges whose endpoints lie in different clusters.
-func (p Partition) InterClusterEdges(g *graph.Graph) int {
-	count := 0
-	for _, e := range g.Edges() {
-		if p.Head[e[0]] != p.Head[e[1]] {
-			count++
-		}
-	}
-	return count
-}
-
 // QuotientGraph returns the cluster adjacency graph: one vertex per
 // clusterhead (in sorted head order) with an edge between clusters joined
 // by at least one network edge. Returns the graph and the sorted head list

@@ -30,8 +30,8 @@ func TestByClusterheadStar(t *testing.T) {
 	if sizes := p.Sizes(); len(sizes) != 1 || sizes[0] != 5 {
 		t.Errorf("sizes = %v", sizes)
 	}
-	if gws := p.Gateways(g); len(gws) != 0 {
-		t.Errorf("single cluster has gateways %v", gws)
+	if q, _ := p.QuotientGraph(g); q.M() != 0 {
+		t.Errorf("single cluster has %d inter-cluster edges", q.M())
 	}
 }
 
@@ -179,29 +179,5 @@ func TestByClusterheadPropertyAllTopologies(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-func TestGatewaysAndInterClusterEdges(t *testing.T) {
-	// Two triangles joined by one edge: heads = one per triangle.
-	g := graph.New(6)
-	_ = g.AddEdge(0, 1)
-	_ = g.AddEdge(1, 2)
-	_ = g.AddEdge(0, 2)
-	_ = g.AddEdge(3, 4)
-	_ = g.AddEdge(4, 5)
-	_ = g.AddEdge(3, 5)
-	_ = g.AddEdge(2, 3)
-	ids := []int{0, 1, 2, 3, 4, 5}
-	p, err := ByClusterhead(g, ids, []int{0, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := p.InterClusterEdges(g); got != 1 {
-		t.Errorf("inter-cluster edges = %d, want 1", got)
-	}
-	gws := p.Gateways(g)
-	if len(gws) != 2 || gws[0] != 2 || gws[1] != 3 {
-		t.Errorf("gateways = %v, want [2 3]", gws)
 	}
 }

@@ -17,7 +17,6 @@ import (
 
 	"wcdsnet/internal/graph"
 	"wcdsnet/internal/simnet"
-	"wcdsnet/internal/simnet/reliable"
 )
 
 // Messages exchanged by the discovery protocol.
@@ -107,21 +106,6 @@ func (p *proc) table() Table {
 // returns each node's Table (indexed by node) after running it on eng.
 // Extra simnet options (scrambling, loss injection) may be supplied.
 func Run(g *graph.Graph, ids []int, k int, eng simnet.Engine, opts ...simnet.Option) ([]Table, simnet.Stats, error) {
-	return run(g, ids, k, eng, nil, opts...)
-}
-
-// RunReliable is Run with the ack/retransmit reliability layer wrapped
-// around every node, restoring exactly-once HELLO delivery over a faulty
-// network (drop/dup injection via simnet.WithFaults). This matters doubly
-// for k = 2: a node only shares its neighbour list once every neighbour's
-// HELLO is in, so a single lost HELLO silently truncates two-hop tables
-// across the whole vicinity. The layer's own counters (retransmits, acks,
-// suppressed duplicates) are merged into the returned Stats.
-func RunReliable(g *graph.Graph, ids []int, k int, eng simnet.Engine, ropt reliable.Options, opts ...simnet.Option) ([]Table, simnet.Stats, error) {
-	return run(g, ids, k, eng, &ropt, opts...)
-}
-
-func run(g *graph.Graph, ids []int, k int, eng simnet.Engine, ropt *reliable.Options, opts ...simnet.Option) ([]Table, simnet.Stats, error) {
 	if k != 1 && k != 2 {
 		return nil, simnet.Stats{}, fmt.Errorf("discovery: unsupported radius k=%d", k)
 	}
@@ -134,14 +118,7 @@ func run(g *graph.Graph, ids []int, k int, eng simnet.Engine, ropt *reliable.Opt
 		dprocs[i] = newProc(ids[i], k)
 		procs[i] = dprocs[i]
 	}
-	var col *reliable.Collector
-	if ropt != nil {
-		procs, col = reliable.Wrap(procs, *ropt)
-	}
 	stats, err := eng.Run(g, procs, opts...)
-	if col != nil {
-		col.MergeInto(&stats)
-	}
 	if err != nil {
 		return nil, stats, err
 	}

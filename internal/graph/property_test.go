@@ -60,37 +60,6 @@ func TestPathMetricsConsistencyQuick(t *testing.T) {
 	}
 }
 
-func TestArticulationBridgeRelationQuick(t *testing.T) {
-	// Every bridge endpoint with degree ≥ 2 is an articulation point.
-	f := func(seed int64, nRaw uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 2 + int(nRaw)%25
-		g := New(n)
-		for e := 0; e < n+n/2; e++ {
-			u, v := rng.Intn(n), rng.Intn(n)
-			if u != v && !g.HasEdge(u, v) {
-				_ = g.AddEdge(u, v)
-			}
-		}
-		g.SortAdjacency()
-		cuts := make(map[int]bool)
-		for _, c := range g.ArticulationPoints() {
-			cuts[c] = true
-		}
-		for _, b := range g.Bridges() {
-			for _, end := range b {
-				if g.Degree(end) >= 2 && !cuts[end] {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestEdgesRoundTripQuick(t *testing.T) {
 	// FromEdges(Edges()) reproduces the graph exactly.
 	f := func(seed int64, nRaw uint8) bool {

@@ -17,13 +17,13 @@ func TestApplyEpochJoin(t *testing.T) {
 		t.Fatal(err)
 	}
 	anchor := m.Network().Pos[3]
-	idx, rep, err := m.AddNode(context.Background(),
-		geom.Point{X: anchor.X + 0.1, Y: anchor.Y}, 10_000)
+	rep, err := m.ApplyEpoch(context.Background(),
+		[]Mutation{{Op: OpJoin, Pos: geom.Point{X: anchor.X + 0.1, Y: anchor.Y}, ID: 10_000}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if idx != 50 || len(rep.Joined) != 1 || rep.Joined[0] != 50 {
-		t.Fatalf("join index = %d, Joined = %v", idx, rep.Joined)
+	if len(rep.Joined) != 1 || rep.Joined[0] != 50 {
+		t.Fatalf("Joined = %v, want [50]", rep.Joined)
 	}
 	if m.Network().N() != 51 || !m.ActiveMask()[50] {
 		t.Fatal("joined node missing or inactive")
@@ -41,7 +41,7 @@ func TestApplyEpochDuplicateIDRejected(t *testing.T) {
 	}
 	existing := m.Network().ID[5]
 	n := m.Network().N()
-	if _, _, err := m.AddNode(context.Background(), m.Network().Pos[5], existing); err == nil {
+	if _, err := m.ApplyEpoch(context.Background(), []Mutation{{Op: OpJoin, Pos: m.Network().Pos[5], ID: existing}}); err == nil {
 		t.Fatal("duplicate ID accepted")
 	}
 	if m.Network().N() != n {

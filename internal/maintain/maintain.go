@@ -34,7 +34,6 @@
 package maintain
 
 import (
-	"container/heap"
 	"context"
 	"errors"
 	"fmt"
@@ -327,46 +326,10 @@ func (m *Maintainer) ActiveMask() []bool { return append([]bool(nil), m.active..
 // Network exposes the maintained network (positions are live).
 func (m *Maintainer) Network() *udg.Network { return m.nw }
 
-// WouldDisconnect predicts whether removing node v (switching it off, or
-// moving it out of range of all neighbours) can disconnect the active
-// graph: true exactly when v is an articulation point. Callers use this to
-// filter churn events cheaply instead of applying and rolling back.
-func (m *Maintainer) WouldDisconnect(v int) bool {
-	if v < 0 || v >= m.nw.N() || !m.active[v] {
-		return false
-	}
-	for _, cut := range m.nw.G.ArticulationPoints() {
-		if cut == v {
-			return true
-		}
-	}
-	return false
-}
-
 // MoveNode relocates node v and repairs the WCDS. Equivalent to a
 // single-mutation ApplyEpoch.
 func (m *Maintainer) MoveNode(ctx context.Context, v int, p geom.Point) (Report, error) {
 	return m.ApplyEpoch(ctx, []Mutation{{Op: OpMove, Node: v, Pos: p}})
-}
-
-// SetActive switches node v on or off (the paper's "turned off or on").
-// Off nodes lose all their links and are exempt from domination.
-func (m *Maintainer) SetActive(ctx context.Context, v int, on bool) (Report, error) {
-	op := OpOff
-	if on {
-		op = OpOn
-	}
-	return m.ApplyEpoch(ctx, []Mutation{{Op: op, Node: v}})
-}
-
-// AddNode joins a brand-new node at p with protocol ID id and repairs the
-// WCDS, returning the node's assigned dense index.
-func (m *Maintainer) AddNode(ctx context.Context, p geom.Point, id int) (int, Report, error) {
-	rep, err := m.ApplyEpoch(ctx, []Mutation{{Op: OpJoin, Pos: p, ID: id}})
-	if err != nil {
-		return -1, rep, err
-	}
-	return rep.Joined[0], rep, nil
 }
 
 // snapshot captures the maintainer's full state for rollback. The graph
@@ -610,7 +573,7 @@ func repairWorklist(ctx context.Context, g *graph.Graph, ids []int, inMIS, activ
 	addDirty := func(v int) {
 		if active[v] && !inWork.has(v) {
 			inWork.add(v)
-			heap.Push(work, v)
+			work.push(v)
 		}
 	}
 	if seeds == nil {
@@ -625,7 +588,7 @@ func repairWorklist(ctx context.Context, g *graph.Graph, ids []int, inMIS, activ
 		}
 	}
 	popMin := func() int {
-		v := heap.Pop(work).(int)
+		v := work.pop()
 		inWork.del(v)
 		return v
 	}
@@ -694,17 +657,45 @@ type worklist struct {
 	inWork marks
 }
 
-// idHeap is a container/heap of nodes ordered by ID.
+// idHeap is a binary min-heap of nodes ordered by ID, hand-rolled like
+// graph's heapPQ so a push does not box the node into an interface. The
+// worklist's in-work marks keep its nodes, and so their IDs, unique: the
+// pop order is fully determined.
 type idHeap struct{ ids, nodes []int }
 
-func (h idHeap) Len() int           { return len(h.nodes) }
-func (h idHeap) Less(i, j int) bool { return h.ids[h.nodes[i]] < h.ids[h.nodes[j]] }
-func (h idHeap) Swap(i, j int)      { h.nodes[i], h.nodes[j] = h.nodes[j], h.nodes[i] }
-func (h *idHeap) Push(v any)        { h.nodes = append(h.nodes, v.(int)) }
-func (h *idHeap) Pop() any {
-	v := h.nodes[len(h.nodes)-1]
-	h.nodes = h.nodes[:len(h.nodes)-1]
-	return v
+func (h *idHeap) less(i, j int) bool { return h.ids[h.nodes[i]] < h.ids[h.nodes[j]] }
+
+func (h *idHeap) push(v int) {
+	h.nodes = append(h.nodes, v)
+	for i := len(h.nodes) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !h.less(i, p) {
+			break
+		}
+		h.nodes[p], h.nodes[i] = h.nodes[i], h.nodes[p]
+		i = p
+	}
+}
+
+func (h *idHeap) pop() int {
+	top := h.nodes[0]
+	last := len(h.nodes) - 1
+	h.nodes[0] = h.nodes[last]
+	h.nodes = h.nodes[:last]
+	for i := 0; ; {
+		l, r, small := 2*i+1, 2*i+2, i
+		if l < last && h.less(l, small) {
+			small = l
+		}
+		if r < last && h.less(r, small) {
+			small = r
+		}
+		if small == i {
+			return top
+		}
+		h.nodes[i], h.nodes[small] = h.nodes[small], h.nodes[i]
+		i = small
+	}
 }
 
 // Fixpoint runs the documented repair rules over every active node of g to
@@ -914,17 +905,8 @@ func (m *Maintainer) radiusFrom(events, changed []int) int {
 // (when the active graph is connected).
 func (m *Maintainer) Validate() error {
 	g := m.nw.G
-	set := m.MISDominators()
-	if !mis.IsIndependent(g, set) {
-		return errors.New("maintain: MIS part not independent")
-	}
-	for v := 0; v < g.N(); v++ {
-		if !m.active[v] {
-			continue
-		}
-		if !m.inMIS[v] && !hasMISNeighbor(g, m.inMIS, v) {
-			return fmt.Errorf("maintain: active node %d undominated", v)
-		}
+	if err := misInvariants(g, m.inMIS, m.active); err != nil {
+		return err
 	}
 	s := graph.GetScratch()
 	defer s.Release()

@@ -121,14 +121,14 @@ func TestToggleOffOn(t *testing.T) {
 	toggled := 0
 	for trial := 0; trial < 40 && toggled < 15; trial++ {
 		v := rng.Intn(nw.N())
-		rep, err := m.SetActive(context.Background(), v, false)
+		rep, err := m.ApplyEpoch(context.Background(), []Mutation{{Op: OpOff, Node: v}})
 		if err != nil {
 			continue
 		}
 		if !rep.Connected {
 			// Switching this node off disconnects the graph: turn it back
 			// on and move on.
-			if _, err := m.SetActive(context.Background(), v, true); err != nil {
+			if _, err := m.ApplyEpoch(context.Background(), []Mutation{{Op: OpOn, Node: v}}); err != nil {
 				t.Fatal(err)
 			}
 			continue
@@ -137,7 +137,7 @@ func TestToggleOffOn(t *testing.T) {
 		if err := m.Validate(); err != nil {
 			t.Fatalf("after switching off %d: %v", v, err)
 		}
-		if _, err := m.SetActive(context.Background(), v, true); err != nil {
+		if _, err := m.ApplyEpoch(context.Background(), []Mutation{{Op: OpOn, Node: v}}); err != nil {
 			t.Fatal(err)
 		}
 		if err := m.Validate(); err != nil {
@@ -157,7 +157,7 @@ func TestSwitchedOffDominatorIsReported(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := m.MISDominators()[1]
-	rep, err := m.SetActive(context.Background(), v, false)
+	rep, err := m.ApplyEpoch(context.Background(), []Mutation{{Op: OpOff, Node: v}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,44 +166,18 @@ func TestSwitchedOffDominatorIsReported(t *testing.T) {
 	}
 }
 
-func TestWouldDisconnectPredictsToggles(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	nw := newNetwork(t, rng, 60, 9)
-	m, err := New(nw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// For every node, the articulation prediction must agree with actually
-	// switching it off and observing connectivity.
-	for v := 0; v < nw.N(); v++ {
-		predicted := m.WouldDisconnect(v)
-		rep, err := m.SetActive(context.Background(), v, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rep.Connected == predicted {
-			t.Errorf("node %d: predicted disconnect=%v but post-toggle connected=%v",
-				v, predicted, rep.Connected)
-		}
-		if _, err := m.SetActive(context.Background(), v, true); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if m.WouldDisconnect(-1) || m.WouldDisconnect(999) {
-		t.Error("out-of-range nodes cannot disconnect anything")
-	}
-}
-
+// Switching a node off or on rejects a node out of range or already in
+// the requested state.
 func TestSetActiveErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	m, err := New(newNetwork(t, rng, 30, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.SetActive(context.Background(), 99, false); err == nil {
+	if _, err := m.ApplyEpoch(context.Background(), []Mutation{{Op: OpOff, Node: 99}}); err == nil {
 		t.Error("expected range error")
 	}
-	if _, err := m.SetActive(context.Background(), 0, true); err == nil {
+	if _, err := m.ApplyEpoch(context.Background(), []Mutation{{Op: OpOn, Node: 0}}); err == nil {
 		t.Error("expected already-active error")
 	}
 	if _, err := m.MoveNode(context.Background(), -1, geom.Point{}); err == nil {

@@ -128,9 +128,6 @@ type RepairInfo struct {
 // SetRepairPolicy installs the repair policy for subsequent epochs.
 func (m *Maintainer) SetRepairPolicy(p RepairPolicy) { m.policy = p }
 
-// RepairPolicy returns the currently installed policy.
-func (m *Maintainer) RepairPolicy() RepairPolicy { return m.policy }
-
 // repairLadder is the distributed path of the escalation ladder described
 // at the top of this file. It mutates m.inMIS to the repaired (validated)
 // MIS and returns the promotion/demotion diff against the post-mutation,
@@ -285,8 +282,8 @@ func (m *Maintainer) runRepairProtocol(ctx context.Context, g *graph.Graph, pre 
 
 // misInvariants checks the two MIS invariants cheaply (no connectivity
 // BFS): independence among active dominators and domination of every
-// active node. This is the rung-3 gate; the full Validate (including the
-// weakly-induced connectivity of the WCDS) stays available to callers.
+// active node. This is the rung-3 gate, and Validate's first half (Validate
+// adds the weakly-induced connectivity of the WCDS).
 func misInvariants(g *graph.Graph, inMIS, active []bool) error {
 	for v := 0; v < g.N(); v++ {
 		if !active[v] {

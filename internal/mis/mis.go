@@ -89,60 +89,6 @@ func Greedy(g *graph.Graph, less Less) []int {
 	return set
 }
 
-// GreedyMaxWhiteDegree computes an MIS with the paper's dynamic ranking
-// idea: at each step select the white node covering the most still-white
-// nodes (its white degree plus itself), breaking ties by lower ID. This is
-// the coverage-greedy MIS used as a size baseline.
-func GreedyMaxWhiteDegree(g *graph.Graph, ids []int) []int {
-	n := g.N()
-	const (
-		white = iota
-		gray
-		black
-	)
-	color := make([]int8, n)
-	whiteDeg := make([]int, n)
-	for u := 0; u < n; u++ {
-		whiteDeg[u] = g.Degree(u)
-	}
-	remaining := n
-	var set []int
-	for remaining > 0 {
-		best := -1
-		for u := 0; u < n; u++ {
-			if color[u] != white {
-				continue
-			}
-			if best == -1 ||
-				whiteDeg[u] > whiteDeg[best] ||
-				(whiteDeg[u] == whiteDeg[best] && ids[u] < ids[best]) {
-				best = u
-			}
-		}
-		// A white node always exists while remaining > 0.
-		markGray := func(v int) {
-			color[v] = gray
-			remaining--
-			for _, w := range g.Neighbors(v) {
-				whiteDeg[w]--
-			}
-		}
-		color[best] = black
-		remaining--
-		for _, w := range g.Neighbors(best) {
-			whiteDeg[w]--
-		}
-		for _, v := range g.Neighbors(best) {
-			if color[v] == white {
-				markGray(v)
-			}
-		}
-		set = append(set, best)
-	}
-	sort.Ints(set)
-	return set
-}
-
 // LevelsFrom returns each node's hop distance from root — the level
 // assignment used by the paper's level-based ranking when the spanning tree
 // is a BFS tree. Unreachable nodes get graph.Unreachable.

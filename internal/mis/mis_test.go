@@ -2,6 +2,7 @@ package mis
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -111,7 +112,6 @@ func TestGreedyIsMaximalIndependentProperty(t *testing.T) {
 			"byID":       Greedy(g, ByID(ids)),
 			"byLevelID":  Greedy(g, ByLevelID(LevelsFrom(g, 0), ids)),
 			"byDegreeID": Greedy(g, ByDegreeID(g, ids)),
-			"maxWhite":   GreedyMaxWhiteDegree(g, ids),
 		} {
 			if !IsMaximalIndependent(g, set) {
 				t.Fatalf("trial %d: %s produced a non-maximal-independent set %v", trial, name, set)
@@ -274,7 +274,9 @@ func TestLemma2OnRandomUDGs(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for trial := 0; trial < 10; trial++ {
 		n := 100 + rng.Intn(300)
-		check(fmt.Sprintf("trial %d", trial), udg.GenClusters(rng, n, 3+rng.Intn(5), 8, 1.2))
+		// k clusters of spread 1.2 in a side-8 square.
+		clusters := udg.Topology{Kind: "clusters", Params: map[string]float64{"k": float64(3 + rng.Intn(5)), "sigma": 1.2}}
+		check(fmt.Sprintf("trial %d", trial), clusters.Generate(rng, n, float64(n-1)*math.Pi/64))
 	}
 	for _, kind := range []string{"uniform", "corridor", "annulus"} {
 		check(kind, udg.Topology{Kind: kind}.Generate(rng, 200, 8))
@@ -376,23 +378,4 @@ func TestMaxComplementaryDistanceDegenerate(t *testing.T) {
 	if _, ok := MaxComplementaryDistance(g2, []int{0, 2}, 5); ok {
 		t.Error("expected failure across components")
 	}
-}
-
-func TestGreedyMaxWhiteDegreeSmallerOrEqualOften(t *testing.T) {
-	// Not a theorem, but the coverage-greedy MIS should never be larger
-	// than 5×opt on UDGs; sanity-check it stays maximal and compare sizes.
-	rng := rand.New(rand.NewSource(7))
-	sumID, sumDeg := 0, 0
-	for trial := 0; trial < 10; trial++ {
-		n := 50 + rng.Intn(150)
-		nw := udg.GenUniform(rng, n, udg.SideForAvgDegree(n, 10))
-		byID := Greedy(nw.G, ByID(nw.ID))
-		byDeg := GreedyMaxWhiteDegree(nw.G, nw.ID)
-		if !IsMaximalIndependent(nw.G, byDeg) {
-			t.Fatal("coverage-greedy result not a valid MIS")
-		}
-		sumID += len(byID)
-		sumDeg += len(byDeg)
-	}
-	t.Logf("total MIS sizes: byID=%d, coverage-greedy=%d", sumID, sumDeg)
 }

@@ -7,6 +7,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+
+	"wcdsnet/internal/service/api"
 )
 
 // benchPost drives the handler directly (no TCP) so the benchmarks measure
@@ -38,7 +40,7 @@ func BenchmarkServiceCacheHit(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	hits, _, _ := svc.CacheStats()
+	hits, _, _ := svc.cache.Stats()
 	if hits < int64(b.N) {
 		b.Fatalf("only %d cache hits for %d requests", hits, b.N)
 	}
@@ -65,7 +67,7 @@ func BenchmarkCacheGet(b *testing.B) {
 	c := NewCache(1024)
 	keys := make([]string, 256)
 	for i := range keys {
-		keys[i] = hashKey(fmt.Sprintf("key-%d", i))
+		keys[i] = api.HashKey(fmt.Sprintf("key-%d", i))
 		c.Put(keys[i], i)
 	}
 	b.ReportAllocs()

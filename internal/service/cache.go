@@ -3,8 +3,6 @@ package service
 import (
 	"container/list"
 	"sync"
-
-	"wcdsnet/internal/service/api"
 )
 
 // Cache is a content-addressed LRU result cache. Keys are canonical hashes
@@ -89,10 +87,4 @@ func (c *Cache) Stats() (hits, misses, evictions int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.hits, c.misses, c.evictions
-}
-
-// hashKey collapses an arbitrary-length canonical request string into a
-// fixed-size content address (the api package owns the definition).
-func hashKey(canonical string) string {
-	return api.HashKey(canonical)
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"wcdsnet/internal/service/api"
 )
 
 func TestCacheHitMissEvict(t *testing.T) {
@@ -82,11 +84,11 @@ func TestCacheConcurrent(t *testing.T) {
 }
 
 func TestHashKeyStable(t *testing.T) {
-	a, b := hashKey("backbone|x"), hashKey("backbone|x")
+	a, b := api.HashKey("backbone|x"), api.HashKey("backbone|x")
 	if a != b {
 		t.Fatalf("same content hashed differently: %s vs %s", a, b)
 	}
-	if hashKey("backbone|y") == a {
+	if api.HashKey("backbone|y") == a {
 		t.Fatal("distinct content collided (astronomically unlikely): key derivation broken")
 	}
 	if len(a) != 64 {

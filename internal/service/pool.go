@@ -43,11 +43,7 @@ type Pool struct {
 	mu     sync.RWMutex // guards closed vs. the Submit send
 	closed bool
 
-	executed atomic.Int64 // jobs whose fn actually ran
-	rejected atomic.Int64 // Submits refused with ErrQueueFull
-	expired  atomic.Int64 // jobs whose context ended while queued
 	inFlight atomic.Int64 // jobs currently executing
-	panicked atomic.Int64 // jobs that panicked (recovered)
 }
 
 type poolJob struct {
@@ -85,17 +81,12 @@ func (p *Pool) worker() {
 		// still answer, so a Submit caller racing between the queue and its
 		// context always gets a definitive result.
 		if err := job.ctx.Err(); err != nil {
-			p.expired.Add(1)
 			job.done <- poolResult{err: err}
 			continue
 		}
 		p.inFlight.Add(1)
 		v, err := runJob(job)
 		p.inFlight.Add(-1)
-		p.executed.Add(1)
-		if _, ok := err.(*PanicError); ok {
-			p.panicked.Add(1)
-		}
 		job.done <- poolResult{value: v, err: err}
 	}
 }
@@ -128,7 +119,6 @@ func (p *Pool) Submit(ctx context.Context, fn func(context.Context) (any, error)
 		p.mu.RUnlock()
 	default:
 		p.mu.RUnlock()
-		p.rejected.Add(1)
 		return nil, ErrQueueFull
 	}
 
@@ -164,16 +154,3 @@ func (p *Pool) QueueDepth() int { return len(p.jobs) }
 
 // InFlight returns the number of jobs executing right now.
 func (p *Pool) InFlight() int64 { return p.inFlight.Load() }
-
-// Executed returns the lifetime count of jobs that ran.
-func (p *Pool) Executed() int64 { return p.executed.Load() }
-
-// Rejected returns the lifetime count of Submits refused with ErrQueueFull.
-func (p *Pool) Rejected() int64 { return p.rejected.Load() }
-
-// Expired returns the lifetime count of jobs whose context ended queued.
-func (p *Pool) Expired() int64 { return p.expired.Load() }
-
-// Panicked returns the lifetime count of jobs that panicked and were
-// recovered.
-func (p *Pool) Panicked() int64 { return p.panicked.Load() }

@@ -12,7 +12,7 @@ import (
 func TestPoolExecutesJobs(t *testing.T) {
 	p := NewPool(4, 8)
 	defer p.Close()
-	var ran atomic.Int64
+	var ran, accepted atomic.Int64
 	var wg sync.WaitGroup
 	for i := 0; i < 32; i++ {
 		wg.Add(1)
@@ -29,6 +29,7 @@ func TestPoolExecutesJobs(t *testing.T) {
 				t.Errorf("submit: %v", err)
 				return
 			}
+			accepted.Add(1)
 			if v.(int) != i*2 {
 				t.Errorf("job %d returned %v", i, v)
 			}
@@ -38,8 +39,8 @@ func TestPoolExecutesJobs(t *testing.T) {
 	if ran.Load() == 0 {
 		t.Fatal("no jobs executed")
 	}
-	if got := p.Executed(); got != ran.Load() {
-		t.Errorf("Executed() = %d, want %d", got, ran.Load())
+	if ran.Load() != accepted.Load() {
+		t.Errorf("%d jobs ran, %d Submits returned a result", ran.Load(), accepted.Load())
 	}
 }
 
@@ -74,9 +75,6 @@ func TestPoolQueueFullRejects(t *testing.T) {
 	if _, err := p.Submit(context.Background(), func(context.Context) (any, error) { return nil, nil }); !errors.Is(err, ErrQueueFull) {
 		release()
 		t.Fatalf("saturated Submit returned %v, want ErrQueueFull", err)
-	}
-	if p.Rejected() != 1 {
-		t.Errorf("Rejected() = %d, want 1", p.Rejected())
 	}
 
 	release()
@@ -116,9 +114,10 @@ func TestPoolQueuedJobExpires(t *testing.T) {
 		t.Fatalf("expired Submit returned %v, want DeadlineExceeded", err)
 	}
 	close(block)
-	// Give the worker a moment to drain the expired job and count it.
-	for i := 0; i < 100 && p.Expired() == 0 && !ran; i++ {
-		time.Sleep(time.Millisecond)
+	// The single worker takes jobs in order: once a later job has run, the
+	// expired one has been taken and skipped.
+	if _, err := p.Submit(context.Background(), func(context.Context) (any, error) { return nil, nil }); err != nil {
+		t.Fatal(err)
 	}
 	if ran {
 		t.Error("expired job still executed")

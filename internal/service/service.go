@@ -58,8 +58,8 @@ type Options struct {
 // Topology-session limits. maxSessions caps concurrently open sessions;
 // sessionTTL and sessionIdle are the lifetime and idle-eviction timeout of
 // a session whose create request sets none; sessionQueue bounds the
-// per-stream delta and event queues — the backpressure depth between the
-// NDJSON reader, the repair loop and the NDJSON writer, in epochs.
+// per-stream delta queue — the backpressure depth between the NDJSON reader
+// and the loop that applies and writes each epoch, in epochs.
 const (
 	maxSessions  = 64
 	sessionTTL   = 10 * time.Minute
@@ -230,9 +230,6 @@ func closeReason(cause error) string {
 		return "client"
 	}
 }
-
-// CacheStats exposes the result cache counters.
-func (s *Service) CacheStats() (hits, misses, evictions int64) { return s.cache.Stats() }
 
 // --- request model ---------------------------------------------------------
 

@@ -162,7 +162,7 @@ func TestBackboneCacheHitOnRepeat(t *testing.T) {
 	if !reflect.DeepEqual(body1["dominators"], body2["dominators"]) {
 		t.Error("cached response diverged from computed response")
 	}
-	hits, misses, _ := svc.CacheStats()
+	hits, misses, _ := svc.cache.Stats()
 	if hits != 1 || misses != 1 {
 		t.Errorf("cache stats = %d hits, %d misses; want 1, 1", hits, misses)
 	}
@@ -467,7 +467,7 @@ func TestConcurrentMixedLoad(t *testing.T) {
 			for e := range errs {
 				t.Error(e)
 			}
-			if hits, _, _ := svc.CacheStats(); hits == 0 {
+			if hits, _, _ := svc.cache.Stats(); hits == 0 {
 				t.Error("the cache never hit across the repeated requests")
 			}
 			t.Logf("%d 429s retried", retried.Load())

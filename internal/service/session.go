@@ -119,10 +119,11 @@ func (s *Service) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 // handleSessionStream is the NDJSON duplex endpoint: the request body
 // carries topology deltas (one JSON object per line, or a JSON array per
 // line for a batched epoch), the response streams one repair event per
-// epoch, flushed as it completes. Backpressure is end to end: the repair
-// loop reads from a bounded queue the body reader fills, and the event
-// writer blocks the repair loop through a bounded queue, so a slow
-// consumer slows the producer via TCP instead of growing server memory.
+// epoch, flushed as it completes. Backpressure is end to end: the handler
+// applies each epoch from a bounded queue the body reader fills and writes
+// its event before taking the next, so a slow consumer blocks the loop,
+// the loop blocks the reader, and the reader slows the producer via TCP
+// instead of growing server memory.
 func (s *Service) handleSessionStream(w http.ResponseWriter, r *http.Request) {
 	s.requests.Inc()
 	sess, ok := s.sessions.Get(r.PathValue("id"))
@@ -146,10 +147,9 @@ func (s *Service) handleSessionStream(w http.ResponseWriter, r *http.Request) {
 	_ = rc.Flush()
 
 	in := make(chan []session.Delta, sessionQueue)
-	out := sess.Stream(ctx, in, sessionQueue)
 
 	// Body reader: one goroutine parsing NDJSON lines into epochs. It
-	// stops on EOF, on an unreadable line (the error crosses to the writer
+	// stops on EOF, on an unreadable line (the error crosses to the loop
 	// below and is reported fatal once the queued epochs drain), or when
 	// ctx ends (the handler returning cancels r.Context(), so this
 	// goroutine cannot leak).
@@ -182,22 +182,41 @@ func (s *Service) handleSessionStream(w http.ResponseWriter, r *http.Request) {
 		}
 	}()
 
+	// The loop stops when the body ends, the client vanishes, the session
+	// closes, or an epoch fails with anything but a bad delta (which rolled
+	// back cleanly and only costs its own error line).
 	enc := json.NewEncoder(w)
-	for res := range out {
-		if res.Err != nil {
-			fatal := !errors.Is(res.Err, session.ErrBadDelta)
-			_ = enc.Encode(api.SessionStreamError{Error: res.Err.Error(), Fatal: fatal})
+loop:
+	for {
+		var epoch []session.Delta
+		select {
+		case <-ctx.Done():
+			break loop
+		case <-sess.Done():
+			break loop
+		case e, ok := <-in:
+			if !ok {
+				break loop
+			}
+			epoch = e
+		}
+		ev, err := sess.Apply(ctx, epoch)
+		if err != nil {
+			fatal := !errors.Is(err, session.ErrBadDelta)
+			_ = enc.Encode(api.SessionStreamError{Error: err.Error(), Fatal: fatal})
 			_ = rc.Flush()
+			if fatal {
+				break loop
+			}
 			continue
 		}
-		s.epochLatency.Observe(float64(res.Event.ElapsedMicros) / 1e6)
-		_ = enc.Encode(res.Event)
+		s.epochLatency.Observe(float64(ev.ElapsedMicros) / 1e6)
+		_ = enc.Encode(ev)
 		_ = rc.Flush()
 	}
-	// The pump closed: the body ended, the client vanished, or the session
-	// died under us. Say why before hanging up — an unreadable line (which
-	// ends the stream, unlike a semantically-bad delta) reports the actual
-	// parse error, and a session teardown (expiry, drain) its cause.
+	// Say why before hanging up — an unreadable line (which ends the
+	// stream, unlike a semantically-bad delta) reports the actual parse
+	// error, and a session teardown (expiry, drain, delete) its cause.
 	if ctx.Err() == nil {
 		select {
 		case err := <-readErr:

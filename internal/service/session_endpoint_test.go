@@ -82,7 +82,15 @@ func TestSessionCreateStreamDelete(t *testing.T) {
 		t.Fatalf("join epoch reported no joined index: %+v", events[2])
 	}
 
-	// Delete closes it; a second delete 404s.
+	// Delete closes it, ending a stream still open on it with the close
+	// cause as a fatal line; a second delete 404s.
+	pr, pw := io.Pipe()
+	defer pw.Close()
+	open, err := http.Post(ts.URL+"/v1/session/"+created.Session+"/stream", "application/x-ndjson", pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer open.Body.Close()
 	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/session/"+created.Session, nil)
 	del, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -91,6 +99,18 @@ func TestSessionCreateStreamDelete(t *testing.T) {
 	del.Body.Close()
 	if del.StatusCode != http.StatusOK {
 		t.Fatalf("delete: status %d", del.StatusCode)
+	}
+	var lines []api.SessionStreamError
+	sc = bufio.NewScanner(open.Body)
+	for sc.Scan() {
+		var line api.SessionStreamError
+		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
+			t.Fatalf("bad stream line %q: %v", sc.Text(), err)
+		}
+		lines = append(lines, line)
+	}
+	if len(lines) != 1 || lines[0].Error != "session: closed" || !lines[0].Fatal {
+		t.Fatalf("stream open across delete ended with %+v, want one fatal session: closed", lines)
 	}
 	del2, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -384,6 +404,19 @@ func TestCancelInFlightFastDrain(t *testing.T) {
 	if svc.sessions.Active() != 1 {
 		t.Fatalf("active sessions = %d", svc.sessions.Active())
 	}
+	// A stream left open on it must end within the drain too.
+	pr, pw := io.Pipe()
+	defer pw.Close()
+	stream, err := http.Post(ts.URL+"/v1/session/"+created.Session+"/stream", "application/x-ndjson", pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stream.Body.Close()
+	streamEOF := make(chan error, 1)
+	go func() {
+		_, err := io.Copy(io.Discard, stream.Body)
+		streamEOF <- err
+	}()
 	// A request that cannot finish on its own within the test budget.
 	body, _ := json.Marshal(nonConvergingBackbone())
 	done := make(chan int, 1)
@@ -412,8 +445,15 @@ func TestCancelInFlightFastDrain(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Fatalf("drain took %v; want immediate cancellation", elapsed)
 	}
+	select {
+	case err := <-streamEOF:
+		if err != nil {
+			t.Fatalf("open stream ended with %v, want EOF", err)
+		}
+	case <-time.After(2*time.Second - time.Since(start)):
+		t.Fatal("fast drain left the open stream running")
+	}
 	if svc.sessions.Active() != 0 {
 		t.Fatalf("open sessions survived fast drain: %d", svc.sessions.Active())
 	}
-	_ = created
 }

@@ -117,10 +117,9 @@ func TestFaultBearingEscalationRungProperty(t *testing.T) {
 	}
 }
 
-// TestFaultBearingCancellationNoLeak cancels a fault-bearing session's stream
-// while epochs (and their retry ladders) are in flight: the pump and every
-// repair goroutine must unwind, the session must survive with a valid
-// backbone, and nothing may leak.
+// TestFaultBearingCancellationNoLeak cancels a fault-bearing session's
+// epochs while their retry ladders run: every repair goroutine must unwind,
+// the session must survive with a valid backbone, and nothing may leak.
 func TestFaultBearingCancellationNoLeak(t *testing.T) {
 	base := runtime.NumGoroutine()
 	rng := rand.New(rand.NewSource(17))
@@ -130,43 +129,36 @@ func TestFaultBearingCancellationNoLeak(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	in := make(chan []Delta, 4)
-	out := s.Stream(ctx, in, 4)
+	defer cancel()
 
-	// Pre-generate move-only epochs from the initial positions (the feeder
-	// goroutine must not read live maintainer state while the pump applies
-	// epochs), then feed until the pump stops taking them; cancel mid-flight
-	// after the first event so the cancellation lands inside the repair
+	// Move-only epochs from the initial positions; the cancel fires a
+	// millisecond after the first event, so it lands inside the repair
 	// ladder of a later epoch with high probability.
 	nw := s.Maintainer().Network()
-	epochs := make([][]Delta, 50)
+	epochs := make([][]Delta, 200)
 	for i := range epochs {
 		v := rng.Intn(nw.N())
 		p := nw.Pos[v]
 		epochs[i] = []Delta{{Op: OpMove, Node: &v,
 			X: p.X + rng.NormFloat64()*0.4, Y: p.Y + rng.NormFloat64()*0.4}}
 	}
-	go func() {
-		defer close(in)
-		for _, e := range epochs {
-			select {
-			case in <- e:
-			case <-ctx.Done():
-				return
-			}
+	cancelled := false
+	for i, e := range epochs {
+		_, err := s.Apply(ctx, e)
+		if errors.Is(err, context.Canceled) {
+			cancelled = true
+			break
 		}
-	}()
-	first := true
-	for res := range out {
-		if res.Err != nil && !errors.Is(res.Err, context.Canceled) && !errors.Is(res.Err, ErrBadDelta) {
-			t.Fatalf("stream error: %v", res.Err)
+		if err != nil && !errors.Is(err, ErrBadDelta) {
+			t.Fatalf("epoch %d: %v", i, err)
 		}
-		if first {
-			first = false
-			cancel()
+		if i == 0 {
+			time.AfterFunc(time.Millisecond, cancel)
 		}
 	}
-	cancel()
+	if !cancelled {
+		t.Fatal("no epoch observed the cancellation")
+	}
 	if _, ok := mgr.Get(s.ID()); !ok {
 		t.Fatal("stream cancellation must not close the session")
 	}

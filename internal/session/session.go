@@ -10,10 +10,9 @@
 // Sessions are built for a server: every apply observes both the caller's
 // context and the session's own context (so a client disconnect, a TTL
 // expiry, or a server drain cancels a repair mid-worklist and the
-// maintainer rolls back), Stream gives bounded-queue backpressure for the
-// NDJSON endpoint, and repair cost is attributed through internal/obs like
-// any other phase. Manager adds the lifecycle: ID allocation, TTL and idle
-// eviction, and drain.
+// maintainer rolls back), and repair cost is attributed through internal/obs
+// like any other phase. Manager adds the lifecycle: ID allocation, TTL and
+// idle eviction, and drain.
 package session
 
 import (
@@ -183,10 +182,8 @@ type Session struct {
 	m      *maintain.Maintainer
 	seq    int
 	nextID int
-	closed bool
 
 	lastUse atomic.Int64 // unix nanoseconds of the last apply/touch
-	streams sync.WaitGroup
 }
 
 // New builds a session over nw (which the session takes ownership of; pass
@@ -283,7 +280,7 @@ func (s *Session) Apply(ctx context.Context, deltas []Delta) (Event, error) {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
+	if s.ctx.Err() != nil {
 		return Event{}, ErrClosed
 	}
 	if len(deltas) == 0 {
@@ -372,83 +369,16 @@ func (s *Session) toMutation(d Delta, nextID *int) (maintain.Mutation, error) {
 	}
 }
 
-// Result pairs an epoch event with its error for streaming delivery.
-type Result struct {
-	Event Event
-	Err   error
-}
-
-// Stream applies epochs read from in, in order, and delivers each Result on
-// the returned channel (buffered to queue, minimum 1 — the backpressure
-// bound: when the consumer stalls, the pump stalls, and so does the
-// producer feeding in). The pump stops — closing the returned channel —
-// when in closes, ctx is cancelled, the session closes, or an epoch fails
-// with a cancellation; bad-delta errors are delivered and streaming
-// continues, since the epoch rolled back cleanly. Stream on an
-// already-closed session returns an already-closed channel.
-func (s *Session) Stream(ctx context.Context, in <-chan []Delta, queue int) <-chan Result {
-	if queue < 1 {
-		queue = 1
-	}
-	out := make(chan Result, queue)
-	// Register under the same lock Close uses to set closed: the manager's
-	// janitor can close the session between a Get and this Stream, and a
-	// bare Add racing a Wait whose counter is at zero is documented
-	// WaitGroup misuse. A closed session streams nothing.
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		close(out)
-		return out
-	}
-	s.streams.Add(1)
-	s.mu.Unlock()
-	go func() {
-		defer s.streams.Done()
-		defer close(out)
-		for {
-			var (
-				deltas []Delta
-				ok     bool
-			)
-			select {
-			case <-ctx.Done():
-				return
-			case <-s.ctx.Done():
-				return
-			case deltas, ok = <-in:
-				if !ok {
-					return
-				}
-			}
-			ev, err := s.Apply(ctx, deltas)
-			select {
-			case out <- Result{Event: ev, Err: err}:
-			case <-ctx.Done():
-				return
-			case <-s.ctx.Done():
-				return
-			}
-			if err != nil && !errors.Is(err, ErrBadDelta) {
-				return
-			}
-		}
-	}()
-	return out
-}
-
-// Close cancels the session with the given cause (nil = ErrClosed) and
-// waits for its stream pumps to drain. Idempotent.
+// Close cancels the session with the given cause (nil = ErrClosed), then
+// takes the epoch lock. Apply refuses a cancelled session under that lock,
+// so Close returns only once an in-flight epoch has ended (the cancel rolls
+// it back unless its repair had already finished), and no epoch applies
+// after it. Idempotent; the first cause wins.
 func (s *Session) Close(cause error) {
 	if cause == nil {
 		cause = ErrClosed
 	}
+	s.cancel(cause)
 	s.mu.Lock()
-	already := s.closed
-	s.closed = true
-	s.mu.Unlock()
-	if !already {
-		s.cancel(cause)
-	}
-	s.streams.Wait()
+	defer s.mu.Unlock()
 }

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -154,6 +155,8 @@ func waitGoroutines(t *testing.T, base int) {
 	t.Fatalf("goroutine leak: %d > %d\n%s", runtime.NumGoroutine(), base, buf[:n])
 }
 
+// A client that disconnects cancels its own epochs, not the session: the
+// next epoch under the dead context fails, and the session stays open.
 func TestStreamClientDisconnectNoLeak(t *testing.T) {
 	base := runtime.NumGoroutine()
 	rng := rand.New(rand.NewSource(6))
@@ -163,17 +166,14 @@ func TestStreamClientDisconnectNoLeak(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	in := make(chan []Delta, 2)
-	out := s.Stream(ctx, in, 2)
 	v := 1
 	p := s.Maintainer().Network().Pos[v]
-	in <- []Delta{{Op: OpMove, Node: &v, X: p.X + 0.05, Y: p.Y}}
-	res := <-out
-	if res.Err != nil {
-		t.Fatal(res.Err)
+	if _, err := s.Apply(ctx, []Delta{{Op: OpMove, Node: &v, X: p.X + 0.05, Y: p.Y}}); err != nil {
+		t.Fatal(err)
 	}
-	cancel() // client disconnect: pump must exit without the channel closing
-	for range out {
+	cancel() // client disconnect
+	if _, err := s.Apply(ctx, []Delta{{Op: OpMove, Node: &v, X: p.X, Y: p.Y}}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("epoch after disconnect: err = %v, want context.Canceled", err)
 	}
 	if _, ok := mgr.Get(s.ID()); !ok {
 		t.Fatal("disconnect must not close the session itself")
@@ -190,8 +190,6 @@ func TestTTLExpiryClosesSessionNoLeak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := make(chan []Delta)
-	out := s.Stream(context.Background(), in, 1)
 	select {
 	case <-s.Done():
 	case <-time.After(3 * time.Second):
@@ -200,7 +198,9 @@ func TestTTLExpiryClosesSessionNoLeak(t *testing.T) {
 	if !errors.Is(s.Err(), ErrExpired) {
 		t.Fatalf("close cause = %v, want ErrExpired", s.Err())
 	}
-	for range out { // pump must shut down on expiry
+	v := 0
+	if _, err := s.Apply(context.Background(), []Delta{{Op: OpLeave, Node: &v}}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("epoch after expiry: err = %v, want ErrClosed", err)
 	}
 	if mgr.Active() != 0 {
 		t.Fatalf("expired session still registered: %d active", mgr.Active())
@@ -229,21 +229,49 @@ func TestIdleEvictionNoLeak(t *testing.T) {
 	waitGoroutines(t, base)
 }
 
+// A drain closes sessions whose epochs are running: each applier's loop
+// ends on a closed or drain-aborted epoch.
 func TestManagerDrainCancelsInFlightNoLeak(t *testing.T) {
 	base := runtime.NumGoroutine()
 	rng := rand.New(rand.NewSource(9))
 	mgr := NewManager(ManagerOptions{})
-	var sessions []*Session
+	var (
+		sessions []*Session
+		started  sync.WaitGroup
+		stopped  sync.WaitGroup
+	)
+	errs := make(chan error, 3)
 	for i := 0; i < 3; i++ {
 		s, err := mgr.Open(newNet(t, rng, 40, 8), Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		sessions = append(sessions, s)
-		in := make(chan []Delta)
-		_ = s.Stream(context.Background(), in, 1) // idle pump blocked on in
+		started.Add(1)
+		stopped.Add(1)
+		go func(s *Session, rng *rand.Rand) {
+			defer stopped.Done()
+			for e := 0; ; e++ {
+				_, err := s.Apply(context.Background(), RandomEpoch(rng, s))
+				if e == 0 {
+					started.Done()
+				}
+				if err != nil && !errors.Is(err, ErrBadDelta) {
+					errs <- err
+					return
+				}
+			}
+		}(s, rand.New(rand.NewSource(int64(90+i))))
 	}
+	started.Wait()
 	mgr.Shutdown(nil)
+	stopped.Wait()
+	close(errs)
+	for err := range errs {
+		if !errors.Is(err, ErrClosed) && !errors.Is(err, ErrDrained) {
+			t.Fatalf("applier ended on %v, want a closed or drained epoch", err)
+		}
+	}
 	for _, s := range sessions {
 		if !errors.Is(s.Err(), ErrDrained) {
 			t.Fatalf("close cause = %v, want ErrDrained", s.Err())
@@ -286,27 +314,5 @@ func TestApplyCancelledMidEpochKeepsSessionUsable(t *testing.T) {
 	}
 	if ev, err := s.Apply(context.Background(), []Delta{{Op: OpMove, Node: &v, X: p.X + 0.3, Y: p.Y}}); err != nil || ev.Seq != 1 {
 		t.Fatalf("retry failed: ev=%+v err=%v", ev, err)
-	}
-}
-
-// The manager's janitor can close a session between a Get and a Stream.
-// Stream on a closed session must not touch the WaitGroup Close waits on
-// (Add racing Wait-at-zero is documented misuse); the caller just sees an
-// empty, already-closed result channel.
-func TestStreamAfterCloseReturnsClosedChannel(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	s, err := New("t", newNet(t, rng, 20, 8), Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Close(nil)
-	out := s.Stream(context.Background(), make(chan []Delta), 1)
-	select {
-	case _, ok := <-out:
-		if ok {
-			t.Fatal("stream on a closed session delivered a result")
-		}
-	case <-time.After(time.Second):
-		t.Fatal("stream on a closed session did not close its channel")
 	}
 }

@@ -29,34 +29,6 @@ import (
 	"wcdsnet/internal/graph"
 )
 
-// Sparsity summarises edge counts of a graph/spanner pair.
-type Sparsity struct {
-	Nodes        int
-	GraphEdges   int
-	SpannerEdges int
-	// EdgesPerNode is SpannerEdges/Nodes — bounded by a constant for a
-	// sparse spanner (Theorems 8 and 10).
-	EdgesPerNode float64
-	// Retained is the fraction of G's edges kept in the spanner.
-	Retained float64
-}
-
-// SparsityOf computes edge statistics for spanner sp of graph g.
-func SparsityOf(g, sp *graph.Graph) Sparsity {
-	s := Sparsity{
-		Nodes:        g.N(),
-		GraphEdges:   g.M(),
-		SpannerEdges: sp.M(),
-	}
-	if g.N() > 0 {
-		s.EdgesPerNode = float64(sp.M()) / float64(g.N())
-	}
-	if g.M() > 0 {
-		s.Retained = float64(sp.M()) / float64(g.M())
-	}
-	return s
-}
-
 // PairStat records the dilation of a single node pair.
 type PairStat struct {
 	U, V int
@@ -322,35 +294,6 @@ func SamplePairs(rng *rand.Rand, n, count int) [][2]int {
 		}
 	}
 	return pairs
-}
-
-// Stretch computes the hop eccentricity ratio of the spanner: the maximum
-// over sources of ecc_sp(u)/ecc_g(u). A coarse but cheap global indicator
-// used in the experiment summaries.
-func Stretch(g, sp *graph.Graph) float64 {
-	worst := 0.0
-	sg, ss := graph.GetScratch(), graph.GetScratch()
-	defer sg.Release()
-	defer ss.Release()
-	for u := 0; u < g.N(); u++ {
-		dg, _ := g.BFSInto(sg, u)
-		ds, _ := sp.BFSInto(ss, u)
-		eg, es := 0, 0
-		for v := range dg {
-			if dg[v] > eg {
-				eg = dg[v]
-			}
-			if ds[v] > es {
-				es = ds[v]
-			}
-		}
-		if eg > 0 {
-			if r := float64(es) / float64(eg); r > worst {
-				worst = r
-			}
-		}
-	}
-	return worst
 }
 
 // CheckLemma6 verifies the paper's Lemma 6 transfer numerically for a pair

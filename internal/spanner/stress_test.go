@@ -1,6 +1,7 @@
 package spanner
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -13,9 +14,11 @@ import (
 
 func TestTheorem11OnCorridors(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
+	// Width 1.5 and arms of length 14.
+	corridor := udg.Topology{Kind: "corridor", Params: map[string]float64{"width": 1.5}}
 	checked := 0
 	for trial := 0; trial < 20 && checked < 6; trial++ {
-		nw := udg.GenCorridor(rng, 180, 14, 1.5)
+		nw := corridor.Generate(rng, 180, 179*math.Pi/(2*14*1.5-1.5*1.5))
 		if !nw.G.Connected() {
 			continue
 		}
@@ -37,9 +40,11 @@ func TestTheorem11OnCorridors(t *testing.T) {
 
 func TestTheorem11OnAnnuli(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
+	// Inner radius 3, outer 5.5.
+	annulus := udg.Topology{Kind: "annulus", Params: map[string]float64{"inner": 3}}
 	checked := 0
 	for trial := 0; trial < 20 && checked < 6; trial++ {
-		nw := udg.GenAnnulus(rng, 220, 3, 5.5)
+		nw := annulus.Generate(rng, 220, 219/(5.5*5.5-3*3))
 		if !nw.G.Connected() {
 			continue
 		}

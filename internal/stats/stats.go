@@ -50,15 +50,6 @@ func Summarize(xs []float64) Summary {
 	return s
 }
 
-// SummarizeInts converts to float64 and summarizes.
-func SummarizeInts(xs []int) Summary {
-	fs := make([]float64, len(xs))
-	for i, x := range xs {
-		fs[i] = float64(x)
-	}
-	return Summarize(fs)
-}
-
 // Quantile returns the interpolated q-quantile of xs (any order; xs is not
 // modified). An empty sample yields 0; q is clamped to [0, 1].
 func Quantile(xs []float64, q float64) float64 {
@@ -142,26 +133,6 @@ func LinearFit(xs, ys []float64) (intercept, slope, r2 float64) {
 	}
 	r2 = sxy * sxy / (sxx * syy)
 	return intercept, slope, r2
-}
-
-// FitPerNode reports the average ratio y/x — the "cost per node" for
-// complexity experiments where y is expected Θ(x).
-func FitPerNode(xs, ys []float64) float64 {
-	if len(xs) == 0 || len(xs) != len(ys) {
-		return 0
-	}
-	total := 0.0
-	count := 0
-	for i := range xs {
-		if xs[i] != 0 {
-			total += ys[i] / xs[i]
-			count++
-		}
-	}
-	if count == 0 {
-		return 0
-	}
-	return total / float64(count)
 }
 
 // Table accumulates rows and renders them with aligned columns, suitable

@@ -47,13 +47,6 @@ func TestSummarizeInvariants(t *testing.T) {
 	}
 }
 
-func TestSummarizeInts(t *testing.T) {
-	s := SummarizeInts([]int{2, 4, 6})
-	if s.Mean != 4 || s.N != 3 {
-		t.Errorf("summary = %+v", s)
-	}
-}
-
 func TestQuantileInterpolation(t *testing.T) {
 	s := Summarize([]float64{0, 10})
 	if s.P50 != 5 {
@@ -80,16 +73,6 @@ func TestLinearFitDegenerate(t *testing.T) {
 	a, b, r2 := LinearFit([]float64{1, 2, 3}, []float64{4, 4, 4})
 	if a != 4 || b != 0 || r2 != 1 {
 		t.Errorf("constant y fit = (%v, %v, %v)", a, b, r2)
-	}
-}
-
-func TestFitPerNode(t *testing.T) {
-	got := FitPerNode([]float64{10, 20}, []float64{30, 80})
-	if math.Abs(got-3.5) > 1e-12 {
-		t.Errorf("per-node = %v, want 3.5", got)
-	}
-	if FitPerNode(nil, nil) != 0 {
-		t.Error("empty input should be 0")
 	}
 }
 

@@ -290,9 +290,9 @@ func regionArea(n int, avgDegree float64) float64 {
 
 // drawGridN places exactly n nodes on a near-square jittered grid whose
 // spacing targets the average degree (π/spacing² − 1 ≈ deg for an infinite
-// jitter-free grid). jitterFrac scales the per-axis jitter relative to the
-// spacing. GenGrid keeps its rows×cols signature for direct callers; the
-// topology axis needs an exact node count.
+// jitter-free grid), row-major in rows of ⌈√n⌉ nodes. jitterFrac scales
+// the per-axis jitter relative to the spacing. Perturbed grids give
+// near-worst-case regular packings.
 func drawGridN(rng *rand.Rand, n int, avgDegree float64, jitterFrac float64) ([]geom.Point, []int) {
 	if n == 0 {
 		return nil, nil

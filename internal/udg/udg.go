@@ -467,13 +467,9 @@ func drawUniform(rng *rand.Rand, n int, side float64) ([]geom.Point, []int) {
 	return pos, RandomIDs(rng, n)
 }
 
-// GenClusters places n nodes into k Gaussian clusters whose centers are
+// drawClusters places n nodes into k Gaussian clusters whose centers are
 // uniform in [0,side]²; sigma is the cluster spread. Positions are clamped
 // to the square. Clustered layouts stress the MIS packing lemmas.
-func GenClusters(rng *rand.Rand, n, k int, side, sigma float64) *Network {
-	return mustNew(drawClusters(rng, n, k, side, sigma))
-}
-
 func drawClusters(rng *rand.Rand, n, k int, side, sigma float64) ([]geom.Point, []int) {
 	if k < 1 {
 		k = 1
@@ -495,30 +491,10 @@ func drawClusters(rng *rand.Rand, n, k int, side, sigma float64) ([]geom.Point, 
 	return pos, RandomIDs(rng, n)
 }
 
-// GenGrid places nodes on a rows×cols grid with the given spacing, each
-// jittered uniformly by up to jitter in both axes. Perturbed grids give
-// near-worst-case regular packings.
-func GenGrid(rng *rand.Rand, rows, cols int, spacing, jitter float64) *Network {
-	pos := make([]geom.Point, 0, rows*cols)
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			pos = append(pos, geom.Point{
-				X: float64(c)*spacing + (rng.Float64()*2-1)*jitter,
-				Y: float64(r)*spacing + (rng.Float64()*2-1)*jitter,
-			})
-		}
-	}
-	return mustNew(pos, RandomIDs(rng, len(pos)))
-}
-
-// GenCorridor places n nodes uniformly in an L-shaped corridor of the
+// drawCorridor places n nodes uniformly in an L-shaped corridor of the
 // given arm length and width (two rectangles sharing the corner square).
 // Corridor topologies force long detours around the bend and stress the
 // spanner dilation bounds far harder than convex regions.
-func GenCorridor(rng *rand.Rand, n int, armLen, width float64) *Network {
-	return mustNew(drawCorridor(rng, n, armLen, width))
-}
-
 func drawCorridor(rng *rand.Rand, n int, armLen, width float64) ([]geom.Point, []int) {
 	if armLen < width {
 		armLen = width
@@ -536,13 +512,9 @@ func drawCorridor(rng *rand.Rand, n int, armLen, width float64) ([]geom.Point, [
 	return pos, RandomIDs(rng, n)
 }
 
-// GenAnnulus places n nodes uniformly in a ring with the given inner and
+// drawAnnulus places n nodes uniformly in a ring with the given inner and
 // outer radii centred at (outer, outer). The hole in the middle makes
 // shortest paths curve, another dilation stressor.
-func GenAnnulus(rng *rand.Rand, n int, inner, outer float64) *Network {
-	return mustNew(drawAnnulus(rng, n, inner, outer))
-}
-
 func drawAnnulus(rng *rand.Rand, n int, inner, outer float64) ([]geom.Point, []int) {
 	if outer <= inner {
 		outer = inner + 1

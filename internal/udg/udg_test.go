@@ -217,26 +217,28 @@ func TestGenUniformShape(t *testing.T) {
 
 func TestGenClustersInBox(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	nw := GenClusters(rng, 80, 4, 6, 0.5)
+	clusters := Topology{Kind: "clusters", Params: map[string]float64{"k": 4, "sigma": 0.5}}
+	nw := clusters.Generate(rng, 80, 8)
 	if nw.N() != 80 {
 		t.Fatalf("N = %d", nw.N())
 	}
-	box := geom.Square(6)
+	box := geom.Square(SideForAvgDegree(80, 8))
 	for _, p := range nw.Pos {
 		if !box.Contains(p) {
 			t.Fatalf("clustered point %v escapes the square", p)
 		}
 	}
 	// k < 1 falls back to one cluster rather than panicking.
-	nw2 := GenClusters(rng, 10, 0, 3, 0.2)
-	if nw2.N() != 10 {
-		t.Fatalf("fallback cluster count: N = %d", nw2.N())
+	if pos, _ := drawClusters(rng, 10, 0, 3, 0.2); len(pos) != 10 {
+		t.Fatalf("fallback cluster count: N = %d", len(pos))
 	}
 }
 
 func TestGenGrid(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	nw := GenGrid(rng, 3, 4, 0.9, 0)
+	// 12 nodes lie in 3 rows of 4; this degree makes the spacing 0.9.
+	grid := Topology{Kind: "grid", Params: map[string]float64{"jitter": 0}}
+	nw := grid.Generate(rng, 12, math.Pi/0.81-1)
 	if nw.N() != 12 {
 		t.Fatalf("N = %d", nw.N())
 	}
@@ -255,27 +257,32 @@ func TestGenGrid(t *testing.T) {
 
 func TestGenCorridor(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	nw := GenCorridor(rng, 200, 12, 2)
+	// Width 2 and arms of length 12: area 2·12·2 − 2² = 44.
+	corridor := Topology{Kind: "corridor", Params: map[string]float64{"width": 2}}
+	nw := corridor.Generate(rng, 200, 199*math.Pi/44)
 	if nw.N() != 200 {
 		t.Fatalf("N = %d", nw.N())
 	}
+	const arm = 12 + 1e-9
 	for _, p := range nw.Pos {
-		inHorizontal := p.X >= 0 && p.X <= 12 && p.Y >= 0 && p.Y <= 2
-		inVertical := p.X >= 0 && p.X <= 2 && p.Y >= 0 && p.Y <= 12
+		inHorizontal := p.X >= 0 && p.X <= arm && p.Y >= 0 && p.Y <= 2
+		inVertical := p.X >= 0 && p.X <= 2 && p.Y >= 0 && p.Y <= arm
 		if !inHorizontal && !inVertical {
 			t.Fatalf("point %v outside the L corridor", p)
 		}
 	}
-	// Degenerate arm shorter than width is clamped, not rejected.
-	nw2 := GenCorridor(rng, 10, 0.5, 2)
-	if nw2.N() != 10 {
+	// A degree this high sizes the arms shorter than the width; they are
+	// clamped, not rejected.
+	if nw2 := corridor.Generate(rng, 10, 20); nw2.N() != 10 {
 		t.Fatalf("clamped corridor N = %d", nw2.N())
 	}
 }
 
 func TestGenAnnulus(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
-	nw := GenAnnulus(rng, 150, 3, 6)
+	// Inner radius 3, outer 6: ring area π·(36 − 9).
+	annulus := Topology{Kind: "annulus", Params: map[string]float64{"inner": 3}}
+	nw := annulus.Generate(rng, 150, 149.0/27)
 	center := geom.Point{X: 6, Y: 6}
 	for _, p := range nw.Pos {
 		d := p.Dist(center)
@@ -284,9 +291,8 @@ func TestGenAnnulus(t *testing.T) {
 		}
 	}
 	// outer <= inner is repaired rather than looping forever.
-	nw2 := GenAnnulus(rng, 10, 4, 2)
-	if nw2.N() != 10 {
-		t.Fatalf("repaired annulus N = %d", nw2.N())
+	if pos, _ := drawAnnulus(rng, 10, 4, 2); len(pos) != 10 {
+		t.Fatalf("repaired annulus N = %d", len(pos))
 	}
 }
 

@@ -349,15 +349,6 @@ type (
 	BatchReport = batch.Report
 )
 
-// WithMeasureWorkers returns BatchOptions with the per-scenario dilation
-// measurement parallelism set (spanner.DilationN workers; 0 = engine
-// default of 1). Like the shard count it cannot change results, only wall
-// time. Convenience for callers that otherwise pass a zero BatchOptions.
-func WithMeasureWorkers(opts BatchOptions, workers int) BatchOptions {
-	opts.MeasureWorkers = workers
-	return opts
-}
-
 // RunBatch executes the sweep on the sharded batch engine: deterministic
 // scenario sharding across workers, shared per-network subcomputations and
 // pooled hot paths. Results are identical for every worker count; see

@@ -24,8 +24,9 @@ func TestScheduleRuleParityAcrossSurfaces(t *testing.T) {
 		seed   = 31
 	)
 	nw := runTestNetwork(t, n, seed)
-	h, svc := ServeHandler(ServiceOptions{})
+	svc := NewService(ServiceOptions{})
 	defer svc.Close()
+	h := svc.Handler()
 
 	type cell struct {
 		mode  string

@@ -21,7 +21,8 @@
 //
 //	nw, err := wcdsnet.GenerateNetwork(42, 500, 10) // seed, nodes, avg degree
 //	if err != nil { ... }
-//	res := wcdsnet.AlgorithmII(nw)                  // backbone + spanner
+//	res, _, err := wcdsnet.Run(nw, wcdsnet.AlgoII)  // backbone + spanner
+//	if err != nil { ... }
 //	fmt.Println(len(res.Dominators), res.Spanner.M())
 package wcdsnet
 
@@ -30,7 +31,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"net/http"
 	"sync/atomic"
 
 	"wcdsnet/internal/cluster"
@@ -227,14 +227,6 @@ func NewService(opts ServiceOptions) *Service {
 	return service.New(opts)
 }
 
-// ServeHandler is a convenience for embedding the service into an existing
-// http.ServeMux: it creates a Service with opts and returns its handler
-// together with the Service for lifecycle control.
-func ServeHandler(opts ServiceOptions) (http.Handler, *Service) {
-	svc := service.New(opts)
-	return svc.Handler(), svc
-}
-
 // AlgorithmIIWithTables is a distributed Algorithm II run (Deferred,
 // synchronous) returning each node's accumulated routing tables as well.
 // It stays a separate entry point: tables are a protocol byproduct the
@@ -262,14 +254,7 @@ func WeaklyInduced(nw *Network, set []int) *Graph {
 // pairCount ≤ 0 measures every non-adjacent pair — quadratic, for moderate
 // n only.
 func MeasureDilation(nw *Network, res Result, pairCount int, seed int64) (DilationReport, error) {
-	return MeasureDilationWorkers(nw, res, pairCount, seed, 0)
-}
-
-// MeasureDilationWorkers is MeasureDilation with an explicit measurement
-// worker count (0 = GOMAXPROCS). The report is byte-identical for every
-// worker count; see spanner.DilationN for the determinism argument.
-func MeasureDilationWorkers(nw *Network, res Result, pairCount int, seed int64, workers int) (DilationReport, error) {
-	return spanner.DilationN(context.Background(), nw.G, res.Spanner, nw.Weight(), spanner.Pairs(nw.G, pairCount, seed), workers)
+	return spanner.DilationN(context.Background(), nw.G, res.Spanner, nw.Weight(), spanner.Pairs(nw.G, pairCount, seed), 0)
 }
 
 // NewRouter builds the clusterhead unicast router from a distributed
@@ -302,7 +287,7 @@ var sessionSeq atomic.Int64
 
 // OpenSession starts a streaming churn session over the (connected)
 // network, which the session takes ownership of. Apply epochs of deltas
-// with (*TopologySession).Apply or Stream, and release it with Close:
+// with (*TopologySession).Apply, and release it with Close:
 //
 //	sess, err := wcdsnet.OpenSession(nw, wcdsnet.SessionConfig{})
 //	if err != nil { ... }
